@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: check build vet lint lint-sarif test race bench-smoke bench-sampling bench-afd bench-kernels bench-ensemble bench-incremental bench-quality regress regress-record serve-smoke
+.PHONY: check build vet lint lint-sarif test race bench-smoke bench-check bench-sampling bench-afd bench-kernels bench-ensemble bench-incremental bench-quality regress regress-record serve-smoke
 
 check: build vet lint race regress
 
@@ -37,6 +37,12 @@ race:
 # bit-rot in the bench harness is caught without paying full bench time.
 bench-smoke:
 	$(GO) test -short -run=^$$ -bench=. -benchtime=1x ./...
+
+# Vets and smoke-tests the repository benchmark (perfbench/, a module of
+# its own that the root build and tests never compile), so an internal API
+# change that breaks the benchmark fails here instead of at benchmark time.
+bench-check:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
 # Boots fdserve on a random loopback port and drives the end-to-end
 # client flow against it: submit CSV, per-cycle SSE progress, append,

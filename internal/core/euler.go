@@ -450,7 +450,11 @@ func runDoubleCycle(ctx context.Context, opt Options, sampler *Sampler, ncover *
 // nonFDsOf expands agree sets into the non-FDs they witness: agree ↛ a for
 // every attribute a outside the agree set.
 func nonFDsOf(agrees []fdset.AttrSet, ncols int) []fdset.FD {
-	var out []fdset.FD
+	n := 0
+	for _, agree := range agrees {
+		n += ncols - agree.Count()
+	}
+	out := make([]fdset.FD, 0, n)
 	for _, agree := range agrees {
 		for a := 0; a < ncols; a++ {
 			if !agree.Has(a) {

@@ -245,35 +245,3 @@ func TestInvertLiteralMatchesInvert(t *testing.T) {
 		}
 	}
 }
-
-func TestInvertAllParallelMatchesSequential(t *testing.T) {
-	r := rand.New(rand.NewSource(131))
-	for iter := 0; iter < 20; iter++ {
-		m := 4 + r.Intn(6)
-		var nonFDs []fdset.FD
-		for k := 0; k < 5+r.Intn(20); k++ {
-			rhs := r.Intn(m)
-			var lhs fdset.AttrSet
-			for a := 0; a < m; a++ {
-				if a != rhs && r.Intn(2) == 0 {
-					lhs.Add(a)
-				}
-			}
-			nonFDs = append(nonFDs, fdset.FD{LHS: lhs, RHS: rhs})
-		}
-		seq, par := NewPCover(m, nil), NewPCover(m, nil)
-		a := seq.InvertAll(nonFDs)
-		b := par.InvertAllParallel(nonFDs, 4)
-		if a != b {
-			t.Fatalf("added counts differ: %d vs %d", a, b)
-		}
-		if !seq.FDs().Equal(par.FDs()) {
-			t.Fatalf("parallel inversion diverged")
-		}
-	}
-	// workers <= 1 falls back to sequential.
-	p := NewPCover(3, nil)
-	if p.InvertAllParallel([]fdset.FD{fdset.NewFD([]int{1}, 0)}, 0) == 0 {
-		t.Error("fallback path added nothing")
-	}
-}

@@ -12,9 +12,10 @@ import (
 // Y ↛ A for every Y ⊂ X, so storing only maximal LHSs loses nothing while
 // keeping the trees small (Algorithm 2).
 type NCover struct {
-	trees []*Tree
-	ncols int
-	size  int
+	trees  []*Tree
+	ncols  int
+	size   int
+	shards rhsShards // AddTrackedBatch's batch split
 }
 
 // NewNCover builds an empty negative cover over ncols attributes. rank
@@ -73,42 +74,46 @@ type AddEvent struct {
 // event set are identical for every worker count, including the nil
 // (sequential) pool.
 func (n *NCover) AddTrackedBatch(nonFDs []fdset.FD, p *pool.Pool) (added int, events []AddEvent) {
-	byRHS := make([][]fdset.FD, n.ncols)
-	for _, f := range nonFDs {
-		byRHS[f.RHS] = append(byRHS[f.RHS], f)
-	}
-	shards := byRHS[:0]
-	for _, shard := range byRHS {
-		if len(shard) > 0 {
-			shards = append(shards, shard)
-		}
-	}
-	type shardResult struct {
-		events    []AddEvent
-		added     int
-		sizeDelta int
-	}
-	results := make([]shardResult, len(shards))
+	shards := n.shards.split(nonFDs, n.ncols)
+	results := make([]admitResult, len(shards))
 	p.Do(len(shards), func(k int) {
-		r := &results[k]
-		for _, f := range shards[k] {
-			t := n.trees[f.RHS]
-			if t.ContainsSuperset(f.LHS) {
-				continue
-			}
-			superseded := t.RemoveSubsets(f.LHS)
-			t.Add(f.LHS)
-			r.added++
-			r.sizeDelta += 1 - len(superseded)
-			r.events = append(r.events, AddEvent{NonFD: f, Superseded: superseded})
-		}
+		n.admit(nonFDs, shards[k], &results[k])
 	})
 	for _, r := range results {
-		added += r.added
+		added += len(r.events)
 		n.size += r.sizeDelta
 		events = append(events, r.events...)
 	}
 	return added, events
+}
+
+// admitResult is one shard's share of an AddTrackedBatch.
+type admitResult struct {
+	events    []AddEvent
+	sizeDelta int
+	// superseded backs every event's Superseded slice: one buffer per
+	// shard instead of one allocation per admission.
+	superseded []fdset.AttrSet
+}
+
+// admit is the shard body of AddTrackedBatch: sequential AddTracked over
+// one RHS's non-FDs, nonFDs[i] for i in shard, recording events into r.
+//
+//fdlint:hotpath
+func (n *NCover) admit(nonFDs []fdset.FD, shard []int32, r *admitResult) {
+	for _, i := range shard {
+		f := nonFDs[i]
+		t := n.trees[f.RHS]
+		if t.ContainsSuperset(f.LHS) {
+			continue
+		}
+		from := len(r.superseded)
+		r.superseded = t.removeSubsetsInto(f.LHS, r.superseded)
+		t.Add(f.LHS)
+		to := len(r.superseded)
+		r.sizeDelta += 1 - (to - from)
+		r.events = append(r.events, AddEvent{NonFD: f, Superseded: r.superseded[from:to:to]})
+	}
 }
 
 // RemoveLHS removes the stored maximal non-FD lhs ↛ rhs, reporting

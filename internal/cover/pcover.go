@@ -1,6 +1,8 @@
 package cover
 
 import (
+	"math/bits"
+
 	"eulerfd/internal/fdset"
 	"eulerfd/internal/pool"
 )
@@ -10,8 +12,9 @@ import (
 // so far. It starts from the most general candidates ∅ → A and is refined
 // by Invert (Algorithm 3).
 type PCover struct {
-	trees []*Tree
-	ncols int
+	trees  []*Tree
+	ncols  int
+	shards rhsShards // InvertAllPool's batch split
 }
 
 // NewPCover builds a positive cover over ncols attributes initialized with
@@ -53,60 +56,104 @@ func (p *PCover) Size() int {
 // escapes and fail the minimality check). Skipping them changes nothing
 // in the output and removes the quadratic churn on FD-dense relations;
 // BenchmarkAblationPaperInversion quantifies the gap.
+//
+// The removed generalizations and the blocker tables live in the tree's
+// scratch and unlinked nodes are recycled, so on a warmed tree Invert
+// allocates only the nodes the cover grows by.
+//
+//fdlint:hotpath
 func (p *PCover) Invert(nonFD fdset.FD) int {
 	t := p.trees[nonFD.RHS]
 	// All invalidated generalizations come out in one traversal. Because
 	// every replacement candidate contains an attribute outside the
 	// non-FD's LHS, none of them is itself a generalization of the
 	// non-FD, so a single removal pass suffices.
-	generals := t.RemoveSubsets(nonFD.LHS)
+	t.generals = t.removeSubsetsInto(nonFD.LHS, t.generals[:0])
 	added := 0
-	// Any blocking subset of a candidate general ∪ {attr} must contain
-	// attr: the tree is an antichain, so proper subsets of general are
-	// not stored, and general itself was just removed. A blocker is
-	// therefore S ∪ {attr} for some S ⊆ general. For small generals it is
-	// far cheaper to enumerate those 2^|general| sets against the tree's
-	// membership table than to search the tree.
-	const enumLimit = 6
-	var subsets []fdset.AttrSet
-	for _, general := range generals {
-		attrs := general.Attrs()
-		subsets = subsets[:0]
-		if len(attrs) <= enumLimit {
-			for mask := 0; mask < 1<<len(attrs); mask++ {
-				var sub fdset.AttrSet
-				for b := 0; b < len(attrs); b++ {
-					if mask&(1<<b) != 0 {
-						sub.Add(attrs[b])
-					}
-				}
-				subsets = append(subsets, sub)
-			}
-		}
+	for _, general := range t.generals {
+		enumerated := t.blockerBases(general)
 		for attr := 0; attr < p.ncols; attr++ {
 			if attr == nonFD.RHS || nonFD.LHS.Has(attr) {
 				continue
 			}
 			candidate := general.With(attr)
-			blocked := false
-			if len(subsets) > 0 {
-				for _, sub := range subsets {
-					if t.Contains(sub.With(attr)) {
-						blocked = true
-						break
-					}
+			if enumerated {
+				if t.blockedByBases(attr) {
+					continue
 				}
-			} else {
-				blocked = t.ContainsSubsetWithAttr(candidate, attr)
-			}
-			if blocked {
+			} else if t.ContainsSubsetWithAttr(candidate, attr) {
 				continue
 			}
-			t.Add(candidate)
-			added++
+			if t.Add(candidate) {
+				added++
+			}
 		}
 	}
 	return added
+}
+
+// enumLimit bounds the generals whose blockers Invert enumerates against
+// the membership table; larger generals search the tree instead.
+const enumLimit = 6
+
+// blockerMasks[k] lists the masks of the proper subsets of a k-element
+// set in descending popcount. Any blocking subset of a candidate
+// general ∪ {attr} must contain attr: the tree is an antichain, so proper
+// subsets of general are not stored, and general itself was just
+// removed. A blocker is therefore S ∪ {attr} with S ⊆ general — and S ≠
+// general, since general ∪ {attr} differs from every other general's
+// candidates and is not yet stored. On FD-dense covers an S one element
+// smaller than general settles almost every blocked candidate, so probing
+// the largest subsets first ends most blocked candidates within the first
+// few probes.
+var blockerMasks = func() (m [enumLimit + 1][]uint8) {
+	for k := range m {
+		for size := k - 1; size >= 0; size-- {
+			for mask := 0; mask < 1<<k; mask++ {
+				if bits.OnesCount(uint(mask)) == size {
+					m[k] = append(m[k], uint8(mask))
+				}
+			}
+		}
+	}
+	return m
+}()
+
+// blockerBases fills t.subsets with the proper subsets of general in
+// blockerMasks order and reports true, or reports false when general has
+// more than enumLimit attributes.
+func (t *Tree) blockerBases(general fdset.AttrSet) bool {
+	var attrs [enumLimit]int
+	k := 0
+	for a := general.First(); a >= 0; a = general.NextAfter(a) {
+		if k == enumLimit {
+			return false
+		}
+		attrs[k] = a
+		k++
+	}
+	t.subsets = t.subsets[:0]
+	for _, mask := range blockerMasks[k] {
+		var sub fdset.AttrSet
+		for b := 0; b < k; b++ {
+			if mask&(1<<b) != 0 {
+				sub.Add(attrs[b])
+			}
+		}
+		t.subsets = append(t.subsets, sub)
+	}
+	return true
+}
+
+// blockedByBases reports whether some S ∪ {attr}, S in the table
+// blockerBases filled, is stored.
+func (t *Tree) blockedByBases(attr int) bool {
+	for _, sub := range t.subsets {
+		if t.Contains(sub.With(attr)) {
+			return true
+		}
+	}
+	return false
 }
 
 // InvertLiteral is Function invert of Algorithm 3 exactly as printed in
@@ -148,18 +195,6 @@ func (p *PCover) InvertAll(nonFDs []fdset.FD) int {
 	return added
 }
 
-// InvertAllParallel is InvertAll sharded by RHS on a transient pool of
-// workers goroutines: every per-RHS tree is touched by exactly one worker,
-// so no locking is needed, and the final cover is identical to the
-// sequential result (the cover is determined by the set of inverted
-// non-FDs, not their order). workers ≤ 1 falls back to the sequential
-// path. Callers that already own a pool should use InvertAllPool.
-func (p *PCover) InvertAllParallel(nonFDs []fdset.FD, workers int) int {
-	pl := pool.New(workers)
-	defer pl.Close()
-	return p.InvertAllPool(nonFDs, pl)
-}
-
 // InvertAllPool is InvertAll sharded by RHS over a shared worker pool (nil
 // pool = sequential). Per-shard added counts land in a private results
 // slot, so no synchronization beyond the pool's own join is needed.
@@ -167,21 +202,12 @@ func (p *PCover) InvertAllPool(nonFDs []fdset.FD, pl *pool.Pool) int {
 	if pl == nil {
 		return p.InvertAll(nonFDs)
 	}
-	byRHS := make([][]fdset.FD, p.ncols)
-	for _, f := range nonFDs {
-		byRHS[f.RHS] = append(byRHS[f.RHS], f)
-	}
-	shards := byRHS[:0]
-	for _, shard := range byRHS {
-		if len(shard) > 0 {
-			shards = append(shards, shard)
-		}
-	}
+	shards := p.shards.split(nonFDs, p.ncols)
 	results := make([]int, len(shards))
 	pl.Do(len(shards), func(k int) {
 		n := 0
-		for _, f := range shards[k] {
-			n += p.Invert(f)
+		for _, i := range shards[k] {
+			n += p.Invert(nonFDs[i])
 		}
 		results[k] = n
 	})
@@ -202,9 +228,9 @@ func (p *PCover) InvertAllPool(nonFDs []fdset.FD, pl *pool.Pool) int {
 // by the set of inverted non-FDs), and touching only trees[rhs] makes
 // Rebuild safe to run for distinct RHS values concurrently.
 func (p *PCover) Rebuild(rhs int, nonFDs []fdset.AttrSet) {
-	t := NewTree(p.trees[rhs].rank)
+	t := p.trees[rhs]
+	t.reset()
 	t.Add(fdset.EmptySet())
-	p.trees[rhs] = t
 	for _, lhs := range nonFDs {
 		p.Invert(fdset.FD{LHS: lhs, RHS: rhs})
 	}

@@ -19,7 +19,8 @@ import (
 
 // Tree stores a family of attribute sets (LHSs for one fixed RHS) and
 // supports subset/superset queries, removal, and enumeration. The zero
-// value is not usable; call NewTree.
+// value is not usable; call NewTree. A Tree is not safe for concurrent
+// use: each per-RHS tree is owned by one shard at a time.
 type Tree struct {
 	root *node
 	size int
@@ -32,12 +33,20 @@ type Tree struct {
 	// fast path (enumerating potential blockers of a candidate) depends
 	// on this.
 	members map[fdset.AttrSet]struct{}
+	// free chains (through left) the nodes that removals unlinked; Add
+	// takes from it before allocating, so a tree that shrinks and regrows
+	// — every inversion does — reuses its nodes.
+	free *node
+	// generals and subsets are PCover.Invert's scratch: the removed
+	// generalizations and one general's blocker table, grown once and
+	// reused by every inversion on this tree.
+	generals []fdset.AttrSet
+	subsets  []fdset.AttrSet
 }
 
+// node is a trie node. A leaf (attr < 0) holds exactly one stored set,
+// which is both its inter and its union.
 type node struct {
-	// Leaf fields: a leaf holds exactly one stored set.
-	leaf fdset.AttrSet
-	// Internal fields.
 	attr        int // split attribute; -1 marks a leaf
 	left, right *node
 	inter       fdset.AttrSet // intersection of all descendant sets
@@ -46,20 +55,15 @@ type node struct {
 
 func (n *node) isLeaf() bool { return n.attr < 0 }
 
-func newLeaf(s fdset.AttrSet) *node {
-	return &node{attr: -1, leaf: s, inter: s, union: s}
-}
+// set is the stored set of a leaf.
+func (n *node) set() fdset.AttrSet { return n.inter }
 
+// recompute re-derives an internal node's aggregates from its two
+// children. Internal nodes always have both: a removal that empties one
+// side collapses the node into the other.
 func (n *node) recompute() {
-	switch {
-	case n.left == nil:
-		n.inter, n.union = n.right.inter, n.right.union
-	case n.right == nil:
-		n.inter, n.union = n.left.inter, n.left.union
-	default:
-		n.inter = n.left.inter.Intersect(n.right.inter)
-		n.union = n.left.union.Union(n.right.union)
-	}
+	n.inter = n.left.inter.Intersect(n.right.inter)
+	n.union = n.left.union.Union(n.right.union)
 }
 
 // NewTree builds an empty tree. rank, when non-nil, maps attribute index to
@@ -70,6 +74,45 @@ func NewTree(rank []int) *Tree {
 
 // Size returns the number of stored sets.
 func (t *Tree) Size() int { return t.size }
+
+// newNode returns a node with the given split attribute and aggregates,
+// recycled from the free list when one is available.
+func (t *Tree) newNode(attr int, inter, union fdset.AttrSet) *node {
+	n := t.free
+	if n == nil {
+		return &node{attr: attr, inter: inter, union: union}
+	}
+	t.free = n.left
+	*n = node{attr: attr, inter: inter, union: union}
+	return n
+}
+
+// recycle puts an unlinked node on the free list. Its child pointers are
+// dropped, so a recycled node never keeps live nodes reachable.
+func (t *Tree) recycle(n *node) {
+	*n = node{left: t.free}
+	t.free = n
+}
+
+// recycleAll puts every node of the subtree rooted at n on the free list.
+func (t *Tree) recycleAll(n *node) {
+	if n == nil {
+		return
+	}
+	if !n.isLeaf() {
+		t.recycleAll(n.left)
+		t.recycleAll(n.right)
+	}
+	t.recycle(n)
+}
+
+// reset empties the tree, keeping its nodes on the free list and its
+// membership table's capacity for the sets that come next.
+func (t *Tree) reset() {
+	t.recycleAll(t.root)
+	t.root, t.size = nil, 0
+	clear(t.members)
+}
 
 func (t *Tree) rankOf(a int) int {
 	if t.rank != nil && a < len(t.rank) {
@@ -100,7 +143,7 @@ func (t *Tree) Add(s fdset.AttrSet) bool {
 	t.members[s] = struct{}{}
 	t.size++
 	if t.root == nil {
-		t.root = newLeaf(s)
+		t.root = t.newNode(-1, s, s)
 		return true
 	}
 	// Iterative descent. Adding a set can only shrink intersections and
@@ -120,14 +163,14 @@ func (t *Tree) Add(s fdset.AttrSet) bool {
 		}
 	}
 	// Split the leaf on an attribute that discriminates it from s.
-	a := t.splitAttr(n.leaf, s)
-	in := &node{attr: a}
-	if n.leaf.Has(a) {
-		in.right, in.left = n, newLeaf(s)
+	old := n.set()
+	a := t.splitAttr(old, s)
+	in := t.newNode(a, old.Intersect(s), old.Union(s))
+	if old.Has(a) {
+		in.right, in.left = n, t.newNode(-1, s, s)
 	} else {
-		in.left, in.right = n, newLeaf(s)
+		in.left, in.right = n, t.newNode(-1, s, s)
 	}
-	in.recompute()
 	switch {
 	case parent == nil:
 		t.root = in
@@ -156,7 +199,8 @@ func containsSuperset(n *node, s fdset.AttrSet) bool {
 		return false
 	}
 	if n.isLeaf() {
-		return s.IsSubsetOf(n.leaf)
+		// union is the leaf's own set, already tested.
+		return true
 	}
 	if s.Has(n.attr) {
 		// Supersets of s must contain n.attr, so only the right subtree.
@@ -182,21 +226,15 @@ func findSubset(n *node, s fdset.AttrSet) (fdset.AttrSet, bool) {
 		return fdset.AttrSet{}, false
 	}
 	// Positive shortcut: when every attribute stored below is in s, any
-	// leaf is a subset — dense covers hit this constantly.
+	// leaf is a subset — dense covers hit this constantly. A leaf always
+	// takes it (its inter and union are its set).
 	if n.union.IsSubsetOf(s) {
 		for !n.isLeaf() {
-			if n.left != nil {
-				n = n.left
-			} else {
-				n = n.right
-			}
+			n = n.left
 		}
-		return n.leaf, true
+		return n.set(), true
 	}
 	if n.isLeaf() {
-		if n.leaf.IsSubsetOf(s) {
-			return n.leaf, true
-		}
 		return fdset.AttrSet{}, false
 	}
 	if !s.Has(n.attr) {
@@ -223,7 +261,8 @@ func findSubsetWith(n *node, s fdset.AttrSet, attr int) bool {
 		return false
 	}
 	if n.isLeaf() {
-		return n.leaf.Has(attr) && n.leaf.IsSubsetOf(s)
+		// The leaf's set is its union (has attr) and its inter (⊆ s).
+		return true
 	}
 	if n.attr == attr {
 		// Sets containing attr live only in the right subtree.
@@ -239,41 +278,62 @@ func findSubsetWith(n *node, s fdset.AttrSet, attr int) bool {
 // sets. Ncover construction uses it to discard generalizations of a newly
 // added non-FD.
 func (t *Tree) RemoveSubsets(s fdset.AttrSet) []fdset.AttrSet {
-	var removed []fdset.AttrSet
-	var walk func(n *node) *node
-	walk = func(n *node) *node {
-		if n == nil || !n.inter.IsSubsetOf(s) {
-			return n
-		}
-		if n.isLeaf() {
-			if n.leaf.IsSubsetOf(s) {
-				removed = append(removed, n.leaf)
-				return nil
-			}
-			return n
-		}
-		n.left = walk(n.left)
-		if s.Has(n.attr) {
-			n.right = walk(n.right)
-		}
-		if n.left == nil && n.right == nil {
-			return nil
-		}
-		if n.left == nil {
-			return n.right
-		}
-		if n.right == nil {
-			return n.left
-		}
+	return t.removeSubsetsInto(s, nil)
+}
+
+// removeSubsetsInto is RemoveSubsets appending the removed sets to out,
+// so callers with a reusable buffer allocate nothing.
+func (t *Tree) removeSubsetsInto(s fdset.AttrSet, out []fdset.AttrSet) []fdset.AttrSet {
+	from := len(out)
+	t.root, _ = t.removeSubsets(t.root, s, &out)
+	t.size -= len(out) - from
+	for _, y := range out[from:] {
+		delete(t.members, y)
+	}
+	return out
+}
+
+// removeSubsets unlinks every stored Y ⊆ s below n, appending each to
+// *out and recycling the unlinked nodes. It returns the subtree's new
+// root and whether anything below n was removed: only the paths that
+// lost a set re-derive their aggregates.
+func (t *Tree) removeSubsets(n *node, s fdset.AttrSet, out *[]fdset.AttrSet) (*node, bool) {
+	if n == nil || !n.inter.IsSubsetOf(s) {
+		return n, false
+	}
+	if n.isLeaf() {
+		// inter is the leaf's own set, so it is a subset of s.
+		*out = append(*out, n.set())
+		t.recycle(n)
+		return nil, true
+	}
+	var changedL, changedR bool
+	n.left, changedL = t.removeSubsets(n.left, s, out)
+	if s.Has(n.attr) {
+		n.right, changedR = t.removeSubsets(n.right, s, out)
+	}
+	if !changedL && !changedR {
+		return n, false
+	}
+	return t.repair(n), true
+}
+
+// repair restores internal node n after a removal below it: a node that
+// lost a whole side is replaced by the other side (or vanishes) and goes
+// on the free list; otherwise its aggregates are re-derived.
+func (t *Tree) repair(n *node) *node {
+	var keep *node
+	switch {
+	case n.left == nil:
+		keep = n.right
+	case n.right == nil:
+		keep = n.left
+	default:
 		n.recompute()
 		return n
 	}
-	t.root = walk(t.root)
-	t.size -= len(removed)
-	for _, s := range removed {
-		delete(t.members, s)
-	}
-	return removed
+	t.recycle(n)
+	return keep
 }
 
 // Remove deletes the exact set s, reporting whether it was present.
@@ -281,57 +341,44 @@ func (t *Tree) Remove(s fdset.AttrSet) bool {
 	if _, ok := t.members[s]; !ok {
 		return false
 	}
-	removed := false
-	var walk func(n *node) *node
-	walk = func(n *node) *node {
-		if n == nil {
-			return nil
+	t.root = t.remove(t.root, s)
+	t.size--
+	delete(t.members, s)
+	return true
+}
+
+// remove unlinks the leaf of stored set s from the subtree rooted at n.
+// The descent follows s's split decisions, which is the path Add placed
+// its leaf on.
+func (t *Tree) remove(n *node, s fdset.AttrSet) *node {
+	if n.isLeaf() {
+		if n.set() != s {
+			panic("cover: stored set is not on its descent path")
 		}
-		if n.isLeaf() {
-			if n.leaf == s {
-				removed = true
-				return nil
-			}
-			return n
-		}
-		if s.Has(n.attr) {
-			n.right = walk(n.right)
-		} else {
-			n.left = walk(n.left)
-		}
-		if n.left == nil && n.right == nil {
-			return nil
-		}
-		if n.left == nil {
-			return n.right
-		}
-		if n.right == nil {
-			return n.left
-		}
-		n.recompute()
-		return n
+		t.recycle(n)
+		return nil
 	}
-	t.root = walk(t.root)
-	if removed {
-		t.size--
-		delete(t.members, s)
+	if s.Has(n.attr) {
+		n.right = t.remove(n.right, s)
+	} else {
+		n.left = t.remove(n.left, s)
 	}
-	return removed
+	return t.repair(n)
 }
 
 // ForEach visits every stored set; it stops early when fn returns false.
 func (t *Tree) ForEach(fn func(fdset.AttrSet) bool) {
-	var walk func(n *node) bool
-	walk = func(n *node) bool {
-		if n == nil {
-			return true
-		}
-		if n.isLeaf() {
-			return fn(n.leaf)
-		}
-		return walk(n.left) && walk(n.right)
+	forEach(t.root, fn)
+}
+
+func forEach(n *node, fn func(fdset.AttrSet) bool) bool {
+	if n == nil {
+		return true
 	}
-	walk(t.root)
+	if n.isLeaf() {
+		return fn(n.set())
+	}
+	return forEach(n.left, fn) && forEach(n.right, fn)
 }
 
 // Sets returns all stored sets in tree order.
