@@ -77,7 +77,8 @@ type Stats struct {
 	// lattice nodes probed; top-k: expanded seed candidates).
 	Candidates int `json:"candidates"`
 	Results    int `json:"results"`
-	// Partition-cache counters.
+	// Partition-cache counters; zero in top-k mode, whose ranking walks
+	// its own partitions (Scorer.Rank).
 	CacheHits    int `json:"cache_hits"`
 	CacheMisses  int `json:"cache_misses"`
 	CacheDerived int `json:"cache_derived"`

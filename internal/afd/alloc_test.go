@@ -11,7 +11,7 @@ import (
 
 // TestScoreSteadyStateAllocFree gates the fused-measure claim end to
 // end: once the partition cache holds the candidate's partition and the
-// scratch pool is warm, Score and ScoreAll allocate nothing per call.
+// scratch pool is warm, Score allocates nothing per call.
 func TestScoreSteadyStateAllocFree(t *testing.T) {
 	if testutil.RaceEnabled {
 		t.Skip("alloc assertions are meaningless under -race")
@@ -22,14 +22,10 @@ func TestScoreSteadyStateAllocFree(t *testing.T) {
 	rhs := 2
 	// Warm up: populate the cache and the scratch pool.
 	s.Score(G3, lhs, rhs)
-	s.ScoreAll(lhs, rhs)
 	for _, m := range Measures() {
 		m := m
 		if allocs := testing.AllocsPerRun(10, func() { s.Score(m, lhs, rhs) }); allocs != 0 {
 			t.Errorf("Score(%s): %.1f allocs per run, want 0", m, allocs)
 		}
-	}
-	if allocs := testing.AllocsPerRun(10, func() { s.ScoreAll(lhs, rhs) }); allocs != 0 {
-		t.Errorf("ScoreAll: %.1f allocs per run, want 0", allocs)
 	}
 }

@@ -1,6 +1,7 @@
 package afd_test
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -14,7 +15,10 @@ import (
 // the fuzz input and checks the scoring invariants that must hold for
 // any input: scores stay in [0, 1], g3/g1 are zero exactly when the FD
 // holds, and adding an LHS attribute never increases an anti-monotone
-// measure. Wired into the CI fuzz-smoke job next to the other targets.
+// measure. It then ranks every X → r with X ⊆ lhs ∪ {extra} — empty,
+// duplicate and nested LHSs included — and checks the full ranking
+// against the canonical oracle. Wired into the CI fuzz-smoke job next to
+// the other targets.
 func FuzzAFDScore(f *testing.F) {
 	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8, 9}, uint8(3), uint8(0b01), uint8(2), uint8(0))
 	f.Add([]byte{0, 0, 0, 0}, uint8(2), uint8(0b10), uint8(0), uint8(1))
@@ -73,6 +77,30 @@ func FuzzAFDScore(f *testing.F) {
 				if s.Score(m, wider, rhs) > s.Score(m, lhs, rhs) {
 					t.Fatalf("%s increased when widening %v to %v (rhs %d)", m, lhs, wider, rhs)
 				}
+			}
+		}
+
+		base := lhs.With(extra).Attrs()
+		var seeds []fdset.FD
+		for mask := 0; mask < 1<<len(base); mask++ {
+			var x fdset.AttrSet
+			for i, a := range base {
+				if mask&(1<<i) != 0 {
+					x.Add(a)
+				}
+			}
+			for r := 0; r < cols; r++ {
+				seeds = append(seeds, fdset.FD{LHS: x, RHS: r})
+			}
+		}
+		cands := oracleCandidates(enc, seeds)
+		for _, m := range afd.Measures() {
+			got, err := s.Rank(context.Background(), m, seeds, len(cands))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if diff := rankingDiff(got, oracleRanking(s, enc, cands, m)); diff != "" {
+				t.Fatalf("%s: Rank departs from the canonical oracle: %s", m, diff)
 			}
 		}
 	})

@@ -1,0 +1,196 @@
+package afd_test
+
+import (
+	"context"
+	"fmt"
+	"sync"
+	"testing"
+
+	"eulerfd/internal/afd"
+	"eulerfd/internal/core"
+	"eulerfd/internal/datasets"
+	"eulerfd/internal/fdset"
+	"eulerfd/internal/gen"
+	"eulerfd/internal/preprocess"
+)
+
+// oracleCandidate is one expanded Rank candidate with the tallies of its
+// canonically computed partition.
+type oracleCandidate struct {
+	fd fdset.FD
+	mc preprocess.MeasureCounts
+}
+
+// oracleCandidates expands seeds the way Rank documents it — every seed
+// and every one-attribute generalization, trivial candidates and
+// duplicates dropped — and tallies each candidate on its own
+// enc.PartitionOf, sharing nothing with Rank's prefix walk.
+func oracleCandidates(enc *preprocess.Encoded, seeds []fdset.FD) []oracleCandidate {
+	seen := make(map[fdset.FD]bool)
+	var out []oracleCandidate
+	add := func(f fdset.FD) {
+		if f.IsTrivial() || seen[f] {
+			return
+		}
+		seen[f] = true
+		out = append(out, oracleCandidate{fd: f, mc: enc.CountViolations(enc.PartitionOf(f.LHS), f.RHS)})
+	}
+	for _, f := range seeds {
+		add(f)
+		f.LHS.ForEach(func(a int) bool {
+			add(fdset.FD{LHS: f.LHS.Without(a), RHS: f.RHS})
+			return true
+		})
+	}
+	return out
+}
+
+// oracleRanking scores every oracle candidate under m and sorts the
+// whole pool by (score, canonical FD): the full ranking Rank must return
+// when k covers every candidate.
+func oracleRanking(s *afd.Scorer, enc *preprocess.Encoded, cands []oracleCandidate, m afd.Measure) []fdset.ScoredFD {
+	out := make([]fdset.ScoredFD, len(cands))
+	for i, c := range cands {
+		out[i].FD = c.fd
+		if enc.NumRows > 0 {
+			out[i].Score = s.ScoreCounts(m, c.mc, c.fd.RHS)
+		}
+	}
+	fdset.SortScoredFDsByScore(out)
+	return out
+}
+
+// rankingDiff describes how ranking got departs from want, or returns ""
+// when the two are identical.
+func rankingDiff(got, want []fdset.ScoredFD) string {
+	if len(got) != len(want) {
+		return fmt.Sprintf("%d entries, want %d", len(got), len(want))
+	}
+	first, n := -1, 0
+	for i := range got {
+		if got[i] != want[i] {
+			if first < 0 {
+				first = i
+			}
+			n++
+		}
+	}
+	if n == 0 {
+		return ""
+	}
+	return fmt.Sprintf("%d of %d entries differ, first at %d: got %v, want %v", n, len(got), first, got[first], want[first])
+}
+
+// TestRankMatchesCanonicalScoring pins Rank's prefix walk to the
+// canonical oracle bit for bit: with k covering every candidate, each
+// measure's full ranking over a registry corpus's discovered cover must
+// equal the one built from per-candidate enc.PartitionOf partitions —
+// the float low bits of pdep and τ included, which follow cluster order.
+func TestRankMatchesCanonicalScoring(t *testing.T) {
+	names := []string{"iris", "balance-scale", "chess", "abalone", "nursery", "breast-cancer",
+		"bridges", "echocardiogram", "ncvoter", "hepatitis"}
+	if !testing.Short() {
+		names = append(names, "adult", "horse")
+	}
+	for _, name := range names {
+		d, err := datasets.ByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Run(name, func(t *testing.T) {
+			enc := preprocess.Encode(d.Build())
+			cover, _ := core.DiscoverEncoded(enc, core.DefaultOptions())
+			seeds := cover.Slice()
+			cands := oracleCandidates(enc, seeds)
+			for _, m := range afd.Measures() {
+				s := afd.NewScorer(enc, 0)
+				got, err := s.Rank(context.Background(), m, seeds, len(cands)+1)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want := oracleRanking(s, enc, cands, m)
+				if diff := rankingDiff(got, want); diff != "" {
+					t.Fatalf("%s: Rank departs from the canonical oracle: %s", m, diff)
+				}
+				if s.Scored() != len(cands) {
+					t.Fatalf("%s: scored %d candidates, oracle has %d", m, s.Scored(), len(cands))
+				}
+			}
+		})
+	}
+}
+
+// TestRankDeterministicAcrossScorerHistory checks that a ranking is a
+// function of the snapshot alone. The shared partition cache derives a
+// partition from whichever neighbor it holds, and pdep/τ sum per-cluster
+// quotients in cluster order, so a Rank served from that cache would
+// change in its last bits with whatever the scorer answered before (a
+// session scorer in fdserve answers many requests). A fresh scorer, one
+// that first ran threshold discovery, and two concurrent Rank calls on
+// one shared scorer must all agree.
+func TestRankDeterministicAcrossScorerHistory(t *testing.T) {
+	d, err := datasets.ByName("echocardiogram")
+	if err != nil {
+		t.Fatal(err)
+	}
+	enc := preprocess.Encode(d.Build())
+	cover, _ := core.DiscoverEncoded(enc, core.DefaultOptions())
+	seeds := cover.Slice()
+	k := len(oracleCandidates(enc, seeds))
+	ctx := context.Background()
+	for _, m := range []afd.Measure{afd.Pdep, afd.Tau} {
+		fresh, err := afd.NewScorer(enc, 0).Rank(ctx, m, seeds, k)
+		if err != nil {
+			t.Fatal(err)
+		}
+
+		used := afd.NewScorer(enc, 0)
+		if _, err := used.Discover(ctx, afd.G3, 0.05); err != nil {
+			t.Fatal(err)
+		}
+		afterDiscover, err := used.Rank(ctx, m, seeds, k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if diff := rankingDiff(afterDiscover, fresh); diff != "" {
+			t.Fatalf("%s: ranking after Discover departs from a fresh scorer's: %s", m, diff)
+		}
+
+		var concurrent [2][]fdset.ScoredFD
+		var errs [2]error
+		var wg sync.WaitGroup
+		for i := range concurrent {
+			wg.Add(1)
+			go func(i int) {
+				defer wg.Done()
+				concurrent[i], errs[i] = used.Rank(ctx, m, seeds, k)
+			}(i)
+		}
+		wg.Wait()
+		for i := range concurrent {
+			if errs[i] != nil {
+				t.Fatal(errs[i])
+			}
+			if diff := rankingDiff(concurrent[i], fresh); diff != "" {
+				t.Fatalf("%s: concurrent Rank %d departs from a fresh scorer's: %s", m, i, diff)
+			}
+		}
+	}
+}
+
+// BenchmarkRankRedundancy times the redundancy ranking a quality report
+// starts with: Rank over the discovered cover of a 1000×18 weather
+// relation, k = 5, on a fresh scorer per iteration.
+func BenchmarkRankRedundancy(b *testing.B) {
+	enc := preprocess.Encode(gen.Weather("weather", 1000, 1))
+	cover, _ := core.DiscoverEncoded(enc, core.DefaultOptions())
+	seeds := cover.Slice()
+	ctx := context.Background()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := afd.NewScorer(enc, 0).Rank(ctx, afd.Redundancy, seeds, 5); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -5,6 +5,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -12,11 +13,13 @@ import (
 	"eulerfd/internal/preprocess"
 )
 
-// Scorer evaluates candidate FDs over one encoded relation. Partitions
-// are memoized in a shared PartitionCache, so interleaved Score calls
-// across measures and callers reuse each other's work; the cache is
-// concurrency-safe, and a Scorer performs no writes outside it, so one
-// Scorer may serve concurrent requests (fdserve shares one per session).
+// Scorer evaluates candidate FDs over one encoded relation. Score,
+// Discover and RedundantRows memoize partitions in a shared
+// PartitionCache, so interleaved calls across measures and callers reuse
+// each other's work; Rank derives its own on a prefix walk instead. The
+// cache is concurrency-safe, and a Scorer performs no other shared
+// writes, so one Scorer may serve concurrent requests (fdserve shares
+// one per session).
 type Scorer struct {
 	enc   *preprocess.Encoded
 	cache *preprocess.PartitionCache
@@ -26,14 +29,14 @@ type Scorer struct {
 	// concurrent Score calls only read it.
 	attrPdep []float64
 
-	// scratch hands out measure-kernel state to concurrent Score calls.
-	// Scratches are reused, so steady-state scoring allocates nothing per
-	// candidate; which goroutine gets which scratch never influences a
-	// score (scratch carries no results across calls), so determinism
-	// invariant I4 is untouched.
+	// scratch hands out measure-kernel state to concurrent Score and Rank
+	// calls. Scratches are reused, so steady-state scoring allocates
+	// nothing per candidate; which goroutine gets which scratch never
+	// influences a score (scratch carries no results across calls), so
+	// determinism invariant I4 is untouched.
 	scratch sync.Pool
 
-	// scored counts Score calls; atomic because a Scorer may serve
+	// scored counts scored candidates; atomic because a Scorer may serve
 	// concurrent requests.
 	scored atomic.Int64
 }
@@ -114,36 +117,6 @@ func (s *Scorer) Score(m Measure, lhs fdset.AttrSet, rhs int) float64 {
 		return 0
 	}
 	return s.measureFrom(m, mc, rhs, n)
-}
-
-// Scores carries the error of one candidate under every measure,
-// computed from a single partition walk.
-type Scores struct {
-	G3         float64 `json:"g3"`
-	G1         float64 `json:"g1"`
-	Pdep       float64 `json:"pdep"`
-	Tau        float64 `json:"tau"`
-	Redundancy float64 `json:"redundancy"`
-}
-
-// ScoreAll evaluates lhs → rhs under all five measures at once. The
-// tallies of every measure fall out of the same stripped-partition pass
-// (preprocess.MeasureCounts), so ScoreAll costs one walk where five
-// Score calls would cost five.
-//
-//fdlint:hotpath
-func (s *Scorer) ScoreAll(lhs fdset.AttrSet, rhs int) Scores {
-	mc, n, trivial := s.counts(lhs, rhs)
-	if trivial {
-		return Scores{}
-	}
-	return Scores{
-		G3:         s.measureFrom(G3, mc, rhs, n),
-		G1:         s.measureFrom(G1, mc, rhs, n),
-		Pdep:       s.measureFrom(Pdep, mc, rhs, n),
-		Tau:        s.measureFrom(Tau, mc, rhs, n),
-		Redundancy: s.measureFrom(Redundancy, mc, rhs, n),
-	}
 }
 
 // RedundantRows returns the raw redundancy numerator of lhs → rhs: the
@@ -297,7 +270,16 @@ func maxAttr(x fdset.AttrSet) int {
 // whose FDs are *minimal within the sampled evidence*, so the true best
 // AFDs may sit one level below them; trivial candidates and duplicates
 // are dropped. A bounded max-heap keeps memory at O(k) regardless of the
-// candidate count. Cancellation is checked every 256 candidates.
+// candidate count.
+//
+// A partition depends only on the LHS, so Rank groups the candidates by
+// LHS and visits the groups in a preorder walk of their prefix trie
+// (prefixWalk): one refinement per trie node, every RHS of a group
+// scored on the one partition. The walk bypasses the partition cache and
+// follows PartitionOf's refinement path, so each candidate is scored on
+// exactly enc.PartitionOf(lhs) and the ranking — float low bits of pdep
+// and τ included — is a function of the snapshot, whatever the scorer
+// answered before. Cancellation is checked every 256 LHS groups.
 func (s *Scorer) Rank(ctx context.Context, m Measure, seeds []fdset.FD, k int) ([]fdset.ScoredFD, error) {
 	if !m.Valid() {
 		return nil, fmt.Errorf("afd: invalid measure %q", string(m))
@@ -305,20 +287,31 @@ func (s *Scorer) Rank(ctx context.Context, m Measure, seeds []fdset.FD, k int) (
 	if k <= 0 {
 		return nil, nil
 	}
-	cands := expandSeeds(seeds)
+	groups := groupByLHS(seeds)
+	walk := prefixWalk{enc: s.enc, sc: preprocess.NewJoinScratch()}
+	sc := s.scratch.Get().(*preprocess.MeasureScratch)
+	defer s.scratch.Put(sc)
+	n := s.enc.NumRows
 	h := &worstFirstHeap{}
-	for i, f := range cands {
+	for i, g := range groups {
 		if i%256 == 0 {
 			if err := ctx.Err(); err != nil {
 				return nil, err
 			}
 		}
-		sf := fdset.ScoredFD{FD: f, Score: s.Score(m, f.LHS, f.RHS)}
-		if h.Len() < k {
-			heap.Push(h, sf)
-		} else if outranks(sf, (*h)[0]) {
-			(*h)[0] = sf
-			heap.Fix(h, 0)
+		part := walk.partition(g.attrs)
+		for rhs := g.rhs.First(); rhs >= 0; rhs = g.rhs.NextAfter(rhs) {
+			s.scored.Add(1)
+			sf := fdset.ScoredFD{FD: fdset.FD{LHS: g.lhs, RHS: rhs}}
+			if n > 0 {
+				sf.Score = s.measureFrom(m, s.enc.CountViolationsWith(part, rhs, sc), rhs, n)
+			}
+			if h.Len() < k {
+				heap.Push(h, sf)
+			} else if outranks(sf, (*h)[0]) {
+				(*h)[0] = sf
+				heap.Fix(h, 0)
+			}
 		}
 	}
 	out := make([]fdset.ScoredFD, h.Len())
@@ -328,31 +321,87 @@ func (s *Scorer) Rank(ctx context.Context, m Measure, seeds []fdset.FD, k int) (
 	return out, nil
 }
 
-// expandSeeds builds the deduplicated, canonically-sorted candidate list
-// for Rank: every non-trivial seed plus each seed with one LHS attribute
-// dropped.
-func expandSeeds(seeds []fdset.FD) []fdset.FD {
-	seen := make(map[fdset.FD]struct{}, 2*len(seeds))
-	cands := make([]fdset.FD, 0, 2*len(seeds))
-	add := func(f fdset.FD) {
-		if f.IsTrivial() {
+// lhsGroup is one distinct candidate LHS with every RHS Rank scores it
+// against.
+type lhsGroup struct {
+	lhs   fdset.AttrSet
+	attrs []int // lhs, ascending
+	rhs   fdset.AttrSet
+}
+
+// groupByLHS builds Rank's candidate pool — every non-trivial seed plus
+// each seed with one LHS attribute dropped, duplicates merged — as one
+// group per distinct LHS, sorted lexicographically by attribute list.
+func groupByLHS(seeds []fdset.FD) []lhsGroup {
+	index := make(map[fdset.AttrSet]int, len(seeds))
+	var groups []lhsGroup
+	add := func(lhs fdset.AttrSet, rhs int) {
+		if lhs.Has(rhs) {
 			return
 		}
-		if _, ok := seen[f]; ok {
-			return
+		i, ok := index[lhs]
+		if !ok {
+			i = len(groups)
+			index[lhs] = i
+			groups = append(groups, lhsGroup{lhs: lhs})
 		}
-		seen[f] = struct{}{}
-		cands = append(cands, f)
+		groups[i].rhs = groups[i].rhs.With(rhs)
 	}
 	for _, f := range seeds {
-		add(f)
+		add(f.LHS, f.RHS)
 		f.LHS.ForEach(func(a int) bool {
-			add(fdset.FD{LHS: f.LHS.Without(a), RHS: f.RHS})
+			add(f.LHS.Without(a), f.RHS)
 			return true
 		})
 	}
-	fdset.SortFDs(cands)
-	return cands
+	for i := range groups {
+		groups[i].attrs = groups[i].lhs.Attrs()
+	}
+	slices.SortFunc(groups, func(a, b lhsGroup) int { return slices.Compare(a.attrs, b.attrs) })
+	return groups
+}
+
+// prefixWalk serves the stripped partitions of a sequence of LHSs,
+// reusing the partitions of shared prefixes. It keeps a stack holding
+// the partition of every prefix of the last LHS; the next LHS pops to
+// the longest prefix the two share and refines one attribute per new
+// level. That is PartitionOfWith's path, so each partition equals
+// enc.PartitionOf(lhs) cluster for cluster. Fed LHSs in lexicographic
+// order, the walk refines once per node of their prefix trie.
+type prefixWalk struct {
+	enc   *preprocess.Encoded
+	sc    *preprocess.JoinScratch
+	attrs []int                          // the last LHS, ascending
+	parts []preprocess.StrippedPartition // parts[i] is π of attrs[:i+1]
+}
+
+// partition returns π of the LHS whose ascending attribute list is
+// attrs.
+//
+//fdlint:hotpath
+func (w *prefixWalk) partition(attrs []int) preprocess.StrippedPartition {
+	if len(attrs) == 0 {
+		return w.enc.PartitionOf(fdset.EmptySet())
+	}
+	d := 0
+	for d < len(w.attrs) && d < len(attrs) && w.attrs[d] == attrs[d] {
+		d++
+	}
+	w.attrs, w.parts = w.attrs[:d], w.parts[:d]
+	for ; d < len(attrs); d++ {
+		a := attrs[d]
+		p := w.enc.Partitions[a]
+		if d > 0 {
+			p = w.parts[d-1]
+			// An empty parent stays empty; PartitionOfWith stops there too.
+			if len(p.Clusters) > 0 {
+				p = w.enc.RefineWith(p, a, w.sc)
+			}
+		}
+		w.attrs = append(w.attrs, a)
+		w.parts = append(w.parts, p)
+	}
+	return w.parts[len(attrs)-1]
 }
 
 // outranks reports whether a belongs strictly ahead of b in the ranking:

@@ -4,7 +4,7 @@
 //	//fdlint:hotpath
 //
 // (the PR 6 kernels: AgreeWindowWords, ProductWith, RefineWith,
-// CountViolationsWith, ScoreAll) and of everything they call inside the
+// CountViolationsWith, Score) and of everything they call inside the
 // module. It is the static complement of the AllocsPerRun assertions,
 // which only witness the exact shapes the benchmarks drive.
 //

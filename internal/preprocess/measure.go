@@ -25,9 +25,9 @@ package preprocess
 //
 // Rows in singleton X-clusters can never violate anything, which is why
 // stripped partitions lose no information for any of the measures. One
-// MeasureCounts carries the numerators of all four measures (g3/g1/pdep/
-// tau), so a scorer that wants several of them still pays one partition
-// walk (afd.Scorer.ScoreAll).
+// MeasureCounts carries the numerators of every measure (g3/g1/pdep/tau/
+// redundancy), so one partition walk prices any of them; afd.Scorer maps
+// the tallies to a measure's error value.
 type MeasureCounts struct {
 	ViolatingRows  int
 	ViolatingPairs int64
