@@ -45,8 +45,9 @@ bench-check:
 	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
 # Boots fdserve on a random loopback port and drives the end-to-end
-# client flow against it: submit CSV, per-cycle SSE progress, append,
-# queries, mid-run cancel (499 + slot reclaim), graceful drain.
+# client flow against it: submit CSV, per-cycle SSE progress, queries,
+# mutation batches behind version barriers, mid-run cancel (499 + slot
+# reclaim, 409 for a batch on the cancelled session), graceful drain.
 serve-smoke:
 	$(GO) run ./cmd/fdserve -smoke
 

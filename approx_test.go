@@ -19,7 +19,7 @@ func TestDiscoverApproxThreshold(t *testing.T) {
 		t.Errorf("result header = %q/%q", res.Algo, res.Measure)
 	}
 	// eps = 0 threshold results must equal the exact minimal cover.
-	exact, err := ExactTANE(rel)
+	exact, err := ExactContext(context.Background(), rel, AlgoTANE)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,24 +7,18 @@ package eulerfd
 // exercises the same code paths with stable, comparable timings.
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"testing"
 
-	"eulerfd/internal/aidfd"
+	"eulerfd/internal/algo"
 	"eulerfd/internal/core"
 	"eulerfd/internal/cover"
 	"eulerfd/internal/datasets"
-	"eulerfd/internal/depminer"
-	"eulerfd/internal/dfd"
-	"eulerfd/internal/fastfds"
-	"eulerfd/internal/fdep"
 	"eulerfd/internal/fdset"
-	"eulerfd/internal/fun"
 	"eulerfd/internal/gen"
-	"eulerfd/internal/hyfd"
 	"eulerfd/internal/preprocess"
-	"eulerfd/internal/tane"
 )
 
 // encCache avoids re-encoding registry datasets across benchmarks.
@@ -44,6 +38,17 @@ func encoded(b *testing.B, name string) *preprocess.Encoded {
 	return e
 }
 
+// runAlgo dispatches one registered algorithm b.N times through the
+// registry with its default tuning.
+func runAlgo(b *testing.B, id algo.ID, enc *preprocess.Encoded) {
+	b.Helper()
+	for i := 0; i < b.N; i++ {
+		if _, _, err := algo.RunEncoded(context.Background(), id, enc, algo.DefaultTuning()); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkTable3 covers Table III: each sub-benchmark is one
 // (algorithm, dataset) cell on a representative spread of the registry —
 // a small UCI table, a mid-size one, an FD-dense narrow table, and a tall
@@ -60,24 +65,16 @@ func BenchmarkTable3(b *testing.B) {
 			enc = preprocess.Encode(h)
 		}
 		b.Run(name+"/Tane", func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				tane.DiscoverEncoded(enc)
-			}
+			runAlgo(b, algo.TANE, enc)
 		})
 		b.Run(name+"/Fdep", func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				fdep.DiscoverEncoded(enc)
-			}
+			runAlgo(b, algo.Fdep, enc)
 		})
 		b.Run(name+"/HyFD", func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				hyfd.DiscoverEncoded(enc, hyfd.DefaultOptions())
-			}
+			runAlgo(b, algo.HyFD, enc)
 		})
 		b.Run(name+"/AID-FD", func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				aidfd.DiscoverEncoded(enc, aidfd.DefaultOptions())
-			}
+			runAlgo(b, algo.AIDFD, enc)
 		})
 		b.Run(name+"/EulerFD", func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
@@ -118,9 +115,7 @@ func BenchmarkFig7RowScalabilityLineitem(b *testing.B) {
 			}
 		})
 		b.Run(fmt.Sprintf("rows=%d/AID-FD", n), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				aidfd.DiscoverEncoded(enc, aidfd.DefaultOptions())
-			}
+			runAlgo(b, algo.AIDFD, enc)
 		})
 	}
 }
@@ -196,9 +191,7 @@ func BenchmarkTable5DMSFleet(b *testing.B) {
 			}
 		})
 		b.Run(fmt.Sprintf("%dx%d/AID-FD", s.rows, s.cols), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				aidfd.DiscoverEncoded(enc, aidfd.DefaultOptions())
-			}
+			runAlgo(b, algo.AIDFD, enc)
 		})
 	}
 }
@@ -407,26 +400,14 @@ func BenchmarkAblationDynamicCapaRanges(b *testing.B) {
 	})
 }
 
-// BenchmarkExactAlgorithms races every exact algorithm in the library on
+// BenchmarkExactAlgorithms races every registered exact algorithm on
 // the abalone stand-in — a wider view than Table III's five columns,
 // covering all four families of Section II-A.
 func BenchmarkExactAlgorithms(b *testing.B) {
 	enc := encoded(b, "abalone")
-	algos := map[string]func(){
-		"TANE":     func() { tane.DiscoverEncoded(enc) },
-		"Fun":      func() { fun.DiscoverEncoded(enc) },
-		"Dfd":      func() { dfd.DiscoverEncoded(enc) },
-		"Fdep":     func() { fdep.DiscoverEncoded(enc) },
-		"DepMiner": func() { depminer.DiscoverEncoded(enc) },
-		"FastFDs":  func() { fastfds.DiscoverEncoded(enc) },
-		"HyFD":     func() { hyfd.DiscoverEncoded(enc, hyfd.DefaultOptions()) },
-	}
-	for _, name := range []string{"TANE", "Fun", "Dfd", "Fdep", "DepMiner", "FastFDs", "HyFD"} {
-		run := algos[name]
-		b.Run(name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				run()
-			}
-		})
+	for _, info := range algo.List() {
+		if info.Exact {
+			b.Run(info.Name, func(b *testing.B) { runAlgo(b, info.ID, enc) })
+		}
 	}
 }

@@ -85,7 +85,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 	runner := bench.NewRunner()
 	runner.Budget = *budget
-	runner.EulerOptions.Workers = *workers
+	runner.Tuning.Euler.Workers = *workers
 
 	if *jsonPath != "" {
 		if err := bench.RunSamplingToFile(stdout, runner, *workers, *jsonPath); err != nil {

@@ -16,22 +16,30 @@
 //
 // Endpoints (all under /v1):
 //
-//	POST   /sessions                submit a CSV, start discovery
-//	GET    /sessions                list sessions
-//	GET    /sessions/{id}           session status
-//	DELETE /sessions/{id}           remove a session
-//	POST   /sessions/{id}/append    fold in a CSV row batch
-//	POST   /sessions/{id}/cancel    cancel the job in flight
-//	GET    /sessions/{id}/fds       last completed FD set; ?ensemble=N
-//	                                [&seed=S] votes N seeded re-runs and
-//	                                returns confidence-scored candidates
-//	GET    /sessions/{id}/stats     last completed run statistics
-//	GET    /sessions/{id}/progress  latest per-cycle snapshot (poll)
-//	GET    /sessions/{id}/events    per-cycle snapshots (SSE stream)
-//	GET    /sessions/{id}/closure   attribute-set closure query
-//	GET    /sessions/{id}/keys      candidate-key enumeration
-//	GET    /algorithms              registered algorithms
-//	GET    /healthz                 liveness
+//	GET    /healthz                  liveness
+//	GET    /algorithms               registered algorithms
+//	POST   /sessions                 submit a CSV, start discovery
+//	GET    /sessions                 list sessions
+//	GET    /sessions/{id}            session status
+//	DELETE /sessions/{id}            remove a session
+//	POST   /sessions/{id}/mutations  apply a JSON batch of appends,
+//	                                 deletes and updates atomically
+//	POST   /sessions/{id}/cancel     cancel the job in flight
+//	GET    /sessions/{id}/fds        last completed FD set; ?ensemble=N
+//	                                 [&seed=S] votes N seeded re-runs and
+//	                                 returns confidence-scored candidates
+//	GET    /sessions/{id}/afds       approximate FDs: ?eps= threshold or
+//	                                 ?k= top-k, under ?measure=
+//	GET    /sessions/{id}/stats      last completed run statistics
+//	GET    /sessions/{id}/progress   latest per-cycle snapshot (poll)
+//	GET    /sessions/{id}/events     per-cycle snapshots (SSE stream)
+//	GET    /sessions/{id}/closure    attribute-set closure query
+//	GET    /sessions/{id}/keys       candidate-key enumeration
+//	GET    /sessions/{id}/quality    data-quality report (?k= ranked
+//	                                 dependencies)
+//
+// /fds, /afds, /stats and /quality accept ?min_version=V and answer 412
+// until version V has committed.
 //
 // On SIGINT/SIGTERM the server stops accepting requests, drains
 // in-flight discovery jobs, and exits.

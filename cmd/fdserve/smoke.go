@@ -27,9 +27,11 @@ Richard,41,Normal,Male,drugY
 Taylor,25,Low,Gender-queer,drugC
 `
 
-const smokeBatch = `Zoe,33,High,Female,drugA
-Yann,33,High,Male,drugB
-`
+// smokeBatch appends two rows as one mutation batch.
+const smokeBatch = `{"mutations":[{"op":"append","rows":[
+	["Zoe","33","High","Female","drugA"],
+	["Yann","33","High","Male","drugB"]
+]}]}`
 
 // runSmoke boots the service on a random loopback port and drives the
 // full client flow against it: submit, per-cycle SSE progress, append,
@@ -127,7 +129,7 @@ func runSmoke(cfg serve.Config, stdout io.Writer) error {
 
 	// Append a batch and wait for re-discovery.
 	var ack2 struct{ Session, Job string }
-	if err := step("append batch", smokePost(base+"/v1/sessions/"+ack.Session+"/append", smokeBatch, http.StatusAccepted, &ack2)); err != nil {
+	if err := step("append batch", smokePost(base+"/v1/sessions/"+ack.Session+"/mutations", smokeBatch, http.StatusAccepted, &ack2)); err != nil {
 		return err
 	}
 	if err := step("append completes", smokeWaitState(base, ack.Session, "ready")); err != nil {
@@ -201,7 +203,7 @@ func runSmoke(cfg serve.Config, stdout io.Writer) error {
 		return err
 	}
 	var conflict int
-	if err := smokePostStatus(base+"/v1/sessions/"+ack3.Session+"/append", smokeBatch, &conflict); err != nil {
+	if err := smokePostStatus(base+"/v1/sessions/"+ack3.Session+"/mutations", smokeBatch, &conflict); err != nil {
 		return err
 	}
 	if conflict != http.StatusConflict {

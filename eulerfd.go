@@ -43,7 +43,6 @@ import (
 	"eulerfd/internal/metrics"
 	"eulerfd/internal/preprocess"
 	"eulerfd/internal/quality"
-	"eulerfd/internal/tane"
 )
 
 // Re-exported value types. FD is a dependency LHS → RHS over attribute
@@ -285,56 +284,6 @@ func Exact(rel *Relation) (*Set, error) {
 	return ExactContext(context.Background(), rel, AlgoHyFD)
 }
 
-// ExactTANE returns the exact FD set via level-wise lattice traversal.
-// It scales well in rows but poorly in columns; exposed mainly for
-// cross-checking and benchmarking.
-func ExactTANE(rel *Relation) (*Set, error) {
-	return ExactContext(context.Background(), rel, AlgoTANE)
-}
-
-// ExactFdep returns the exact FD set via full pairwise induction. It
-// scales well in columns but quadratically in rows.
-func ExactFdep(rel *Relation) (*Set, error) {
-	return ExactContext(context.Background(), rel, AlgoFdep)
-}
-
-// ExactDfd returns the exact FD set via depth-first random-walk lattice
-// traversal (Dfd).
-func ExactDfd(rel *Relation) (*Set, error) {
-	return ExactContext(context.Background(), rel, AlgoDfd)
-}
-
-// ExactFun returns the exact FD set via free-set lattice traversal (Fun).
-func ExactFun(rel *Relation) (*Set, error) {
-	return ExactContext(context.Background(), rel, AlgoFun)
-}
-
-// ExactDepMiner returns the exact FD set via agree-set maximization and
-// levelwise minimal-transversal search (Dep-Miner).
-func ExactDepMiner(rel *Relation) (*Set, error) {
-	return ExactContext(context.Background(), rel, AlgoDepMiner)
-}
-
-// ExactFastFDs returns the exact FD set via depth-first minimal-cover
-// search over difference sets (FastFDs).
-func ExactFastFDs(rel *Relation) (*Set, error) {
-	return ExactContext(context.Background(), rel, AlgoFastFDs)
-}
-
-// DiscoverTolerant finds the minimal dependencies violated by at most a
-// maxErr fraction of tuples under the g₃ measure (error-tolerant FDs, as
-// in the original TANE): with maxErr = 0 it is exact discovery, while
-// small positive tolerances see through dirty rows. Distinct from
-// approximate *discovery* (EulerFD, AID-FD), which returns classical FDs
-// quickly at some risk of error.
-func DiscoverTolerant(rel *Relation, maxErr float64) (*Set, error) {
-	if err := rel.Validate(); err != nil {
-		return nil, err
-	}
-	fds, _ := tane.DiscoverApprox(preprocess.Encode(rel), maxErr)
-	return fds, nil
-}
-
 // ApproxResult is the outcome of an approximate (AFD) discovery run:
 // scored dependencies plus run statistics, with the same wire
 // conventions as Result (ScoredFDs serialize as
@@ -485,17 +434,6 @@ func DiscoverEnsembleContext(ctx context.Context, rel *Relation, opt Options, ob
 		return nil, err
 	}
 	return ensemble.Discover(ctx, preprocess.Encode(rel), ensemble.Config{Euler: opt, CrossCheck: true}, obs)
-}
-
-// ApproxAIDFD runs the AID-FD baseline with its default threshold.
-func ApproxAIDFD(rel *Relation) (*Set, error) {
-	return DiscoverWith(context.Background(), AlgoAIDFD, rel)
-}
-
-// ApproxKivinen runs the Kivinen-Mannila random-pair sampler with its
-// default accuracy and confidence parameters.
-func ApproxKivinen(rel *Relation) (*Set, error) {
-	return DiscoverWith(context.Background(), AlgoKivinen, rel)
 }
 
 // Evaluate scores a discovered FD set against a reference (typically from

@@ -1,6 +1,7 @@
 package eulerfd
 
 import (
+	"context"
 	"math/rand"
 	"strings"
 	"testing"
@@ -67,8 +68,9 @@ func TestPublicAPICSVRoundTrip(t *testing.T) {
 }
 
 func TestExactAlgorithmsAgree(t *testing.T) {
-	// Cross-check the three exact algorithms and the brute-force oracle
-	// on random relations: the strongest integration test in the suite.
+	// Cross-check every registered exact algorithm against the
+	// brute-force oracle on random relations: the strongest integration
+	// test in the suite.
 	r := rand.New(rand.NewSource(77))
 	for iter := 0; iter < 25; iter++ {
 		rows := make([][]string, 5+r.Intn(40))
@@ -89,18 +91,17 @@ func TestExactAlgorithmsAgree(t *testing.T) {
 			t.Fatal(err)
 		}
 		or := naive.Discover(rel)
-		exacts := map[string]func(*Relation) (*Set, error){
-			"hyfd": Exact, "tane": ExactTANE, "fdep": ExactFdep,
-			"depminer": ExactDepMiner, "fastfds": ExactFastFDs, "dfd": ExactDfd, "fun": ExactFun,
-		}
-		for name, run := range exacts {
-			got, err := run(rel)
+		for _, info := range Algorithms() {
+			if !info.Exact {
+				continue
+			}
+			got, err := ExactContext(context.Background(), rel, info.ID)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if !got.Equal(or) {
 				t.Fatalf("iter %d: %s disagrees with oracle\ngot %v\nwant %v",
-					iter, name, got.Slice(), or.Slice())
+					iter, info.ID, got.Slice(), or.Slice())
 			}
 		}
 	}
@@ -126,7 +127,7 @@ func TestApproxAlgorithmsOnRegistrySmall(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		aid, err := ApproxAIDFD(rel)
+		aid, err := DiscoverWith(context.Background(), AlgoAIDFD, rel)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -211,14 +212,30 @@ func TestDiscoverTolerant(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	strict, err := DiscoverTolerant(rel, 0)
+	// Threshold mode under g3 is error-tolerant discovery: a dependency
+	// passes when removing at most an Epsilon fraction of rows makes it
+	// hold.
+	tolerant := func(rel *Relation, eps float64) (*Set, error) {
+		opt := DefaultOptions()
+		opt.Epsilon = eps
+		res, err := DiscoverApprox(rel, MeasureG3, opt)
+		if err != nil {
+			return nil, err
+		}
+		fds := fdset.NewSet()
+		for _, sf := range res.FDs {
+			fds.Add(sf.FD)
+		}
+		return fds, nil
+	}
+	strict, err := tolerant(rel, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if strict.Contains(NewFD([]int{0}, 1)) {
 		t.Error("dirty FD passed at zero tolerance")
 	}
-	loose, err := DiscoverTolerant(rel, 0.05)
+	loose, err := tolerant(rel, 0.05)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -226,7 +243,7 @@ func TestDiscoverTolerant(t *testing.T) {
 		t.Errorf("A -> B should pass at 5%% tolerance: %v", loose.Slice())
 	}
 	bad := &Relation{Attrs: []string{"A"}, Rows: [][]string{{"1", "2"}}}
-	if _, err := DiscoverTolerant(bad, 0); err == nil {
+	if _, err := tolerant(bad, 0); err == nil {
 		t.Error("malformed relation accepted")
 	}
 }

@@ -4,6 +4,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math/rand"
@@ -49,33 +50,27 @@ func main() {
 		log.Fatal(err)
 	}
 
-	type algo struct {
+	// Every discoverer is reachable through the registry by its AlgoID.
+	algos := []struct {
 		name string
-		run  func() (*eulerfd.Set, error)
-	}
-	algos := []algo{
-		{"TANE", func() (*eulerfd.Set, error) { return eulerfd.ExactTANE(rel) }},
-		{"Fdep", func() (*eulerfd.Set, error) { return eulerfd.ExactFdep(rel) }},
-		{"Fun", func() (*eulerfd.Set, error) { return eulerfd.ExactFun(rel) }},
-		{"Dfd", func() (*eulerfd.Set, error) { return eulerfd.ExactDfd(rel) }},
-		{"Dep-Miner", func() (*eulerfd.Set, error) { return eulerfd.ExactDepMiner(rel) }},
-		{"FastFDs", func() (*eulerfd.Set, error) { return eulerfd.ExactFastFDs(rel) }},
-		{"HyFD", func() (*eulerfd.Set, error) { return eulerfd.Exact(rel) }},
-		{"Kivinen", func() (*eulerfd.Set, error) { return eulerfd.ApproxKivinen(rel) }},
-		{"AID-FD", func() (*eulerfd.Set, error) { return eulerfd.ApproxAIDFD(rel) }},
-		{"EulerFD", func() (*eulerfd.Set, error) {
-			res, err := eulerfd.Discover(rel, eulerfd.DefaultOptions())
-			if err != nil {
-				return nil, err
-			}
-			return res.FDs, nil
-		}},
+		id   eulerfd.AlgoID
+	}{
+		{"TANE", eulerfd.AlgoTANE},
+		{"Fdep", eulerfd.AlgoFdep},
+		{"Fun", eulerfd.AlgoFun},
+		{"Dfd", eulerfd.AlgoDfd},
+		{"Dep-Miner", eulerfd.AlgoDepMiner},
+		{"FastFDs", eulerfd.AlgoFastFDs},
+		{"HyFD", eulerfd.AlgoHyFD},
+		{"Kivinen", eulerfd.AlgoKivinen},
+		{"AID-FD", eulerfd.AlgoAIDFD},
+		{"EulerFD", eulerfd.AlgoEuler},
 	}
 
 	fmt.Printf("%-10s %12s %8s %8s\n", "algo", "time", "FDs", "F1")
 	for _, a := range algos {
 		start := time.Now()
-		fds, err := a.run()
+		fds, err := eulerfd.DiscoverWith(context.Background(), a.id, rel)
 		if err != nil {
 			log.Fatalf("%s: %v", a.name, err)
 		}

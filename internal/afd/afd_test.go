@@ -9,11 +9,11 @@ import (
 	"testing"
 
 	"eulerfd/internal/afd"
+	"eulerfd/internal/algo"
 	"eulerfd/internal/dataset"
 	"eulerfd/internal/datasets"
 	"eulerfd/internal/fdset"
 	"eulerfd/internal/preprocess"
-	"eulerfd/internal/tane"
 )
 
 // naiveG3 recomputes g3 for lhs → rhs straight from the label matrix:
@@ -236,7 +236,10 @@ func TestDiscoverZeroMatchesExactOracle(t *testing.T) {
 		}
 		t.Run(name, func(t *testing.T) {
 			enc := preprocess.Encode(d.Build())
-			want, _ := tane.DiscoverEncoded(enc)
+			want, _, err := algo.RunEncoded(context.Background(), algo.TANE, enc, algo.Tuning{})
+			if err != nil {
+				t.Fatal(err)
+			}
 			s := afd.NewScorer(enc, 1024)
 			scored, err := s.Discover(context.Background(), afd.G3, 0)
 			if err != nil {

@@ -1,6 +1,7 @@
 package aidfd
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -8,6 +9,7 @@ import (
 	"eulerfd/internal/fdset"
 	"eulerfd/internal/metrics"
 	"eulerfd/internal/naive"
+	"eulerfd/internal/preprocess"
 )
 
 func patient() *dataset.Relation {
@@ -32,7 +34,7 @@ func patient() *dataset.Relation {
 func exhaustive() Options { return Options{ThNcover: -1} }
 
 func TestAIDFDPatientExhaustiveExact(t *testing.T) {
-	got, stats, err := Discover(patient(), exhaustive())
+	got, stats, err := discover(patient(), exhaustive())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,7 +60,7 @@ func TestAIDFDExhaustiveMatchesOracle(t *testing.T) {
 			rows[i] = row
 		}
 		rel := dataset.MustNew("rand", attrs, rows)
-		got, _, err := Discover(rel, exhaustive())
+		got, _, err := discover(rel, exhaustive())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -84,7 +86,7 @@ func TestAIDFDDefaultInvariants(t *testing.T) {
 			rows[i] = row
 		}
 		rel := dataset.MustNew("rand", attrs, rows)
-		got, _, err := Discover(rel, DefaultOptions())
+		got, _, err := discover(rel, DefaultOptions())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -111,7 +113,7 @@ func TestAIDFDDefaultInvariants(t *testing.T) {
 func TestAIDFDMaxRounds(t *testing.T) {
 	opt := exhaustive()
 	opt.MaxRounds = 1
-	_, stats, err := Discover(patient(), opt)
+	_, stats, err := discover(patient(), opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +128,7 @@ func TestAIDFDDegenerates(t *testing.T) {
 		dataset.MustNew("empty", []string{"A"}, nil),
 		dataset.MustNew("const", []string{"A", "B"}, [][]string{{"x", "y"}, {"x", "y"}}),
 	} {
-		got, _, err := Discover(rel, DefaultOptions())
+		got, _, err := discover(rel, DefaultOptions())
 		if err != nil {
 			t.Fatalf("%s: %v", rel.Name, err)
 		}
@@ -143,9 +145,7 @@ func TestAIDFDDegenerates(t *testing.T) {
 	}
 }
 
-func TestAIDFDRejectsMalformed(t *testing.T) {
-	bad := &dataset.Relation{Attrs: []string{"A"}, Rows: [][]string{{"1", "2"}}}
-	if _, _, err := Discover(bad, DefaultOptions()); err == nil {
-		t.Error("malformed relation accepted")
-	}
+// discover runs the registry's entry point on an unencoded relation.
+func discover(rel *dataset.Relation, opt Options) (*fdset.Set, Stats, error) {
+	return DiscoverEncodedContext(context.Background(), preprocess.Encode(rel), opt)
 }

@@ -1,9 +1,12 @@
 // Package algo is the deterministic registry of discovery algorithms.
 //
 // Every exact and approximate discoverer in the repository is reachable
-// through one table keyed by a stable ID, so the CLI, the regression
-// harness, and the HTTP service dispatch through a single code path
-// instead of maintaining parallel switch statements. List returns the
+// through one table keyed by a stable ID, so the CLI, the regression and
+// benchmark harnesses, and the HTTP service dispatch through a single
+// code path instead of maintaining parallel switch statements. This
+// table is the only importer of the baseline packages, each of which
+// exports one entry point, DiscoverEncodedContext; Run is where a
+// relation is validated. List returns the
 // algorithms in a fixed order (EulerFD first, then exact methods, then
 // the approximate baselines), never in map order.
 package algo

@@ -5,33 +5,21 @@
 package bench
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"time"
 
-	"eulerfd/internal/aidfd"
-	"eulerfd/internal/core"
-	"eulerfd/internal/fdep"
+	"eulerfd/internal/algo"
 	"eulerfd/internal/fdset"
-	"eulerfd/internal/hyfd"
 	"eulerfd/internal/metrics"
 	"eulerfd/internal/preprocess"
 	"eulerfd/internal/regress/report"
-	"eulerfd/internal/tane"
-)
-
-// Algorithm names used across experiments.
-const (
-	AlgoTane    = "Tane"
-	AlgoFdep    = "Fdep"
-	AlgoHyFD    = "HyFD"
-	AlgoAIDFD   = "AID-FD"
-	AlgoEulerFD = "EulerFD"
 )
 
 // Cell is one (algorithm, dataset) measurement.
 type Cell struct {
-	Algo     string
+	Algo     algo.ID
 	Dataset  string
 	Rows     int
 	Cols     int
@@ -43,72 +31,55 @@ type Cell struct {
 	HasTruth bool
 }
 
-// Runner executes algorithms on encoded relations under a time budget.
+// Runner executes registered algorithms on encoded relations under a
+// time budget.
 type Runner struct {
 	// Budget is the per-cell wall-clock budget. Cells whose algorithm is
 	// predicted (by a prior run on the same dataset family) or measured
 	// to exceed it are marked "TL". Zero means no budget.
 	Budget time.Duration
-	// EulerOptions and AIDOptions configure the approximate algorithms.
-	EulerOptions core.Options
-	AIDOptions   aidfd.Options
-	// HyFDOptions configures the exact oracle and the HyFD row.
-	HyFDOptions hyfd.Options
+	// Tuning configures every algorithm the runner dispatches, the
+	// exact oracle included.
+	Tuning algo.Tuning
 }
 
 // NewRunner returns a Runner with the paper's defaults.
 func NewRunner() *Runner {
-	return &Runner{
-		Budget:       2 * time.Minute,
-		EulerOptions: core.DefaultOptions(),
-		AIDOptions:   aidfd.DefaultOptions(),
-		HyFDOptions:  hyfd.DefaultOptions(),
-	}
+	return &Runner{Budget: 2 * time.Minute, Tuning: algo.DefaultTuning()}
 }
 
-// Run executes one algorithm on an encoded relation and returns the FD
-// set with timing. A nil FD set with Err = "TL" means the budget ran out
-// (detected after the fact; runs are not preempted).
-func (r *Runner) Run(algo string, enc *preprocess.Encoded) (fds *fdset.Set, elapsed time.Duration, err string) {
+// Run executes one registered algorithm on an encoded relation and
+// returns the FD set with its wall time. It panics on an unknown ID or
+// an invalid Tuning: both are harness bugs.
+func (r *Runner) Run(id algo.ID, enc *preprocess.Encoded) (*fdset.Set, time.Duration) {
 	start := time.Now()
-	switch algo {
-	case AlgoTane:
-		fds, _ = tane.DiscoverEncoded(enc)
-	case AlgoFdep:
-		fds, _ = fdep.DiscoverEncoded(enc)
-	case AlgoHyFD:
-		fds, _ = hyfd.DiscoverEncoded(enc, r.HyFDOptions)
-	case AlgoAIDFD:
-		fds, _ = aidfd.DiscoverEncoded(enc, r.AIDOptions)
-	case AlgoEulerFD:
-		fds, _ = core.DiscoverEncoded(enc, r.EulerOptions)
-	default:
-		panic("bench: unknown algorithm " + algo)
+	fds, _, err := algo.RunEncoded(context.Background(), id, enc, r.Tuning)
+	if err != nil {
+		panic("bench: " + err.Error())
 	}
-	elapsed = time.Since(start)
-	if r.Budget > 0 && elapsed > r.Budget {
-		return nil, elapsed, "TL"
-	}
-	return fds, elapsed, ""
+	return fds, time.Since(start)
 }
 
 // Measure runs an algorithm and scores it against the given truth (nil
-// truth means no F1 is reported).
-func (r *Runner) Measure(algo string, enc *preprocess.Encoded, truth *fdset.Set) Cell {
-	fds, elapsed, errStr := r.Run(algo, enc)
+// truth means no F1 is reported). A run over the budget is marked "TL"
+// and reports no FDs (detected after the fact; runs are not preempted).
+func (r *Runner) Measure(id algo.ID, enc *preprocess.Encoded, truth *fdset.Set) Cell {
+	fds, elapsed := r.Run(id, enc)
 	c := Cell{
-		Algo: algo, Dataset: enc.Name,
+		Algo: id, Dataset: enc.Name,
 		Rows: enc.NumRows, Cols: len(enc.Attrs),
-		Time: elapsed, Err: errStr,
+		Time: elapsed,
 	}
-	if fds != nil {
+	switch {
+	case r.Budget > 0 && elapsed > r.Budget:
+		c.Err = "TL"
+	case truth != nil:
 		c.FDs = fds.Len()
-		if truth != nil {
-			c.F1 = metrics.Evaluate(fds, truth).F1
-			c.HasTruth = true
-		} else {
-			c.F1 = -1
-		}
+		c.F1 = metrics.Evaluate(fds, truth).F1
+		c.HasTruth = true
+	default:
+		c.FDs = fds.Len()
+		c.F1 = -1
 	}
 	return c
 }
@@ -117,8 +88,15 @@ func (r *Runner) Measure(algo string, enc *preprocess.Encoded, truth *fdset.Set)
 // the harness (cross-checked against TANE, Fdep, and the brute-force
 // oracle in the test suite).
 func (r *Runner) Truth(enc *preprocess.Encoded) *fdset.Set {
-	fds, _ := hyfd.DiscoverEncoded(enc, r.HyFDOptions)
+	fds, _ := r.Run(algo.HyFD, enc)
 	return fds
+}
+
+// algoName is the registry's display name for id, used as a table
+// header.
+func algoName(id algo.ID) string {
+	info, _ := algo.Lookup(id)
+	return info.Name
 }
 
 // FmtTime renders a duration in the paper's seconds-with-millis style.

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"eulerfd/internal/algo"
 	"eulerfd/internal/datasets"
 	"eulerfd/internal/gen"
 	"eulerfd/internal/preprocess"
@@ -22,16 +23,16 @@ func TestRunnerRunAllAlgorithms(t *testing.T) {
 	if truth.Len() == 0 {
 		t.Fatal("oracle found nothing on patient")
 	}
-	for _, algo := range []string{AlgoTane, AlgoFdep, AlgoHyFD, AlgoAIDFD, AlgoEulerFD} {
-		c := r.Measure(algo, enc, truth)
+	for _, id := range []algo.ID{algo.TANE, algo.Fdep, algo.HyFD, algo.AIDFD, algo.Euler} {
+		c := r.Measure(id, enc, truth)
 		if c.Err != "" {
-			t.Errorf("%s hit budget on a 9-row relation", algo)
+			t.Errorf("%s hit budget on a 9-row relation", id)
 		}
 		if c.FDs != truth.Len() {
-			t.Errorf("%s found %d FDs, want %d", algo, c.FDs, truth.Len())
+			t.Errorf("%s found %d FDs, want %d", id, c.FDs, truth.Len())
 		}
 		if !c.HasTruth || c.F1 != 1 {
-			t.Errorf("%s F1 = %v", algo, c.F1)
+			t.Errorf("%s F1 = %v", id, c.F1)
 		}
 	}
 }
@@ -39,7 +40,7 @@ func TestRunnerRunAllAlgorithms(t *testing.T) {
 func TestRunnerBudgetMarksTL(t *testing.T) {
 	r := NewRunner()
 	r.Budget = time.Nanosecond
-	c := r.Measure(AlgoFdep, testEncoded(), nil)
+	c := r.Measure(algo.Fdep, testEncoded(), nil)
 	if c.Err != "TL" {
 		t.Errorf("expected TL, got %+v", c)
 	}
@@ -58,7 +59,7 @@ func TestRunnerUnknownAlgoPanics(t *testing.T) {
 }
 
 func TestMeasureWithoutTruth(t *testing.T) {
-	c := NewRunner().Measure(AlgoEulerFD, testEncoded(), nil)
+	c := NewRunner().Measure(algo.Euler, testEncoded(), nil)
 	if c.HasTruth || c.F1 != -1 {
 		t.Errorf("no-truth cell: %+v", c)
 	}
@@ -97,20 +98,20 @@ func TestExperimentRegistryComplete(t *testing.T) {
 func TestSkipCellPolicy(t *testing.T) {
 	// TANE is skipped on wide relations, Fdep on tall ones, mirroring the
 	// paper's TL/ML entries.
-	if got := skipCell(AlgoTane, datasets.Info{Name: "lineitem"}); got != "ML" {
+	if got := skipCell(algo.TANE, datasets.Info{Name: "lineitem"}); got != "ML" {
 		t.Errorf("TANE on lineitem = %q, want ML (paper Table III)", got)
 	}
-	if got := skipCell(AlgoTane, datasets.Info{Name: "letter", Cols: 17}); got != "TL" {
+	if got := skipCell(algo.TANE, datasets.Info{Name: "letter", Cols: 17}); got != "TL" {
 		t.Errorf("TANE on letter = %q, want predictive TL", got)
 	}
-	if got := skipCell(AlgoTane, datasets.Info{Name: "fd-reduced-30", Cols: 30}); got != "" {
+	if got := skipCell(algo.TANE, datasets.Info{Name: "fd-reduced-30", Cols: 30}); got != "" {
 		t.Errorf("TANE on fd-reduced-30 = %q, paper completes it", got)
 	}
-	if got := skipCell(AlgoFdep, datasets.Info{Name: "uniprot"}); got != "ML" {
+	if got := skipCell(algo.Fdep, datasets.Info{Name: "uniprot"}); got != "ML" {
 		t.Errorf("Fdep on uniprot = %q, want ML", got)
 	}
 	for _, d := range datasets.All() {
-		if got := skipCell(AlgoEulerFD, d); got != "" {
+		if got := skipCell(algo.Euler, d); got != "" {
 			t.Errorf("EulerFD skipped on %s: %q", d.Name, got)
 		}
 	}

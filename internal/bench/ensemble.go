@@ -9,6 +9,7 @@ import (
 	"sort"
 	"time"
 
+	"eulerfd/internal/algo"
 	"eulerfd/internal/core"
 	"eulerfd/internal/datasets"
 	"eulerfd/internal/ensemble"
@@ -16,7 +17,6 @@ import (
 	"eulerfd/internal/metrics"
 	"eulerfd/internal/preprocess"
 	"eulerfd/internal/regress/report"
-	"eulerfd/internal/tane"
 )
 
 // EnsembleDatasets are the corpora the ensemble benchmark votes on: all
@@ -112,7 +112,10 @@ func RunEnsemble(w io.Writer, workers int, seed uint64, runs int) EnsembleReport
 			continue
 		}
 		enc := preprocess.Encode(d.Build())
-		truth, _ := tane.DiscoverEncoded(enc)
+		truth, _, err := algo.RunEncoded(context.Background(), algo.TANE, enc, algo.Tuning{})
+		if err != nil {
+			panic("bench: " + err.Error())
+		}
 		for _, n := range EnsembleSizes {
 			cfg := ensemble.Config{CrossCheck: true}
 			cfg.Euler = core.DefaultOptions()
@@ -154,5 +157,5 @@ func RunEnsembleToFile(w io.Writer, workers int, seed uint64, runs int, path str
 // Ensemble is the fdbench experiment wrapper (`-exp ensemble`): the
 // precision/recall-vs-ensemble-size sweep behind exp_ensemble.txt.
 func Ensemble(w io.Writer, r *Runner) {
-	RunEnsemble(w, r.EulerOptions.Workers, r.EulerOptions.Seed, 1)
+	RunEnsemble(w, r.Tuning.Euler.Workers, r.Tuning.Euler.Seed, 1)
 }

@@ -4,10 +4,8 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"time"
 
-	"eulerfd/internal/aidfd"
-	"eulerfd/internal/core"
+	"eulerfd/internal/algo"
 	"eulerfd/internal/datasets"
 	"eulerfd/internal/fdset"
 	"eulerfd/internal/gen"
@@ -47,63 +45,63 @@ var ExperimentIDs = []string{"table3", "fig6", "fig7", "fig8", "fig9", "fig10", 
 func Table3(w io.Writer, r *Runner) {
 	fmt.Fprintln(w, "Table III: runtimes [s] and F1 scores on the benchmark stand-ins")
 	fmt.Fprintln(w, "(TL = per-cell time budget exceeded, mirroring the paper's TL/ML)")
-	t := NewTable(w, []string{"dataset", "rows", "cols", "FDs", "Tane", "Fdep", "HyFD", "AID-FD", "EulerFD", "AID-F1", "Euler-F1"},
+	ids := []algo.ID{algo.TANE, algo.Fdep, algo.HyFD, algo.AIDFD, algo.Euler}
+	headers := []string{"dataset", "rows", "cols", "FDs"}
+	for _, id := range ids {
+		headers = append(headers, algoName(id))
+	}
+	t := NewTable(w, append(headers, "AID-F1", "Euler-F1"),
 		[]int{16, 8, 6, 9, 10, 10, 10, 10, 10, 8, 9})
 	for _, d := range datasets.All() {
 		enc := preprocess.Encode(d.Build())
 		// uniprot has no benchmark in the paper either: every exact
 		// algorithm dies on it, so no F1 column is scoreable.
 		var truth *fdset.Set
-		if skipCell(AlgoHyFD, d) == "" {
+		if skipCell(algo.HyFD, d) == "" {
 			truth = r.Truth(enc)
-		}
-		cells := map[string]Cell{}
-		for _, algo := range []string{AlgoTane, AlgoFdep, AlgoHyFD, AlgoAIDFD, AlgoEulerFD} {
-			if reason := skipCell(algo, d); reason != "" {
-				cells[algo] = Cell{Algo: algo, Err: reason}
-				continue
-			}
-			cells[algo] = r.Measure(algo, enc, truth)
-		}
-		fmtCell := func(algo string) string {
-			c := cells[algo]
-			if c.Err != "" {
-				return c.Err
-			}
-			return FmtTime(c.Time)
 		}
 		fdCount := "unknown"
 		if truth != nil {
 			fdCount = fmt.Sprint(truth.Len())
 		}
-		t.Row(d.Name,
-			fmt.Sprint(enc.NumRows), fmt.Sprint(len(enc.Attrs)), fdCount,
-			fmtCell(AlgoTane), fmtCell(AlgoFdep), fmtCell(AlgoHyFD),
-			fmtCell(AlgoAIDFD), fmtCell(AlgoEulerFD),
-			FmtF1(cells[AlgoAIDFD]), FmtF1(cells[AlgoEulerFD]))
+		row := []string{d.Name, fmt.Sprint(enc.NumRows), fmt.Sprint(len(enc.Attrs)), fdCount}
+		cells := map[algo.ID]Cell{}
+		for _, id := range ids {
+			c := Cell{Algo: id, Err: skipCell(id, d)}
+			if c.Err == "" {
+				c = r.Measure(id, enc, truth)
+			}
+			cells[id] = c
+			if c.Err != "" {
+				row = append(row, c.Err)
+			} else {
+				row = append(row, FmtTime(c.Time))
+			}
+		}
+		t.Row(append(row, FmtF1(cells[algo.AIDFD]), FmtF1(cells[algo.Euler]))...)
 	}
 }
 
 // paperSkips reproduces Table III's TL/ML entries exactly: the cells the
 // paper's testbed could not complete within 4 hours / 32 GB.
-var paperSkips = map[string]map[string]string{
-	"lineitem":      {AlgoTane: "ML", AlgoFdep: "ML"},
-	"weather":       {AlgoTane: "ML", AlgoFdep: "ML"},
-	"fd-reduced-30": {AlgoFdep: "TL"},
-	"plista":        {AlgoTane: "ML"},
-	"flight":        {AlgoTane: "ML"},
-	"uniprot":       {AlgoTane: "ML", AlgoFdep: "ML", AlgoHyFD: "TL", AlgoAIDFD: "ML"},
+var paperSkips = map[string]map[algo.ID]string{
+	"lineitem":      {algo.TANE: "ML", algo.Fdep: "ML"},
+	"weather":       {algo.TANE: "ML", algo.Fdep: "ML"},
+	"fd-reduced-30": {algo.Fdep: "TL"},
+	"plista":        {algo.TANE: "ML"},
+	"flight":        {algo.TANE: "ML"},
+	"uniprot":       {algo.TANE: "ML", algo.Fdep: "ML", algo.HyFD: "TL", algo.AIDFD: "ML"},
 }
 
 // skipCell returns the paper's TL/ML marker for cells the paper could not
 // complete, plus a predictive "TL" for TANE on wide low-FD datasets
 // (paper: 1149 s on letter, 10020 s on horse) that would dwarf the
 // harness budget; every other cell runs. Empty string means run it.
-func skipCell(algo string, d datasets.Info) string {
-	if reason, ok := paperSkips[d.Name][algo]; ok {
+func skipCell(id algo.ID, d datasets.Info) string {
+	if reason, ok := paperSkips[d.Name][id]; ok {
 		return reason
 	}
-	if algo == AlgoTane && d.Cols >= 17 && d.Name != "fd-reduced-30" {
+	if id == algo.TANE && d.Cols >= 17 && d.Name != "fd-reduced-30" {
 		return "TL"
 	}
 	return ""
@@ -111,18 +109,19 @@ func skipCell(algo string, d datasets.Info) string {
 
 // scalabilitySeries runs the four algorithms of a scalability figure over
 // a sweep of relations and prints one row per sweep point.
-func scalabilitySeries(w io.Writer, r *Runner, algos []string, points []*preprocess.Encoded, label func(e *preprocess.Encoded) string) {
-	headers := append([]string{"point", "FDs"}, algos...)
+func scalabilitySeries(w io.Writer, r *Runner, ids []algo.ID, points []*preprocess.Encoded, label func(e *preprocess.Encoded) string) {
+	headers := []string{"point", "FDs"}
 	widths := []int{12, 9}
-	for range algos {
+	for _, id := range ids {
+		headers = append(headers, algoName(id))
 		widths = append(widths, 14)
 	}
 	t := NewTable(w, headers, widths)
 	for _, enc := range points {
 		truth := r.Truth(enc)
 		row := []string{label(enc), fmt.Sprint(truth.Len())}
-		for _, algo := range algos {
-			c := r.Measure(algo, enc, truth)
+		for _, id := range ids {
+			c := r.Measure(id, enc, truth)
 			cell := FmtTime(c.Time)
 			if c.Err != "" {
 				cell = c.Err
@@ -148,7 +147,7 @@ func Fig6(w io.Writer, r *Runner) {
 		h.Name = fmt.Sprintf("%drows", h.NumRows())
 		points = append(points, preprocess.Encode(h))
 	}
-	scalabilitySeries(w, r, []string{AlgoTane, AlgoHyFD, AlgoAIDFD, AlgoEulerFD}, points,
+	scalabilitySeries(w, r, []algo.ID{algo.TANE, algo.HyFD, algo.AIDFD, algo.Euler}, points,
 		func(e *preprocess.Encoded) string { return e.Name })
 }
 
@@ -164,13 +163,13 @@ func Fig7(w io.Writer, r *Runner) {
 		h.Name = fmt.Sprintf("%drows", h.NumRows())
 		points = append(points, preprocess.Encode(h))
 	}
-	scalabilitySeries(w, r, []string{AlgoHyFD, AlgoAIDFD, AlgoEulerFD}, points,
+	scalabilitySeries(w, r, []algo.ID{algo.HyFD, algo.AIDFD, algo.Euler}, points,
 		func(e *preprocess.Encoded) string { return e.Name })
 }
 
 // colScalability implements Figures 8 and 9: column sweeps on a wide
 // dataset, 10..60 columns in steps of 10.
-func colScalability(w io.Writer, r *Runner, name string, algos []string) {
+func colScalability(w io.Writer, r *Runner, name string, ids []algo.ID) {
 	d, _ := datasets.ByName(name)
 	base := d.Build()
 	var points []*preprocess.Encoded
@@ -179,20 +178,20 @@ func colScalability(w io.Writer, r *Runner, name string, algos []string) {
 		p.Name = fmt.Sprintf("%dcols", c)
 		points = append(points, preprocess.Encode(p))
 	}
-	scalabilitySeries(w, r, algos, points,
+	scalabilitySeries(w, r, ids, points,
 		func(e *preprocess.Encoded) string { return e.Name })
 }
 
 // Fig8 reproduces Figure 8: column scalability on plista.
 func Fig8(w io.Writer, r *Runner) {
 	fmt.Fprintln(w, "Figure 8: column scalability on plista (runtime [s], F1 in parens when < 1)")
-	colScalability(w, r, "plista", []string{AlgoFdep, AlgoHyFD, AlgoAIDFD, AlgoEulerFD})
+	colScalability(w, r, "plista", []algo.ID{algo.Fdep, algo.HyFD, algo.AIDFD, algo.Euler})
 }
 
 // Fig9 reproduces Figure 9: column scalability on uniprot.
 func Fig9(w io.Writer, r *Runner) {
 	fmt.Fprintln(w, "Figure 9: column scalability on uniprot (runtime [s], F1 in parens when < 1)")
-	colScalability(w, r, "uniprot", []string{AlgoFdep, AlgoHyFD, AlgoAIDFD, AlgoEulerFD})
+	colScalability(w, r, "uniprot", []algo.ID{algo.Fdep, algo.HyFD, algo.AIDFD, algo.Euler})
 }
 
 // Fig10 reproduces Figure 10: EulerFD runtime and F1 as the MLFQ queue
@@ -217,12 +216,10 @@ func Fig10(w io.Writer, r *Runner) {
 	}
 	for q := 1; q <= 7; q++ {
 		row := []string{fmt.Sprint(q)}
+		sweep := *r
+		sweep.Tuning.Euler.NumQueues = q
 		for i := range names {
-			opt := r.EulerOptions
-			opt.NumQueues = q
-			start := time.Now()
-			fds, _ := core.DiscoverEncoded(encs[i], opt)
-			elapsed := time.Since(start)
+			fds, elapsed := sweep.Run(algo.Euler, encs[i])
 			f1 := metrics.Evaluate(fds, truths[i]).F1
 			row = append(row, fmt.Sprintf("%s / %.3f", FmtTime(elapsed), f1))
 		}
@@ -244,18 +241,12 @@ func Fig11(w io.Writer, r *Runner) {
 		fmt.Fprintf(w, "\n%s (%d rows × %d cols, %d FDs)\n", n, enc.NumRows, len(enc.Attrs), truth.Len())
 		t := NewTable(w, []string{"Th", "AID-FD", "EulerFD"}, []int{10, 18, 18})
 		for _, th := range thresholds {
-			aOpt := r.AIDOptions
-			aOpt.ThNcover = th
-			start := time.Now()
-			afds, _ := aidfd.DiscoverEncoded(enc, aOpt)
-			aTime := time.Since(start)
+			sweep := *r
+			sweep.Tuning.AIDFD.ThNcover = th
+			sweep.Tuning.Euler.ThNcover, sweep.Tuning.Euler.ThPcover = th, th
+			afds, aTime := sweep.Run(algo.AIDFD, enc)
 			aF1 := metrics.Evaluate(afds, truth).F1
-
-			eOpt := r.EulerOptions
-			eOpt.ThNcover, eOpt.ThPcover = th, th
-			start = time.Now()
-			efds, _ := core.DiscoverEncoded(enc, eOpt)
-			eTime := time.Since(start)
+			efds, eTime := sweep.Run(algo.Euler, enc)
 			eF1 := metrics.Evaluate(efds, truth).F1
 
 			t.Row(fmt.Sprint(th),
@@ -310,14 +301,10 @@ func Table5(w io.Writer, r *Runner) {
 				enc := preprocess.Encode(rel)
 				weight := math.Sqrt(float64(rb.rows) * float64(cb.cols))
 
-				start := time.Now()
-				efds, _ := core.DiscoverEncoded(enc, r.EulerOptions)
-				eTime := time.Since(start).Seconds()
-				start = time.Now()
-				afds, _ := aidfd.DiscoverEncoded(enc, r.AIDOptions)
-				aTime := time.Since(start).Seconds()
-				sumE += eTime * weight
-				sumA += aTime * weight
+				efds, eTime := r.Run(algo.Euler, enc)
+				afds, aTime := r.Run(algo.AIDFD, enc)
+				sumE += eTime.Seconds() * weight
+				sumA += aTime.Seconds() * weight
 				sumWeightT += weight
 
 				if truthFeasible {

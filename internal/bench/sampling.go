@@ -99,7 +99,7 @@ func RunSampling(w io.Writer, r *Runner, workers int) SamplingReport {
 			continue
 		}
 		enc := preprocess.Encode(d.Build())
-		opt := r.EulerOptions
+		opt := r.Tuning.Euler
 		opt.ExhaustWindows = true
 
 		seq, seqOut := samplingCell(enc, opt, 1)

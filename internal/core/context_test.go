@@ -93,24 +93,25 @@ func TestDiscoverContextCancelMidRun(t *testing.T) {
 }
 
 // TestAppendContextCancelled checks the incremental path: a cancelled
-// append reports ctx.Err(), and an uncancelled observed append emits
-// progress.
+// append batch reports ctx.Err(), and an uncancelled observed append
+// batch emits progress.
 func TestAppendContextCancelled(t *testing.T) {
 	rel := gen.Patient()
 	inc, err := NewIncremental("inc", rel.Attrs, DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
+	batch := MutationBatch{Mutations: []Mutation{AppendOp(rel.Rows)}}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := inc.AppendContext(ctx, rel.Rows, nil); !errors.Is(err, context.Canceled) {
+	if _, err := inc.ApplyContext(ctx, batch, nil); !errors.Is(err, context.Canceled) {
 		t.Fatalf("pre-cancelled append: err = %v, want context.Canceled", err)
 	}
 	if inc.NumRows() != 0 {
 		t.Errorf("pre-cancelled append absorbed %d rows", inc.NumRows())
 	}
 	var events int
-	if _, err := inc.AppendContext(context.Background(), rel.Rows, func(Progress) { events++ }); err != nil {
+	if _, err := inc.ApplyContext(context.Background(), batch, func(Progress) { events++ }); err != nil {
 		t.Fatal(err)
 	}
 	if events < 2 {

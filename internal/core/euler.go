@@ -143,14 +143,7 @@ func (o Options) withDefaults(numRows int) Options {
 // documents; durations are serialized as integer nanoseconds (Go's
 // time.Duration encoding) under *_ns keys.
 type Stats struct {
-	Rows          int `json:"rows"`
-	Cols          int `json:"cols"`
-	PairsCompared int `json:"pairs_compared"`
-	AgreeSets     int `json:"agree_sets"`  // distinct agree sets sampled
-	NcoverSize    int `json:"ncover_size"` // maximal non-FDs stored
-	PcoverSize    int `json:"pcover_size"` // minimal FDs output
-	SampleBatches int `json:"sample_batches"`
-	Inversions    int `json:"inversions"` // second-cycle iterations
+	Counters
 	// Retired and PatchedRHS are produced only by incremental mutation
 	// batches (core.Incremental): maximal non-FDs that left the negative
 	// cover because their last witness died, and RHS attributes whose
@@ -165,6 +158,20 @@ type Stats struct {
 	Total       time.Duration `json:"total_ns"`
 }
 
+// Counters are the work counters a run reports both while it runs (in
+// every Progress snapshot) and when it ends (in Stats). Both embed them,
+// so the two wire shapes share these keys in this order.
+type Counters struct {
+	Rows          int `json:"rows"`
+	Cols          int `json:"cols"`
+	PairsCompared int `json:"pairs_compared"`
+	AgreeSets     int `json:"agree_sets"`  // distinct agree sets sampled
+	NcoverSize    int `json:"ncover_size"` // maximal non-FDs stored
+	PcoverSize    int `json:"pcover_size"` // minimal FDs output
+	SampleBatches int `json:"sample_batches"`
+	Inversions    int `json:"inversions"` // second-cycle iterations
+}
+
 // Progress is a snapshot of a running discovery, delivered to an
 // Observer at every double-cycle stage boundary: once after each
 // sampling drain has been admitted into the negative cover (Phase
@@ -174,15 +181,8 @@ type Progress struct {
 	// Phase is "sampled" after a drain or "inverted" after an inversion.
 	Phase string `json:"phase"`
 	// Cycle is the zero-based double-cycle iteration the run is in.
-	Cycle         int `json:"cycle"`
-	Rows          int `json:"rows"`
-	Cols          int `json:"cols"`
-	PairsCompared int `json:"pairs_compared"`
-	AgreeSets     int `json:"agree_sets"`
-	NcoverSize    int `json:"ncover_size"`
-	PcoverSize    int `json:"pcover_size"`
-	SampleBatches int `json:"sample_batches"`
-	Inversions    int `json:"inversions"`
+	Cycle int `json:"cycle"`
+	Counters
 }
 
 // Observer receives Progress snapshots from a running discovery. It is
@@ -251,7 +251,7 @@ func DiscoverEncodedContext(ctx context.Context, enc *preprocess.Encoded, opt Op
 	encStart := timing.Start()
 	opt = opt.withDefaults(enc.NumRows)
 	ncols := len(enc.Attrs)
-	stats := Stats{Rows: enc.NumRows, Cols: ncols}
+	stats := Stats{Counters: Counters{Rows: enc.NumRows, Cols: ncols}}
 	if ncols == 0 {
 		return fdset.NewSet(), stats, nil
 	}
@@ -375,9 +375,7 @@ func runDoubleCycle(ctx context.Context, opt Options, sampler *Sampler, ncover *
 		if obs == nil {
 			return
 		}
-		obs(Progress{
-			Phase:         phase,
-			Cycle:         cycle,
+		obs(Progress{Phase: phase, Cycle: cycle, Counters: Counters{
 			Rows:          stats.Rows,
 			Cols:          stats.Cols,
 			PairsCompared: sampler.PairsCompared,
@@ -386,7 +384,7 @@ func runDoubleCycle(ctx context.Context, opt Options, sampler *Sampler, ncover *
 			PcoverSize:    pcover.Size(),
 			SampleBatches: stats.SampleBatches,
 			Inversions:    stats.Inversions,
-		})
+		}})
 	}
 	lastBefore := ncover.Size()
 	addBatch(seed)

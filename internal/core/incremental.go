@@ -125,24 +125,9 @@ func (inc *Incremental) Poisoned() bool { return inc.poisoned }
 // AFD scorer's partition cache with exactly this list.
 func (inc *Incremental) LastChangedIDs() []int64 { return inc.lastChanged }
 
-// Append folds a batch of rows into the result and returns run statistics
-// for the batch. It is AppendContext without cancellation or progress.
+// Append folds a batch of rows into the result, as a one-mutation batch.
 func (inc *Incremental) Append(rows [][]string) (Stats, error) {
-	return inc.AppendContext(context.Background(), rows, nil)
-}
-
-// AppendContext folds a batch of rows into the result under a context,
-// reporting per-cycle progress to obs (which may be nil). The first batch
-// bootstraps via the sampling double cycle; later batches take the delta
-// path of ApplyContext, pairing only new rows against the relation.
-func (inc *Incremental) AppendContext(ctx context.Context, rows [][]string, obs Observer) (Stats, error) {
-	if inc.poisoned {
-		return Stats{}, ErrPoisoned
-	}
-	if inc.version == 0 {
-		return inc.bootstrapContext(ctx, rows, obs)
-	}
-	return inc.ApplyContext(ctx, MutationBatch{Mutations: []Mutation{AppendOp(rows)}}, obs)
+	return inc.Apply(MutationBatch{Mutations: []Mutation{AppendOp(rows)}})
 }
 
 // Delete removes the given rows by id, as a one-mutation batch.
@@ -200,7 +185,7 @@ func (inc *Incremental) bootstrapContext(ctx context.Context, rows [][]string, o
 		return Stats{}, err
 	}
 	enc := inc.encoder.Snapshot(inc.name)
-	stats := Stats{Rows: enc.NumRows, Cols: inc.ncols}
+	stats := Stats{Counters: Counters{Rows: enc.NumRows, Cols: inc.ncols}}
 	if inc.ncols == 0 {
 		inc.version++
 		inc.Appends++
@@ -267,7 +252,7 @@ func (inc *Incremental) bootstrapContext(ctx context.Context, rows [][]string, o
 // operations, merges the witness delta, and patches both covers.
 func (inc *Incremental) applyDelta(ctx context.Context, batch MutationBatch, obs Observer) (Stats, error) {
 	start := timing.Start()
-	stats := Stats{Cols: inc.ncols}
+	stats := Stats{Counters: Counters{Cols: inc.ncols}}
 	if err := ctx.Err(); err != nil {
 		return stats, err
 	}
@@ -289,8 +274,7 @@ func (inc *Incremental) applyDelta(ctx context.Context, batch MutationBatch, obs
 		if obs == nil {
 			return
 		}
-		obs(Progress{
-			Phase:         phase,
+		obs(Progress{Phase: phase, Counters: Counters{
 			Rows:          rows,
 			Cols:          inc.ncols,
 			PairsCompared: b.pairs,
@@ -298,7 +282,7 @@ func (inc *Incremental) applyDelta(ctx context.Context, batch MutationBatch, obs
 			NcoverSize:    inc.ncover.Size(),
 			PcoverSize:    inc.pcover.Size(),
 			Inversions:    stats.Inversions,
-		})
+		}})
 	}
 	emit("sampled", b.virtualRows())
 	// Last cancellation point: past here the batch commits unconditionally,

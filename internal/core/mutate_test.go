@@ -370,7 +370,7 @@ func TestApplyCancelledBootstrapPoisons(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	_, err = inc.AppendContext(ctx, [][]string{{"x", "1"}, {"y", "2"}, {"x", "2"}}, func(p Progress) {
+	_, err = inc.ApplyContext(ctx, MutationBatch{Mutations: []Mutation{AppendOp([][]string{{"x", "1"}, {"y", "2"}, {"x", "2"}})}}, func(p Progress) {
 		cancel()
 	})
 	if !errors.Is(err, context.Canceled) {

@@ -19,7 +19,6 @@ import (
 	"time"
 
 	"eulerfd/internal/cover"
-	"eulerfd/internal/dataset"
 	"eulerfd/internal/fdset"
 	"eulerfd/internal/preprocess"
 )
@@ -32,20 +31,6 @@ type Stats struct {
 	Restarts    int // hole-finding restarts
 	PcoverSize  int
 	Total       time.Duration
-}
-
-// Discover returns the exact set of minimal, non-trivial FDs.
-func Discover(rel *dataset.Relation) (*fdset.Set, Stats, error) {
-	return DiscoverContext(context.Background(), rel)
-}
-
-// DiscoverContext is Discover under a context. Cancellation is
-// cooperative, checked between per-RHS lattice walks.
-func DiscoverContext(ctx context.Context, rel *dataset.Relation) (*fdset.Set, Stats, error) {
-	if err := rel.Validate(); err != nil {
-		return nil, Stats{}, err
-	}
-	return DiscoverEncodedContext(ctx, preprocess.Encode(rel))
 }
 
 // rhsSearch is the per-RHS walk state.
@@ -62,13 +47,9 @@ type rhsSearch struct {
 	parts      *preprocess.PartitionCache
 }
 
-// DiscoverEncoded is Discover over a pre-encoded relation.
-func DiscoverEncoded(enc *preprocess.Encoded) (*fdset.Set, Stats) {
-	fds, stats, _ := DiscoverEncodedContext(context.Background(), enc)
-	return fds, stats
-}
-
-// DiscoverEncodedContext is DiscoverContext over a pre-encoded relation.
+// DiscoverEncodedContext returns the exact set of minimal, non-trivial
+// FDs of an encoded relation. Cancellation is cooperative, checked
+// between per-RHS lattice walks.
 func DiscoverEncodedContext(ctx context.Context, enc *preprocess.Encoded) (*fdset.Set, Stats, error) {
 	start := time.Now()
 	m := len(enc.Attrs)

@@ -1,11 +1,14 @@
 package dfd
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
 	"eulerfd/internal/dataset"
+	"eulerfd/internal/fdset"
 	"eulerfd/internal/naive"
+	"eulerfd/internal/preprocess"
 )
 
 func patient() *dataset.Relation {
@@ -41,7 +44,7 @@ func randomRelation(r *rand.Rand, rows, cols, domain int) *dataset.Relation {
 }
 
 func TestDfdPatientExact(t *testing.T) {
-	got, stats, err := Discover(patient())
+	got, stats, err := discover(patient())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,7 +61,7 @@ func TestDfdMatchesOracleProperty(t *testing.T) {
 	r := rand.New(rand.NewSource(139))
 	for iter := 0; iter < 60; iter++ {
 		rel := randomRelation(r, 2+r.Intn(30), 2+r.Intn(6), 1+r.Intn(4))
-		got, _, err := Discover(rel)
+		got, _, err := discover(rel)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -70,11 +73,11 @@ func TestDfdMatchesOracleProperty(t *testing.T) {
 }
 
 func TestDfdDeterministic(t *testing.T) {
-	a, _, err := Discover(patient())
+	a, _, err := discover(patient())
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, _, err := Discover(patient())
+	b, _, err := discover(patient())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +94,7 @@ func TestDfdDegenerates(t *testing.T) {
 		dataset.MustNew("const", []string{"A", "B"}, [][]string{{"x", "y"}, {"x", "y"}}),
 		dataset.MustNew("alldiff", []string{"A", "B"}, [][]string{{"1", "2"}, {"3", "4"}}),
 	} {
-		got, _, err := Discover(rel)
+		got, _, err := discover(rel)
 		if err != nil {
 			t.Fatalf("%s: %v", rel.Name, err)
 		}
@@ -107,9 +110,7 @@ func TestDfdDegenerates(t *testing.T) {
 	}
 }
 
-func TestDfdRejectsMalformed(t *testing.T) {
-	bad := &dataset.Relation{Attrs: []string{"A"}, Rows: [][]string{{"1", "2"}}}
-	if _, _, err := Discover(bad); err == nil {
-		t.Error("malformed relation accepted")
-	}
+// discover runs the registry's entry point on an unencoded relation.
+func discover(rel *dataset.Relation) (*fdset.Set, Stats, error) {
+	return DiscoverEncodedContext(context.Background(), preprocess.Encode(rel))
 }

@@ -16,7 +16,6 @@ import (
 	"sort"
 	"time"
 
-	"eulerfd/internal/dataset"
 	"eulerfd/internal/fdset"
 	"eulerfd/internal/preprocess"
 )
@@ -32,28 +31,10 @@ type Stats struct {
 	Total         time.Duration
 }
 
-// Discover returns the exact set of minimal, non-trivial FDs.
-func Discover(rel *dataset.Relation) (*fdset.Set, Stats, error) {
-	return DiscoverContext(context.Background(), rel)
-}
-
-// DiscoverContext is Discover under a context. Cancellation is
-// cooperative, checked per row block during agree-set collection and
-// between per-RHS cover searches.
-func DiscoverContext(ctx context.Context, rel *dataset.Relation) (*fdset.Set, Stats, error) {
-	if err := rel.Validate(); err != nil {
-		return nil, Stats{}, err
-	}
-	return DiscoverEncodedContext(ctx, preprocess.Encode(rel))
-}
-
-// DiscoverEncoded is Discover over a pre-encoded relation.
-func DiscoverEncoded(enc *preprocess.Encoded) (*fdset.Set, Stats) {
-	fds, stats, _ := DiscoverEncodedContext(context.Background(), enc)
-	return fds, stats
-}
-
-// DiscoverEncodedContext is DiscoverContext over a pre-encoded relation.
+// DiscoverEncodedContext returns the exact set of minimal, non-trivial
+// FDs of an encoded relation. Cancellation is cooperative, checked
+// per row block during agree-set collection and between per-RHS
+// cover searches.
 func DiscoverEncodedContext(ctx context.Context, enc *preprocess.Encoded) (*fdset.Set, Stats, error) {
 	start := time.Now()
 	m := len(enc.Attrs)

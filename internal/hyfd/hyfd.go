@@ -19,7 +19,6 @@ import (
 	"time"
 
 	"eulerfd/internal/cover"
-	"eulerfd/internal/dataset"
 	"eulerfd/internal/fdset"
 	"eulerfd/internal/preprocess"
 )
@@ -63,20 +62,6 @@ type Stats struct {
 	Total          time.Duration
 }
 
-// Discover returns the exact set of minimal, non-trivial FDs.
-func Discover(rel *dataset.Relation, opt Options) (*fdset.Set, Stats, error) {
-	return DiscoverContext(context.Background(), rel, opt)
-}
-
-// DiscoverContext is Discover under a context. Cancellation is
-// cooperative, checked between validation sweeps of the hybrid loop.
-func DiscoverContext(ctx context.Context, rel *dataset.Relation, opt Options) (*fdset.Set, Stats, error) {
-	if err := rel.Validate(); err != nil {
-		return nil, Stats{}, err
-	}
-	return DiscoverEncodedContext(ctx, preprocess.Encode(rel), opt)
-}
-
 type sampler struct {
 	enc      *preprocess.Encoded
 	clusters []preprocess.Cluster
@@ -109,13 +94,9 @@ func (s *sampler) round() ([]fdset.AttrSet, int) {
 
 func (s *sampler) exhausted() bool { return s.window > s.maxLen }
 
-// DiscoverEncoded is Discover over a pre-encoded relation.
-func DiscoverEncoded(enc *preprocess.Encoded, opt Options) (*fdset.Set, Stats) {
-	fds, stats, _ := DiscoverEncodedContext(context.Background(), enc, opt)
-	return fds, stats
-}
-
-// DiscoverEncodedContext is DiscoverContext over a pre-encoded relation.
+// DiscoverEncodedContext returns the exact set of minimal, non-trivial
+// FDs of an encoded relation. Cancellation is cooperative, checked
+// between validation sweeps of the hybrid loop.
 func DiscoverEncodedContext(ctx context.Context, enc *preprocess.Encoded, opt Options) (*fdset.Set, Stats, error) {
 	start := time.Now()
 	opt = opt.withDefaults()

@@ -1,11 +1,14 @@
 package hyfd
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
 	"eulerfd/internal/dataset"
+	"eulerfd/internal/fdset"
 	"eulerfd/internal/naive"
+	"eulerfd/internal/preprocess"
 )
 
 func patient() *dataset.Relation {
@@ -41,7 +44,7 @@ func randomRelation(r *rand.Rand, rows, cols, domain int) *dataset.Relation {
 }
 
 func TestHyFDPatientExact(t *testing.T) {
-	got, stats, err := Discover(patient(), DefaultOptions())
+	got, stats, err := discover(patient(), DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,7 +61,7 @@ func TestHyFDMatchesOracleProperty(t *testing.T) {
 	r := rand.New(rand.NewSource(61))
 	for iter := 0; iter < 80; iter++ {
 		rel := randomRelation(r, 2+r.Intn(40), 2+r.Intn(6), 1+r.Intn(4))
-		got, _, err := Discover(rel, DefaultOptions())
+		got, _, err := discover(rel, DefaultOptions())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -76,7 +79,7 @@ func TestHyFDAggressiveSwitching(t *testing.T) {
 	r := rand.New(rand.NewSource(67))
 	for iter := 0; iter < 30; iter++ {
 		rel := randomRelation(r, 5+r.Intn(30), 2+r.Intn(5), 1+r.Intn(3))
-		got, _, err := Discover(rel, opt)
+		got, _, err := discover(rel, opt)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -93,7 +96,7 @@ func TestHyFDDegenerates(t *testing.T) {
 		dataset.MustNew("const", []string{"A", "B"}, [][]string{{"x", "y"}, {"x", "y"}}),
 		dataset.MustNew("alldiff", []string{"A", "B"}, [][]string{{"1", "2"}, {"3", "4"}}),
 	} {
-		got, _, err := Discover(rel, DefaultOptions())
+		got, _, err := discover(rel, DefaultOptions())
 		if err != nil {
 			t.Fatalf("%s: %v", rel.Name, err)
 		}
@@ -109,16 +112,14 @@ func TestHyFDDegenerates(t *testing.T) {
 	}
 }
 
-func TestHyFDRejectsMalformed(t *testing.T) {
-	bad := &dataset.Relation{Attrs: []string{"A"}, Rows: [][]string{{"1", "2"}}}
-	if _, _, err := Discover(bad, DefaultOptions()); err == nil {
-		t.Error("malformed relation accepted")
-	}
-}
-
 func TestOptionsWithDefaults(t *testing.T) {
 	o := Options{}.withDefaults()
 	if o.EfficiencyThreshold != 0.01 || o.InvalidSwitchRatio != 0.2 {
 		t.Errorf("defaults wrong: %+v", o)
 	}
+}
+
+// discover runs the registry's entry point on an unencoded relation.
+func discover(rel *dataset.Relation, opt Options) (*fdset.Set, Stats, error) {
+	return DiscoverEncodedContext(context.Background(), preprocess.Encode(rel), opt)
 }

@@ -1,13 +1,14 @@
 package infer
 
 import (
+	"context"
 	"math/rand"
 	"reflect"
 	"testing"
 
+	"eulerfd/internal/algo"
 	"eulerfd/internal/dataset"
 	"eulerfd/internal/fdset"
-	"eulerfd/internal/hyfd"
 	"eulerfd/internal/naive"
 	"eulerfd/internal/preprocess"
 )
@@ -124,7 +125,10 @@ func TestImpliesMatchesData(t *testing.T) {
 		}
 		rel := dataset.MustNew("rand", attrs, rows)
 		enc := preprocess.Encode(rel)
-		fds, _ := hyfd.DiscoverEncoded(enc, hyfd.DefaultOptions())
+		fds, _, err := algo.RunEncoded(context.Background(), algo.HyFD, enc, algo.DefaultTuning())
+		if err != nil {
+			t.Fatal(err)
+		}
 		for trial := 0; trial < 20; trial++ {
 			var x fdset.AttrSet
 			for c := 0; c < cols; c++ {

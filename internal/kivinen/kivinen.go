@@ -19,7 +19,6 @@ import (
 	"time"
 
 	"eulerfd/internal/cover"
-	"eulerfd/internal/dataset"
 	"eulerfd/internal/fdset"
 	"eulerfd/internal/preprocess"
 )
@@ -63,27 +62,9 @@ type Stats struct {
 	Total         time.Duration
 }
 
-// Discover returns an approximate set of minimal, non-trivial FDs.
-func Discover(rel *dataset.Relation, opt Options) (*fdset.Set, Stats, error) {
-	return DiscoverContext(context.Background(), rel, opt)
-}
-
-// DiscoverContext is Discover under a context. Cancellation is
-// cooperative, checked in blocks of the pair-sampling loop.
-func DiscoverContext(ctx context.Context, rel *dataset.Relation, opt Options) (*fdset.Set, Stats, error) {
-	if err := rel.Validate(); err != nil {
-		return nil, Stats{}, err
-	}
-	return DiscoverEncodedContext(ctx, preprocess.Encode(rel), opt)
-}
-
-// DiscoverEncoded is Discover over a pre-encoded relation.
-func DiscoverEncoded(enc *preprocess.Encoded, opt Options) (*fdset.Set, Stats) {
-	fds, stats, _ := DiscoverEncodedContext(context.Background(), enc, opt)
-	return fds, stats
-}
-
-// DiscoverEncodedContext is DiscoverContext over a pre-encoded relation.
+// DiscoverEncodedContext returns an approximate set of minimal, non-trivial
+// FDs of an encoded relation. Cancellation is cooperative, checked
+// in blocks of the pair-sampling loop.
 func DiscoverEncodedContext(ctx context.Context, enc *preprocess.Encoded, opt Options) (*fdset.Set, Stats, error) {
 	start := time.Now()
 	opt = opt.withDefaults()

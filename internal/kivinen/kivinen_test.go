@@ -1,12 +1,14 @@
 package kivinen
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
 	"eulerfd/internal/dataset"
 	"eulerfd/internal/fdset"
 	"eulerfd/internal/naive"
+	"eulerfd/internal/preprocess"
 )
 
 func patient() *dataset.Relation {
@@ -32,11 +34,11 @@ func TestKivinenSampleSizeScalesWithParams(t *testing.T) {
 		rows[i] = []string{string(rune('a' + r.Intn(5))), string(rune('a' + r.Intn(5)))}
 	}
 	rel := dataset.MustNew("t", []string{"A", "B"}, rows)
-	_, loose, err := Discover(rel, Options{Epsilon: 0.1, Delta: 0.1})
+	_, loose, err := discover(rel, Options{Epsilon: 0.1, Delta: 0.1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, tight, err := Discover(rel, Options{Epsilon: 0.001, Delta: 0.001})
+	_, tight, err := discover(rel, Options{Epsilon: 0.001, Delta: 0.001})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,7 +51,7 @@ func TestKivinenInvariants(t *testing.T) {
 	// Output must be a non-trivial antichain generalizing the truth,
 	// regardless of the (random) sample.
 	rel := patient()
-	got, stats, err := Discover(rel, DefaultOptions())
+	got, stats, err := discover(rel, DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,11 +79,11 @@ func TestKivinenInvariants(t *testing.T) {
 
 func TestKivinenDeterministicPerSeed(t *testing.T) {
 	rel := patient()
-	a, _, err := Discover(rel, Options{Epsilon: 0.05, Delta: 0.05, Seed: 9})
+	a, _, err := discover(rel, Options{Epsilon: 0.05, Delta: 0.05, Seed: 9})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, _, err := Discover(rel, Options{Epsilon: 0.05, Delta: 0.05, Seed: 9})
+	b, _, err := discover(rel, Options{Epsilon: 0.05, Delta: 0.05, Seed: 9})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +93,7 @@ func TestKivinenDeterministicPerSeed(t *testing.T) {
 }
 
 func TestKivinenMaxPairsCap(t *testing.T) {
-	_, stats, err := Discover(patient(), Options{Epsilon: 1e-9, Delta: 1e-9, MaxPairs: 10})
+	_, stats, err := discover(patient(), Options{Epsilon: 1e-9, Delta: 1e-9, MaxPairs: 10})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +106,7 @@ func TestKivinenFullSampleIsExact(t *testing.T) {
 	// When the theoretical sample covers far more than every pair, the
 	// uniform sampler almost surely sees every distinct agree set of this
 	// tiny relation; combined with the ∅-seed the result is exact.
-	got, _, err := Discover(patient(), Options{Epsilon: 0.0001, Delta: 0.0001, Seed: 3})
+	got, _, err := discover(patient(), Options{Epsilon: 0.0001, Delta: 0.0001, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,7 +121,7 @@ func TestKivinenDegenerates(t *testing.T) {
 		dataset.MustNew("none", nil, nil),
 		dataset.MustNew("empty", []string{"A"}, nil),
 	} {
-		got, _, err := Discover(rel, DefaultOptions())
+		got, _, err := discover(rel, DefaultOptions())
 		if err != nil {
 			t.Fatalf("%s: %v", rel.Name, err)
 		}
@@ -127,8 +129,9 @@ func TestKivinenDegenerates(t *testing.T) {
 			t.Errorf("%s: %v", rel.Name, got.Slice())
 		}
 	}
-	bad := &dataset.Relation{Attrs: []string{"A"}, Rows: [][]string{{"1", "2"}}}
-	if _, _, err := Discover(bad, DefaultOptions()); err == nil {
-		t.Error("malformed relation accepted")
-	}
+}
+
+// discover runs the registry's entry point on an unencoded relation.
+func discover(rel *dataset.Relation, opt Options) (*fdset.Set, Stats, error) {
+	return DiscoverEncodedContext(context.Background(), preprocess.Encode(rel), opt)
 }

@@ -178,7 +178,7 @@ func TestAFDsScorerAdvancedByAppend(t *testing.T) {
 	}
 	// Append rows; the completed job must advance the cached scorer onto
 	// the grown snapshot instead of leaving it on the stale one.
-	code, blob := doReq(t, "POST", ts.URL+"/v1/sessions/"+id+"/append", patientBatch)
+	code, blob := postMutations(t, ts.URL, id, patientBatch)
 	if code != http.StatusAccepted {
 		t.Fatalf("append: status %d: %s", code, blob)
 	}

@@ -138,7 +138,7 @@ func TestEnsembleQueryCancelledReclaimsSlot(t *testing.T) {
 	}
 
 	// The single job slot is free again: an append completes...
-	code, blob := doReq(t, "POST", ts.URL+"/v1/sessions/"+sub.Session+"/append", patientBatch)
+	code, blob := postMutations(t, ts.URL, sub.Session, patientBatch)
 	if code != http.StatusAccepted {
 		t.Fatalf("append after cancelled ensemble: status %d: %s", code, blob)
 	}
@@ -151,7 +151,7 @@ func TestEnsembleQueryCancelledReclaimsSlot(t *testing.T) {
 	_, ts2 := newTestServer(t, Config{MaxJobs: 1})
 	sub2 := submit(t, ts2.URL, patientCSV)
 	waitState(t, ts2.URL, sub2.Session, stateReady)
-	code, blob = doReq(t, "POST", ts2.URL+"/v1/sessions/"+sub2.Session+"/append", patientBatch)
+	code, blob = postMutations(t, ts2.URL, sub2.Session, patientBatch)
 	if code != http.StatusAccepted {
 		t.Fatalf("append on control server: status %d: %s", code, blob)
 	}

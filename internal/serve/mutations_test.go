@@ -291,34 +291,14 @@ func TestMutationsBadBatch(t *testing.T) {
 	waitVersion(t, ts.URL, doc.Session, 2)
 }
 
-// TestAppendDeprecated: the /append alias still works but advertises the
-// mutation-log endpoint as its successor.
-func TestAppendDeprecated(t *testing.T) {
+// TestAppendRouteRemoved: rows are appended through /mutations only;
+// the retired /append alias is no longer routed.
+func TestAppendRouteRemoved(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	doc := submit(t, ts.URL, patientCSV)
 	waitVersion(t, ts.URL, doc.Session, 1)
-
-	req, err := http.NewRequest("POST", ts.URL+"/v1/sessions/"+doc.Session+"/append",
-		strings.NewReader(patientBatch))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusAccepted {
-		t.Fatalf("append: status %d", resp.StatusCode)
-	}
-	if got := resp.Header.Get("Deprecation"); got != "true" {
-		t.Errorf("Deprecation header = %q, want \"true\"", got)
-	}
-	link := resp.Header.Get("Link")
-	if !strings.Contains(link, "/mutations") || !strings.Contains(link, "successor-version") {
-		t.Errorf("Link header = %q, want successor-version pointing at /mutations", link)
-	}
-	if sess := waitVersion(t, ts.URL, doc.Session, 2); sess.Rows != 11 {
-		t.Fatalf("rows after deprecated append = %d, want 11", sess.Rows)
+	code, blob := doReq(t, "POST", ts.URL+"/v1/sessions/"+doc.Session+"/append", "Zoe,33,High,Female,drugA\n")
+	if code != http.StatusNotFound && code != http.StatusMethodNotAllowed {
+		t.Fatalf("append alias: status %d, want 404 or 405: %s", code, blob)
 	}
 }

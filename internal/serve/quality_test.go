@@ -113,7 +113,7 @@ func TestQualityMinVersion(t *testing.T) {
 	}
 	// An append commits version 2; the same read now answers, and the
 	// report is stamped with the version it describes.
-	code, blob = doReq(t, "POST", ts.URL+"/v1/sessions/"+id+"/append", patientBatch)
+	code, blob = postMutations(t, ts.URL, id, patientBatch)
 	if code != http.StatusAccepted {
 		t.Fatalf("append: status %d: %s", code, blob)
 	}

@@ -113,7 +113,6 @@ func New(cfg Config) *Server {
 	s.mux.HandleFunc("GET /v1/sessions/{id}", s.handleSession)
 	s.mux.HandleFunc("DELETE /v1/sessions/{id}", s.handleDelete)
 	s.mux.HandleFunc("POST /v1/sessions/{id}/mutations", s.handleMutations)
-	s.mux.HandleFunc("POST /v1/sessions/{id}/append", s.handleAppend)
 	s.mux.HandleFunc("POST /v1/sessions/{id}/cancel", s.handleCancel)
 	s.mux.HandleFunc("GET /v1/sessions/{id}/fds", s.handleFDs)
 	s.mux.HandleFunc("GET /v1/sessions/{id}/afds", s.handleAFDs)
@@ -140,9 +139,9 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	s.mux.ServeHTTP(w, r)
 }
 
-// Drain stops accepting new jobs (submits and appends return 503) and
-// waits for in-flight jobs to finish, or for ctx to expire. Running
-// jobs are not cancelled: drain is graceful.
+// Drain stops accepting new jobs (submits and mutation batches return
+// 503) and waits for in-flight jobs to finish, or for ctx to expire.
+// Running jobs are not cancelled: drain is graceful.
 func (s *Server) Drain(ctx context.Context) error {
 	s.mu.Lock()
 	s.draining = true
@@ -178,7 +177,7 @@ func (s *Server) handleAlgorithms(w http.ResponseWriter, r *http.Request) {
 
 // parseCSVBody reads the request body as CSV using the sep/header query
 // parameters (defaults "," and true).
-func parseCSVBody(r *http.Request, name string, headerDefault bool) (*dataset.Relation, error) {
+func parseCSVBody(r *http.Request, name string) (*dataset.Relation, error) {
 	opt := dataset.DefaultCSVOptions()
 	if v := r.URL.Query().Get("sep"); v != "" {
 		if len(v) != 1 {
@@ -186,7 +185,6 @@ func parseCSVBody(r *http.Request, name string, headerDefault bool) (*dataset.Re
 		}
 		opt.Comma = rune(v[0])
 	}
-	opt.HasHeader = headerDefault
 	if v := r.URL.Query().Get("header"); v != "" {
 		b, err := strconv.ParseBool(v)
 		if err != nil {
@@ -203,7 +201,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	if name == "" {
 		name = "dataset"
 	}
-	rel, err := parseCSVBody(r, name, true)
+	rel, err := parseCSVBody(r, name)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "parse csv: "+err.Error())
 		return
@@ -238,51 +236,15 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	s.sessions[sess.id] = sess
 	s.mu.Unlock()
 
-	rows := rel.Rows
-	jobID, version, status, msg := s.startJob(r.Context(), sess, func(ctx context.Context, obs func(core.Progress)) (core.Stats, error) {
-		return sess.inc.AppendContext(ctx, rows, obs)
-	})
+	// The submitted rows are the session's bootstrap batch.
+	batch := core.MutationBatch{Mutations: []core.Mutation{core.AppendOp(rel.Rows)}}
+	jobID, version, status, msg := s.startJob(r.Context(), sess, batch)
 	if status != 0 {
 		// The freshly created session cannot have a job in flight; only
 		// a drain begun between the two locks can land here.
 		s.mu.Lock()
 		delete(s.sessions, sess.id)
 		s.mu.Unlock()
-		writeError(w, status, msg)
-		return
-	}
-	writeJSON(w, http.StatusAccepted, submitDoc{Session: sess.id, Job: jobID, Version: version})
-}
-
-// handleAppend is the deprecated append-only batch endpoint. It remains
-// a thin alias for a single-append mutation batch and advertises its
-// successor via the Deprecation and Link response headers.
-func (s *Server) handleAppend(w http.ResponseWriter, r *http.Request) {
-	sess, ok := s.getSession(w, r)
-	if !ok {
-		return
-	}
-	w.Header().Set("Deprecation", "true")
-	w.Header().Set("Link", fmt.Sprintf("</v1/sessions/%s/mutations>; rel=\"successor-version\"", sess.id))
-	r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
-	rel, err := parseCSVBody(r, sess.name, false)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "parse csv: "+err.Error())
-		return
-	}
-	sess.mu.Lock()
-	ncols := len(sess.attrs)
-	sess.mu.Unlock()
-	if len(rel.Attrs) != ncols {
-		writeError(w, http.StatusBadRequest,
-			fmt.Sprintf("batch has %d columns, session has %d", len(rel.Attrs), ncols))
-		return
-	}
-	rows := rel.Rows
-	jobID, version, status, msg := s.startJob(r.Context(), sess, func(ctx context.Context, obs func(core.Progress)) (core.Stats, error) {
-		return sess.inc.AppendContext(ctx, rows, obs)
-	})
-	if status != 0 {
 		writeError(w, status, msg)
 		return
 	}
@@ -316,9 +278,7 @@ func (s *Server) handleMutations(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	jobID, version, status, msg := s.startJob(r.Context(), sess, func(ctx context.Context, obs func(core.Progress)) (core.Stats, error) {
-		return sess.inc.ApplyContext(ctx, batch, obs)
-	})
+	jobID, version, status, msg := s.startJob(r.Context(), sess, batch)
 	if status != 0 {
 		writeError(w, status, msg)
 		return
@@ -326,19 +286,15 @@ func (s *Server) handleMutations(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusAccepted, submitDoc{Session: sess.id, Job: jobID, Version: version})
 }
 
-// jobRun is one discovery run's body: an AppendContext or ApplyContext
-// call with the inputs already bound. runJob owns the context and the
-// progress observer.
-type jobRun func(ctx context.Context, obs func(core.Progress)) (core.Stats, error)
-
-// startJob enqueues one discovery run on sess. It returns the job id
-// and the committed version the run was accepted on top of, or a
-// non-zero HTTP status and message on refusal. The job must outlive the
-// submitting request (the handler answers 202 before the run finishes),
-// so the request context is detached from cancellation, not replaced:
-// values ride along, and the job's own timeout or the session DELETE
-// cancel it (I5).
-func (s *Server) startJob(ctx context.Context, sess *session, run jobRun) (string, int64, int, string) {
+// startJob enqueues one mutation batch on sess as a discovery job: the
+// session's first batch bootstraps it, every later one is a delta. It
+// returns the job id and the committed version the run was accepted on
+// top of, or a non-zero HTTP status and message on refusal. The job must
+// outlive the submitting request (the handler answers 202 before the run
+// finishes), so the request context is detached from cancellation, not
+// replaced: values ride along, and the job's own timeout or the session
+// DELETE cancel it (I5).
+func (s *Server) startJob(ctx context.Context, sess *session, batch core.MutationBatch) (string, int64, int, string) {
 	s.mu.Lock()
 	if s.draining {
 		s.mu.Unlock()
@@ -375,15 +331,15 @@ func (s *Server) startJob(ctx context.Context, sess *session, run jobRun) (strin
 	sess.mu.Unlock()
 
 	s.wg.Add(1)
-	go s.runJob(sess, jb, run, ctx, cancel)
+	go s.runJob(sess, jb, batch, ctx, cancel)
 	return id, version, 0, ""
 }
 
-// runJob executes one discovery job: wait for a concurrency slot, run
+// runJob executes one discovery job: wait for a concurrency slot, apply
 // the batch under the job context, record the outcome. Exactly one
 // runJob touches sess.inc at a time — startJob refuses to stack jobs —
 // so inc is accessed outside sess.mu.
-func (s *Server) runJob(sess *session, jb *job, run jobRun, ctx context.Context, cancel context.CancelFunc) {
+func (s *Server) runJob(sess *session, jb *job, batch core.MutationBatch, ctx context.Context, cancel context.CancelFunc) {
 	defer s.wg.Done()
 	defer cancel()
 
@@ -405,7 +361,7 @@ func (s *Server) runJob(sess *session, jb *job, run jobRun, ctx context.Context,
 			time.Sleep(s.cfg.CycleDelay)
 		}
 	}
-	stats, err := run(ctx, obs)
+	stats, err := sess.inc.ApplyContext(ctx, batch, obs)
 	s.finishJob(sess, jb, stats, err)
 }
 

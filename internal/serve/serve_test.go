@@ -30,9 +30,12 @@ Richard,41,Normal,Male,drugY
 Taylor,25,Low,Gender-queer,drugC
 `
 
-const patientBatch = `Zoe,33,High,Female,drugA
-Yann,33,High,Male,drugB
-`
+// patientBatch appends two rows to a patient session as one mutation
+// batch.
+var patientBatch = core.MutationBatch{Mutations: []core.Mutation{core.AppendOp([][]string{
+	{"Zoe", "33", "High", "Female", "drugA"},
+	{"Yann", "33", "High", "Male", "drugB"},
+})}}
 
 func newTestServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
 	t.Helper()
@@ -225,7 +228,7 @@ func TestAppendRediscovers(t *testing.T) {
 	doc := submit(t, ts.URL, patientCSV)
 	waitState(t, ts.URL, doc.Session, stateReady)
 
-	code, blob := doReq(t, "POST", ts.URL+"/v1/sessions/"+doc.Session+"/append", patientBatch)
+	code, blob := postMutations(t, ts.URL, doc.Session, patientBatch)
 	if code != http.StatusAccepted {
 		t.Fatalf("append: status %d: %s", code, blob)
 	}
@@ -240,17 +243,11 @@ func TestAppendRediscovers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opt := dataset.DefaultCSVOptions()
-	opt.HasHeader = false
-	relB, err := dataset.ReadCSV("batch", strings.NewReader(patientBatch), opt)
-	if err != nil {
-		t.Fatal(err)
-	}
 	inc, err := core.NewIncremental("patient", relA.Attrs, core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, rows := range [][][]string{relA.Rows, relB.Rows} {
+	for _, rows := range [][][]string{relA.Rows, patientBatch.Mutations[0].Rows} {
 		if _, err := inc.Append(rows); err != nil {
 			t.Fatal(err)
 		}
@@ -410,7 +407,7 @@ func TestCancelMidRunFreesSlotAndRejectsAppend(t *testing.T) {
 	}
 
 	// Append after cancel: 409, the state is no longer a completed run.
-	code, blob = doReq(t, "POST", ts.URL+"/v1/sessions/"+doc.Session+"/append", patientBatch)
+	code, blob = postMutations(t, ts.URL, doc.Session, patientBatch)
 	if code != http.StatusConflict {
 		t.Fatalf("append after cancel: status %d, want 409: %s", code, blob)
 	}
@@ -524,7 +521,9 @@ func TestRequestValidation(t *testing.T) {
 		t.Errorf("over session limit: %d, want 429", code)
 	}
 	// Column-count mismatch on append.
-	code, _ = doReq(t, "POST", ts.URL+"/v1/sessions/"+doc.Session+"/append", "a,b\n")
+	code, _ = postMutations(t, ts.URL, doc.Session, core.MutationBatch{
+		Mutations: []core.Mutation{core.AppendOp([][]string{{"a", "b"}})},
+	})
 	if code != http.StatusBadRequest {
 		t.Errorf("short append row: %d, want 400", code)
 	}

@@ -12,7 +12,7 @@ import (
 
 // Session lifecycle states. The machine is documented in DESIGN.md:
 //
-//	queued → running → ready → (mutations|append) → queued → …
+//	queued → running → ready → mutations → queued → …
 //	queued|running → ready            (cancelled/failed DELTA batch: rollback)
 //	queued|running → cancelled        (terminal: cancelled BOOTSTRAP)
 //	queued|running → failed           (terminal: bootstrap deadline or data error)
@@ -40,7 +40,7 @@ type event struct {
 	data any    // core.Progress or doneDoc
 }
 
-// job is one discovery run (initial submit or append) on a session.
+// job is one discovery run (initial submit or mutation batch) on a session.
 type job struct {
 	id   string
 	code int // 0 until terminal

@@ -48,7 +48,7 @@ type sessionDoc struct {
 	Job     *jobDoc  `json:"job,omitempty"`
 }
 
-// submitDoc acknowledges a new session, append, or mutation batch: the
+// submitDoc acknowledges a new session or a mutation batch: the
 // job is accepted but not necessarily finished. Version is the
 // committed version the batch was accepted on top of; once the job's
 // done event reports version+1, the batch is committed.

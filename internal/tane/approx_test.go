@@ -1,81 +1,34 @@
 package tane
 
 import (
-	"math"
+	"context"
 	"math/rand"
 	"testing"
 
+	"eulerfd/internal/afd"
 	"eulerfd/internal/dataset"
 	"eulerfd/internal/fdset"
 	"eulerfd/internal/naive"
 	"eulerfd/internal/preprocess"
 )
 
-// bruteG3 recomputes g₃ by trying every assignment of a plurality value.
-func bruteG3(enc *preprocess.Encoded, x fdset.AttrSet, a int) float64 {
-	if enc.NumRows == 0 {
-		return 0
-	}
-	groups := map[string][]int{}
-	for i := 0; i < enc.NumRows; i++ {
-		key := ""
-		x.ForEach(func(c int) bool {
-			key += string(rune(enc.Labels[i][c])) + "|"
-			return true
-		})
-		groups[key] = append(groups[key], i)
-	}
-	remove := 0
-	for _, g := range groups {
-		counts := map[int32]int{}
-		best := 0
-		for _, r := range g {
-			counts[enc.Labels[r][a]]++
-			if counts[enc.Labels[r][a]] > best {
-				best = counts[enc.Labels[r][a]]
-			}
-		}
-		remove += len(g) - best
-	}
-	return float64(remove) / float64(enc.NumRows)
-}
+// The error-tolerant variant of TANE (Huhtala et al., Section 2.3) is
+// served by g₃ threshold discovery in internal/afd. These tests hold it to
+// TANE's exact search at zero error and keep TANE's tolerant-discovery
+// cases.
 
-func TestG3AgainstBruteForce(t *testing.T) {
-	r := rand.New(rand.NewSource(149))
-	for iter := 0; iter < 40; iter++ {
-		rel := randomRelation(r, 2+r.Intn(30), 2+r.Intn(4), 1+r.Intn(3))
-		enc := preprocess.Encode(rel)
-		for trial := 0; trial < 6; trial++ {
-			var x fdset.AttrSet
-			for c := 0; c < rel.NumCols(); c++ {
-				if r.Intn(2) == 0 {
-					x.Add(c)
-				}
-			}
-			a := r.Intn(rel.NumCols())
-			got := G3(enc, x, a)
-			want := bruteG3(enc, x, a)
-			if math.Abs(got-want) > 1e-12 {
-				t.Fatalf("G3(%v->%d) = %v, want %v", x, a, got, want)
-			}
-		}
+// discoverApprox returns the minimal X → A with g₃(X → A) ≤ maxErr.
+func discoverApprox(t *testing.T, enc *preprocess.Encoded, maxErr float64) *fdset.Set {
+	t.Helper()
+	scored, err := afd.NewScorer(enc, 0).Discover(context.Background(), afd.G3, maxErr)
+	if err != nil {
+		t.Fatal(err)
 	}
-}
-
-func TestG3ZeroIffHolds(t *testing.T) {
-	enc := preprocess.Encode(patient())
-	for a := 0; a < 5; a++ {
-		for b := 0; b < 5; b++ {
-			if a == b {
-				continue
-			}
-			x := fdset.NewAttrSet(a)
-			holds := enc.Holds(x, b)
-			if (G3(enc, x, b) == 0) != holds {
-				t.Errorf("G3({%d}->%d) zero-ness disagrees with validity", a, b)
-			}
-		}
+	out := fdset.NewSet()
+	for _, sf := range scored {
+		out.Add(sf.FD)
 	}
+	return out
 }
 
 func TestDiscoverApproxZeroErrorIsExact(t *testing.T) {
@@ -83,10 +36,16 @@ func TestDiscoverApproxZeroErrorIsExact(t *testing.T) {
 	for iter := 0; iter < 30; iter++ {
 		rel := randomRelation(r, 2+r.Intn(25), 2+r.Intn(4), 1+r.Intn(3))
 		enc := preprocess.Encode(rel)
-		got, _ := DiscoverApprox(enc, 0)
-		want := naive.Discover(rel)
+		got := discoverApprox(t, enc, 0)
+		want, _, err := DiscoverEncodedContext(context.Background(), enc)
+		if err != nil {
+			t.Fatal(err)
+		}
 		if !got.Equal(want) {
-			t.Fatalf("iter %d: approx(0) diverges from exact\ngot %v\nwant %v", iter, got.Slice(), want.Slice())
+			t.Fatalf("iter %d: approx(0) diverges from TANE\ngot %v\nwant %v", iter, got.Slice(), want.Slice())
+		}
+		if !want.Equal(naive.Discover(rel)) {
+			t.Fatalf("iter %d: TANE diverges from the oracle", iter)
 		}
 	}
 }
@@ -102,11 +61,15 @@ func TestDiscoverApproxTolerant(t *testing.T) {
 	rel := dataset.MustNew("dirty", []string{"A", "B"}, rows)
 	enc := preprocess.Encode(rel)
 
-	strict, _ := DiscoverApprox(enc, 0)
-	if strict.Contains(fdset.NewFD([]int{0}, 1)) {
+	exact, _, err := DiscoverEncodedContext(context.Background(), enc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	strict := discoverApprox(t, enc, 0)
+	if exact.Contains(fdset.NewFD([]int{0}, 1)) || strict.Contains(fdset.NewFD([]int{0}, 1)) {
 		t.Fatal("dirty FD should not hold exactly")
 	}
-	tolerant, _ := DiscoverApprox(enc, 0.02)
+	tolerant := discoverApprox(t, enc, 0.02)
 	if !tolerant.Contains(fdset.NewFD([]int{0}, 1)) {
 		t.Fatalf("A -> B should pass at 2%% tolerance: %v", tolerant.Slice())
 	}
@@ -126,8 +89,8 @@ func TestDiscoverApproxMonotoneInError(t *testing.T) {
 	r := rand.New(rand.NewSource(157))
 	rel := randomRelation(r, 40, 4, 3)
 	enc := preprocess.Encode(rel)
-	lo, _ := DiscoverApprox(enc, 0.05)
-	hi, _ := DiscoverApprox(enc, 0.2)
+	lo := discoverApprox(t, enc, 0.05)
+	hi := discoverApprox(t, enc, 0.2)
 	lo.ForEach(func(f fdset.FD) {
 		ok := false
 		hi.ForEach(func(g fdset.FD) {
@@ -143,8 +106,7 @@ func TestDiscoverApproxMonotoneInError(t *testing.T) {
 
 func TestDiscoverApproxDegenerate(t *testing.T) {
 	enc := preprocess.Encode(dataset.MustNew("none", nil, nil))
-	got, _ := DiscoverApprox(enc, 0.1)
-	if got.Len() != 0 {
+	if got := discoverApprox(t, enc, 0.1); got.Len() != 0 {
 		t.Errorf("no-column result: %v", got.Slice())
 	}
 }

@@ -14,7 +14,6 @@ import (
 	"context"
 	"time"
 
-	"eulerfd/internal/dataset"
 	"eulerfd/internal/fdset"
 	"eulerfd/internal/preprocess"
 )
@@ -36,28 +35,10 @@ type node struct {
 	superkey bool
 }
 
-// Discover returns the exact set of minimal, non-trivial FDs.
-func Discover(rel *dataset.Relation) (*fdset.Set, Stats, error) {
-	return DiscoverContext(context.Background(), rel)
-}
-
-// DiscoverContext is Discover under a context. Cancellation is
-// cooperative, checked once per lattice level, so a cancelled traversal
-// stops within the current level and returns ctx.Err().
-func DiscoverContext(ctx context.Context, rel *dataset.Relation) (*fdset.Set, Stats, error) {
-	if err := rel.Validate(); err != nil {
-		return nil, Stats{}, err
-	}
-	return DiscoverEncodedContext(ctx, preprocess.Encode(rel))
-}
-
-// DiscoverEncoded is Discover over a pre-encoded relation.
-func DiscoverEncoded(enc *preprocess.Encoded) (*fdset.Set, Stats) {
-	fds, stats, _ := DiscoverEncodedContext(context.Background(), enc)
-	return fds, stats
-}
-
-// DiscoverEncodedContext is DiscoverContext over a pre-encoded relation.
+// DiscoverEncodedContext returns the exact set of minimal, non-trivial
+// FDs of an encoded relation. Cancellation is cooperative, checked
+// once per lattice level, so a cancelled traversal stops within the
+// current level and returns ctx.Err().
 func DiscoverEncodedContext(ctx context.Context, enc *preprocess.Encoded) (*fdset.Set, Stats, error) {
 	start := time.Now()
 	m := len(enc.Attrs)

@@ -50,16 +50,20 @@ func TestAlgorithmsRegistry(t *testing.T) {
 func TestDiscoverWithMatchesWrappers(t *testing.T) {
 	rel := patientRelation(t)
 	ctx := context.Background()
-	viaRegistry, err := DiscoverWith(ctx, AlgoTANE, rel)
+	viaRegistry, err := DiscoverWith(ctx, AlgoHyFD, rel)
 	if err != nil {
 		t.Fatal(err)
 	}
-	viaWrapper, err := ExactTANE(rel)
+	viaExact, err := Exact(rel)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !viaRegistry.Equal(viaWrapper) {
-		t.Errorf("DiscoverWith(tane) and ExactTANE disagree")
+	viaTANE, err := ExactContext(ctx, rel, AlgoTANE)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !viaRegistry.Equal(viaExact) || !viaRegistry.Equal(viaTANE) {
+		t.Errorf("DiscoverWith(hyfd), Exact and ExactContext(tane) disagree")
 	}
 }
 
