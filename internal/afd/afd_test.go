@@ -28,7 +28,7 @@ func naiveG3(enc *preprocess.Encoded, lhs fdset.AttrSet, rhs int) float64 {
 	for r := 0; r < enc.NumRows; r++ {
 		key := ""
 		lhs.ForEach(func(a int) bool {
-			key += strconv.Itoa(int(enc.Labels[r][a])) + ","
+			key += strconv.Itoa(int(enc.Lane(a).At(int32(r)))) + ","
 			return true
 		})
 		g := groups[key]
@@ -36,7 +36,7 @@ func naiveG3(enc *preprocess.Encoded, lhs fdset.AttrSet, rhs int) float64 {
 			g = make(map[int32]int)
 			groups[key] = g
 		}
-		g[enc.Labels[r][rhs]]++
+		g[enc.Lane(rhs).At(int32(r))]++
 	}
 	removed := 0
 	for _, g := range groups {
@@ -61,7 +61,7 @@ func quadraticG3(enc *preprocess.Encoded, lhs fdset.AttrSet, rhs int) float64 {
 	sameOn := func(u, v int) bool {
 		same := true
 		lhs.ForEach(func(a int) bool {
-			if enc.Labels[u][a] != enc.Labels[v][a] {
+			if enc.Lane(a).At(int32(u)) != enc.Lane(a).At(int32(v)) {
 				same = false
 				return false
 			}
@@ -75,12 +75,12 @@ func quadraticG3(enc *preprocess.Encoded, lhs fdset.AttrSet, rhs int) float64 {
 		if assigned[u] {
 			continue
 		}
-		counts := map[int32]int{enc.Labels[u][rhs]: 1}
+		counts := map[int32]int{enc.Lane(rhs).At(int32(u)): 1}
 		size := 1
 		for v := u + 1; v < enc.NumRows; v++ {
 			if !assigned[v] && sameOn(u, v) {
 				assigned[v] = true
-				counts[enc.Labels[v][rhs]]++
+				counts[enc.Lane(rhs).At(int32(v))]++
 				size++
 			}
 		}

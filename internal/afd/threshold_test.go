@@ -23,12 +23,12 @@ func naiveG1(enc *preprocess.Encoded, lhs fdset.AttrSet, rhs int) float64 {
 	violating := 0
 	for u := 0; u < n; u++ {
 		for v := 0; v < n; v++ {
-			if u == v || enc.Labels[u][rhs] == enc.Labels[v][rhs] {
+			if u == v || enc.Lane(rhs).At(int32(u)) == enc.Lane(rhs).At(int32(v)) {
 				continue
 			}
 			agree := true
 			lhs.ForEach(func(a int) bool {
-				agree = enc.Labels[u][a] == enc.Labels[v][a]
+				agree = enc.Lane(a).At(int32(u)) == enc.Lane(a).At(int32(v))
 				return agree
 			})
 			if agree {

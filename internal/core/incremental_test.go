@@ -26,9 +26,9 @@ func TestEncoderMatchesBatchEncode(t *testing.T) {
 	}
 	// Label-identity may differ only by first-occurrence order, which is
 	// identical here (same row order), so labels must match exactly.
-	for i := range batch.Labels {
-		for c := range batch.Labels[i] {
-			if inc.Labels[i][c] != batch.Labels[i][c] {
+	for c := range batch.Attrs {
+		for i := int32(0); i < int32(batch.NumRows); i++ {
+			if inc.Lane(c).At(i) != batch.Lane(c).At(i) {
 				t.Fatalf("label mismatch at (%d,%d)", i, c)
 			}
 		}

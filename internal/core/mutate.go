@@ -197,8 +197,9 @@ type deltaChunk struct {
 // rewritten content of a base row (baseSlot ≥ 0, keeping id).
 type extraRow struct {
 	labels   []int32
-	baseSlot int32 // ≥ 0: update target's encoder slot; -1: staged append
-	id       int64 // external id (predicted for staged appends)
+	packed   []uint64 // labels packed at the encoder's lane width
+	baseSlot int32    // ≥ 0: update target's encoder slot; -1: staged append
+	id       int64    // external id (predicted for staged appends)
 	dead     bool
 }
 
@@ -307,22 +308,37 @@ func (b *batchState) removeBase(slot int) {
 	b.baseAlive = append(b.baseAlive[:i], b.baseAlive[i+1:]...)
 }
 
-// scan folds the agree sets of (labels × every virtual alive row) into the
-// witness delta with the given sign. The caller must already have removed
-// the row itself from the virtual state, so a row is never paired with
-// itself. Base slots go through the batched encoder kernel in chunks of
-// DeltaChunkPairs with a cancellation check per chunk; identical
-// consecutive agree masks fold as one map operation (the same run-skip the
-// sampler uses, and equally common on low-cardinality data). Sweeps
-// spanning more than one chunk are dispatched to the worker pool when one
-// is attached; the witness delta is identical either way.
-func (b *batchState) scan(ctx context.Context, labels []int32, sign int64) error {
+// pack packs a staged row at the encoder's lane width. When its labels
+// widen the encoder, every staged row packed earlier is repacked so all
+// rows of the overlay share one width.
+func (b *batchState) pack(labels []int32) []uint64 {
+	packed, widened := b.enc.PackRow(labels, nil)
+	if widened {
+		for ei := range b.extras {
+			ex := &b.extras[ei]
+			ex.packed, _ = b.enc.PackRow(ex.labels, ex.packed)
+		}
+	}
+	return packed
+}
+
+// scan folds the agree sets of (row × every virtual alive row) into the
+// witness delta with the given sign; row is packed at the encoder's lane
+// width. The caller must already have removed the row itself from the
+// virtual state, so a row is never paired with itself. Base slots go
+// through the batched encoder kernel in chunks of DeltaChunkPairs with a
+// cancellation check per chunk; identical consecutive agree masks fold
+// as one map operation (the same run-skip the sampler uses, and equally
+// common on low-cardinality data). Sweeps spanning more than one chunk
+// are dispatched to the worker pool when one is attached; the witness
+// delta is identical either way.
+func (b *batchState) scan(ctx context.Context, row []uint64, sign int64) error {
 	chunk := b.inc.opt.DeltaChunkPairs
 	if b.pool != nil && len(b.baseAlive) > chunk {
-		if err := b.scanBaseParallel(ctx, labels, sign, chunk); err != nil {
+		if err := b.scanBaseParallel(ctx, row, sign, chunk); err != nil {
 			return err
 		}
-	} else if err := b.scanBase(ctx, labels, sign, chunk); err != nil {
+	} else if err := b.scanBase(ctx, row, sign, chunk); err != nil {
 		return err
 	}
 	if err := ctx.Err(); err != nil {
@@ -334,9 +350,9 @@ func (b *batchState) scan(ctx context.Context, labels []int32, sign int64) error
 			continue
 		}
 		if b.word {
-			b.d.addWord(preprocess.AgreeRowsWord(labels, ex.labels), 1, sign)
+			b.d.addWord(b.enc.AgreeRowsWord(row, ex.packed), 1, sign)
 		} else {
-			s, n := preprocess.AgreeRowsSet(labels, ex.labels)
+			s, n := b.enc.AgreeRowsSet(row, ex.packed)
 			b.d.addSet(s, n, 1, sign)
 		}
 		b.pairs++
@@ -346,7 +362,7 @@ func (b *batchState) scan(ctx context.Context, labels []int32, sign int64) error
 
 // scanBase is the sequential base-slot sweep: one chunk at a time through
 // the batched kernel, runs folded straight into the witness delta.
-func (b *batchState) scanBase(ctx context.Context, labels []int32, sign int64, chunk int) error {
+func (b *batchState) scanBase(ctx context.Context, row []uint64, sign int64, chunk int) error {
 	for start := 0; start < len(b.baseAlive); start += chunk {
 		if err := ctx.Err(); err != nil {
 			return err
@@ -358,7 +374,7 @@ func (b *batchState) scanBase(ctx context.Context, labels []int32, sign int64, c
 		slots := b.baseAlive[start:end]
 		if b.word {
 			words := b.words[:len(slots)]
-			b.enc.AgreeSlotsWords(labels, slots, words)
+			b.enc.AgreeSlotsWords(row, slots, words)
 			for i := 0; i < len(words); {
 				w := words[i]
 				j := i + 1
@@ -371,7 +387,7 @@ func (b *batchState) scanBase(ctx context.Context, labels []int32, sign int64, c
 		} else {
 			sets := b.sets[:len(slots)]
 			counts := b.counts[:len(slots)]
-			b.enc.AgreeSlotsInto(labels, slots, sets, counts)
+			b.enc.AgreeSlotsInto(row, slots, sets, counts)
 			for i := 0; i < len(sets); {
 				s := sets[i]
 				j := i + 1
@@ -399,7 +415,7 @@ func (b *batchState) scanBase(ctx context.Context, labels []int32, sign int64, c
 // scanBase. Workers observe cancellation at chunk start and skip the
 // kernel; the coordinator then returns before merging anything, leaving
 // the delta exactly as cancellation mid-scanBase would.
-func (b *batchState) scanBaseParallel(ctx context.Context, labels []int32, sign int64, chunk int) error {
+func (b *batchState) scanBaseParallel(ctx context.Context, row []uint64, sign int64, chunk int) error {
 	n := len(b.baseAlive)
 	numChunks := (n + chunk - 1) / chunk
 	for len(b.chunks) < numChunks {
@@ -425,7 +441,7 @@ func (b *batchState) scanBaseParallel(ctx context.Context, labels []int32, sign 
 				ch.words = make([]uint64, m)
 			}
 			words := ch.words[:m]
-			b.enc.AgreeSlotsWords(labels, b.baseAlive[ch.from:ch.to], words)
+			b.enc.AgreeSlotsWords(row, b.baseAlive[ch.from:ch.to], words)
 			for i := 0; i < m; {
 				w := words[i]
 				j := i + 1
@@ -450,7 +466,7 @@ func (b *batchState) scanBaseParallel(ctx context.Context, labels []int32, sign 
 				ch.counts = make([]int32, m)
 			}
 			sets, counts := ch.sets[:m], ch.counts[:m]
-			b.enc.AgreeSlotsInto(labels, b.baseAlive[ch.from:ch.to], sets, counts)
+			b.enc.AgreeSlotsInto(row, b.baseAlive[ch.from:ch.to], sets, counts)
 			for i := 0; i < m; {
 				s := sets[i]
 				j := i + 1
@@ -495,11 +511,13 @@ func (b *batchState) run(ctx context.Context, batch MutationBatch) error {
 				if err != nil {
 					return &MutationError{Index: i, Op: m.Op, Reason: err.Error()}
 				}
-				if err := b.scan(ctx, labels, +1); err != nil {
+				packed := b.pack(labels)
+				if err := b.scan(ctx, packed, +1); err != nil {
 					return err
 				}
 				b.extras = append(b.extras, extraRow{
 					labels:   labels,
+					packed:   packed,
 					baseSlot: -1,
 					id:       b.baseNextID + int64(b.appendCount),
 				})
@@ -513,14 +531,14 @@ func (b *batchState) run(ctx context.Context, batch MutationBatch) error {
 				if err != nil {
 					return err
 				}
-				var old []int32
+				var old []uint64
 				if ei >= 0 {
 					b.extras[ei].dead = true
-					old = b.extras[ei].labels
+					old = b.extras[ei].packed
 				} else {
 					b.removeBase(slot)
 					b.deletedBase[id] = struct{}{}
-					old = b.enc.RowLabels(slot)
+					old = b.enc.Row(slot)
 				}
 				b.deleteIDs = append(b.deleteIDs, id)
 				if err := b.scan(ctx, old, -1); err != nil {
@@ -538,29 +556,33 @@ func (b *batchState) run(ctx context.Context, batch MutationBatch) error {
 				if encErr != nil {
 					return &MutationError{Index: i, Op: m.Op, Reason: encErr.Error()}
 				}
+				// Packing may widen the encoder, so the rows scanned out
+				// below are read only after it.
+				packed := b.pack(labels)
 				if ei >= 0 {
 					// Rewriting a row this batch already staged: swap its
 					// content in place, scanning it out and back in.
 					ex := &b.extras[ei]
 					ex.dead = true
-					if err := b.scan(ctx, ex.labels, -1); err != nil {
+					if err := b.scan(ctx, ex.packed, -1); err != nil {
 						return err
 					}
-					if err := b.scan(ctx, labels, +1); err != nil {
+					if err := b.scan(ctx, packed, +1); err != nil {
 						return err
 					}
-					ex.labels = labels
+					ex.labels, ex.packed = labels, packed
 					ex.dead = false
 				} else {
 					b.removeBase(slot)
-					if err := b.scan(ctx, b.enc.RowLabels(slot), -1); err != nil {
+					if err := b.scan(ctx, b.enc.Row(slot), -1); err != nil {
 						return err
 					}
-					if err := b.scan(ctx, labels, +1); err != nil {
+					if err := b.scan(ctx, packed, +1); err != nil {
 						return err
 					}
 					b.extras = append(b.extras, extraRow{
 						labels:   labels,
+						packed:   packed,
 						baseSlot: int32(slot),
 						id:       id,
 					})

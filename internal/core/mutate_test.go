@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -358,6 +359,81 @@ func TestApplyCancelRollsBack(t *testing.T) {
 		[][]string{{"x", "1", "p"}, {"x", "3", "q"}, {"z", "1", "p"}, {"w", "4", "r"}})
 	if got, want := inc.FDs(), naive.Discover(rel); !got.Equal(want) {
 		t.Fatalf("got %v want %v", got.Slice(), want.Slice())
+	}
+}
+
+// TestApplyWideningCancelAndCommit runs a delta batch whose staged values
+// push column A past 2^8 labels, so packing them widens the encoder's
+// lanes mid-batch: a base row is scanned out before the widening, a
+// staged row packed before it is repacked, and a base row is rewritten
+// after it. Cancelled, the batch leaves version, cover and dictionary
+// sizes unchanged; committed, it matches a fresh exhaustive Incremental
+// over the same rows.
+func TestApplyWideningCancelAndCommit(t *testing.T) {
+	attrs := []string{"A", "B", "C"}
+	var base [][]string
+	for i := 0; i < 1<<8; i++ {
+		base = append(base, []string{fmt.Sprintf("a%d", i), fmt.Sprint(i % 5), fmt.Sprint(i * 7 % 3)})
+	}
+	inc, err := NewIncremental("t", attrs, exhaustiveOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := inc.Append(base); err != nil {
+		t.Fatal(err)
+	}
+	if w := inc.encoder.LaneWidth(); w != 8 {
+		t.Fatalf("lane width %d after 2^8 labels, want 8", w)
+	}
+	before, labels := inc.FDs(), inc.Snapshot().NumLabels
+	batch := MutationBatch{Mutations: []Mutation{
+		DeleteOp(3),
+		AppendOp([][]string{{"a1", "0", "0"}, {"n0", "1", "2"}}), // the second row widens
+		UpdateOp([]int64{5, 256}, [][]string{{"n1", "2", "1"}, {"a7", "4", "0"}}),
+	}}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	_, err = inc.ApplyContext(ctx, batch, func(p Progress) {
+		if p.Phase == "sampled" {
+			cancel()
+		}
+	})
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	if w := inc.encoder.LaneWidth(); w != 16 {
+		t.Fatalf("lane width %d after staging label 2^8, want 16", w)
+	}
+	if inc.Version() != 1 || !inc.FDs().Equal(before) {
+		t.Fatalf("cancelled widening batch moved state: version=%d", inc.Version())
+	}
+	if got := inc.Snapshot().NumLabels; fmt.Sprint(got) != fmt.Sprint(labels) {
+		t.Fatalf("cancelled batch grew the dictionaries: %v, want %v", got, labels)
+	}
+
+	if _, err := inc.Apply(batch); err != nil {
+		t.Fatal(err)
+	}
+	var rows [][]string
+	for id, row := range base {
+		switch id {
+		case 3:
+		case 5:
+			rows = append(rows, []string{"n1", "2", "1"})
+		default:
+			rows = append(rows, row)
+		}
+	}
+	rows = append(rows, []string{"a7", "4", "0"}, []string{"n0", "1", "2"})
+	fresh, err := NewIncremental("t", attrs, exhaustiveOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := fresh.Append(rows); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := inc.FDs(), fresh.FDs(); !got.Equal(want) {
+		t.Fatalf("committed widening batch: got %v want %v", got.Slice(), want.Slice())
 	}
 }
 

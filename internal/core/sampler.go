@@ -184,6 +184,10 @@ type Sampler struct {
 	seen  map[fdset.AttrSet]struct{}
 	seenW map[uint64]struct{}
 	word  bool
+	// front is an exact cache of masks already in seenW, checked before
+	// the map probe. seenW never shrinks, so a hit is always a duplicate;
+	// a miss (an empty or collided slot) falls through to the map.
+	front *maskFilter[uint64]
 
 	// words is the scratch buffer of the sequential batched kernel
 	// (samplePass); grown once to the batch size and reused forever.
@@ -224,12 +228,13 @@ type Sampler struct {
 	// decisions are bit-identical to the sequential path.
 	pool   *pool.Pool
 	chunks []passChunk // per-chunk result scratch, reused across passes
-	// Per-worker dedup maps, indexed by the pool worker id (pool.DoIndexed):
-	// map *contents* are chunk-local (cleared at chunk start), so only the
-	// allocation is shared across chunks — which worker's map serves which
-	// chunk cannot influence the chunk's uniq list.
-	localSets  []map[fdset.AttrSet]struct{}
-	localWords []map[uint64]struct{}
+	// Per-worker chunk filters, indexed by the pool worker id
+	// (pool.DoIndexed). Each chunk starts a new generation, so a filter
+	// only ever drops repeats within its own chunk, and which worker's
+	// filter serves which chunk cannot change what the coordinator sees
+	// first.
+	chunkSets  []*maskFilter[fdset.AttrSet]
+	chunkWords []*maskFilter[uint64]
 
 	// Stats
 	PairsCompared int
@@ -280,6 +285,7 @@ func NewSampler(enc *preprocess.Encoded, numQueues, recentLen int) *Sampler {
 	}
 	if s.word {
 		s.seenW = make(map[uint64]struct{})
+		s.front = newMaskFilter[uint64](frontBits)
 	} else {
 		s.seen = make(map[fdset.AttrSet]struct{})
 	}
@@ -316,6 +322,60 @@ func addWitnessRunsWord(m map[uint64]int64, words []uint64) {
 		}
 		i = j
 	}
+}
+
+// frontBits and chunkBits size the sampler's mask filters: 2^bits
+// direct-mapped slots each. The front cache spans a whole discovery, and
+// the relations the benchmark samples yield hundreds to a few thousand
+// distinct masks in all; a chunk filter spans at most a few thousand
+// pairs.
+const (
+	frontBits = 12
+	chunkBits = 10
+)
+
+// maskFilter is a fixed-size direct-mapped set of agree masks: one key
+// per slot, the slot picked by the key's hash. A slot holds its key only
+// while its tag equals the current generation, so a new generation
+// empties the filter in O(1), and no key value — not even the empty agree
+// set's 0 — doubles as "empty". A lookup can miss a key the filter saw
+// (a later key took the slot) but never reports one it did not see.
+type maskFilter[K comparable] struct {
+	keys  []K
+	tags  []uint32
+	gen   uint32
+	shift uint
+}
+
+func newMaskFilter[K comparable](bits uint) *maskFilter[K] {
+	return &maskFilter[K]{
+		keys:  make([]K, 1<<bits),
+		tags:  make([]uint32, 1<<bits),
+		gen:   1,
+		shift: 64 - bits,
+	}
+}
+
+// reset starts a new generation, emptying the filter.
+func (f *maskFilter[K]) reset() {
+	f.gen++
+	if f.gen == 0 { // wrapped: tags of old generations could match again
+		clear(f.tags)
+		f.gen = 1
+	}
+}
+
+// seenOrAdd reports whether k, whose hash is h, is in the filter, and
+// otherwise stores it in its slot.
+//
+//fdlint:hotpath
+func (f *maskFilter[K]) seenOrAdd(k K, h uint64) bool {
+	i := (h * 0x9E3779B97F4A7C15) >> f.shift
+	if f.tags[i] == f.gen && f.keys[i] == k {
+		return true
+	}
+	f.keys[i], f.tags[i] = k, f.gen
+	return false
 }
 
 // SeenCount returns the number of distinct agree sets sampled so far,
@@ -476,15 +536,25 @@ func (s *Sampler) sweepWord(c *clusterState, n int, found *[]fdset.AttrSet) {
 			if i > 0 && w == words[i-1] {
 				continue
 			}
-			if _, dup := s.seenW[w]; !dup {
-				s.seenW[w] = struct{}{}
-				*found = append(*found, fdset.FromWord(w))
-				// A pair disagreeing on k attributes witnesses k non-FDs.
-				c.passNew += ncols - bits.OnesCount64(w)
-			}
+			s.admitWord(c, w, ncols, found)
 		}
 		c.pos += m
 		n -= m
+	}
+}
+
+// admitWord records mask w of cluster c unless seenW already holds it:
+// a new mask joins seenW and found, and counts its non-FDs toward the
+// pass's capa. The front cache answers most repeats without a map probe.
+func (s *Sampler) admitWord(c *clusterState, w uint64, ncols int, found *[]fdset.AttrSet) {
+	if s.front.seenOrAdd(w, w) {
+		return
+	}
+	if _, dup := s.seenW[w]; !dup {
+		s.seenW[w] = struct{}{}
+		*found = append(*found, fdset.FromWord(w))
+		// A pair disagreeing on k attributes witnesses k non-FDs.
+		c.passNew += ncols - bits.OnesCount64(w)
 	}
 }
 
@@ -510,13 +580,15 @@ func (s *Sampler) sweepWide(c *clusterState, n int, found *[]fdset.AttrSet) {
 // samplePassParallel runs n pairs of the sweep through the worker pool:
 // the position range is cut into chunks, each worker computes its chunk's
 // agree masks (≤ 64 columns) or sets with the batched kernel into the
-// chunk's private buffers and dedups them against its per-worker map
-// (contents cleared per chunk, so worker identity cannot reach the uniq
-// list), and the coordinator merges chunks in position order against the
-// global seen table. Because merge order equals sweep order and
-// chunk-local dedup only elides pairs the sequential path would also
-// have classified as duplicates, found order, capa accounting, and all
-// statistics are bit-identical to the sequential path.
+// chunk's private buffers and drops repeats within the chunk through its
+// per-worker filter (a new generation per chunk, so worker identity
+// cannot reach the uniq list), and the coordinator merges chunks in
+// position order against the global seen table. A filter miss only adds
+// an entry to uniq that the seen table then rejects, and a hit only
+// elides a pair the sequential path would also have classified as a
+// duplicate, so — merge order being sweep order — found order, capa
+// accounting, and all statistics are bit-identical to the sequential
+// path.
 func (s *Sampler) samplePassParallel(c *clusterState, n, last int, found *[]fdset.AttrSet) int {
 	chunk := (n + s.pool.Workers() - 1) / s.pool.Workers()
 	if chunk < parallelChunkPairs {
@@ -536,8 +608,8 @@ func (s *Sampler) samplePassParallel(c *clusterState, n, last int, found *[]fdse
 	}
 	ncols := len(s.enc.Attrs)
 	if s.word {
-		if s.localWords == nil {
-			s.localWords = make([]map[uint64]struct{}, s.pool.NumScratch())
+		if s.chunkWords == nil {
+			s.chunkWords = make([]*maskFilter[uint64], s.pool.NumScratch())
 		}
 		s.pool.DoIndexed(numChunks, func(k, worker int) {
 			ch := &s.chunks[k]
@@ -547,23 +619,22 @@ func (s *Sampler) samplePassParallel(c *clusterState, n, last int, found *[]fdse
 			}
 			ch.words = ch.words[:m]
 			s.enc.AgreeWindowWords(c.rows, c.window, ch.from, ch.to, ch.words)
-			local := s.localWords[worker]
+			local := s.chunkWords[worker]
 			if local == nil {
-				local = make(map[uint64]struct{}, m)
-				s.localWords[worker] = local
+				local = newMaskFilter[uint64](chunkBits)
+				s.chunkWords[worker] = local
 			} else {
-				clear(local)
+				local.reset()
 			}
 			ch.uniq = ch.uniq[:0]
 			for i := 0; i < m; i++ {
 				w := ch.words[i]
 				// Window sweeps over low-cardinality data produce long runs
-				// of identical agree masks; a run is one map probe, not m.
+				// of identical agree masks; a run is one filter probe, not m.
 				if i > 0 && w == ch.words[i-1] {
 					continue
 				}
-				if _, dup := local[w]; !dup {
-					local[w] = struct{}{}
+				if !local.seenOrAdd(w, w) {
 					ch.uniq = append(ch.uniq, int32(i))
 				}
 			}
@@ -589,12 +660,7 @@ func (s *Sampler) samplePassParallel(c *clusterState, n, last int, found *[]fdse
 		for k := 0; k < numChunks; k++ {
 			ch := &s.chunks[k]
 			for _, i := range ch.uniq {
-				w := ch.words[i]
-				if _, dup := s.seenW[w]; !dup {
-					s.seenW[w] = struct{}{}
-					*found = append(*found, fdset.FromWord(w))
-					c.passNew += ncols - bits.OnesCount64(w)
-				}
+				s.admitWord(c, ch.words[i], ncols, found)
 			}
 			if s.witW != nil {
 				for x, w := range ch.wkeys {
@@ -603,8 +669,8 @@ func (s *Sampler) samplePassParallel(c *clusterState, n, last int, found *[]fdse
 			}
 		}
 	} else {
-		if s.localSets == nil {
-			s.localSets = make([]map[fdset.AttrSet]struct{}, s.pool.NumScratch())
+		if s.chunkSets == nil {
+			s.chunkSets = make([]*maskFilter[fdset.AttrSet], s.pool.NumScratch())
 		}
 		s.pool.DoIndexed(numChunks, func(k, worker int) {
 			ch := &s.chunks[k]
@@ -615,20 +681,20 @@ func (s *Sampler) samplePassParallel(c *clusterState, n, last int, found *[]fdse
 			}
 			ch.sets, ch.counts = ch.sets[:m], ch.counts[:m]
 			s.enc.AgreeWindowInto(c.rows, c.window, ch.from, ch.to, ch.sets, ch.counts)
-			local := s.localSets[worker]
+			local := s.chunkSets[worker]
 			if local == nil {
-				local = make(map[fdset.AttrSet]struct{}, m)
-				s.localSets[worker] = local
+				local = newMaskFilter[fdset.AttrSet](chunkBits)
+				s.chunkSets[worker] = local
 			} else {
-				clear(local)
+				local.reset()
 			}
 			ch.uniq = ch.uniq[:0]
 			for i := 0; i < m; i++ {
-				if i > 0 && ch.sets[i] == ch.sets[i-1] {
+				set := ch.sets[i]
+				if i > 0 && set == ch.sets[i-1] {
 					continue
 				}
-				if _, dup := local[ch.sets[i]]; !dup {
-					local[ch.sets[i]] = struct{}{}
+				if !local.seenOrAdd(set, set.Hash()) {
 					ch.uniq = append(ch.uniq, int32(i))
 				}
 			}

@@ -366,3 +366,37 @@ func indexOf(cs []*clusterState, c *clusterState) int {
 	}
 	return -1
 }
+
+// TestMaskFilterExact pins what the sampler's dedup shortcuts rely on: a
+// filter reports a key only if it stored that key in the current
+// generation — mask 0 included — and a new generation, even one that
+// wraps the tag counter, forgets everything.
+func TestMaskFilterExact(t *testing.T) {
+	f := newMaskFilter[uint64](4)
+	if f.seenOrAdd(0, 0) || !f.seenOrAdd(0, 0) {
+		t.Fatal("mask 0: first lookup must miss, the second hit")
+	}
+	// Find a key sharing 0's slot: storing it evicts 0, which must then
+	// miss rather than be confused with it.
+	var other uint64
+	for other = 1; (other*0x9E3779B97F4A7C15)>>f.shift != 0; other++ {
+	}
+	if f.seenOrAdd(other, other) || f.seenOrAdd(0, 0) {
+		t.Fatal("a collided slot reported a key it no longer holds")
+	}
+	f.reset()
+	if f.seenOrAdd(0, 0) {
+		t.Fatal("reset kept a key of the previous generation")
+	}
+
+	// Key 7 is stored under generation 1; after 2^32 − 1 resets the tag
+	// counter wraps back to 1, and only clearing the tags keeps the stale
+	// slot from matching again.
+	f = newMaskFilter[uint64](4)
+	f.seenOrAdd(7, 7)
+	f.gen = ^uint32(0)
+	f.reset()
+	if f.gen != 1 || f.seenOrAdd(7, 7) {
+		t.Fatal("a wrapped generation revived a stale key")
+	}
+}

@@ -181,14 +181,14 @@ func DiscoverEncodedContext(ctx context.Context, enc *preprocess.Encoded, opt Op
 				}
 				total++
 				stats.Validations++
-				i, j, violated := partitionViolation(enc, part, rhs)
+				i, j, violated := enc.ViolatingPair(part, rhs)
 				if !violated {
 					validated[fdset.FD{LHS: g.lhs, RHS: rhs}] = struct{}{}
 					continue
 				}
 				invalid++
 				stats.Invalidated++
-				ingest([]fdset.AttrSet{enc.AgreeSet(i, j)})
+				ingest([]fdset.AttrSet{enc.AgreeSet(int(i), int(j))})
 			}
 		}
 		if invalid == 0 {
@@ -236,19 +236,4 @@ func candidateGroups(p *cover.PCover, validated map[fdset.FD]struct{}) []lhsGrou
 		return fdset.Less(fdset.FD{LHS: out[i].lhs}, fdset.FD{LHS: out[j].lhs})
 	})
 	return out
-}
-
-// partitionViolation finds a row pair violating lhs → rhs within the
-// already-computed stripped partition of the LHS, or ok = false.
-func partitionViolation(enc *preprocess.Encoded, part preprocess.StrippedPartition, rhs int) (i, j int, ok bool) {
-	for _, cluster := range part.Clusters {
-		first := cluster[0]
-		want := enc.Labels[first][rhs]
-		for _, r := range cluster[1:] {
-			if enc.Labels[r][rhs] != want {
-				return int(first), int(r), true
-			}
-		}
-	}
-	return 0, 0, false
 }

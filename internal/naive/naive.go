@@ -61,17 +61,22 @@ func DiscoverEncoded(enc *preprocess.Encoded) *fdset.Set {
 
 // Holds validates X → a by comparing every row pair.
 func Holds(enc *preprocess.Encoded, x fdset.AttrSet, a int) bool {
-	attrs := x.Attrs()
-	for i := 0; i < enc.NumRows; i++ {
-		for j := i + 1; j < enc.NumRows; j++ {
+	var lanes []preprocess.Lane
+	x.ForEach(func(c int) bool {
+		lanes = append(lanes, enc.Lane(c))
+		return true
+	})
+	rhs := enc.Lane(a)
+	for i := int32(0); i < int32(enc.NumRows); i++ {
+		for j := i + 1; j < int32(enc.NumRows); j++ {
 			agreeOnX := true
-			for _, c := range attrs {
-				if enc.Labels[i][c] != enc.Labels[j][c] {
+			for _, l := range lanes {
+				if l.At(i) != l.At(j) {
 					agreeOnX = false
 					break
 				}
 			}
-			if agreeOnX && enc.Labels[i][a] != enc.Labels[j][a] {
+			if agreeOnX && rhs.At(i) != rhs.At(j) {
 				return false
 			}
 		}

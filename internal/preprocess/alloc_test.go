@@ -67,6 +67,25 @@ func TestAgreeWindowWordsAllocFree(t *testing.T) {
 	})
 }
 
+func TestAgreeWindowIntoAllocFree(t *testing.T) {
+	enc := Encode(gen.WideSparseTuned("wide", 120, 80, 0.1, 0.3, 13))
+	rows := largestCluster(enc)
+	out := make([]fdset.AttrSet, len(rows)-1)
+	counts := make([]int32, len(rows)-1)
+	assertZeroAllocs(t, "AgreeWindowInto", func() {
+		enc.AgreeWindowInto(rows, 2, 0, len(rows)-1, out, counts)
+	})
+}
+
+func TestAgreeSlotsWordsAllocFree(t *testing.T) {
+	e, slots := benchEncoder()
+	row := e.Row(0)
+	words := make([]uint64, len(slots))
+	assertZeroAllocs(t, "AgreeSlotsWords", func() {
+		e.AgreeSlotsWords(row, slots, words)
+	})
+}
+
 func TestAgreeSetsIntoAllocFree(t *testing.T) {
 	enc := benchEncoding()
 	others := make([]int32, enc.NumRows)
@@ -117,6 +136,61 @@ func BenchmarkAgreeWindowWords(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		enc.AgreeWindowWords(rows, 2, 0, n, words)
 	}
+}
+
+// tallEncoding is sample-tall's relation: lineitem 40,000×16, whose
+// largest column has 17,306 labels (16-bit lanes). At 32 bytes a row its
+// packed rows span about 1.2 MiB, beyond L2, so the window kernel is
+// timed with the memory traffic it has inside the sampler.
+func tallEncoding() *Encoded {
+	return Encode(gen.Lineitem("lineitem", 40000, 1))
+}
+
+// BenchmarkAgreeWindowWordsTall sweeps every cluster of the tall
+// relation in cluster order at windows 2–4, the sampler's first passes.
+func BenchmarkAgreeWindowWordsTall(b *testing.B) {
+	enc := tallEncoding()
+	clusters := enc.AllClusters()
+	words := make([]uint64, enc.NumRows)
+	pairs := 0
+	for _, cl := range clusters {
+		for window := 2; window <= 4 && window <= len(cl.Rows); window++ {
+			pairs += len(cl.Rows) - window + 1
+		}
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, cl := range clusters {
+			for window := 2; window <= 4 && window <= len(cl.Rows); window++ {
+				enc.AgreeWindowWords(cl.Rows, window, 0, len(cl.Rows)-window+1, words)
+			}
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(pairs), "ns/pair")
+}
+
+// benchEncoder loads the tall relation into an Encoder and returns it
+// with its alive slots, the delta scan's base.
+func benchEncoder() (*Encoder, []int32) {
+	rel := gen.Lineitem("lineitem", 40000, 1)
+	e := NewEncoder(rel.Attrs)
+	if err := e.Append(rel.Rows); err != nil {
+		panic(err)
+	}
+	return e, e.AliveSlots(nil)
+}
+
+// BenchmarkAgreeSlotsWords times the delta scan's kernel: one row
+// against every alive slot of the tall relation.
+func BenchmarkAgreeSlotsWords(b *testing.B) {
+	e, slots := benchEncoder()
+	row := e.Row(len(slots) / 2)
+	words := make([]uint64, len(slots))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		e.AgreeSlotsWords(row, slots, words)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(slots)), "ns/pair")
 }
 
 func BenchmarkProductWith(b *testing.B) {

@@ -242,9 +242,13 @@ func patchPartition(p StrippedPartition, remap []int32, enc *Encoded, attrs []in
 	}
 	// Probe each fresh row against the surviving clusters' representatives
 	// by projection hash, confirming with an exact label comparison.
+	lanes := make([]Lane, len(attrs))
+	for k, a := range attrs {
+		lanes[k] = enc.Lane(a)
+	}
 	byProj := make(map[uint64][]int, len(clusters))
 	for ci, cl := range clusters {
-		h := projHash(enc.Labels[cl[0]], attrs)
+		h := projHash(lanes, cl[0])
 		byProj[h] = append(byProj[h], ci)
 	}
 	for _, cl := range clusters {
@@ -254,10 +258,10 @@ func patchPartition(p StrippedPartition, remap []int32, enc *Encoded, attrs []in
 	}
 	anyUncovered := false
 	for _, f := range fresh {
-		h := projHash(enc.Labels[f], attrs)
+		h := projHash(lanes, f)
 		joined := false
 		for _, ci := range byProj[h] {
-			if projEqual(enc.Labels[clusters[ci][0]], enc.Labels[f], attrs) {
+			if projEqual(lanes, clusters[ci][0], f) {
 				clusters[ci] = append(clusters[ci], f)
 				covered[f] = gen
 				joined = true
@@ -290,35 +294,22 @@ func patchPartition(p StrippedPartition, remap []int32, enc *Encoded, attrs []in
 	return NewStrippedPartition(clusters)
 }
 
-// projHash hashes a row's projection onto attrs (FNV-1a over labels).
-func projHash(labels []int32, attrs []int) uint64 {
+// projHash hashes row r's projection onto the lanes' columns (FNV-1a
+// over labels).
+func projHash(lanes []Lane, r int32) uint64 {
 	h := uint64(1469598103934665603)
-	for _, a := range attrs {
-		h ^= uint64(uint32(labels[a]))
+	for _, l := range lanes {
+		h ^= uint64(uint32(l.At(r)))
 		h *= 1099511628211
 	}
 	return h
 }
 
-// projEqual reports whether two rows agree on every attribute of attrs.
-func projEqual(a, b []int32, attrs []int) bool {
-	for _, at := range attrs {
-		if a[at] != b[at] {
+// projEqual reports whether rows a and b agree on every lane's column.
+func projEqual(lanes []Lane, a, b int32) bool {
+	for _, l := range lanes {
+		if l.At(a) != l.At(b) {
 			return false
-		}
-	}
-	return true
-}
-
-// ConstantOn reports whether every cluster of part is constant on
-// attribute a — the validity check X → a given π_X.
-func (e *Encoded) ConstantOn(part StrippedPartition, a int) bool {
-	for _, cluster := range part.Clusters {
-		first := e.Labels[cluster[0]][a]
-		for _, r := range cluster[1:] {
-			if e.Labels[r][a] != first {
-				return false
-			}
 		}
 	}
 	return true

@@ -2,7 +2,6 @@ package preprocess
 
 import (
 	"fmt"
-	"math/bits"
 	"sort"
 
 	"eulerfd/internal/fdset"
@@ -22,6 +21,12 @@ const (
 // It backs incremental discovery (core.Incremental): appending rows never
 // relabels existing ones, so previously observed non-FDs stay valid.
 //
+// The spine is the packed row layout of Encoded (packedRows), one row
+// per slot, kept current in place: appends pack onto its end, and when a
+// dictionary outgrows the lane width (2^8 or 2^16 labels) the whole spine
+// is repacked once at the next width. Widening changes no label, so no
+// agree mask changes either.
+//
 // Deletes and updates are tombstone-based: a deleted row keeps its slot
 // (flagged dead) until bounded compaction rebuilds the spine, so slots
 // held by concurrent readers of an older Snapshot stay meaningful and
@@ -31,9 +36,9 @@ const (
 type Encoder struct {
 	attrs  []string
 	dicts  []map[string]int32
-	labels [][]int32 // slot-major; dead slots keep stale labels until compaction
-	ids    []int64   // parallel to labels; strictly ascending external ids
-	dead   []bool    // parallel tombstones
+	rows   packedRows // slot-major; dead slots keep stale labels until compaction
+	ids    []int64    // one per slot; strictly ascending external ids
+	dead   []bool     // one per slot: tombstones
 	nextID int64
 
 	deadRows int
@@ -49,9 +54,9 @@ type Encoder struct {
 	// so Snapshot must densify instead of sharing. A full compaction
 	// restores density and clears it.
 	mutated bool
-	// sharedSpine marks that some snapshot shares the labels outer slice;
-	// Replace must clone the outer header before its first element write
-	// so the shared snapshot keeps observing the pre-mutation rows.
+	// sharedSpine marks that some snapshot shares the spine's words;
+	// Replace must copy them before its first write so the shared
+	// snapshot keeps observing the pre-mutation rows.
 	sharedSpine bool
 
 	compactFraction float64
@@ -70,6 +75,7 @@ func NewEncoder(attrs []string) *Encoder {
 	return &Encoder{
 		attrs:           attrs,
 		dicts:           dicts,
+		rows:            newPackedRows(len(attrs), lanes8),
 		counts:          make([][]int32, len(attrs)),
 		distinct:        make([]int, len(attrs)),
 		compactFraction: DefaultCompactFraction,
@@ -114,8 +120,8 @@ func (e *Encoder) Append(rows [][]string) error {
 			return fmt.Errorf("preprocess: appended row %d has %d cells, schema has %d attributes", i, len(row), len(e.attrs))
 		}
 	}
+	encoded := make([]int32, len(e.attrs))
 	for _, row := range rows {
-		encoded := make([]int32, len(e.attrs))
 		for c, v := range row {
 			label, ok := e.dicts[c][v]
 			if !ok {
@@ -131,11 +137,13 @@ func (e *Encoder) Append(rows [][]string) error {
 
 // AppendEncoded appends one already-encoded row (labels must be valid in
 // the current dictionaries — callers encode through Append or a committed
-// Staging) and returns its stable external id.
+// Staging) and returns its stable external id. The row is packed into the
+// spine; row itself is not retained.
 func (e *Encoder) AppendEncoded(row []int32) int64 {
 	id := e.nextID
 	e.nextID++
-	e.labels = append(e.labels, row)
+	e.fit(row)
+	e.rows.appendRow(row)
 	e.ids = append(e.ids, id)
 	e.dead = append(e.dead, false)
 	for c, l := range row {
@@ -143,6 +151,40 @@ func (e *Encoder) AppendEncoded(row []int32) int64 {
 	}
 	return id
 }
+
+// fit widens the spine until every label of row fits a lane, reporting
+// whether it widened. The widened spine is a fresh array, so snapshots
+// sharing the old one are untouched.
+func (e *Encoder) fit(row []int32) bool {
+	top := int32(0)
+	for _, l := range row {
+		top = max(top, l)
+	}
+	if !e.rows.widen(len(e.ids), int(top)+1) {
+		return false
+	}
+	e.sharedSpine = false
+	return true
+}
+
+// PackRow packs an encoded row into dst (grown as needed) at the spine's
+// lane width, first widening the spine when a label does not fit —
+// staged labels of a batch can exceed every committed dictionary. It
+// reports whether the spine widened, so a caller holding rows packed
+// earlier can repack them. Widening changes no label, so a batch that is
+// later dropped leaves the encoder's contents as they were.
+func (e *Encoder) PackRow(row []int32, dst []uint64) (packed []uint64, widened bool) {
+	widened = e.fit(row)
+	if cap(dst) < e.rows.stride {
+		dst = make([]uint64, e.rows.stride)
+	}
+	dst = dst[:e.rows.stride]
+	e.rows.f.pack(dst, row)
+	return dst, widened
+}
+
+// LaneWidth returns the bits per label lane of the spine: 8, 16 or 32.
+func (e *Encoder) LaneWidth() int { return int(e.rows.f.width) }
 
 // Lookup resolves an external row id to its current slot. ok is false for
 // ids never assigned or already deleted.
@@ -161,13 +203,18 @@ func (e *Encoder) Delete(id int64) bool {
 	if !ok {
 		return false
 	}
-	for c, l := range e.labels[slot] {
-		e.bump(c, l, -1)
-	}
+	e.unbump(slot)
 	e.dead[slot] = true
 	e.deadRows++
 	e.mutated = true
 	return true
+}
+
+// unbump removes one occurrence of every label of slot from the counts.
+func (e *Encoder) unbump(slot int) {
+	for c := range e.attrs {
+		e.bump(c, e.rows.label(slot, c), -1)
+	}
 }
 
 // Replace swaps the content of the row with the given id for the encoded
@@ -178,16 +225,15 @@ func (e *Encoder) Replace(id int64, row []int32) bool {
 	if !ok {
 		return false
 	}
-	for c, l := range e.labels[slot] {
-		e.bump(c, l, -1)
-	}
+	e.unbump(slot)
+	e.fit(row)
 	if e.sharedSpine {
-		// A snapshot shares the outer labels slice; writing an element in
-		// the shared prefix would mutate the snapshot's view of this row.
-		e.labels = append([][]int32(nil), e.labels...)
+		// A snapshot shares the spine's words; writing the shared prefix
+		// would mutate the snapshot's view of this row.
+		e.rows.words = append([]uint64(nil), e.rows.words...)
 		e.sharedSpine = false
 	}
-	e.labels[slot] = row
+	e.rows.f.pack(e.rows.row(slot), row)
 	for c, l := range row {
 		e.bump(c, l, 1)
 	}
@@ -196,10 +242,10 @@ func (e *Encoder) Replace(id int64, row []int32) bool {
 }
 
 // NumRows returns the number of alive rows.
-func (e *Encoder) NumRows() int { return len(e.labels) - e.deadRows }
+func (e *Encoder) NumRows() int { return len(e.ids) - e.deadRows }
 
 // NumSlots returns the spine height including tombstoned slots.
-func (e *Encoder) NumSlots() int { return len(e.labels) }
+func (e *Encoder) NumSlots() int { return len(e.ids) }
 
 // DeadRows returns the current tombstone count.
 func (e *Encoder) DeadRows() int { return e.deadRows }
@@ -210,9 +256,10 @@ func (e *Encoder) NextID() int64 { return e.nextID }
 // Alive reports whether the slot holds a live row.
 func (e *Encoder) Alive(slot int) bool { return !e.dead[slot] }
 
-// RowLabels returns the encoded labels of a slot. Callers must not
+// Row returns the packed words of a slot, at the spine's current lane
+// width: valid until the spine next widens or compacts. Callers must not
 // mutate the returned slice.
-func (e *Encoder) RowLabels(slot int) []int32 { return e.labels[slot] }
+func (e *Encoder) Row(slot int) []uint64 { return e.rows.row(slot) }
 
 // IDAt returns the external id of a slot.
 func (e *Encoder) IDAt(slot int) int64 { return e.ids[slot] }
@@ -226,7 +273,7 @@ func (e *Encoder) AliveDistinct(c int) int { return e.distinct[c] }
 // and returns it, in ascending slot order.
 func (e *Encoder) AliveSlots(buf []int32) []int32 {
 	buf = buf[:0]
-	for slot := range e.labels {
+	for slot := range e.ids {
 		if !e.dead[slot] {
 			buf = append(buf, int32(slot))
 		}
@@ -235,16 +282,21 @@ func (e *Encoder) AliveSlots(buf []int32) []int32 {
 }
 
 // AgreeSlotsWords computes, for every slot in slots, the agree mask of
-// (row, labels[slot]) into words — the ≤ 64-column delta kernel of
-// incremental maintenance: one staged or deleted row compared against the
-// alive slots, batched so bounds checks amortize and the row stays in
-// registers. words must have length ≥ len(slots). It performs no
-// allocation.
+// (row, slot) into words — the ≤ 64-column delta kernel of incremental
+// maintenance: one staged or deleted row, packed at the spine's width
+// (PackRow or Row), compared against the alive slots, batched so bounds
+// checks amortize and the row stays in registers. words must have length
+// ≥ len(slots). It performs no allocation.
 //
 //fdlint:hotpath
-func (e *Encoder) AgreeSlotsWords(row []int32, slots []int32, words []uint64) {
+func (e *Encoder) AgreeSlotsWords(row []uint64, slots []int32, words []uint64) {
+	// Locals for the layout's fields, as in Encoded.AgreeWindowWords.
+	all, stride, tail, last := e.rows.words, e.rows.stride, e.rows.tail, e.rows.lastMask
+	lo, gather, top, down := e.rows.f.lo, e.rows.f.gather, e.rows.f.top, e.rows.f.down
+	row = row[:stride]
 	for k, s := range slots {
-		words[k] = agreeWord(row, e.labels[s])
+		b := all[int(s)*stride : int(s)*stride+stride]
+		words[k] = agreeLanes(row, b, lo, gather, top, down) >> tail & last
 	}
 }
 
@@ -253,30 +305,27 @@ func (e *Encoder) AgreeSlotsWords(row []int32, slots []int32, words []uint64) {
 // counts, both of length ≥ len(slots). It performs no allocation.
 //
 //fdlint:hotpath
-func (e *Encoder) AgreeSlotsInto(row []int32, slots []int32, out []fdset.AttrSet, counts []int32) {
+func (e *Encoder) AgreeSlotsInto(row []uint64, slots []int32, out []fdset.AttrSet, counts []int32) {
+	p := &e.rows
 	for k, s := range slots {
-		set := agreeWide(row, e.labels[s])
+		set := p.agreeSet(row, p.row(int(s)))
 		out[k] = set
 		counts[k] = int32(set.Count())
 	}
 }
 
-// AgreeRowsWord returns the agree mask of two encoded rows of ≤ 64
-// columns (both rows must have equal width).
+// AgreeRowsWord returns the agree mask of two rows of ≤ 64 columns, both
+// packed at the spine's width.
 //
 //fdlint:hotpath
-func AgreeRowsWord(a, b []int32) uint64 { return agreeWord(a, b) }
+func (e *Encoder) AgreeRowsWord(a, b []uint64) uint64 { return e.rows.agreeWord(a, b) }
 
-// AgreeRowsSet returns the agree set of two encoded rows of any width,
-// along with its cardinality.
+// AgreeRowsSet returns the agree set of two rows of more than 64
+// columns, both packed at the spine's width, along with its cardinality.
 //
 //fdlint:hotpath
-func AgreeRowsSet(a, b []int32) (fdset.AttrSet, int) {
-	if len(a) <= 64 {
-		w := agreeWord(a, b)
-		return fdset.FromWord(w), bits.OnesCount64(w)
-	}
-	s := agreeWide(a, b)
+func (e *Encoder) AgreeRowsSet(a, b []uint64) (fdset.AttrSet, int) {
+	s := e.rows.agreeSet(a, b)
 	return s, s.Count()
 }
 
@@ -289,10 +338,10 @@ func AgreeRowsSet(a, b []int32) (fdset.AttrSet, int) {
 // that ids and nextID are preserved. Old snapshots are untouched: the
 // rebuild allocates fresh spines instead of editing shared ones.
 func (e *Encoder) MaybeCompact() bool {
-	if e.deadRows == 0 || len(e.labels) < e.compactMinRows {
+	if e.deadRows == 0 || len(e.ids) < e.compactMinRows {
 		return false
 	}
-	if float64(e.deadRows) < e.compactFraction*float64(len(e.labels)) {
+	if float64(e.deadRows) < e.compactFraction*float64(len(e.ids)) {
 		return false
 	}
 	e.compact()
@@ -315,138 +364,111 @@ type dictEntry struct {
 }
 
 func (e *Encoder) compact() {
-	ncols := len(e.attrs)
-	n := len(e.labels) - e.deadRows
-	labels := make([][]int32, 0, n)
-	ids := make([]int64, 0, n)
-	flat := make([]int32, n*ncols)
-	// remap[c][old] is the densified label of old, assigned by first
-	// occurrence among alive rows so the result is deterministic.
-	remap := make([][]int32, ncols)
-	next := make([]int, ncols)
-	for c := range remap {
-		remap[c] = make([]int32, len(e.dicts[c]))
-		for i := range remap[c] {
-			remap[c][i] = -1
-		}
-	}
-	for slot, row := range e.labels {
-		if e.dead[slot] {
-			continue
-		}
-		out := flat[:ncols:ncols]
-		flat = flat[ncols:]
-		for c, l := range row {
-			m := remap[c][l]
-			if m < 0 {
-				m = int32(next[c])
-				remap[c][l] = m
-				next[c]++
-			}
-			out[c] = m
-		}
-		labels = append(labels, out)
-		ids = append(ids, e.ids[slot])
-	}
+	rows, ids, next := e.densify()
 	for c := range e.dicts {
 		ents := make([]dictEntry, 0, len(e.dicts[c]))
 		for v, l := range e.dicts[c] {
 			ents = append(ents, dictEntry{value: v, label: l})
 		}
 		sort.Slice(ents, func(i, j int) bool { return ents[i].label < ents[j].label })
-		nd := make(map[string]int32, next[c])
-		counts := make([]int32, next[c])
+		nd := make(map[string]int32, next[c].n)
+		counts := make([]int32, next[c].n)
 		for _, en := range ents {
-			if m := remap[c][en.label]; m >= 0 {
+			if m := next[c].remap[en.label]; m >= 0 {
 				nd[en.value] = m
 				counts[m] = e.counts[c][en.label]
 			}
 		}
 		e.dicts[c] = nd
 		e.counts[c] = counts
-		e.distinct[c] = next[c]
+		e.distinct[c] = next[c].n
 	}
-	e.labels, e.ids = labels, ids
-	e.dead = make([]bool, n)
+	e.rows, e.ids = rows, ids
+	e.dead = make([]bool, len(ids))
 	e.deadRows = 0
 	e.mutated = false
 	e.sharedSpine = false
 	e.Compactions++
 }
 
-// Snapshot materializes the current state as an Encoded relation,
-// rebuilding the stripped partitions. While the encoder has never seen a
-// delete or update, the labels slice is shared with the encoder (rows
-// already encoded are never mutated and appends only write beyond the
-// snapshot's length, so the snapshot stays immutable). Once mutated, the
-// snapshot is an independent densified copy over the alive rows — labels
-// renumbered by first occurrence so NumLabels is again the exact distinct
-// count every consumer (∅-seed, RefineWith slot sizing, pdep baselines)
-// assumes.
-func (e *Encoder) Snapshot(name string) *Encoded {
-	ncols := len(e.attrs)
-	if !e.mutated {
-		enc := &Encoded{
-			Name:      name,
-			Attrs:     e.attrs,
-			NumRows:   len(e.labels),
-			Labels:    e.labels,
-			NumLabels: make([]int, ncols),
-			RowIDs:    e.ids,
-		}
-		for c := range e.attrs {
-			enc.NumLabels[c] = len(e.dicts[c])
-		}
-		enc.Partitions = make([]StrippedPartition, ncols)
-		for c := range e.attrs {
-			enc.Partitions[c] = enc.columnPartition(c)
-		}
-		e.sharedSpine = true
-		return enc
-	}
+// columnRemap is densify's renumbering of one column: remap[old] is the
+// dense label of old (-1 when no alive row carries it), and n counts the
+// dense labels.
+type columnRemap struct {
+	remap []int32
+	n     int
+}
 
-	n := len(e.labels) - e.deadRows
-	labels := make([][]int32, 0, n)
-	ids := make([]int64, 0, n)
-	flat := make([]int32, n*ncols)
-	remap := make([][]int32, ncols)
-	numLabels := make([]int, ncols)
-	for c := range remap {
-		remap[c] = make([]int32, len(e.dicts[c]))
-		for i := range remap[c] {
-			remap[c][i] = -1
+// densify copies the alive slots into a fresh spine with every column's
+// labels renumbered by first occurrence, packed at the width the dense
+// label counts need, and returns it with the alive ids and the per-column
+// renumbering. The encoder itself is left as it was.
+func (e *Encoder) densify() (packedRows, []int64, []columnRemap) {
+	ncols := len(e.attrs)
+	n := len(e.ids) - e.deadRows
+	next := make([]columnRemap, ncols)
+	for c := range next {
+		next[c].remap = make([]int32, len(e.dicts[c]))
+		for i := range next[c].remap {
+			next[c].remap[i] = -1
 		}
 	}
-	for slot, row := range e.labels {
+	rows := newPackedRows(ncols, lanes8)
+	rows.words = make([]uint64, n*rows.stride)
+	ids := make([]int64, 0, n)
+	for slot := range e.ids {
 		if e.dead[slot] {
 			continue
 		}
-		out := flat[:ncols:ncols]
-		flat = flat[ncols:]
-		for c, l := range row {
-			m := remap[c][l]
+		for c := range next {
+			l := e.rows.label(slot, c)
+			m := next[c].remap[l]
 			if m < 0 {
-				m = int32(numLabels[c])
-				remap[c][l] = m
-				numLabels[c]++
+				m = int32(next[c].n)
+				next[c].remap[l] = m
+				next[c].n++
+				rows.widen(n, next[c].n)
 			}
-			out[c] = m
+			rows.put(len(ids), c, m)
 		}
-		labels = append(labels, out)
 		ids = append(ids, e.ids[slot])
 	}
+	return rows, ids, next
+}
+
+// Snapshot materializes the current state as an Encoded relation,
+// rebuilding the stripped partitions. While the encoder has never seen a
+// delete or update, the snapshot shares the spine's words (rows already
+// encoded are never mutated and appends only write beyond the
+// snapshot's length, so the snapshot stays immutable). Once mutated, the
+// snapshot is an independent densified copy over the alive rows — labels
+// renumbered by first occurrence and repacked at the width they need, so
+// NumLabels is again the exact distinct count every consumer (∅-seed,
+// RefineWith slot sizing, pdep baselines) assumes.
+func (e *Encoder) Snapshot(name string) *Encoded {
+	ncols := len(e.attrs)
 	enc := &Encoded{
 		Name:      name,
 		Attrs:     e.attrs,
-		NumRows:   n,
-		Labels:    labels,
-		NumLabels: numLabels,
-		RowIDs:    ids,
+		NumLabels: make([]int, ncols),
 	}
-	enc.Partitions = make([]StrippedPartition, ncols)
-	for c := range e.attrs {
-		enc.Partitions[c] = enc.columnPartition(c)
+	if !e.mutated {
+		enc.NumRows = len(e.ids)
+		enc.rows = e.rows
+		enc.RowIDs = e.ids
+		for c := range e.attrs {
+			enc.NumLabels[c] = len(e.dicts[c])
+		}
+		e.sharedSpine = true
+	} else {
+		var next []columnRemap
+		enc.rows, enc.RowIDs, next = e.densify()
+		enc.NumRows = len(enc.RowIDs)
+		for c := range next {
+			enc.NumLabels[c] = next[c].n
+		}
 	}
+	enc.buildPartitions()
 	return enc
 }
 

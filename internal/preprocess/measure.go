@@ -90,6 +90,7 @@ func (e *Encoded) CountViolationsWith(part StrippedPartition, a int, sc *Measure
 	var mc MeasureCounts
 	cnt := sc.cnt
 	touched := sc.touched[:0]
+	lane := e.Lane(a)
 	for _, cluster := range part.Clusters {
 		// The plurality count grows monotonically while counting, so it
 		// can be tracked here instead of in the reset sweep below — which
@@ -97,7 +98,7 @@ func (e *Encoded) CountViolationsWith(part StrippedPartition, a int, sc *Measure
 		best := int32(0)
 		touched = touched[:0]
 		for _, r := range cluster {
-			l := e.Labels[r][a]
+			l := lane.At(r)
 			c := cnt[l] + 1
 			cnt[l] = c
 			if c == 1 {

@@ -17,7 +17,7 @@ func naiveMeasureCounts(e *Encoded, x fdset.AttrSet, a int) MeasureCounts {
 	sameOn := func(u, v int, s fdset.AttrSet) bool {
 		same := true
 		s.ForEach(func(attr int) bool {
-			if e.Labels[u][attr] != e.Labels[v][attr] {
+			if e.Lane(attr).At(int32(u)) != e.Lane(attr).At(int32(v)) {
 				same = false
 				return false
 			}
@@ -29,7 +29,7 @@ func naiveMeasureCounts(e *Encoded, x fdset.AttrSet, a int) MeasureCounts {
 	// g1: ordered violating pairs.
 	for u := 0; u < e.NumRows; u++ {
 		for v := 0; v < e.NumRows; v++ {
-			if u != v && sameOn(u, v, x) && e.Labels[u][a] != e.Labels[v][a] {
+			if u != v && sameOn(u, v, x) && e.Lane(a).At(int32(u)) != e.Lane(a).At(int32(v)) {
 				mc.ViolatingPairs++
 			}
 		}
@@ -53,7 +53,7 @@ func naiveMeasureCounts(e *Encoded, x fdset.AttrSet, a int) MeasureCounts {
 		mc.Covered += len(group)
 		counts := make(map[int32]int)
 		for _, r := range group {
-			counts[e.Labels[r][a]]++
+			counts[e.Lane(a).At(int32(r))]++
 		}
 		best := 0
 		var sqSum int64

@@ -13,8 +13,6 @@
 package preprocess
 
 import (
-	"math/bits"
-
 	"eulerfd/internal/dataset"
 	"eulerfd/internal/fdset"
 )
@@ -23,14 +21,17 @@ import (
 // for column c, labels range over [0, NumLabels[c]) and two rows share a
 // label exactly when they share the original cell value. Labels of different
 // columns are independent (they may repeat across columns).
+//
+// Rows are stored row-major in one []uint64 of packed label lanes (see
+// packedRows): a row is a few contiguous words, so comparing a tuple pair
+// — the hot loop of every induction algorithm — loads two short runs of
+// one flat array and computes the agree mask a word of lanes at a time.
+// Single labels are read through Lane.
 type Encoded struct {
 	Name    string
 	Attrs   []string
 	NumRows int
-	// Labels is row-major: Labels[row][col] is the numeric label of the
-	// cell. Row-major layout makes pairwise tuple comparison (the hot loop
-	// of every induction algorithm) a single contiguous scan per tuple.
-	Labels [][]int32
+	rows    packedRows
 	// NumLabels[c] is the number of distinct values in column c.
 	NumLabels []int
 	// Partitions[c] is the stripped partition of column c.
@@ -42,6 +43,9 @@ type Encoded struct {
 	// mutations instead of recomputing them. One-shot Encode leaves it nil.
 	RowIDs []int64
 }
+
+// Lane returns the accessor of column c's labels.
+func (e *Encoded) Lane(c int) Lane { return e.rows.lane(c) }
 
 // StrippedPartition is a partition with singleton equivalence classes
 // removed (Definition 7). Each cluster lists row indices sharing a value.
@@ -94,13 +98,10 @@ func Encode(r *dataset.Relation) *Encoded {
 		Name:      r.Name,
 		Attrs:     r.Attrs,
 		NumRows:   nRows,
-		Labels:    make([][]int32, nRows),
 		NumLabels: make([]int, nCols),
 	}
-	flat := make([]int32, nRows*nCols)
-	for i := range e.Labels {
-		e.Labels[i], flat = flat[:nCols], flat[nCols:]
-	}
+	e.rows = newPackedRows(nCols, lanes8)
+	e.rows.words = make([]uint64, nRows*e.rows.stride)
 	for c := 0; c < nCols; c++ {
 		dict := make(map[string]int32)
 		for i := 0; i < nRows; i++ {
@@ -109,24 +110,32 @@ func Encode(r *dataset.Relation) *Encoded {
 			if !ok {
 				label = int32(len(dict))
 				dict[v] = label
+				e.rows.widen(nRows, len(dict))
 			}
-			e.Labels[i][c] = label
+			e.rows.put(i, c, label)
 		}
 		e.NumLabels[c] = len(dict)
 	}
-	e.Partitions = make([]StrippedPartition, nCols)
-	for c := 0; c < nCols; c++ {
+	e.buildPartitions()
+	return e
+}
+
+// buildPartitions derives every column's stripped partition from the
+// packed rows.
+func (e *Encoded) buildPartitions() {
+	e.Partitions = make([]StrippedPartition, len(e.Attrs))
+	for c := range e.Partitions {
 		e.Partitions[c] = e.columnPartition(c)
 	}
-	return e
 }
 
 // columnPartition builds the stripped partition of column c from labels.
 func (e *Encoded) columnPartition(c int) StrippedPartition {
 	groups := make([][]int32, e.NumLabels[c])
-	for i := 0; i < e.NumRows; i++ {
-		l := e.Labels[i][c]
-		groups[l] = append(groups[l], int32(i))
+	lane := e.Lane(c)
+	for i := int32(0); i < int32(e.NumRows); i++ {
+		l := lane.At(i)
+		groups[l] = append(groups[l], i)
 	}
 	clusters := groups[:0]
 	for _, g := range groups {
@@ -140,60 +149,25 @@ func (e *Encoded) columnPartition(c int) StrippedPartition {
 	return NewStrippedPartition(out)
 }
 
-// eqMask01 returns 1 when two labels are equal and 0 otherwise, without a
-// branch: for x = a XOR b, x|(−x) has its sign bit set exactly when
-// x ≠ 0. Agree-set comparisons are data-dependent coin flips the branch
-// predictor cannot learn, so mask accumulation beats compare-and-branch
-// on every shape the sampling benchmark covers.
-func eqMask01(a, b int32) uint64 {
-	x := uint32(a ^ b)
-	return uint64((x|(-x))>>31) ^ 1
-}
-
 // AgreeSet returns the set of attributes on which rows i and j share values,
 // i.e. the LHS of every non-FD the pair witnesses (Section IV-C).
 func (e *Encoded) AgreeSet(i, j int) fdset.AttrSet {
-	ri, rj := e.Labels[i], e.Labels[j]
-	if len(ri) <= 64 {
-		return fdset.FromWord(agreeWord(ri, rj))
-	}
-	return agreeWide(ri, rj)
-}
-
-// agreeWord assembles the agree mask of two label rows of ≤ 64 columns:
-// bit c is set when the rows share column c's value.
-func agreeWord(ri, rj []int32) uint64 {
-	var w uint64
-	if len(ri) == 0 {
-		return 0
-	}
-	_ = rj[len(ri)-1] // bounds-check hint: len(rj) ≥ len(ri)
-	for c := 0; c < len(ri); c++ {
-		w |= eqMask01(ri[c], rj[c]) << uint(c)
-	}
-	return w
+	return e.rows.agreeSet(e.rows.row(i), e.rows.row(j))
 }
 
 // AgreeSetsInto computes the agree set of (base, o) for every row o in
 // others, writing result k into out[k] (len(out) must be ≥ len(others)).
-// It is the batched form of AgreeSet: the base row is loaded once, bounds
-// checks amortize over the batch, and agree sets are assembled one 64-bit
-// word at a time instead of one Add call per attribute, which keeps the
-// row-major Labels scan hot in cache. Used by full pairwise induction
+// It is the batched form of AgreeSet: the base row is loaded once and
+// bounds checks amortize over the batch. Used by full pairwise induction
 // (Fdep) and anywhere one row is compared against many. It performs no
 // allocation.
 //
 //fdlint:hotpath
 func (e *Encoded) AgreeSetsInto(base int, others []int32, out []fdset.AttrSet) {
-	rb := e.Labels[base]
-	if len(rb) <= 64 {
-		for k, o := range others {
-			out[k] = fdset.FromWord(agreeWord(rb, e.Labels[o]))
-		}
-		return
-	}
+	p := &e.rows
+	rb := p.row(base)
 	for k, o := range others {
-		out[k] = agreeWide(rb, e.Labels[o])
+		out[k] = p.agreeSet(rb, p.row(int(o)))
 	}
 }
 
@@ -208,70 +182,36 @@ func (e *Encoded) AgreeSetsInto(base int, others []int32, out []fdset.AttrSet) {
 //
 //fdlint:hotpath
 func (e *Encoded) AgreeWindowWords(rows []int32, window, from, to int, words []uint64) {
-	for p := from; p < to; p++ {
-		words[p-from] = agreeWord(e.Labels[rows[p]], e.Labels[rows[p+window-1]])
+	// The row layout's fields are copied to locals: the compiler cannot
+	// tell that stores to words leave them unchanged, and would reload
+	// them for every pair.
+	all, stride, tail, last := e.rows.words, e.rows.stride, e.rows.tail, e.rows.lastMask
+	lo, gather, top, down := e.rows.f.lo, e.rows.f.gather, e.rows.f.top, e.rows.f.down
+	far := rows[from+window-1 : to+window-1]
+	for k, r := range rows[from:to] {
+		a := all[int(r)*stride : int(r)*stride+stride]
+		b := all[int(far[k])*stride : int(far[k])*stride+stride]
+		words[k] = agreeLanes(a, b, lo, gather, top, down) >> tail & last
 	}
 }
 
 // AgreeWindowInto is the wide-relation sliding-window kernel (> 64
-// columns; narrower relations should prefer AgreeWindowWords): for every
-// position p in [from, to) it computes the agree set of the pair
-// (rows[p], rows[p+window-1]) into out[p-from] and the agree-set
-// cardinality into counts[p-from]. The counts come for free from the same
-// scan and feed capa accounting (newNonFDs = ncols − |agree|) without a
-// separate popcount pass. out and counts must have length ≥ to−from. It
-// performs no allocation.
+// columns; narrower relations use AgreeWindowWords): for every position
+// p in [from, to) it computes the agree set of the pair (rows[p],
+// rows[p+window-1]) into out[p-from] and the agree-set cardinality into
+// counts[p-from]. The counts come for free from the same scan and feed
+// capa accounting (newNonFDs = ncols − |agree|) without a separate
+// popcount pass. out and counts must have length ≥ to−from. It performs
+// no allocation.
 //
 //fdlint:hotpath
 func (e *Encoded) AgreeWindowInto(rows []int32, window, from, to int, out []fdset.AttrSet, counts []int32) {
-	ncols := len(e.Attrs)
-	if ncols <= 64 {
-		for p := from; p < to; p++ {
-			w := agreeWord(e.Labels[rows[p]], e.Labels[rows[p+window-1]])
-			out[p-from] = fdset.FromWord(w)
-			counts[p-from] = int32(bits.OnesCount64(w))
-		}
-		return
+	p := &e.rows
+	for i := from; i < to; i++ {
+		s := p.agreeSet(p.row(int(rows[i])), p.row(int(rows[i+window-1])))
+		out[i-from] = s
+		counts[i-from] = int32(s.Count())
 	}
-	for p := from; p < to; p++ {
-		s := agreeWide(e.Labels[rows[p]], e.Labels[rows[p+window-1]])
-		out[p-from] = s
-		counts[p-from] = int32(s.Count())
-	}
-}
-
-// agreeWide assembles the agree set of two label rows wider than 64
-// columns, one word per 64-column block.
-func agreeWide(ri, rj []int32) fdset.AttrSet {
-	var s fdset.AttrSet
-	ncols := len(ri)
-	for c := 0; c < ncols; {
-		end := c + 64
-		if end > ncols {
-			end = ncols
-		}
-		var w uint64
-		lo := c
-		for ; c < end; c++ {
-			w |= eqMask01(ri[c], rj[c]) << uint(c-lo)
-		}
-		s.SetWord(lo>>6, w)
-	}
-	return s
-}
-
-// AgreeDisagree returns both the agree set and the disagree set of a row
-// pair in one scan.
-func (e *Encoded) AgreeDisagree(i, j int) (agree, disagree fdset.AttrSet) {
-	ri, rj := e.Labels[i], e.Labels[j]
-	for c := range ri {
-		if ri[c] == rj[c] {
-			agree.Add(c)
-		} else {
-			disagree.Add(c)
-		}
-	}
-	return agree, disagree
 }
 
 // Cluster is one equivalence class of a single-attribute stripped
@@ -352,36 +292,14 @@ func (sc *JoinScratch) ensureSlots(numGroups int) {
 	sc.slot = grown
 }
 
-// grouper maps a row id to the dense group id of the refining operand
-// (-1 drops the row). It is a type parameter of joinClusters rather than
-// a func value so the per-row lookup is a direct, inlinable call in each
-// instantiation — the join touches every row of p twice.
-type grouper interface {
-	group(r int32) int32
-}
-
-// labelGrouper groups rows by the labels of one attribute (RefineWith).
-type labelGrouper struct {
-	labels [][]int32
-	a      int
-}
-
-func (g labelGrouper) group(r int32) int32 { return g.labels[r][g.a] }
-
-// probeGrouper groups rows by a probe table (ProductWith).
-type probeGrouper struct {
-	probe []int32
-}
-
-func (g probeGrouper) group(r int32) int32 { return g.probe[r] }
-
-// joinClusters splits every cluster of p by gr.group(row), emitting
+// joinClusters splits every cluster of p by probe[row], the dense group
+// id of the row in the refining operand (-1 drops the row), emitting
 // sub-clusters of size ≥ 2 in first-occurrence order of their group
 // within each parent cluster — never in hash order — so the output is a
 // pure function of the operands (determinism invariant I1). The returned
 // partition owns exactly-sized fresh storage; everything transient lives
 // in sc.
-func joinClusters[G grouper](sc *JoinScratch, p StrippedPartition, gr G) StrippedPartition {
+func joinClusters(sc *JoinScratch, p StrippedPartition, probe []int32) StrippedPartition {
 	if cap(sc.flat) < p.Sum() {
 		sc.flat = make([]int32, 0, p.Sum())
 	}
@@ -392,7 +310,7 @@ func joinClusters[G grouper](sc *JoinScratch, p StrippedPartition, gr G) Strippe
 		sc.cnt = sc.cnt[:0]
 		// Pass 1: group sizes in first-occurrence order.
 		for _, r := range cluster {
-			g := gr.group(r)
+			g := probe[r]
 			if g < 0 {
 				continue
 			}
@@ -418,7 +336,7 @@ func joinClusters[G grouper](sc *JoinScratch, p StrippedPartition, gr G) Strippe
 		// Pass 2: scatter rows into their group's range, preserving row
 		// order within each sub-cluster.
 		for _, r := range cluster {
-			g := gr.group(r)
+			g := probe[r]
 			if g < 0 {
 				continue
 			}
@@ -452,13 +370,28 @@ func joinClusters[G grouper](sc *JoinScratch, p StrippedPartition, gr G) Strippe
 // RefineWith splits every cluster of p by the labels of attribute a,
 // dropping resulting singletons — the partition product π_p · π_a
 // specialised to a single-attribute refiner — reusing sc for all
-// transient state. Labels of a are dense in [0, NumLabels[a]), so the
-// join indexes them directly: no hashing, no per-cluster map.
+// transient state. Labels of a are dense in [0, NumLabels[a]), so they
+// serve as group ids directly: no hashing, no per-cluster map. Each row
+// of p reads its lane once into the probe table, which the join then
+// consults twice per row, and which is reset sparsely afterwards.
 //
 //fdlint:hotpath
 func (e *Encoded) RefineWith(p StrippedPartition, a int, sc *JoinScratch) StrippedPartition {
+	sc.ensureProbe(e.NumRows)
 	sc.ensureSlots(e.NumLabels[a])
-	return joinClusters(sc, p, labelGrouper{labels: e.Labels, a: a})
+	probe, lane := sc.probe, e.Lane(a)
+	for _, cluster := range p.Clusters {
+		for _, r := range cluster {
+			probe[r] = lane.At(r)
+		}
+	}
+	out := joinClusters(sc, p, probe)
+	for _, cluster := range p.Clusters {
+		for _, r := range cluster {
+			probe[r] = -1
+		}
+	}
+	return out
 }
 
 // Refine is RefineWith with a transient scratch, for callers outside a
@@ -485,7 +418,7 @@ func ProductWith(p, q StrippedPartition, numRows int, sc *JoinScratch) StrippedP
 			probe[r] = int32(id)
 		}
 	}
-	out := joinClusters(sc, p, probeGrouper{probe: probe})
+	out := joinClusters(sc, p, probe)
 	for _, cluster := range q.Clusters {
 		for _, r := range cluster {
 			probe[r] = -1
@@ -532,33 +465,31 @@ func (e *Encoded) PartitionOfWith(x fdset.AttrSet, sc *JoinScratch) StrippedPart
 	return p
 }
 
-// Holds reports whether the FD x → a is valid on the encoded relation,
-// by checking that refining π_x with a splits nothing: every x-cluster is
-// constant on a.
+// Holds reports whether the FD x → a is valid on the encoded relation:
+// every cluster of π_x is constant on a.
 func (e *Encoded) Holds(x fdset.AttrSet, a int) bool {
-	p := e.PartitionOf(x)
-	for _, cluster := range p.Clusters {
-		first := e.Labels[cluster[0]][a]
-		for _, r := range cluster[1:] {
-			if e.Labels[r][a] != first {
-				return false
-			}
-		}
-	}
-	return true
+	return e.ConstantOn(e.PartitionOf(x), a)
 }
 
-// Violation returns a witnessing row pair for a violated FD x → a, or ok =
-// false when the FD holds. Used by validation-driven algorithms (HyFD) to
-// feed violations back into the negative cover.
-func (e *Encoded) Violation(x fdset.AttrSet, a int) (i, j int, ok bool) {
-	p := e.PartitionOf(x)
-	for _, cluster := range p.Clusters {
-		firstRow := cluster[0]
-		first := e.Labels[firstRow][a]
+// ConstantOn reports whether every cluster of part is constant on
+// attribute a — the validity check X → a given π_X.
+func (e *Encoded) ConstantOn(part StrippedPartition, a int) bool {
+	_, _, violated := e.ViolatingPair(part, a)
+	return !violated
+}
+
+// ViolatingPair returns the first row pair, in cluster order, that shares
+// a cluster of part = π_X but differs on attribute a — a witness that
+// X → a fails — or ok = false when every cluster is constant on a.
+// Validation-driven algorithms (HyFD) feed the witness back into the
+// negative cover.
+func (e *Encoded) ViolatingPair(part StrippedPartition, a int) (i, j int32, ok bool) {
+	lane := e.Lane(a)
+	for _, cluster := range part.Clusters {
+		want := lane.At(cluster[0])
 		for _, r := range cluster[1:] {
-			if e.Labels[r][a] != first {
-				return int(firstRow), int(r), true
+			if lane.At(r) != want {
+				return cluster[0], r, true
 			}
 		}
 	}

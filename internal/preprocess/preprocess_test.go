@@ -60,8 +60,12 @@ func TestEncodeLabelsMatchTableII(t *testing.T) {
 		{7, 4, 2, 1, 3},
 		{8, 5, 1, 2, 1},
 	}
-	if !reflect.DeepEqual(e.Labels, want) {
-		t.Errorf("labels:\n%v\nwant:\n%v", e.Labels, want)
+	for i, row := range want {
+		for c, l := range row {
+			if got := e.Lane(c).At(int32(i)); got != l {
+				t.Errorf("label (%d,%d) = %d, want %d", i, c, got, l)
+			}
+		}
 	}
 	if e.NumLabels[0] != 9 || e.NumLabels[3] != 3 {
 		t.Errorf("NumLabels = %v", e.NumLabels)
@@ -104,9 +108,8 @@ func TestAgreeSetExamples(t *testing.T) {
 	if agree != fdset.NewAttrSet(3) {
 		t.Errorf("agree(t1,t3) = %v", agree)
 	}
-	a, d := e.AgreeDisagree(0, 2)
-	if a != agree || d != fdset.NewAttrSet(0, 1, 2, 4) {
-		t.Errorf("AgreeDisagree = %v %v", a, d)
+	if d := fdset.FullSet(5).Diff(agree); d != fdset.NewAttrSet(0, 1, 2, 4) {
+		t.Errorf("disagree(t1,t3) = %v", d)
 	}
 	// t2,t7 (rows 1,6): agree on Age, BP, Medicine (A, B, M).
 	if got := e.AgreeSet(1, 6); got != fdset.NewAttrSet(1, 2, 4) {
@@ -139,14 +142,14 @@ func TestHoldsOnPaperExamples(t *testing.T) {
 
 func TestViolationWitness(t *testing.T) {
 	e := Encode(patient())
-	i, j, ok := e.Violation(fdset.NewAttrSet(3), 4) // G ↛ M
+	i, j, ok := e.ViolatingPair(e.PartitionOf(fdset.NewAttrSet(3)), 4) // G ↛ M
 	if !ok {
 		t.Fatal("expected violation for G -> M")
 	}
-	if e.Labels[i][3] != e.Labels[j][3] || e.Labels[i][4] == e.Labels[j][4] {
+	if e.Lane(3).At(i) != e.Lane(3).At(j) || e.Lane(4).At(i) == e.Lane(4).At(j) {
 		t.Errorf("witness (%d,%d) does not violate", i, j)
 	}
-	if _, _, ok := e.Violation(fdset.NewAttrSet(0), 1); ok {
+	if _, _, ok := e.ViolatingPair(e.PartitionOf(fdset.NewAttrSet(0)), 1); ok {
 		t.Error("valid FD reported violation")
 	}
 }
@@ -169,7 +172,7 @@ func naivePartition(e *Encoded, x fdset.AttrSet) [][]int32 {
 	for i := 0; i < e.NumRows; i++ {
 		key := ""
 		x.ForEach(func(a int) bool {
-			key += string(rune(e.Labels[i][a])) + "|"
+			key += string(rune(e.Lane(a).At(int32(i)))) + "|"
 			return true
 		})
 		groups[key] = append(groups[key], int32(i))

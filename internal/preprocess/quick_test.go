@@ -29,9 +29,9 @@ func TestQuickPartitionInvariants(t *testing.T) {
 				if len(cluster) < 2 {
 					return false
 				}
-				label := enc.Labels[cluster[0]][a]
+				label := enc.Lane(a).At(cluster[0])
 				for _, r := range cluster {
-					if enc.Labels[r][a] != label || covered[r] {
+					if enc.Lane(a).At(r) != label || covered[r] {
 						return false
 					}
 					covered[r] = true

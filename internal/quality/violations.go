@@ -70,8 +70,9 @@ func newClusterScratch() *clusterScratch {
 // representative.
 func (sc *clusterScratch) repair(enc *preprocess.Encoded, cluster []int32, rhs int) (keep int32, rows []int32, distinct int) {
 	clear(sc.cnt)
+	lane := enc.Lane(rhs)
 	for _, r := range cluster {
-		sc.cnt[enc.Labels[r][rhs]]++
+		sc.cnt[lane.At(r)]++
 	}
 	distinct = len(sc.cnt)
 	if distinct <= 1 {
@@ -80,20 +81,20 @@ func (sc *clusterScratch) repair(enc *preprocess.Encoded, cluster []int32, rhs i
 	best := int32(0)
 	bestLabel := int32(0)
 	for _, r := range cluster {
-		if c := sc.cnt[enc.Labels[r][rhs]]; c > best {
+		if c := sc.cnt[lane.At(r)]; c > best {
 			best = c
-			bestLabel = enc.Labels[r][rhs]
+			bestLabel = lane.At(r)
 		}
 	}
 	for _, r := range cluster {
-		if enc.Labels[r][rhs] == bestLabel {
+		if lane.At(r) == bestLabel {
 			keep = r
 			break
 		}
 	}
 	sc.rows = sc.rows[:0]
 	for _, r := range cluster {
-		if enc.Labels[r][rhs] != bestLabel {
+		if lane.At(r) != bestLabel {
 			sc.rows = append(sc.rows, r)
 		}
 	}
