@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: check build vet lint lint-sarif test race bench-smoke bench-check bench-sampling bench-afd bench-kernels bench-ensemble bench-incremental bench-quality regress regress-record serve-smoke
+.PHONY: check build vet lint lint-sarif test race bench-smoke bench-check bench-report regress regress-record serve-smoke
 
 check: build vet lint race regress
 
@@ -51,31 +51,13 @@ bench-check:
 serve-smoke:
 	$(GO) run ./cmd/fdserve -smoke
 
-# Regenerates the committed machine-readable sampling benchmark.
-bench-sampling:
-	$(GO) run ./cmd/fdbench -json BENCH_sampling.json
-
-# Regenerates the committed machine-readable AFD scoring benchmark.
-bench-afd:
-	$(GO) run ./cmd/fdbench -afd-json BENCH_afd.json
-
-# Regenerates the committed hot-path kernel micro-benchmark.
-bench-kernels:
-	$(GO) run ./cmd/fdbench -kernels-json BENCH_kernels.json
-
-# Regenerates the committed ensemble confidence-voting benchmark.
-bench-ensemble:
-	$(GO) run ./cmd/fdbench -ensemble-json BENCH_ensemble.json
-
-# Regenerates the committed incremental-maintenance benchmark (delta
-# batches through the mutation log vs full rediscovery per batch).
-bench-incremental:
-	$(GO) run ./cmd/fdbench -incremental-json BENCH_incremental.json
-
-# Regenerates the committed data-quality report benchmark (the full
-# Analyze pipeline: ranking, violations, repairs, normalization).
-bench-quality:
-	$(GO) run ./cmd/fdbench -quality-json BENCH_quality.json
+# Regenerates BENCH_report.json, the committed benchmark report: sampling
+# at Workers=1 vs N, ensemble voting, incremental delta maintenance vs
+# rediscovery, and the data-quality report pipeline. Exits 1, keeping the
+# previous file, when a cell fails or a Workers=N cover differs from the
+# Workers=1 cover.
+bench-report:
+	$(GO) run ./cmd/fdbench -report BENCH_report.json
 
 # Regression gate: runs the canonical suite and diffs against the
 # committed BASELINE.json. Accuracy is exact-match gated; wall times are

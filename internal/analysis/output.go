@@ -8,7 +8,7 @@ import (
 )
 
 // ReportSchemaVersion versions fdlint's machine-readable JSON output,
-// following the same convention as internal/regress/report: readers
+// following the same convention as internal/bench: readers
 // reject documents with a different version instead of misinterpreting
 // renamed fields.
 const ReportSchemaVersion = 1

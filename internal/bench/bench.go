@@ -1,20 +1,21 @@
-// Package bench is the experiment harness that regenerates every table
+// Package bench is the measurement harness. It regenerates every table
 // and figure of the paper's evaluation (Section V) on the synthetic
 // stand-in datasets: it runs (algorithm × dataset) cells, measures wall
 // time, scores F1 against the exact oracle, and renders paper-style rows.
+// It also writes BENCH_report.json, the cells of the measurement groups
+// no other benchmark covers, and owns the timing loop, JSON helpers and
+// table writer that the regression harness (internal/regress) shares.
 package bench
 
 import (
 	"context"
 	"fmt"
-	"io"
 	"time"
 
 	"eulerfd/internal/algo"
 	"eulerfd/internal/fdset"
 	"eulerfd/internal/metrics"
 	"eulerfd/internal/preprocess"
-	"eulerfd/internal/regress/report"
 )
 
 // Cell is one (algorithm, dataset) measurement.
@@ -26,7 +27,6 @@ type Cell struct {
 	Time     time.Duration
 	FDs      int
 	F1       float64 // NaN-free: -1 when no ground truth is available
-	Pairs    int     // tuple pairs compared, when the algorithm reports it
 	Err      string  // "TL" when the time budget was exceeded, "" otherwise
 	HasTruth bool
 }
@@ -110,14 +110,4 @@ func FmtF1(c Cell) string {
 		return "-"
 	}
 	return fmt.Sprintf("%.3f", c.F1)
-}
-
-// Table is the shared fixed-width table writer; see
-// internal/regress/report, which owns rendering for both the benchmark
-// and regression harnesses.
-type Table = report.Table
-
-// NewTable writes a header row and remembers column widths.
-func NewTable(w io.Writer, headers []string, widths []int) *Table {
-	return report.NewTable(w, headers, widths)
 }

@@ -2,7 +2,6 @@ package bench
 
 import (
 	"bytes"
-	"encoding/json"
 	"strings"
 	"testing"
 )
@@ -13,43 +12,36 @@ func TestRunEnsembleSmoke(t *testing.T) {
 	EnsembleSizes = []int{1, 3}
 	defer func() { EnsembleDatasets, EnsembleSizes = savedD, savedN }()
 
+	r := NewRunner()
+	r.Tuning.Euler.Workers = 1
 	var buf bytes.Buffer
-	rep := RunEnsemble(&buf, 1, 0, 2)
-	if len(rep.Cells) != 2 {
-		t.Fatalf("want 2 cells (one per size), got %d", len(rep.Cells))
+	cells, err := Ensemble(&buf, r)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for i, c := range rep.Cells {
-		if c.Dataset != "iris" || c.Runs != 2 {
+	if len(cells) != 2 {
+		t.Fatalf("want 2 cells (one per size), got %d", len(cells))
+	}
+	for i, c := range cells {
+		if c.Dataset != "iris" || c.Runs != Runs {
 			t.Errorf("cell header = %+v", c)
 		}
-		if c.Members != EnsembleSizes[i] {
-			t.Errorf("cell %d: members = %d, want %d", i, c.Members, EnsembleSizes[i])
+		if c.Counters["members"] != EnsembleSizes[i] {
+			t.Errorf("cell %d: members = %d, want %d", i, c.Counters["members"], EnsembleSizes[i])
 		}
-		if c.Majority > c.Candidates {
-			t.Errorf("majority %d exceeds candidates %d", c.Majority, c.Candidates)
+		if c.Counters["majority"] > c.Counters["candidates"] {
+			t.Errorf("majority %d exceeds candidates %d", c.Counters["majority"], c.Counters["candidates"])
 		}
 		// iris is trivially discoverable: every member finds the exact
 		// cover, so the majority scores perfectly against TANE.
-		if c.Precision != 1 || c.Recall != 1 {
-			t.Errorf("members=%d: precision %v recall %v, want 1/1 on iris", c.Members, c.Precision, c.Recall)
+		if c.Score == nil || c.Score.Precision != 1 || c.Score.Recall != 1 {
+			t.Errorf("members=%d: score %+v, want precision and recall 1 on iris", i, c.Score)
 		}
 		if c.MinMS > c.MedianMS || c.MedianMS > c.MaxMS {
-			t.Errorf("times not ordered: %+v", c)
+			t.Errorf("times not ordered: %+v", c.Timing)
 		}
 	}
 	if !strings.Contains(buf.String(), "iris") {
 		t.Error("table output missing dataset row")
-	}
-
-	var out bytes.Buffer
-	if err := WriteEnsembleJSON(&out, rep); err != nil {
-		t.Fatal(err)
-	}
-	var decoded EnsembleReport
-	if err := json.Unmarshal(out.Bytes(), &decoded); err != nil {
-		t.Fatalf("report is not valid JSON: %v", err)
-	}
-	if decoded.Schema != 1 || len(decoded.Cells) != len(rep.Cells) {
-		t.Error("JSON round trip lost fields")
 	}
 }

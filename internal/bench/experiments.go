@@ -14,29 +14,35 @@ import (
 )
 
 // Experiments maps experiment ids (as used by `fdbench -exp`) to runners.
-// Each regenerates one table or figure of the paper.
-var Experiments = map[string]func(w io.Writer, r *Runner){
-	"table3":   Table3,
-	"fig6":     Fig6,
-	"fig7":     Fig7,
-	"fig8":     Fig8,
-	"fig9":     Fig9,
-	"fig10":    Fig10,
-	"fig11":    Fig11,
-	"table5":   Table5,
-	"sampling": Sampling,
-	"afd":      AFD,
-	"kernels":  Kernels,
-	"ensemble": Ensemble,
-	"quality":  Quality,
+// The paper experiments each regenerate one table or figure; the report
+// groups (ReportGroups) also return the cells `fdbench -report` writes,
+// and fail on a cell error or a broken invariant.
+var Experiments = map[string]func(w io.Writer, r *Runner) ([]ReportCell, error){
+	"table3":      paper(Table3),
+	"fig6":        paper(Fig6),
+	"fig7":        paper(Fig7),
+	"fig8":        paper(Fig8),
+	"fig9":        paper(Fig9),
+	"fig10":       paper(Fig10),
+	"fig11":       paper(Fig11),
+	"table5":      paper(Table5),
+	"sampling":    Sampling,
+	"ensemble":    Ensemble,
+	"incremental": Incremental,
+	"quality":     Quality,
 }
 
-// ExperimentIDs lists the experiment ids in paper order; "sampling" (the
-// parallel-engine benchmark), "afd" (the approximate-FD scoring
-// benchmark), "kernels" (the hot-path micro-benchmark), "ensemble"
-// (the confidence-voting accuracy sweep), and "quality" (the
-// data-quality report pipeline), none from the paper, run last.
-var ExperimentIDs = []string{"table3", "fig6", "fig7", "fig8", "fig9", "fig10", "fig11", "table5", "sampling", "afd", "kernels", "ensemble", "quality"}
+// ExperimentIDs lists the experiment ids in paper order, followed by the
+// report groups, which are not from the paper.
+var ExperimentIDs = append([]string{"table3", "fig6", "fig7", "fig8", "fig9", "fig10", "fig11", "table5"}, ReportGroups...)
+
+// paper adapts a paper experiment, which only renders its table.
+func paper(fn func(io.Writer, *Runner)) func(io.Writer, *Runner) ([]ReportCell, error) {
+	return func(w io.Writer, r *Runner) ([]ReportCell, error) {
+		fn(w, r)
+		return nil, nil
+	}
+}
 
 // Table3 reproduces Table III: runtime and F1 of all five algorithms on
 // the 19 benchmark datasets. Exact algorithms are skipped ("TL") on

@@ -3,109 +3,96 @@ package bench
 import (
 	"fmt"
 	"io"
-	"os"
-	"runtime"
 	"time"
 
+	"eulerfd/internal/algo"
 	"eulerfd/internal/core"
 	"eulerfd/internal/dataset"
 	"eulerfd/internal/datasets"
 	"eulerfd/internal/preprocess"
-	"eulerfd/internal/regress/report"
 )
 
 // IncrementalDatasets are the registry corpora the incremental-
-// maintenance benchmark runs on: the row-heavy shapes where a DMS would
+// maintenance group runs on: the row-heavy shapes where a DMS would
 // actually stream mutation batches.
 var IncrementalDatasets = []string{"chess", "abalone", "nursery"}
 
-// Incremental benchmark scenario: bootstrap on the bulk of the table,
-// then absorb incrementalBatches small append batches — the steady-state
-// trickle the mutation log exists for. Each batch is
-// incrementalBatchFrac of the table (at least incrementalBatchMin
-// rows); a delta scan costs O(batch × table) pairs, so the regime where
-// incremental maintenance pays is exactly small-batch-vs-whole-table.
+// Incremental scenario: bootstrap on the bulk of the table, then absorb
+// incrementalBatches small append batches — the steady-state trickle the
+// mutation log exists for. Each batch is incrementalBatchFrac of the
+// table (at least incrementalBatchMin rows); a delta scan costs
+// O(batch × table) pairs, so the regime where incremental maintenance
+// pays is exactly small-batch-vs-whole-table.
 const (
 	incrementalBatchFrac = 0.005
 	incrementalBatchMin  = 8
 	incrementalBatches   = 4
-	incrementalRunsDef   = 5
 )
 
-// IncrementalCell is one dataset's incremental-maintenance measurement:
-// the median wall time of absorbing incrementalBatches append batches
-// through the mutation log (delta_ms) versus rediscovering from scratch
-// at each batch arrival (rediscover_ms), the deployment pattern the
-// delta engine replaces. Speedup is rediscover_ms / delta_ms. mixed_ms
-// is one extra batch mixing deletes and updates, timed the same way —
-// removals ride the same delta scan, so it lands in the same range as
-// an equal-sized append.
-type IncrementalCell struct {
-	Dataset      string  `json:"dataset"`
-	Rows         int     `json:"rows"`
-	Cols         int     `json:"cols"`
-	BaseRows     int     `json:"base_rows"`
-	BatchRows    int     `json:"batch_rows"`
-	Batches      int     `json:"batches"`
-	Runs         int     `json:"runs"`
-	BootstrapMS  float64 `json:"bootstrap_ms"`
-	DeltaMS      float64 `json:"delta_ms"`
-	MixedMS      float64 `json:"mixed_ms"`
-	RediscoverMS float64 `json:"rediscover_ms"`
-	Speedup      float64 `json:"speedup"`
-}
-
-// IncrementalReport is the JSON document fdbench -incremental-json
-// emits, with the same schema-versioned envelope as the other reports.
-type IncrementalReport struct {
-	Schema     int               `json:"schema"`
-	NumCPU     int               `json:"num_cpu"`
-	GOMAXPROCS int               `json:"gomaxprocs"`
-	Workers    int               `json:"workers"`
-	Cells      []IncrementalCell `json:"cells"`
-}
-
-// runIncrementalCell measures one dataset: per run, bootstrap an
-// Incremental on the base prefix, append the delta batches through the
-// mutation log, and apply one mixed delete/update batch; then
-// rediscover from scratch over each of the growing prefixes — what a
-// deployment without delta maintenance must do per import. Medians are
-// taken across runs.
-func runIncrementalCell(rel *dataset.Relation, opt core.Options, runs int) (IncrementalCell, error) {
-	n := len(rel.Rows)
-	batchRows := int(float64(n) * incrementalBatchFrac)
-	if batchRows < incrementalBatchMin {
-		batchRows = incrementalBatchMin
+// Incremental benchmarks delta-append maintenance against full
+// rediscovery on IncrementalDatasets. Each run bootstraps an Incremental
+// on the base prefix, appends the batches through the mutation log
+// (delta), applies one batch mixing deletes and updates (mixed), then
+// rediscovers from scratch over each grown prefix (rediscover) — what a
+// deployment without delta maintenance must do per import. The speedup,
+// rediscover over delta, is the headline: how much cheaper absorbing a
+// batch through the mutation log is than rerunning discovery.
+func Incremental(w io.Writer, r *Runner) ([]ReportCell, error) {
+	opt := r.Tuning.Euler
+	fmt.Fprintf(w, "Incremental maintenance: %d append batches plus a delete/update batch, median of %d runs\n",
+		incrementalBatches, Runs)
+	t := NewTable(w, []string{"dataset", "rows", "cols", "batch", "bootstrap", "delta", "mixed", "rediscover", "speedup"},
+		[]int{16, 8, 6, 7, 11, 10, 9, 12, 8})
+	var cells []ReportCell
+	for _, name := range IncrementalDatasets {
+		d, err := datasets.ByName(name)
+		if err != nil {
+			return nil, fmt.Errorf("incremental: %w", err)
+		}
+		c, err := incrementalCell(d.Build(), opt)
+		if err != nil {
+			return nil, fmt.Errorf("incremental: %s: %w", name, err)
+		}
+		l := c.LayersMS
+		t.Row(c.Dataset, fmt.Sprint(c.Rows), fmt.Sprint(c.Cols), fmt.Sprint(c.Counters["batch_rows"]),
+			fmt.Sprintf("%.1fms", l["bootstrap"]), fmt.Sprintf("%.2fms", l["delta"]),
+			fmt.Sprintf("%.2fms", l["mixed"]), fmt.Sprintf("%.1fms", l["rediscover"]),
+			fmt.Sprintf("%.2fx", c.Speedup))
+		cells = append(cells, c)
 	}
+	return cells, nil
+}
+
+// incrementalCell times one dataset's bootstrap → delta → mixed →
+// rediscover run.
+func incrementalCell(rel *dataset.Relation, opt core.Options) (ReportCell, error) {
+	n := len(rel.Rows)
+	batchRows := max(int(float64(n)*incrementalBatchFrac), incrementalBatchMin)
 	base := n - incrementalBatches*batchRows
 	cuts := make([]int, incrementalBatches)
 	for i := range cuts {
 		cuts[i] = base + (i+1)*batchRows
 	}
-	boot := make([]float64, 0, runs)
-	delta := make([]float64, 0, runs)
-	mixed := make([]float64, 0, runs)
-	redisc := make([]float64, 0, runs)
-	for r := 0; r < runs; r++ {
+	tm, err := TimeRuns(Runs, func() (map[string]time.Duration, error) {
+		split := map[string]time.Duration{}
 		inc, err := core.NewIncremental(rel.Name, rel.Attrs, opt)
 		if err != nil {
-			return IncrementalCell{}, err
+			return nil, err
 		}
 		start := time.Now()
 		if _, err := inc.Append(rel.Rows[:base]); err != nil {
-			return IncrementalCell{}, err
+			return nil, err
 		}
-		boot = append(boot, report.Millis(time.Since(start)))
+		split["bootstrap"] = time.Since(start)
 		start = time.Now()
 		prev := base
 		for _, cut := range cuts {
 			if _, err := inc.Append(rel.Rows[prev:cut]); err != nil {
-				return IncrementalCell{}, err
+				return nil, err
 			}
 			prev = cut
 		}
-		delta = append(delta, report.Millis(time.Since(start)))
-
+		split["delta"] = time.Since(start)
 		// One churn batch: delete the two oldest rows, rewrite two more
 		// with the freshest values. Same delta scan, opposite sign.
 		churn := core.MutationBatch{Mutations: []core.Mutation{
@@ -114,92 +101,30 @@ func runIncrementalCell(rel *dataset.Relation, opt core.Options, runs int) (Incr
 		}}
 		start = time.Now()
 		if _, err := inc.Apply(churn); err != nil {
-			return IncrementalCell{}, err
+			return nil, err
 		}
-		mixed = append(mixed, report.Millis(time.Since(start)))
-
+		split["mixed"] = time.Since(start)
 		start = time.Now()
 		for _, cut := range cuts {
 			prefix, err := dataset.New(rel.Name, rel.Attrs, rel.Rows[:cut])
 			if err != nil {
-				return IncrementalCell{}, err
+				return nil, err
 			}
 			core.DiscoverEncoded(preprocess.Encode(prefix), opt)
 		}
-		redisc = append(redisc, report.Millis(time.Since(start)))
-	}
-	dm, rm := report.Median(delta), report.Median(redisc)
-	cell := IncrementalCell{
-		Dataset: rel.Name, Rows: n, Cols: len(rel.Attrs),
-		BaseRows: base, BatchRows: batchRows, Batches: incrementalBatches, Runs: runs,
-		BootstrapMS: report.Median(boot), DeltaMS: dm,
-		MixedMS: report.Median(mixed), RediscoverMS: rm,
-	}
-	if dm > 0 {
-		cell.Speedup = rm / dm
-	}
-	return cell, nil
-}
-
-// RunIncremental benchmarks delta-append maintenance against full
-// rediscovery on IncrementalDatasets and reports per-dataset medians.
-// The speedup column is the headline: how much cheaper absorbing a
-// batch through the mutation log is than rerunning discovery on the
-// grown relation.
-func RunIncremental(w io.Writer, workers, runs int) (IncrementalReport, error) {
-	if runs < 1 {
-		runs = incrementalRunsDef
-	}
-	opt := core.DefaultOptions()
-	opt.Workers = workers
-	rep := IncrementalReport{
-		Schema: report.SchemaVersion, NumCPU: runtime.NumCPU(),
-		GOMAXPROCS: runtime.GOMAXPROCS(0), Workers: workers,
-	}
-	fmt.Fprintf(w, "Incremental maintenance: %d append batches plus a delete/update batch, median of %d runs\n",
-		incrementalBatches, runs)
-	t := NewTable(w, []string{"dataset", "rows", "cols", "batch", "bootstrap", "delta", "mixed", "rediscover", "speedup"},
-		[]int{16, 8, 6, 7, 11, 10, 9, 12, 8})
-	for _, name := range IncrementalDatasets {
-		d, err := datasets.ByName(name)
-		if err != nil {
-			return rep, err
-		}
-		cell, err := runIncrementalCell(d.Build(), opt, runs)
-		if err != nil {
-			return rep, err
-		}
-		t.Row(cell.Dataset, fmt.Sprint(cell.Rows), fmt.Sprint(cell.Cols), fmt.Sprint(cell.BatchRows),
-			fmt.Sprintf("%.1fms", cell.BootstrapMS), fmt.Sprintf("%.2fms", cell.DeltaMS),
-			fmt.Sprintf("%.2fms", cell.MixedMS),
-			fmt.Sprintf("%.1fms", cell.RediscoverMS), fmt.Sprintf("%.2fx", cell.Speedup))
-		rep.Cells = append(rep.Cells, cell)
-	}
-	return rep, nil
-}
-
-// WriteIncrementalJSON writes the report as schema-versioned indented
-// JSON.
-func WriteIncrementalJSON(w io.Writer, rep IncrementalReport) error {
-	return report.WriteJSON(w, rep)
-}
-
-// RunIncrementalToFile runs the incremental benchmark and writes the
-// JSON report to path. The output file is created up front so a bad
-// path fails fast.
-func RunIncrementalToFile(w io.Writer, workers, runs int, path string) error {
-	f, err := os.Create(path)
+		split["rediscover"] = time.Since(start)
+		return split, nil
+	})
 	if err != nil {
-		return err
+		return ReportCell{}, err
 	}
-	rep, err := RunIncremental(w, workers, runs)
-	if err != nil {
-		f.Close()
-		return err
+	c := ReportCell{
+		Group: "incremental", Dataset: rel.Name, Rows: n, Cols: len(rel.Attrs),
+		Algo: algo.Euler, Options: "default", Workers: opt.Workers, Timing: tm,
+		Counters: map[string]int{"base_rows": base, "batch_rows": batchRows, "batches": incrementalBatches},
 	}
-	if err := WriteIncrementalJSON(f, rep); err != nil {
-		f.Close()
-		return err
+	if delta := tm.LayersMS["delta"]; delta > 0 {
+		c.Speedup = tm.LayersMS["rediscover"] / delta
 	}
-	return f.Close()
+	return c, nil
 }

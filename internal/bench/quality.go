@@ -4,114 +4,55 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"os"
-	"runtime"
-	"sort"
 	"time"
 
+	"eulerfd/internal/algo"
 	"eulerfd/internal/core"
 	"eulerfd/internal/datasets"
 	"eulerfd/internal/preprocess"
 	"eulerfd/internal/quality"
-	"eulerfd/internal/regress/report"
 )
 
-// QualityDatasets are the corpora the quality-report benchmark runs on:
-// the same spread as the AFD scoring benchmark, since the report's
-// dominant cost is the redundancy ranking over the discovered cover.
+// QualityDatasets are the corpora the quality group runs on: a spread of
+// tall (abalone, nursery) and wide (bridges) partition shapes, since the
+// report's dominant cost is the redundancy ranking over the discovered
+// cover.
 var QualityDatasets = []string{"iris", "balance-scale", "bridges", "chess", "abalone", "nursery"}
 
-// QualityCell is one dataset's measurement: the median-of-N wall time to
-// build the full quality report (ranking, violations, repairs,
-// normalization) from an already-discovered cover.
-type QualityCell struct {
-	Dataset  string  `json:"dataset"`
-	Rows     int     `json:"rows"`
-	Cols     int     `json:"cols"`
-	CoverFDs int     `json:"cover_fds"`
-	TopK     int     `json:"top_k"`
-	Runs     int     `json:"runs"`
-	MedianMS float64 `json:"median_ms"`
-	MinMS    float64 `json:"min_ms"`
-	MaxMS    float64 `json:"max_ms"`
-}
-
-// QualityReport is the JSON document fdbench -quality-json emits, with
-// the same schema-versioned envelope as the other reports.
-type QualityReport struct {
-	Schema     int           `json:"schema"`
-	NumCPU     int           `json:"num_cpu"`
-	GOMAXPROCS int           `json:"gomaxprocs"`
-	Runs       int           `json:"runs"`
-	Cells      []QualityCell `json:"cells"`
-}
-
-// RunQuality benchmarks quality-report construction on QualityDatasets:
-// discover each corpus's cover once, then time the full Analyze pipeline
-// (median over runs repetitions, fresh scorer per run).
-func RunQuality(w io.Writer, runs int) QualityReport {
-	if runs < 1 {
-		runs = 5
-	}
-	rep := QualityReport{Schema: report.SchemaVersion, NumCPU: runtime.NumCPU(), GOMAXPROCS: runtime.GOMAXPROCS(0), Runs: runs}
-	fmt.Fprintf(w, "quality report: full Analyze pipeline, median of %d runs\n", runs)
+// Quality benchmarks quality-report construction on QualityDatasets:
+// discover each corpus's cover once with the runner's EulerFD options,
+// then time the full Analyze pipeline (ranking, violations, repairs,
+// normalization) with a fresh scorer per run. Analyze runs on one
+// goroutine.
+func Quality(w io.Writer, r *Runner) ([]ReportCell, error) {
+	fmt.Fprintf(w, "quality report: full Analyze pipeline, median of %d runs\n", Runs)
 	t := NewTable(w, []string{"dataset", "rows", "cols", "cover", "k", "median", "min", "max"},
 		[]int{16, 8, 6, 8, 4, 10, 10, 10})
 	qopt := quality.DefaultOptions()
+	var cells []ReportCell
 	for _, name := range QualityDatasets {
 		d, err := datasets.ByName(name)
 		if err != nil {
-			fmt.Fprintf(w, "quality: %v\n", err)
-			continue
+			return nil, fmt.Errorf("quality: %w", err)
 		}
 		enc := preprocess.Encode(d.Build())
-		cover, _ := core.DiscoverEncoded(enc, core.DefaultOptions())
-		times := make([]float64, 0, runs)
-		for i := 0; i < runs; i++ {
-			start := time.Now()
-			if _, err := quality.Analyze(context.Background(), enc, cover, nil, qopt); err != nil {
-				fmt.Fprintf(w, "quality: %s: %v\n", name, err)
-				break
-			}
-			times = append(times, report.Millis(time.Since(start)))
+		cover, _ := core.DiscoverEncoded(enc, r.Tuning.Euler)
+		tm, err := TimeRuns(Runs, func() (map[string]time.Duration, error) {
+			_, err := quality.Analyze(context.Background(), enc, cover, nil, qopt)
+			return nil, err
+		})
+		if err != nil {
+			return nil, fmt.Errorf("quality: %s: %w", name, err)
 		}
-		if len(times) < runs {
-			continue
+		c := ReportCell{
+			Group: "quality", Dataset: enc.Name, Rows: enc.NumRows, Cols: len(enc.Attrs),
+			Algo: algo.AFDRedundancy, Options: fmt.Sprintf("k=%d", qopt.TopK), Workers: 1, Timing: tm,
+			Counters: map[string]int{"cover_fds": cover.Len(), "top_k": qopt.TopK},
 		}
-		sort.Float64s(times)
-		c := QualityCell{
-			Dataset: enc.Name, Rows: enc.NumRows, Cols: len(enc.Attrs),
-			CoverFDs: cover.Len(), TopK: qopt.TopK, Runs: runs,
-			MedianMS: times[len(times)/2], MinMS: times[0], MaxMS: times[len(times)-1],
-		}
-		t.Row(c.Dataset, fmt.Sprint(c.Rows), fmt.Sprint(c.Cols), fmt.Sprint(c.CoverFDs),
-			fmt.Sprint(c.TopK), fmt.Sprintf("%.1fms", c.MedianMS),
+		t.Row(c.Dataset, fmt.Sprint(c.Rows), fmt.Sprint(c.Cols), fmt.Sprint(cover.Len()),
+			fmt.Sprint(qopt.TopK), fmt.Sprintf("%.1fms", c.MedianMS),
 			fmt.Sprintf("%.1fms", c.MinMS), fmt.Sprintf("%.1fms", c.MaxMS))
-		rep.Cells = append(rep.Cells, c)
+		cells = append(cells, c)
 	}
-	return rep
+	return cells, nil
 }
-
-// WriteQualityJSON writes the report as schema-versioned indented JSON.
-func WriteQualityJSON(w io.Writer, rep QualityReport) error {
-	return report.WriteJSON(w, rep)
-}
-
-// RunQualityToFile runs the quality benchmark and writes the JSON report
-// to path. The output file is created up front so a bad path fails fast.
-func RunQualityToFile(w io.Writer, runs int, path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	rep := RunQuality(w, runs)
-	if err := WriteQualityJSON(f, rep); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
-
-// Quality is the fdbench experiment wrapper around RunQuality with the
-// default repetition count.
-func Quality(w io.Writer, r *Runner) { RunQuality(w, 0) }

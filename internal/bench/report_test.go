@@ -1,14 +1,41 @@
-package report
+package bench
 
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 	"time"
 )
+
+func TestTimeRuns(t *testing.T) {
+	var calls int
+	tm, err := TimeRuns(3, func() (map[string]time.Duration, error) {
+		calls++
+		return map[string]time.Duration{"a": time.Duration(calls) * time.Millisecond}, nil
+	})
+	if err != nil || calls != 3 || tm.Runs != 3 {
+		t.Fatalf("calls=%d runs=%d err=%v", calls, tm.Runs, err)
+	}
+	if tm.LayersMS["a"] != 2 {
+		t.Errorf("stage median = %v, want 2 (of 1, 2, 3 ms)", tm.LayersMS["a"])
+	}
+	if tm.MinMS > tm.MedianMS || tm.MedianMS > tm.MaxMS {
+		t.Errorf("times not ordered: %+v", tm)
+	}
+
+	boom := errors.New("boom")
+	calls = 0
+	if _, err := TimeRuns(3, func() (map[string]time.Duration, error) {
+		calls++
+		return nil, boom
+	}); !errors.Is(err, boom) || calls != 1 {
+		t.Errorf("err=%v after %d calls, want boom after 1", err, calls)
+	}
+}
 
 func TestMedian(t *testing.T) {
 	cases := []struct {

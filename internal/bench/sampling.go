@@ -3,146 +3,89 @@ package bench
 import (
 	"fmt"
 	"io"
-	"os"
 	"runtime"
-	"strings"
+	"time"
 
+	"eulerfd/internal/algo"
 	"eulerfd/internal/core"
 	"eulerfd/internal/datasets"
 	"eulerfd/internal/fdset"
 	"eulerfd/internal/preprocess"
-	"eulerfd/internal/regress/report"
 )
 
-// SamplingDatasets are the registry datasets the sampling benchmark runs
-// on: sampling-dominant shapes where ExhaustWindows stays feasible, so the
-// Workers=1 and Workers=N cells compare byte-identical exhaustive outputs.
+// SamplingDatasets are the registry datasets the sampling group runs on:
+// sampling-dominant shapes where ExhaustWindows stays feasible.
 var SamplingDatasets = []string{"chess", "abalone", "nursery", "adult", "letter"}
 
-// SamplingCell is one (dataset, workers) measurement of the parallel
-// sampling engine, with the per-stage split from core.Stats.
-type SamplingCell struct {
-	Dataset           string  `json:"dataset"`
-	Rows              int     `json:"rows"`
-	Cols              int     `json:"cols"`
-	Workers           int     `json:"workers"`
-	Exhaustive        bool    `json:"exhaustive"`
-	SamplingMS        float64 `json:"sampling_ms"`
-	NcoverMS          float64 `json:"ncover_ms"`
-	InversionMS       float64 `json:"inversion_ms"`
-	TotalMS           float64 `json:"total_ms"`
-	PairsCompared     int     `json:"pairs_compared"`
-	AgreeSets         int     `json:"agree_sets"`
-	NcoverSize        int     `json:"ncover_size"`
-	FDs               int     `json:"fds"`
-	SamplingSpeedup   float64 `json:"sampling_speedup"`
-	MatchesSequential bool    `json:"matches_sequential"`
-}
+// discover is the EulerFD entry point the sampling group times; a test
+// swaps it to break the Workers determinism contract on purpose.
+var discover = core.DiscoverEncoded
 
-// SamplingReport is the JSON document fdbench -json emits; it records the
-// machine so speedup numbers are interpretable, and the schema version so
-// readers can reject documents written by a different harness build.
-type SamplingReport struct {
-	Schema     int            `json:"schema"`
-	NumCPU     int            `json:"num_cpu"`
-	GOMAXPROCS int            `json:"gomaxprocs"`
-	Workers    int            `json:"workers"`
-	Cells      []SamplingCell `json:"cells"`
-}
-
-// renderFDs serializes an FD set into a canonical byte string for the
-// byte-identical output comparison between worker counts.
-func renderFDs(fds *fdset.Set, attrs []string) string {
-	var b strings.Builder
-	for _, f := range fds.Slice() {
-		b.WriteString(f.Format(attrs))
-		b.WriteByte('\n')
-	}
-	return b.String()
-}
-
-func samplingCell(enc *preprocess.Encoded, opt core.Options, workers int) (SamplingCell, string) {
-	opt.Workers = workers
-	fds, st := core.DiscoverEncoded(enc, opt)
-	ms := report.Millis
-	return SamplingCell{
-		Dataset: enc.Name, Rows: enc.NumRows, Cols: len(enc.Attrs),
-		Workers: workers, Exhaustive: opt.ExhaustWindows,
-		SamplingMS: ms(st.Sampling), NcoverMS: ms(st.NcoverBuild),
-		InversionMS: ms(st.Inversion), TotalMS: ms(st.Total),
-		PairsCompared: st.PairsCompared, AgreeSets: st.AgreeSets,
-		NcoverSize: st.NcoverSize, FDs: fds.Len(),
-	}, renderFDs(fds, enc.Attrs)
-}
-
-// RunSampling benchmarks the sampling engine on SamplingDatasets: each
-// dataset runs in ExhaustWindows mode with Workers=1 (the paper's
-// sequential path) and Workers=workers (0 means NumCPU), reporting the
-// per-stage time split, the sampling-phase speedup, and whether the two
-// FD outputs are byte-identical — the engine's determinism contract.
-func RunSampling(w io.Writer, r *Runner, workers int) SamplingReport {
+// Sampling benchmarks the sampling engine on SamplingDatasets: each
+// dataset runs with ExhaustWindows and with the default options, each at
+// Workers=1 (the paper's sequential path) and Workers=N (the runner's
+// worker count; 0 means NumCPU, floored at 4 so the parallel engine runs
+// even on small machines). Cells report the per-stage split and, at
+// Workers=N, the sampling-stage speedup. The two covers of a pair must be
+// byte-identical, the engine's determinism contract; a difference is an
+// error.
+func Sampling(w io.Writer, r *Runner) ([]ReportCell, error) {
+	workers := r.Tuning.Euler.Workers
 	if workers < 1 {
-		// Floored at 4 so the parallel engine (chunked passes, sharded
-		// admission) is exercised even on small CI machines; the report
-		// records NumCPU so speedups stay interpretable.
 		workers = max(runtime.NumCPU(), 4)
 	}
-	rep := SamplingReport{Schema: report.SchemaVersion, NumCPU: runtime.NumCPU(), GOMAXPROCS: runtime.GOMAXPROCS(0), Workers: workers}
-	fmt.Fprintf(w, "Sampling engine: Workers=1 vs Workers=%d (NumCPU=%d), ExhaustWindows\n",
-		workers, rep.NumCPU)
-	t := NewTable(w, []string{"dataset", "rows", "cols", "workers", "sampling", "ncover", "invert", "total", "speedup", "identical"},
-		[]int{16, 8, 6, 9, 10, 10, 10, 10, 9, 10})
+	fmt.Fprintf(w, "Sampling engine: Workers=1 vs Workers=%d (NumCPU=%d), median of %d runs\n",
+		workers, runtime.NumCPU(), Runs)
+	t := NewTable(w, []string{"dataset", "rows", "cols", "options", "workers", "sampling", "ncover", "invert", "total", "speedup"},
+		[]int{16, 8, 6, 12, 9, 10, 10, 10, 10, 9})
+	var cells []ReportCell
 	for _, name := range SamplingDatasets {
 		d, err := datasets.ByName(name)
 		if err != nil {
-			fmt.Fprintf(w, "sampling: %v\n", err)
-			continue
+			return nil, fmt.Errorf("sampling: %w", err)
 		}
 		enc := preprocess.Encode(d.Build())
-		opt := r.Tuning.Euler
-		opt.ExhaustWindows = true
-
-		seq, seqOut := samplingCell(enc, opt, 1)
-		seq.SamplingSpeedup = 1
-		seq.MatchesSequential = true
-		par, parOut := samplingCell(enc, opt, workers)
-		if par.SamplingMS > 0 {
-			par.SamplingSpeedup = seq.SamplingMS / par.SamplingMS
+		for _, mode := range []string{"exhaustive", "default"} {
+			opt := r.Tuning.Euler
+			opt.ExhaustWindows = mode == "exhaustive"
+			seq, seqFDs := samplingCell(enc, opt, mode, 1)
+			par, parFDs := samplingCell(enc, opt, mode, workers)
+			if !parFDs.Equal(seqFDs) {
+				return nil, fmt.Errorf("sampling: %s (%s): the Workers=%d cover differs from the Workers=1 cover",
+					name, mode, workers)
+			}
+			seq.Speedup = 1
+			if s := par.LayersMS["sampling"]; s > 0 {
+				par.Speedup = seq.LayersMS["sampling"] / s
+			}
+			for _, c := range []ReportCell{seq, par} {
+				t.Row(c.Dataset, fmt.Sprint(c.Rows), fmt.Sprint(c.Cols), c.Options, fmt.Sprint(c.Workers),
+					fmt.Sprintf("%.1fms", c.LayersMS["sampling"]), fmt.Sprintf("%.1fms", c.LayersMS["ncover"]),
+					fmt.Sprintf("%.1fms", c.LayersMS["inversion"]), fmt.Sprintf("%.1fms", c.MedianMS),
+					fmt.Sprintf("%.2fx", c.Speedup))
+			}
+			cells = append(cells, seq, par)
 		}
-		par.MatchesSequential = parOut == seqOut
-
-		for _, c := range []SamplingCell{seq, par} {
-			t.Row(c.Dataset, fmt.Sprint(c.Rows), fmt.Sprint(c.Cols), fmt.Sprint(c.Workers),
-				fmt.Sprintf("%.1fms", c.SamplingMS), fmt.Sprintf("%.1fms", c.NcoverMS),
-				fmt.Sprintf("%.1fms", c.InversionMS), fmt.Sprintf("%.1fms", c.TotalMS),
-				fmt.Sprintf("%.2fx", c.SamplingSpeedup), fmt.Sprint(c.MatchesSequential))
-		}
-		rep.Cells = append(rep.Cells, seq, par)
 	}
-	return rep
+	return cells, nil
 }
 
-// WriteSamplingJSON writes the report as schema-versioned indented JSON.
-func WriteSamplingJSON(w io.Writer, rep SamplingReport) error {
-	return report.WriteJSON(w, rep)
+// samplingCell times EulerFD on enc at the given worker count and returns
+// the cell with the cover of the last run.
+func samplingCell(enc *preprocess.Encoded, opt core.Options, mode string, workers int) (ReportCell, *fdset.Set) {
+	opt.Workers = workers
+	var fds *fdset.Set
+	var st core.Stats
+	tm, _ := TimeRuns(Runs, func() (map[string]time.Duration, error) {
+		fds, st = discover(enc, opt)
+		return StageSplit(st), nil // discovery has no error path
+	})
+	return ReportCell{
+		Group: "sampling", Dataset: enc.Name, Rows: enc.NumRows, Cols: len(enc.Attrs),
+		Algo: algo.Euler, Options: mode, Workers: workers, Timing: tm,
+		Counters: map[string]int{
+			"pairs_compared": st.PairsCompared, "agree_sets": st.AgreeSets,
+			"ncover_size": st.NcoverSize, "fds": fds.Len(),
+		},
+	}, fds
 }
-
-// RunSamplingToFile runs the sampling benchmark and writes the JSON
-// report to path. The output file is created before the (multi-minute)
-// benchmark so a bad path fails fast instead of discarding the run.
-func RunSamplingToFile(w io.Writer, r *Runner, workers int, path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	rep := RunSampling(w, r, workers)
-	if err := WriteSamplingJSON(f, rep); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
-
-// Sampling is the fdbench experiment wrapper around RunSampling with the
-// default worker count (NumCPU).
-func Sampling(w io.Writer, r *Runner) { RunSampling(w, r, 0) }

@@ -5,12 +5,12 @@ import (
 	"fmt"
 	"os"
 
-	"eulerfd/internal/regress/report"
+	"eulerfd/internal/bench"
 )
 
 // Save writes a baseline to path as schema-versioned indented JSON.
 func Save(path string, b *Baseline) error {
-	return report.WriteJSONFile(path, b)
+	return bench.WriteJSONFile(path, b)
 }
 
 // Load reads a baseline from path, rejecting unknown schema versions.
@@ -23,7 +23,7 @@ func Load(path string) (*Baseline, error) {
 	if err := json.Unmarshal(data, &b); err != nil {
 		return nil, fmt.Errorf("regress: %s: %w", path, err)
 	}
-	if err := report.CheckSchema(b.Schema); err != nil {
+	if err := bench.CheckSchema(b.Schema); err != nil {
 		return nil, fmt.Errorf("regress: %s: %w", path, err)
 	}
 	return &b, nil

@@ -4,7 +4,7 @@ import (
 	"fmt"
 	"io"
 
-	"eulerfd/internal/regress/report"
+	"eulerfd/internal/bench"
 )
 
 // PerfMode selects how wall-time differences are treated by Diff.
@@ -119,215 +119,101 @@ func Diff(base, cur *Baseline, th Thresholds) *DiffResult {
 			})
 		}
 	}
-	diffAFD(d, base.AFD, cur.AFD)
-	diffEnsemble(d, base.Ensemble, cur.Ensemble)
-	diffIncremental(d, base.Incremental, cur.Incremental)
-	diffQuality(d, base.Quality, cur.Quality)
+	for _, g := range []struct {
+		field     string
+		base, cur *golden
+	}{
+		{"afd", base.AFD.golden(), cur.AFD.golden()},
+		{"ensemble", base.Ensemble.golden(), cur.Ensemble.golden()},
+		{"incremental", base.Incremental.golden(), cur.Incremental.golden()},
+		{"quality", base.Quality.golden(), cur.Quality.golden()},
+	} {
+		diffGolden(d, g.field, g.base, g.cur)
+	}
 	return d
 }
 
-// diffQuality exact-match gates the data-quality cell: the redundancy
-// ranking strings, the violation and repair tallies, and the rendered
-// decomposition must reproduce the baseline.
-func diffQuality(d *DiffResult, base, cur *QualityCell) {
-	switch {
-	case base == nil && cur == nil:
-		return
-	case base == nil:
-		d.Warnings = append(d.Warnings, Finding{
-			Dataset: cur.Dataset, Field: "quality", Kind: "suite",
-			Note: "not in baseline (new quality cell; re-record to start gating it)",
-		})
-		return
-	case cur == nil:
-		d.Regressions = append(d.Regressions, Finding{
-			Dataset: base.Dataset, Field: "quality", Kind: "suite",
-			Note: "baseline quality cell missing from current run",
-		})
-		return
-	}
-	if base.Dataset != cur.Dataset || base.TopK != cur.TopK {
-		d.Regressions = append(d.Regressions, Finding{
-			Dataset: cur.Dataset, Field: "quality", Kind: "accuracy",
-			Note: fmt.Sprintf("quality cell inputs changed: %s/k=%d → %s/k=%d",
-				base.Dataset, base.TopK, cur.Dataset, cur.TopK),
-		})
-		return
-	}
-	if base.ViolatingRows != cur.ViolatingRows || base.RepairCost != cur.RepairCost {
-		d.Regressions = append(d.Regressions, Finding{
-			Dataset: cur.Dataset, Field: "quality",
-			Base: float64(base.ViolatingRows), Got: float64(cur.ViolatingRows),
-			Kind: "accuracy",
-			Note: fmt.Sprintf("violation tallies drift: rows %d→%d cost %d→%d",
-				base.ViolatingRows, cur.ViolatingRows, base.RepairCost, cur.RepairCost),
-		})
-		return
-	}
-	if base.Decomposition != cur.Decomposition {
-		d.Regressions = append(d.Regressions, Finding{
-			Dataset: cur.Dataset, Field: "quality", Kind: "accuracy",
-			Note: fmt.Sprintf("decomposition advice drift: %q → %q", base.Decomposition, cur.Decomposition),
-		})
-		return
-	}
-	if len(base.Ranked) != len(cur.Ranked) {
-		d.Regressions = append(d.Regressions, Finding{
-			Dataset: cur.Dataset, Field: "quality",
-			Base: float64(len(base.Ranked)), Got: float64(len(cur.Ranked)),
-			Kind: "accuracy", Note: "redundancy ranking size drift: deterministic ranking changed",
-		})
-		return
-	}
-	for i := range base.Ranked {
-		if base.Ranked[i] != cur.Ranked[i] {
-			d.Regressions = append(d.Regressions, Finding{
-				Dataset: cur.Dataset, Field: "quality", Kind: "accuracy",
-				Note: fmt.Sprintf("redundancy ranking drift at %d: %q → %q", i, base.Ranked[i], cur.Ranked[i]),
-			})
-			return
-		}
-	}
+// golden is the exact-match view of a golden cell (afd, ensemble,
+// incremental, quality): the inputs or end state that identify the cell,
+// and the rendered lines that must reproduce the baseline string for
+// string.
+type golden struct {
+	dataset string
+	inputs  string
+	lines   []string
 }
 
-// diffIncremental exact-match gates the mutation-maintenance cell: the
-// maintained cover after the pinned append → delete → append sequence
-// must reproduce the baseline string for string.
-func diffIncremental(d *DiffResult, base, cur *IncrementalCell) {
-	switch {
-	case base == nil && cur == nil:
-		return
-	case base == nil:
-		d.Warnings = append(d.Warnings, Finding{
-			Dataset: cur.Dataset, Field: "incremental", Kind: "suite",
-			Note: "not in baseline (new incremental cell; re-record to start gating it)",
-		})
-		return
-	case cur == nil:
-		d.Regressions = append(d.Regressions, Finding{
-			Dataset: base.Dataset, Field: "incremental", Kind: "suite",
-			Note: "baseline incremental cell missing from current run",
-		})
-		return
+func (c *AFDCell) golden() *golden {
+	if c == nil {
+		return nil
 	}
-	if base.Dataset != cur.Dataset || base.Version != cur.Version || base.Rows != cur.Rows {
-		d.Regressions = append(d.Regressions, Finding{
-			Dataset: cur.Dataset, Field: "incremental", Kind: "accuracy",
-			Note: fmt.Sprintf("incremental cell state changed: %s/v%d/%d rows → %s/v%d/%d rows",
-				base.Dataset, base.Version, base.Rows, cur.Dataset, cur.Version, cur.Rows),
-		})
-		return
-	}
-	if len(base.FDs) != len(cur.FDs) {
-		d.Regressions = append(d.Regressions, Finding{
-			Dataset: cur.Dataset, Field: "incremental",
-			Base: float64(len(base.FDs)), Got: float64(len(cur.FDs)),
-			Kind: "accuracy", Note: "maintained cover size drift: deterministic patch changed",
-		})
-		return
-	}
-	for i := range base.FDs {
-		if base.FDs[i] != cur.FDs[i] {
-			d.Regressions = append(d.Regressions, Finding{
-				Dataset: cur.Dataset, Field: "incremental", Kind: "accuracy",
-				Note: fmt.Sprintf("maintained cover drift at %d: %q → %q", i, base.FDs[i], cur.FDs[i]),
-			})
-			return
-		}
-	}
+	return &golden{c.Dataset, fmt.Sprintf("%s/%s/eps=%g", c.Dataset, c.Measure, c.Epsilon), c.FDs}
 }
 
-// diffEnsemble exact-match gates the confidence-voting cell: every
-// candidate string (confidence, votes, g3 digits, suspect flag) must
-// reproduce the baseline.
-func diffEnsemble(d *DiffResult, base, cur *EnsembleCell) {
-	switch {
-	case base == nil && cur == nil:
-		return
-	case base == nil:
-		d.Warnings = append(d.Warnings, Finding{
-			Dataset: cur.Dataset, Field: "ensemble", Kind: "suite",
-			Note: "not in baseline (new ensemble cell; re-record to start gating it)",
-		})
-		return
-	case cur == nil:
-		d.Regressions = append(d.Regressions, Finding{
-			Dataset: base.Dataset, Field: "ensemble", Kind: "suite",
-			Note: "baseline ensemble cell missing from current run",
-		})
-		return
+func (c *EnsembleCell) golden() *golden {
+	if c == nil {
+		return nil
 	}
-	if base.Dataset != cur.Dataset || base.Members != cur.Members || base.Seed != cur.Seed {
-		d.Regressions = append(d.Regressions, Finding{
-			Dataset: cur.Dataset, Field: "ensemble", Kind: "accuracy",
-			Note: fmt.Sprintf("ensemble cell inputs changed: %s/%d/seed=%d → %s/%d/seed=%d",
-				base.Dataset, base.Members, base.Seed, cur.Dataset, cur.Members, cur.Seed),
-		})
-		return
-	}
-	if len(base.FDs) != len(cur.FDs) {
-		d.Regressions = append(d.Regressions, Finding{
-			Dataset: cur.Dataset, Field: "ensemble",
-			Base: float64(len(base.FDs)), Got: float64(len(cur.FDs)),
-			Kind: "accuracy", Note: "ensemble candidate count drift: deterministic vote changed",
-		})
-		return
-	}
-	for i := range base.FDs {
-		if base.FDs[i] != cur.FDs[i] {
-			d.Regressions = append(d.Regressions, Finding{
-				Dataset: cur.Dataset, Field: "ensemble", Kind: "accuracy",
-				Note: fmt.Sprintf("ensemble confidence drift at %d: %q → %q", i, base.FDs[i], cur.FDs[i]),
-			})
-			return
-		}
-	}
+	return &golden{c.Dataset, fmt.Sprintf("%s/%d members/seed=%d", c.Dataset, c.Members, c.Seed), c.FDs}
 }
 
-// diffAFD exact-match gates the approximate-FD cell: the scored result
-// set (including every float score digit) must reproduce the baseline.
-func diffAFD(d *DiffResult, base, cur *AFDCell) {
+func (c *IncrementalCell) golden() *golden {
+	if c == nil {
+		return nil
+	}
+	return &golden{c.Dataset, fmt.Sprintf("%s/v%d/%d rows", c.Dataset, c.Version, c.Rows), c.FDs}
+}
+
+func (c *QualityCell) golden() *golden {
+	if c == nil {
+		return nil
+	}
+	lines := append([]string{
+		fmt.Sprintf("violating_rows=%d repair_cost=%d", c.ViolatingRows, c.RepairCost),
+		"decomposition " + c.Decomposition,
+	}, c.Ranked...)
+	return &golden{c.Dataset, fmt.Sprintf("%s/k=%d", c.Dataset, c.TopK), lines}
+}
+
+// diffGolden exact-match gates one golden cell: its inputs or state, then
+// every rendered line, must reproduce the baseline. A cell missing from
+// the current run is a regression; one missing from the baseline (which
+// was recorded before the subsystem existed) only warns.
+func diffGolden(d *DiffResult, field string, base, cur *golden) {
 	switch {
 	case base == nil && cur == nil:
 		return
 	case base == nil:
 		d.Warnings = append(d.Warnings, Finding{
-			Dataset: cur.Dataset, Field: "afd", Kind: "suite",
-			Note: "not in baseline (new AFD cell; re-record to start gating it)",
+			Dataset: cur.dataset, Field: field, Kind: "suite",
+			Note: fmt.Sprintf("not in baseline (new %s cell; re-record to start gating it)", field),
 		})
 		return
 	case cur == nil:
 		d.Regressions = append(d.Regressions, Finding{
-			Dataset: base.Dataset, Field: "afd", Kind: "suite",
-			Note: "baseline AFD cell missing from current run",
+			Dataset: base.dataset, Field: field, Kind: "suite",
+			Note: fmt.Sprintf("baseline %s cell missing from current run", field),
 		})
 		return
 	}
-	if base.Dataset != cur.Dataset || base.Measure != cur.Measure || base.Epsilon != cur.Epsilon {
-		d.Regressions = append(d.Regressions, Finding{
-			Dataset: cur.Dataset, Field: "afd", Kind: "accuracy",
-			Note: fmt.Sprintf("AFD cell inputs changed: %s/%s/eps=%g → %s/%s/eps=%g",
-				base.Dataset, base.Measure, base.Epsilon, cur.Dataset, cur.Measure, cur.Epsilon),
-		})
-		return
-	}
-	if len(base.FDs) != len(cur.FDs) {
-		d.Regressions = append(d.Regressions, Finding{
-			Dataset: cur.Dataset, Field: "afd",
-			Base: float64(len(base.FDs)), Got: float64(len(cur.FDs)),
-			Kind: "accuracy", Note: "AFD result count drift: deterministic score set changed",
-		})
-		return
-	}
-	for i := range base.FDs {
-		if base.FDs[i] != cur.FDs[i] {
-			d.Regressions = append(d.Regressions, Finding{
-				Dataset: cur.Dataset, Field: "afd", Kind: "accuracy",
-				Note: fmt.Sprintf("AFD score drift at %d: %q → %q", i, base.FDs[i], cur.FDs[i]),
-			})
+	f := Finding{Dataset: cur.dataset, Field: field, Kind: "accuracy"}
+	switch {
+	case base.inputs != cur.inputs:
+		f.Note = fmt.Sprintf("%s cell inputs or state changed: %s → %s", field, base.inputs, cur.inputs)
+	case len(base.lines) != len(cur.lines):
+		f.Base, f.Got = float64(len(base.lines)), float64(len(cur.lines))
+		f.Note = fmt.Sprintf("%s line count drift: deterministic output changed", field)
+	default:
+		i := 0
+		for i < len(base.lines) && base.lines[i] == cur.lines[i] {
+			i++
+		}
+		if i == len(base.lines) {
 			return
 		}
+		f.Note = fmt.Sprintf("%s drift at line %d: %q → %q", field, i, base.lines[i], cur.lines[i])
 	}
+	d.Regressions = append(d.Regressions, f)
 }
 
 func perfGating(base, cur *Baseline, th Thresholds) (bool, string) {
@@ -453,7 +339,7 @@ func (d *DiffResult) WriteTable(w io.Writer) {
 		fmt.Fprintln(w, "regress: all cells match the baseline")
 		return
 	}
-	t := report.NewTable(w, []string{"severity", "dataset", "field", "baseline", "current", "note"},
+	t := bench.NewTable(w, []string{"severity", "dataset", "field", "baseline", "current", "note"},
 		[]int{12, 24, 16, 12, 12, 0})
 	row := func(sev string, f Finding) {
 		baseS, gotS := fmtVal(f, f.Base), fmtVal(f, f.Got)

@@ -27,16 +27,16 @@ import (
 
 	"eulerfd/internal/afd"
 	"eulerfd/internal/algo"
+	"eulerfd/internal/bench"
 	"eulerfd/internal/core"
 	"eulerfd/internal/dataset"
 	"eulerfd/internal/datasets"
 	"eulerfd/internal/ensemble"
+	"eulerfd/internal/fdset"
 	"eulerfd/internal/gen"
 	"eulerfd/internal/metrics"
 	"eulerfd/internal/preprocess"
 	"eulerfd/internal/quality"
-	"eulerfd/internal/regress/report"
-	"eulerfd/internal/timing"
 )
 
 // Source is one suite cell: a named deterministic relation.
@@ -341,24 +341,12 @@ func runQualityCell() *QualityCell {
 // Config controls a suite run.
 type Config struct {
 	// Runs is how many timed EulerFD executions feed each perf median.
-	// Accuracy comes from the first run (the rest are bit-identical by
+	// Accuracy comes from the last run (the rest are bit-identical by
 	// the determinism contract). Minimum 1.
 	Runs int
 	// Workers is the EulerFD worker-pool size (0 = NumCPU). Recorded in
 	// the baseline: wall times are only compared across equal values.
 	Workers int
-	// Options overrides the engine options; zero value means
-	// core.DefaultOptions(). Workers above takes precedence.
-	Options *core.Options
-}
-
-func (c Config) options() core.Options {
-	opt := core.DefaultOptions()
-	if c.Options != nil {
-		opt = *c.Options
-	}
-	opt.Workers = c.Workers
-	return opt
 }
 
 // Run executes the suite and returns the measured baseline. Progress
@@ -367,9 +355,10 @@ func Run(suite []Source, cfg Config, w io.Writer) *Baseline {
 	if cfg.Runs < 1 {
 		cfg.Runs = 1
 	}
-	opt := cfg.options()
+	opt := core.DefaultOptions()
+	opt.Workers = cfg.Workers
 	b := &Baseline{
-		Schema:     report.SchemaVersion,
+		Schema:     bench.SchemaVersion,
 		Suite:      "default",
 		NumCPU:     runtime.NumCPU(),
 		GOMAXPROCS: runtime.GOMAXPROCS(0),
@@ -406,6 +395,9 @@ func Run(suite []Source, cfg Config, w io.Writer) *Baseline {
 	return b
 }
 
+// runCell scores one suite cell against the exact oracle and times it
+// through the benchmark harness's timing loop: the perf medians are the
+// loop's stage medians, and total_ms its wall-time median.
 func runCell(src Source, opt core.Options, runs int) CellResult {
 	enc := preprocess.Encode(src.Build())
 	// The exact oracle dispatches through the algorithm registry — the
@@ -415,54 +407,39 @@ func runCell(src Source, opt core.Options, runs int) CellResult {
 		// Unreachable with a background context and a registered ID.
 		panic(fmt.Sprintf("regress: exact oracle failed: %v", err))
 	}
-
-	var first core.Stats
-	sampling := make([]float64, 0, runs)
-	ncover := make([]float64, 0, runs)
-	inversion := make([]float64, 0, runs)
-	total := make([]float64, 0, runs)
-	var acc Accuracy
-	for i := 0; i < runs; i++ {
-		sw := timing.Start()
-		fds, st := core.DiscoverEncoded(enc, opt)
-		var wall time.Duration
-		sw.SetTo(&wall)
-		sampling = append(sampling, report.Millis(st.Sampling))
-		ncover = append(ncover, report.Millis(st.NcoverBuild))
-		inversion = append(inversion, report.Millis(st.Inversion))
-		total = append(total, report.Millis(wall))
-		if i == 0 {
-			first = st
-			m := metrics.Evaluate(fds, truth)
-			acc = Accuracy{
-				TruePositives:  m.TruePositives,
-				FalsePositives: m.FalsePositives,
-				FalseNegatives: m.FalseNegatives,
-				Precision:      m.Precision,
-				Recall:         m.Recall,
-				F1:             m.F1,
-				FDs:            fds.Len(),
-				TruthFDs:       truth.Len(),
-				NcoverSize:     st.NcoverSize,
-				PcoverSize:     st.PcoverSize,
-				AgreeSets:      st.AgreeSets,
-				PairsCompared:  st.PairsCompared,
-				SampleBatches:  st.SampleBatches,
-				Inversions:     st.Inversions,
-			}
-		}
-	}
+	var fds *fdset.Set
+	var st core.Stats
+	tm, _ := bench.TimeRuns(runs, func() (map[string]time.Duration, error) {
+		fds, st = core.DiscoverEncoded(enc, opt)
+		return bench.StageSplit(st), nil // discovery has no error path
+	})
+	m := metrics.Evaluate(fds, truth)
 	return CellResult{
-		Dataset:  enc.Name,
-		Rows:     first.Rows,
-		Cols:     first.Cols,
-		Accuracy: acc,
+		Dataset: enc.Name,
+		Rows:    st.Rows,
+		Cols:    st.Cols,
+		Accuracy: Accuracy{
+			TruePositives:  m.TruePositives,
+			FalsePositives: m.FalsePositives,
+			FalseNegatives: m.FalseNegatives,
+			Precision:      m.Precision,
+			Recall:         m.Recall,
+			F1:             m.F1,
+			FDs:            fds.Len(),
+			TruthFDs:       truth.Len(),
+			NcoverSize:     st.NcoverSize,
+			PcoverSize:     st.PcoverSize,
+			AgreeSets:      st.AgreeSets,
+			PairsCompared:  st.PairsCompared,
+			SampleBatches:  st.SampleBatches,
+			Inversions:     st.Inversions,
+		},
 		Perf: Perf{
 			Runs:        runs,
-			SamplingMS:  report.Median(sampling),
-			NcoverMS:    report.Median(ncover),
-			InversionMS: report.Median(inversion),
-			TotalMS:     report.Median(total),
+			SamplingMS:  tm.LayersMS["sampling"],
+			NcoverMS:    tm.LayersMS["ncover"],
+			InversionMS: tm.LayersMS["inversion"],
+			TotalMS:     tm.MedianMS,
 		},
 	}
 }

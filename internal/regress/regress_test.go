@@ -2,12 +2,13 @@ package regress
 
 import (
 	"bytes"
+	"fmt"
 	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
 
-	"eulerfd/internal/regress/report"
+	"eulerfd/internal/bench"
 )
 
 // quickSuite is the two fastest cells — enough to exercise the full
@@ -37,7 +38,7 @@ func TestRunIsDeterministic(t *testing.T) {
 				a.Cells[i].Dataset, a.Cells[i].Accuracy, b.Cells[i].Accuracy)
 		}
 	}
-	if a.Schema != report.SchemaVersion {
+	if a.Schema != bench.SchemaVersion {
 		t.Errorf("schema = %d", a.Schema)
 	}
 	// The AFD cell's rendered score set is bit-identical too.
@@ -72,145 +73,123 @@ func TestRunIsDeterministic(t *testing.T) {
 	}
 }
 
-func TestDiffEnsemble(t *testing.T) {
-	cell := func() *EnsembleCell {
-		return &EnsembleCell{Dataset: "chess", Members: 5, Seed: 42,
-			FDs: []string{
-				"[A] -> B conf=1.000000000 votes=5/5 g3=0.000000000 suspect=false",
-				"[C] -> D conf=0.600000000 votes=3/5 g3=0.000250000 suspect=true",
-			}}
+// goldenCase describes one golden cell for checkGoldenDiff: set installs
+// the cell, and each other func applies one drift to it. Extra lists
+// further drifts of a cell's own fields.
+type goldenCase struct {
+	set, digit, count, key, clear func(*Baseline)
+	extra                         []func(*Baseline)
+}
+
+// goldenCases is the one table of golden cells, keyed by the Field their
+// findings carry.
+var goldenCases = map[string]goldenCase{
+	"afd": {
+		set: func(b *Baseline) {
+			b.AFD = &AFDCell{Dataset: "bridges", Measure: "g3", Epsilon: 0.1,
+				FDs: []string{"[A] -> B score=0.000000000", "[C] -> D score=0.092592593"}}
+		},
+		digit: func(b *Baseline) { b.AFD.FDs[1] = "[C] -> D score=0.092592594" },
+		count: func(b *Baseline) { b.AFD.FDs = b.AFD.FDs[:1] },
+		key:   func(b *Baseline) { b.AFD.Epsilon = 0.2 },
+		clear: func(b *Baseline) { b.AFD = nil },
+	},
+	"ensemble": {
+		set: func(b *Baseline) {
+			b.Ensemble = &EnsembleCell{Dataset: "chess", Members: 5, Seed: 42,
+				FDs: []string{
+					"[A] -> B conf=1.000000000 votes=5/5 g3=0.000000000 suspect=false",
+					"[C] -> D conf=0.600000000 votes=3/5 g3=0.000250000 suspect=true",
+				}}
+		},
+		digit: func(b *Baseline) {
+			b.Ensemble.FDs[1] = "[C] -> D conf=0.600000001 votes=3/5 g3=0.000250000 suspect=true"
+		},
+		count: func(b *Baseline) { b.Ensemble.FDs = b.Ensemble.FDs[:1] },
+		key:   func(b *Baseline) { b.Ensemble.Seed = 43 },
+		clear: func(b *Baseline) { b.Ensemble = nil },
+	},
+	"incremental": {
+		set: func(b *Baseline) {
+			b.Incremental = &IncrementalCell{Dataset: "bridges", Version: 3, Rows: 105,
+				FDs: []string{"[A] -> B", "[C D] -> E"}}
+		},
+		digit: func(b *Baseline) { b.Incremental.FDs[1] = "[C D] -> F" },
+		count: func(b *Baseline) { b.Incremental.FDs = b.Incremental.FDs[:1] },
+		key:   func(b *Baseline) { b.Incremental.Rows = 104 },
+		clear: func(b *Baseline) { b.Incremental = nil },
+	},
+	"quality": {
+		set: func(b *Baseline) {
+			b.Quality = &QualityCell{Dataset: "bridges", TopK: 3,
+				Ranked: []string{
+					"[A] -> B score=0.812500000 redundant=13 exact=true",
+					"[C] -> D score=0.400000000 redundant=6 exact=false",
+				},
+				ViolatingRows: 9, RepairCost: 4,
+				Decomposition: "R1[A B] ⋈ R2[B C D]"}
+		},
+		digit: func(b *Baseline) {
+			b.Quality.Ranked[1] = "[C] -> D score=0.400000001 redundant=6 exact=false"
+		},
+		count: func(b *Baseline) { b.Quality.Ranked = b.Quality.Ranked[:1] },
+		key:   func(b *Baseline) { b.Quality.TopK = 5 },
+		clear: func(b *Baseline) { b.Quality = nil },
+		extra: []func(*Baseline){
+			func(b *Baseline) { b.Quality.RepairCost = 5 },
+			func(b *Baseline) { b.Quality.Decomposition = "BCNF" },
+		},
+	},
+}
+
+// checkGoldenDiff runs the exact-match gate of the named golden cell
+// through the same six cases: identical cells pass, a one-digit drift, a
+// count drift and an input or state drift each regress, a cell missing
+// from the current run regresses, and a cell missing from the baseline
+// only warns.
+func checkGoldenDiff(t *testing.T, name string) {
+	t.Helper()
+	tc, ok := goldenCases[name]
+	if !ok {
+		t.Fatalf("no golden case %q", name)
 	}
-	base, cur := synthetic(), synthetic()
-	base.Ensemble, cur.Ensemble = cell(), cell()
-	if d := Diff(base, cur, DefaultThresholds()); !d.Clean() {
-		t.Fatalf("identical ensemble cells diffed dirty: %+v", d.Regressions)
+	fresh := func(edit func(*Baseline)) *Baseline {
+		b := synthetic()
+		tc.set(b)
+		if edit != nil {
+			edit(b)
+		}
+		return b
 	}
-	// A single confidence digit drift is a regression.
-	cur.Ensemble.FDs[1] = "[C] -> D conf=0.600000001 votes=3/5 g3=0.000250000 suspect=true"
-	if d := Diff(base, cur, DefaultThresholds()); d.Clean() {
-		t.Error("confidence drift not gated")
+	base := fresh(nil)
+	if d := Diff(base, fresh(nil), DefaultThresholds()); !d.Clean() || len(d.Warnings) != 0 {
+		t.Fatalf("identical cells diffed dirty: %+v %+v", d.Regressions, d.Warnings)
 	}
-	// Count drift is a regression.
-	cur.Ensemble = cell()
-	cur.Ensemble.FDs = cur.Ensemble.FDs[:1]
-	if d := Diff(base, cur, DefaultThresholds()); d.Clean() {
-		t.Error("count drift not gated")
+	drifts := map[string]func(*Baseline){
+		"one-digit drift":              tc.digit,
+		"count drift":                  tc.count,
+		"input or state drift":         tc.key,
+		"missing from the current run": tc.clear,
 	}
-	// Changed cell inputs are a regression.
-	cur.Ensemble = cell()
-	cur.Ensemble.Seed = 43
-	if d := Diff(base, cur, DefaultThresholds()); d.Clean() {
-		t.Error("input drift not gated")
+	for i, edit := range tc.extra {
+		drifts[fmt.Sprintf("extra drift %d", i)] = edit
 	}
-	// Missing from the current run: regression. Missing from the
-	// baseline (pre-ensemble recording): warning only.
-	cur.Ensemble = nil
-	if d := Diff(base, cur, DefaultThresholds()); d.Clean() {
-		t.Error("missing ensemble cell not gated")
+	for what, edit := range drifts {
+		d := Diff(base, fresh(edit), DefaultThresholds())
+		if len(d.Regressions) != 1 || d.Regressions[0].Field != name {
+			t.Errorf("%s: want one %s regression, got %+v", what, name, d.Regressions)
+		}
 	}
-	base.Ensemble, cur.Ensemble = nil, cell()
-	d := Diff(base, cur, DefaultThresholds())
-	if !d.Clean() || len(d.Warnings) == 0 {
-		t.Errorf("new ensemble cell should warn, not gate: %+v", d.Regressions)
+	d := Diff(fresh(tc.clear), base, DefaultThresholds())
+	if !d.Clean() || len(d.Warnings) != 1 || d.Warnings[0].Field != name {
+		t.Errorf("missing from the baseline: want one warning, got %+v %+v", d.Regressions, d.Warnings)
 	}
 }
 
-func TestDiffAFD(t *testing.T) {
-	cell := func() *AFDCell {
-		return &AFDCell{Dataset: "bridges", Measure: "g3", Epsilon: 0.1,
-			FDs: []string{"[A] -> B score=0.000000000", "[C] -> D score=0.092592593"}}
-	}
-	base, cur := synthetic(), synthetic()
-	base.AFD, cur.AFD = cell(), cell()
-	if d := Diff(base, cur, DefaultThresholds()); !d.Clean() {
-		t.Fatalf("identical AFD cells diffed dirty: %+v", d.Regressions)
-	}
-	// A single score digit drift is a regression.
-	cur.AFD.FDs[1] = "[C] -> D score=0.092592594"
-	if d := Diff(base, cur, DefaultThresholds()); d.Clean() {
-		t.Error("score drift not gated")
-	}
-	// Count drift is a regression.
-	cur.AFD = cell()
-	cur.AFD.FDs = cur.AFD.FDs[:1]
-	if d := Diff(base, cur, DefaultThresholds()); d.Clean() {
-		t.Error("count drift not gated")
-	}
-	// Changed cell inputs are a regression.
-	cur.AFD = cell()
-	cur.AFD.Epsilon = 0.2
-	if d := Diff(base, cur, DefaultThresholds()); d.Clean() {
-		t.Error("input drift not gated")
-	}
-	// Missing from the current run: regression. Missing from the
-	// baseline (pre-AFD recording): warning only.
-	cur.AFD = nil
-	if d := Diff(base, cur, DefaultThresholds()); d.Clean() {
-		t.Error("missing AFD cell not gated")
-	}
-	base.AFD, cur.AFD = nil, cell()
-	d := Diff(base, cur, DefaultThresholds())
-	if !d.Clean() || len(d.Warnings) == 0 {
-		t.Errorf("new AFD cell should warn, not gate: %+v", d.Regressions)
-	}
-}
-
-func TestDiffQuality(t *testing.T) {
-	cell := func() *QualityCell {
-		return &QualityCell{Dataset: "bridges", TopK: 3,
-			Ranked: []string{
-				"[A] -> B score=0.812500000 redundant=13 exact=true",
-				"[C] -> D score=0.400000000 redundant=6 exact=false",
-			},
-			ViolatingRows: 9, RepairCost: 4,
-			Decomposition: "R1[A B] ⋈ R2[B C D]"}
-	}
-	base, cur := synthetic(), synthetic()
-	base.Quality, cur.Quality = cell(), cell()
-	if d := Diff(base, cur, DefaultThresholds()); !d.Clean() {
-		t.Fatalf("identical quality cells diffed dirty: %+v", d.Regressions)
-	}
-	// A single ranking digit drift is a regression.
-	cur.Quality.Ranked[1] = "[C] -> D score=0.400000001 redundant=6 exact=false"
-	if d := Diff(base, cur, DefaultThresholds()); d.Clean() {
-		t.Error("ranking drift not gated")
-	}
-	// Ranking size drift is a regression.
-	cur.Quality = cell()
-	cur.Quality.Ranked = cur.Quality.Ranked[:1]
-	if d := Diff(base, cur, DefaultThresholds()); d.Clean() {
-		t.Error("ranking size drift not gated")
-	}
-	// Violation tally drift is a regression.
-	cur.Quality = cell()
-	cur.Quality.RepairCost = 5
-	if d := Diff(base, cur, DefaultThresholds()); d.Clean() {
-		t.Error("repair cost drift not gated")
-	}
-	// Decomposition advice drift is a regression.
-	cur.Quality = cell()
-	cur.Quality.Decomposition = "BCNF"
-	if d := Diff(base, cur, DefaultThresholds()); d.Clean() {
-		t.Error("decomposition drift not gated")
-	}
-	// Changed cell inputs are a regression.
-	cur.Quality = cell()
-	cur.Quality.TopK = 5
-	if d := Diff(base, cur, DefaultThresholds()); d.Clean() {
-		t.Error("input drift not gated")
-	}
-	// Missing from the current run: regression. Missing from the
-	// baseline (pre-quality recording): warning only.
-	cur.Quality = nil
-	if d := Diff(base, cur, DefaultThresholds()); d.Clean() {
-		t.Error("missing quality cell not gated")
-	}
-	base.Quality, cur.Quality = nil, cell()
-	d := Diff(base, cur, DefaultThresholds())
-	if !d.Clean() || len(d.Warnings) == 0 {
-		t.Errorf("new quality cell should warn, not gate: %+v", d.Regressions)
-	}
-}
+func TestDiffAFD(t *testing.T)         { checkGoldenDiff(t, "afd") }
+func TestDiffEnsemble(t *testing.T)    { checkGoldenDiff(t, "ensemble") }
+func TestDiffIncremental(t *testing.T) { checkGoldenDiff(t, "incremental") }
+func TestDiffQuality(t *testing.T)     { checkGoldenDiff(t, "quality") }
 
 func TestDefaultSuiteShape(t *testing.T) {
 	suite := DefaultSuite()
@@ -267,7 +246,7 @@ func TestLoadRejectsBadSchema(t *testing.T) {
 // running the engine.
 func synthetic() *Baseline {
 	return &Baseline{
-		Schema: report.SchemaVersion, Suite: "default",
+		Schema: bench.SchemaVersion, Suite: "default",
 		NumCPU: 4, Workers: 0,
 		Cells: []CellResult{
 			{
