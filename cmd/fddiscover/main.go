@@ -54,12 +54,6 @@ func main() {
 	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
-// fdDoc is the -json output shape of one dependency.
-type fdDoc struct {
-	LHS []string `json:"lhs"`
-	RHS string   `json:"rhs"`
-}
-
 func attrName(attrs []string, i int) string {
 	if i >= 0 && i < len(attrs) {
 		return attrs[i]
@@ -200,17 +194,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	if *asJSON {
-		docs := make([]fdDoc, 0, fds.Len())
-		for _, fd := range fds.Slice() {
-			d := fdDoc{RHS: attrName(rel.Attrs, fd.RHS), LHS: []string{}}
-			for _, a := range fd.LHS.Attrs() {
-				d.LHS = append(d.LHS, attrName(rel.Attrs, a))
-			}
-			docs = append(docs, d)
-		}
 		encJSON := json.NewEncoder(stdout)
 		encJSON.SetIndent("", "  ")
-		if err := encJSON.Encode(docs); err != nil {
+		if err := encJSON.Encode(eulerfd.Docs(fds, rel.Attrs)); err != nil {
 			fmt.Fprintln(stderr, "fddiscover:", err)
 			return 1
 		}

@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"flag"
 	"os"
 	"path/filepath"
 	"strings"
@@ -256,5 +257,36 @@ func TestRunEnsembleRejectsApproxMix(t *testing.T) {
 	var out, errw bytes.Buffer
 	if code := run([]string{"-ensemble", "2", "-topk", "3", path}, &out, &errw); code != 2 {
 		t.Fatalf("mixing -ensemble with -topk: exit %d, want 2", code)
+	}
+}
+
+var update = flag.Bool("update", false, "rewrite the golden files under testdata")
+
+// TestRunGoldenOutput pins fddiscover's text and -json output on a fixed
+// CSV whose attribute names need JSON escaping (<, >, &, " and U+2028)
+// and whose constant column yields an FD with an empty LHS.
+func TestRunGoldenOutput(t *testing.T) {
+	csv := filepath.Join("testdata", "escaped.csv")
+	for golden, args := range map[string][]string{
+		"escaped.txt.golden":  {csv},
+		"escaped.json.golden": {"-json", csv},
+	} {
+		var out, errw bytes.Buffer
+		if code := run(args, &out, &errw); code != 0 {
+			t.Fatalf("%v: exit %d: %s", args, code, errw.String())
+		}
+		path := filepath.Join("testdata", golden)
+		if *update {
+			if err := os.WriteFile(path, out.Bytes(), 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		want, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(out.Bytes(), want) {
+			t.Errorf("%v output differs from %s:\n got %q\nwant %q", args, golden, out.Bytes(), want)
+		}
 	}
 }

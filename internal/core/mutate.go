@@ -1,10 +1,12 @@
 package core
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
 	"math/bits"
+	"slices"
 	"sort"
 
 	"eulerfd/internal/fdset"
@@ -635,22 +637,17 @@ func (b *batchState) commitEncoder() (changed []int64) {
 	return changed
 }
 
-// lessSetsDesc orders agree sets by descending cardinality, ties broken by
-// ascending element lists — the admission order that lets the negative
-// cover reject dominated sets without ever superseding a stored one.
-func lessSetsDesc(a, b fdset.AttrSet) bool {
-	ca, cb := a.Count(), b.Count()
-	if ca != cb {
-		return ca > cb
-	}
-	if a == b {
-		return false
-	}
-	return fdset.Less(fdset.FD{LHS: a}, fdset.FD{LHS: b})
-}
-
+// sortSetsDesc orders agree sets by descending cardinality, ties broken
+// by ascending element lists — the admission order that lets the
+// negative cover reject dominated sets without ever superseding a stored
+// one.
 func sortSetsDesc(sets []fdset.AttrSet) {
-	sort.Slice(sets, func(i, j int) bool { return lessSetsDesc(sets[i], sets[j]) })
+	slices.SortFunc(sets, func(a, b fdset.AttrSet) int {
+		if c := cmp.Compare(b.Count(), a.Count()); c != 0 {
+			return c
+		}
+		return fdset.Compare(fdset.FD{LHS: a}, fdset.FD{LHS: b})
+	})
 }
 
 // subsetOfAny reports whether s is a subset of any set in list.

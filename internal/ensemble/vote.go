@@ -1,7 +1,8 @@
 package ensemble
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 	"sync"
 
 	"eulerfd/internal/fdset"
@@ -52,16 +53,16 @@ func implies(cover []fdset.FD, f fdset.FD) bool {
 }
 
 // SortByConfidence reorders candidates for presentation: descending
-// vote count, ties broken canonically (fdset.Less). It compares the
+// vote count, ties broken canonically (fdset.Compare). It compares the
 // integer Votes, never the derived float, so the order is exact.
 // Result.FDs itself stays in canonical order; this is for displays that
 // lead with the strongest candidates.
 func SortByConfidence(fds []ScoredFD) {
-	sort.Slice(fds, func(i, j int) bool {
-		if fds[i].Votes != fds[j].Votes {
-			return fds[i].Votes > fds[j].Votes
+	slices.SortFunc(fds, func(a, b ScoredFD) int {
+		if c := cmp.Compare(b.Votes, a.Votes); c != 0 {
+			return c
 		}
-		return fdset.Less(fds[i].FD, fds[j].FD)
+		return fdset.Compare(a.FD, b.FD)
 	})
 }
 

@@ -1,6 +1,7 @@
 package fdset
 
 import (
+	"math/rand"
 	"testing"
 
 	"eulerfd/internal/testutil"
@@ -33,4 +34,21 @@ func TestSingleWordOpsAllocFree(t *testing.T) {
 		}
 	}
 	_, _, _ = sink, sinkInt, sinkBool
+}
+
+// TestSetMarshalJSONAllocsConstant pins the render path's allocations to
+// a constant, whatever the set's size: one slice for the canonical sort
+// and one output buffer sized up front. A writer that grew its buffer by
+// appending, or reflected per FD, would allocate more for larger sets.
+func TestSetMarshalJSONAllocsConstant(t *testing.T) {
+	if testutil.RaceEnabled {
+		t.Skip("alloc assertions are meaningless under -race")
+	}
+	r := rand.New(rand.NewSource(1))
+	for _, n := range []int{1, 100, 10000} {
+		s := NewSet(randFDs(r, n)...)
+		if allocs := testing.AllocsPerRun(5, func() { _, _ = s.MarshalJSON() }); allocs != 2 {
+			t.Errorf("%d FDs: %.1f allocs per MarshalJSON, want 2", n, allocs)
+		}
+	}
 }

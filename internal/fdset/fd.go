@@ -1,7 +1,10 @@
 package fdset
 
 import (
+	"cmp"
 	"fmt"
+	"math/bits"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -177,7 +180,7 @@ func (s *Set) Minimize() *Set {
 	sort.Ints(rhss)
 	for _, rhs := range rhss {
 		fds := byRHS[rhs]
-		// Sort by Less (LHS size ascending, then attribute order) so that
+		// Sort canonically (LHS size ascending, then attribute order) so that
 		// any generalization of f precedes f and the scan order does not
 		// inherit map iteration order; a linear scan per FD is fine for
 		// test-scale sets.
@@ -198,38 +201,47 @@ func (s *Set) Minimize() *Set {
 	return s
 }
 
-// Less orders FDs deterministically: ascending RHS, then LHS cardinality,
-// then lexicographic attribute order of the LHS.
-func Less(a, b FD) bool {
+// Compare orders FDs canonically and returns -1, 0 or +1: ascending RHS,
+// then LHS cardinality, then the ascending attribute list of the LHS.
+// Two distinct LHSs of equal cardinality share every attribute below
+// the lowest set bit of their XOR, so their lists first differ there:
+// the set holding that attribute sorts first.
+func Compare(a, b FD) int {
 	if a.RHS != b.RHS {
-		return a.RHS < b.RHS
+		return cmp.Compare(a.RHS, b.RHS)
 	}
-	ca, cb := a.LHS.Count(), b.LHS.Count()
-	if ca != cb {
-		return ca < cb
+	x, y := &a.LHS.w, &b.LHS.w
+	// Words 1–5 are empty for relations of at most 64 columns; then
+	// word 0 alone decides.
+	if x[1]|x[2]|x[3]|x[4]|x[5]|y[1]|y[2]|y[3]|y[4]|y[5] == 0 {
+		return compareWord(x[0], y[0], bits.OnesCount64(x[0]), bits.OnesCount64(y[0]))
 	}
-	if a.LHS != b.LHS {
-		return lessWordwise(a.LHS, b.LHS)
+	i := 0
+	for i < attrWords-1 && x[i] == y[i] {
+		i++
 	}
-	return false
+	return compareWord(x[i], y[i], a.LHS.Count(), b.LHS.Count())
 }
 
-// SortFDs orders fds by Less.
-func SortFDs(fds []FD) {
-	sort.Slice(fds, func(i, j int) bool { return Less(fds[i], fds[j]) })
+// compareWord orders two LHSs of cardinalities ca and cb whose first
+// differing word, if any, is x against y.
+func compareWord(x, y uint64, ca, cb int) int {
+	switch d := x ^ y; {
+	case ca != cb:
+		return cmp.Compare(ca, cb)
+	case d == 0:
+		return 0
+	case x&(d&-d) != 0:
+		return -1
+	}
+	return 1
 }
 
-// lessWordwise compares attribute sets by their ascending element lists.
-func lessWordwise(a, b AttrSet) bool {
-	ai, bi := a.First(), b.First()
-	for ai >= 0 && bi >= 0 {
-		if ai != bi {
-			return ai < bi
-		}
-		ai, bi = a.NextAfter(ai), b.NextAfter(bi)
-	}
-	return ai < 0 && bi >= 0
-}
+// Less reports whether a sorts before b in the canonical order of Compare.
+func Less(a, b FD) bool { return Compare(a, b) < 0 }
+
+// SortFDs orders fds canonically (Compare).
+func SortFDs(fds []FD) { slices.SortFunc(fds, Compare) }
 
 // FormatSet renders every FD in the set with attribute names, one per line.
 func FormatSet(s *Set, names []string) string {

@@ -1,7 +1,10 @@
 package fdset
 
 import (
+	"cmp"
 	"encoding/binary"
+	"slices"
+	"sort"
 	"testing"
 )
 
@@ -121,6 +124,77 @@ func FuzzAttrSetOps(f *testing.F) {
 		}
 		if a.Hash() != rebuilt.Hash() {
 			t.Fatal("equal sets hash differently")
+		}
+	})
+}
+
+// refCompare is the canonical FD order spelled out on attribute lists:
+// RHS, then LHS cardinality, then the ascending attribute list.
+func refCompare(a, b FD) int {
+	if c := cmp.Compare(a.RHS, b.RHS); c != 0 {
+		return c
+	}
+	la, lb := a.LHS.Attrs(), b.LHS.Attrs()
+	if c := cmp.Compare(len(la), len(lb)); c != 0 {
+		return c
+	}
+	return slices.Compare(la, lb)
+}
+
+// FuzzCompareFDs checks Compare's word-parallel XOR rule against
+// refCompare over sets spread across all six words, and SortFDs against
+// a stable sort by the reference. Besides the decoded sets a and b, c
+// moves one attribute of a, so equal cardinalities with long shared
+// prefixes — the case the XOR rule decides — come up on every input.
+func FuzzCompareFDs(f *testing.F) {
+	f.Add(make([]byte, 96), byte(0), byte(0), uint16(0), uint16(1))
+	f.Add(append(make([]byte, 95), 0xff), byte(1), byte(1), uint16(383), uint16(64))
+	f.Add([]byte{0x0f, 0, 0, 0, 0, 0, 0, 0, 0x17}, byte(2), byte(2), uint16(1), uint16(4))
+	oneWord := make([]byte, 96) // two sets within word 0
+	oneWord[0], oneWord[48] = 0b1011, 0b1101
+	f.Add(oneWord, byte(0), byte(0), uint16(0), uint16(2))
+	seed := make([]byte, 192)
+	for i := range seed {
+		seed[i] = byte(i * 37)
+	}
+	f.Add(seed, byte(3), byte(3), uint16(130), uint16(200))
+	f.Fuzz(func(t *testing.T, data []byte, rhsA, rhsB byte, from, to uint16) {
+		var fds []FD
+		for off := 0; (off < len(data) && len(fds) < 16) || len(fds) < 2; off += 8 * NumWords {
+			var lhs AttrSet
+			if off < len(data) {
+				lhs = fuzzSet(data[off:])
+			}
+			fds = append(fds, FD{LHS: lhs})
+		}
+		fds[0].RHS, fds[1].RHS = int(rhsA%4), int(rhsB%4)
+		a := fds[0]
+		fds = append(fds, FD{LHS: a.LHS.Without(int(from) % MaxAttrs).With(int(to) % MaxAttrs), RHS: a.RHS})
+
+		for _, x := range fds {
+			for _, y := range fds {
+				got, want := Compare(x, y), refCompare(x, y)
+				if got != want {
+					t.Fatalf("Compare(%v, %v) = %d, want %d", x, y, got, want)
+				}
+				if back := Compare(y, x); back != -got {
+					t.Fatalf("Compare not antisymmetric: %d and %d for %v, %v", got, back, x, y)
+				}
+				if (got == 0) != (x == y) {
+					t.Fatalf("Compare(%v, %v) = %d, but equal = %v", x, y, got, x == y)
+				}
+				if Less(x, y) != (want < 0) {
+					t.Fatalf("Less(%v, %v) = %v, want %v", x, y, Less(x, y), want < 0)
+				}
+			}
+		}
+
+		got := slices.Clone(fds)
+		SortFDs(got)
+		want := slices.Clone(fds)
+		sort.SliceStable(want, func(i, j int) bool { return refCompare(want[i], want[j]) < 0 })
+		if !slices.Equal(got, want) {
+			t.Fatalf("SortFDs = %v, want %v", got, want)
 		}
 	})
 }

@@ -1,9 +1,10 @@
 package fdset
 
 import (
+	"cmp"
 	"encoding/json"
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // ScoredFD pairs a functional dependency with an error score under some
@@ -57,21 +58,21 @@ func (s *ScoredFD) UnmarshalJSON(data []byte) error {
 }
 
 // SortScoredFDs orders scored FDs canonically, ignoring scores: ascending
-// RHS, then LHS cardinality, then attribute order (Less). Use this when
-// the score is an annotation on a result set, e.g. threshold-mode AFD
-// output.
+// RHS, then LHS cardinality, then attribute order (Compare). Use this
+// when the score is an annotation on a result set, e.g. threshold-mode
+// AFD output.
 func SortScoredFDs(fds []ScoredFD) {
-	sort.Slice(fds, func(i, j int) bool { return Less(fds[i].FD, fds[j].FD) })
+	slices.SortFunc(fds, func(a, b ScoredFD) int { return Compare(a.FD, b.FD) })
 }
 
 // SortScoredFDsByScore orders scored FDs by ascending error (best first),
 // breaking score ties by the canonical FD order so equal-scored rankings
 // are deterministic. Use this for top-k output.
 func SortScoredFDsByScore(fds []ScoredFD) {
-	sort.Slice(fds, func(i, j int) bool {
-		if fds[i].Score != fds[j].Score {
-			return fds[i].Score < fds[j].Score
+	slices.SortFunc(fds, func(a, b ScoredFD) int {
+		if c := cmp.Compare(a.Score, b.Score); c != 0 {
+			return c
 		}
-		return Less(fds[i].FD, fds[j].FD)
+		return Compare(a.FD, b.FD)
 	})
 }

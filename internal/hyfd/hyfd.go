@@ -15,6 +15,7 @@ package hyfd
 
 import (
 	"context"
+	"slices"
 	"sort"
 	"time"
 
@@ -232,8 +233,8 @@ func candidateGroups(p *cover.PCover, validated map[fdset.FD]struct{}) []lhsGrou
 		sort.Ints(rhss)
 		out = append(out, lhsGroup{lhs: lhs, rhss: rhss})
 	}
-	sort.Slice(out, func(i, j int) bool {
-		return fdset.Less(fdset.FD{LHS: out[i].lhs}, fdset.FD{LHS: out[j].lhs})
+	slices.SortFunc(out, func(a, b lhsGroup) int {
+		return fdset.Compare(fdset.FD{LHS: a.lhs}, fdset.FD{LHS: b.lhs})
 	})
 	return out
 }

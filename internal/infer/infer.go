@@ -6,7 +6,7 @@
 package infer
 
 import (
-	"sort"
+	"slices"
 
 	"eulerfd/internal/fdset"
 )
@@ -117,8 +117,8 @@ func CandidateKeysBounded(fds *fdset.Set, ncols, maxNodes int) (keys []fdset.Att
 }
 
 func sortKeys(keys []fdset.AttrSet) {
-	sort.Slice(keys, func(i, j int) bool {
-		return fdset.Less(fdset.FD{LHS: keys[i]}, fdset.FD{LHS: keys[j]})
+	slices.SortFunc(keys, func(a, b fdset.AttrSet) int {
+		return fdset.Compare(fdset.FD{LHS: a}, fdset.FD{LHS: b})
 	})
 }
 

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"net/http"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -300,5 +301,58 @@ func TestAppendRouteRemoved(t *testing.T) {
 	code, blob := doReq(t, "POST", ts.URL+"/v1/sessions/"+doc.Session+"/append", "Zoe,33,High,Female,drugA\n")
 	if code != http.StatusNotFound && code != http.StatusMethodNotAllowed {
 		t.Fatalf("append alias: status %d, want 404 or 405: %s", code, blob)
+	}
+}
+
+// TestEventsReplayDoneOnceReady pins what a client waiting on a batch
+// relies on: once the session reports ready, /events replays the
+// finished job's done event and ends. The done event must join the
+// history in the same critical section that ends the job; published in
+// a second one, a subscriber arriving between the two would see ready
+// without done.
+func TestEventsReplayDoneOnceReady(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	doc := submit(t, ts.URL, patientCSV)
+	base := ts.URL + "/v1/sessions/" + doc.Session
+	job := doc.Job
+	for i := 0; i < 20; i++ {
+		deadline := time.Now().Add(10 * time.Second)
+		for {
+			code, blob := doReq(t, "GET", base, "")
+			if code != http.StatusOK {
+				t.Fatalf("get session: status %d: %s", code, blob)
+			}
+			var sd sessionDoc
+			if err := json.Unmarshal(blob, &sd); err != nil {
+				t.Fatal(err)
+			}
+			if sd.State == stateReady && sd.Job != nil && sd.Job.ID == job {
+				break
+			}
+			if sd.State == stateCancelled || sd.State == stateFailed {
+				t.Fatalf("batch %d: session terminal in %q", i, sd.State)
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("batch %d: job %s never finished (state %q)", i, job, sd.State)
+			}
+		}
+		code, stream := doReq(t, "GET", base+"/events", "")
+		if code != http.StatusOK {
+			t.Fatalf("events: status %d", code)
+		}
+		if want := "event: done\ndata: {\"job\":\"" + job + "\","; !strings.Contains(string(stream), want) {
+			t.Fatalf("batch %d: session ready but /events lacks the done event of %s:\n%s", i, job, stream)
+		}
+
+		row := []string{"P" + strconv.Itoa(i), "33", "High", "Female", "drugA"}
+		code, blob := postMutations(t, ts.URL, doc.Session, core.MutationBatch{Mutations: []core.Mutation{core.AppendOp([][]string{row})}})
+		if code != http.StatusAccepted {
+			t.Fatalf("batch %d: status %d: %s", i, code, blob)
+		}
+		var ack submitDoc
+		if err := json.Unmarshal(blob, &ack); err != nil {
+			t.Fatal(err)
+		}
+		job = ack.Job
 	}
 }

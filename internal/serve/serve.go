@@ -374,7 +374,6 @@ func (s *Server) runJob(sess *session, jb *job, batch core.MutationBatch, ctx co
 // Incremental — parks the session in a terminal state.
 func (s *Server) finishJob(sess *session, jb *job, stats core.Stats, err error) {
 	sess.mu.Lock()
-	var done doneDoc
 	if err == nil {
 		sess.state = stateReady
 		sess.fds = sess.inc.FDs()
@@ -415,9 +414,11 @@ func (s *Server) finishJob(sess *session, jb *job, stats core.Stats, err error) 
 		}
 	}
 	sess.cancel = nil
-	done = doneDoc{Job: jb.id, State: sess.state, Code: jb.code, Error: jb.err, Version: sess.version}
+	// The done event joins the history in the critical section that
+	// ends the job, so a subscriber that finds the job no longer in
+	// flight always finds its done event in the replay.
+	sess.publishLocked(event{name: "done", data: doneDoc{Job: jb.id, State: sess.state, Code: jb.code, Error: jb.err, Version: sess.version}})
 	sess.mu.Unlock()
-	sess.publish(event{name: "done", data: done})
 }
 
 func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
@@ -520,12 +521,14 @@ func (s *Server) handleFDs(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusConflict, "no completed result yet")
 		return
 	}
-	blob, err := fds.MarshalJSON()
+	body, err := fdsBody(attrs, version, fds.Slice())
 	if err != nil {
 		writeError(w, http.StatusInternalServerError, err.Error())
 		return
 	}
-	writeJSON(w, http.StatusOK, fdsDoc{Attrs: attrs, Version: version, Count: fds.Len(), FDs: blob})
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(http.StatusOK)
+	_, _ = w.Write(body)
 }
 
 // maxEnsembleMembers caps the ?ensemble= member count: each member is a

@@ -102,12 +102,19 @@ func (s *session) doc() sessionDoc {
 }
 
 // publish appends ev to the history and fans it out to subscribers.
-// Sends never block: subscriber channels are buffered generously and a
-// full one (an SSE client that stopped reading) is skipped — the client
-// still sees the event on reconnect via the history replay.
 func (s *session) publish(ev event) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	s.publishLocked(ev)
+}
+
+// publishLocked is publish for callers that hold s.mu. Sends never
+// block: subscriber channels are buffered generously and a full one (an
+// SSE client that stopped reading) is skipped — the client still sees
+// the event on reconnect via the history replay.
+//
+//fdlint:mustlock mu
+func (s *session) publishLocked(ev event) {
 	s.history = append(s.history, ev)
 	for _, ch := range s.subs {
 		select {

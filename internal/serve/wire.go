@@ -3,6 +3,7 @@ package serve
 import (
 	"encoding/json"
 	"net/http"
+	"strconv"
 
 	"eulerfd/internal/core"
 	"eulerfd/internal/fdset"
@@ -80,14 +81,26 @@ type progressDoc struct {
 	Done   *doneDoc       `json:"done,omitempty"`
 }
 
-// fdsDoc carries a discovered FD set. FDs serialize as
-// {"lhs":[indices],"rhs":index}; Attrs resolves indices to names.
-// Version stamps which committed state the cover describes.
-type fdsDoc struct {
-	Attrs   []string        `json:"attrs"`
-	Version int64           `json:"version"`
-	Count   int             `json:"count"`
-	FDs     json.RawMessage `json:"fds"`
+// fdsBody renders the /fds document of a discovered FD set: attrs (the
+// names FD indices resolve to), version (the committed state the cover
+// describes), count, and fds, each {"lhs":[indices],"rhs":index}, in
+// canonical order. The bytes are those writeJSON would write, indented
+// with a trailing newline. The FDs are written in that form directly
+// (fdset.AppendIndentJSON); only the attribute names go through
+// encoding/json, for its string escaping.
+func fdsBody(attrs []string, version int64, fds []fdset.FD) ([]byte, error) {
+	names, err := json.MarshalIndent(attrs, "  ", "  ")
+	if err != nil {
+		return nil, err
+	}
+	dst := append([]byte("{\n  \"attrs\": "), names...)
+	dst = append(dst, ",\n  \"version\": "...)
+	dst = strconv.AppendInt(dst, version, 10)
+	dst = append(dst, ",\n  \"count\": "...)
+	dst = strconv.AppendInt(dst, int64(len(fds)), 10)
+	dst = append(dst, ",\n  \"fds\": "...)
+	dst = fdset.AppendIndentJSON(dst, fds, "  ", "  ")
+	return append(dst, "\n}\n"...), nil
 }
 
 // afdsDoc answers an approximate-FD query. FDs serialize as
