@@ -44,15 +44,9 @@ type Scorer struct {
 // NewScorer builds a scorer over an encoded relation with a partition
 // cache bounded to cacheSize entries (< 1 selects the cache default).
 func NewScorer(enc *preprocess.Encoded, cacheSize int) *Scorer {
-	return newScorerWith(enc, preprocess.NewPartitionCache(enc, cacheSize))
-}
-
-// newScorerWith wires a scorer around an existing partition cache over
-// enc, recomputing the O(rows) attribute baselines.
-func newScorerWith(enc *preprocess.Encoded, cache *preprocess.PartitionCache) *Scorer {
 	s := &Scorer{
 		enc:      enc,
-		cache:    cache,
+		cache:    preprocess.NewPartitionCache(enc, cacheSize),
 		attrPdep: make([]float64, len(enc.Attrs)),
 	}
 	s.scratch.New = func() any { return preprocess.NewMeasureScratch() }
@@ -73,21 +67,6 @@ func newScorerWith(enc *preprocess.Encoded, cache *preprocess.PartitionCache) *S
 		s.attrPdep[a] = float64(sqSum+(int64(n)-covered)) / (float64(n) * float64(n))
 	}
 	return s
-}
-
-// Advanced returns a scorer over newEnc — a later snapshot of the same
-// Encoder this scorer's encoding came from — with the partition cache
-// refreshed incrementally (preprocess.PartitionCache.AdvancedTo) instead
-// of dropped: cached partitions are patched with the row delta, so a
-// mutation batch costs O(delta) per entry where a rebuild costs a full
-// partition product. changedIDs lists row ids whose content was updated
-// between the snapshots. The receiver is left untouched and fully usable,
-// so requests scoring against the old snapshot race nothing; the scored
-// counter carries over as a session-lifetime tally.
-func (s *Scorer) Advanced(newEnc *preprocess.Encoded, changedIDs []int64) *Scorer {
-	ns := newScorerWith(newEnc, s.cache.AdvancedTo(newEnc, changedIDs))
-	ns.scored.Store(s.scored.Load())
-	return ns
 }
 
 // CacheStats reports the partition cache counters (hits, misses,

@@ -134,9 +134,6 @@ func TestOptionsValidate(t *testing.T) {
 		{"ThNcover", func(o *Options) { o.ThNcover = -0.1 }},
 		{"ThPcover", func(o *Options) { o.ThPcover = -1 }},
 		{"NumQueues", func(o *Options) { o.NumQueues = -1 }},
-		{"RecentPasses", func(o *Options) { o.RecentPasses = -3 }},
-		{"BatchPairs", func(o *Options) { o.BatchPairs = -2 }},
-		{"MaxCycles", func(o *Options) { o.MaxCycles = -1 }},
 		{"Workers", func(o *Options) { o.Workers = -4 }},
 	}
 	for _, tc := range cases {

@@ -30,19 +30,6 @@ type Options struct {
 	// NumQueues is the MLFQ depth (Table IV). Legal range: ≥ 1, with 0
 	// selecting the paper default 6.
 	NumQueues int
-	// RecentPasses is how many recent pass capas the requeue decision
-	// averages over. Legal range: ≥ 1, with 0 selecting the default 3.
-	RecentPasses int
-	// BatchPairs bounds the pair comparisons of one internal sampling
-	// batch. The unit of the double cycle is a full MLFQ drain (Algorithm
-	// 1 runs until no cluster remains enqueued); BatchPairs only sizes
-	// the internal slices of a drain. Legal range: ≥ 0, with 0 meaning
-	// effectively unbounded.
-	BatchPairs int
-	// MaxCycles caps second-cycle iterations as a safety valve. Legal
-	// range: ≥ 0, with 0 meaning no cap (termination is then guaranteed
-	// by sampler exhaustion).
-	MaxCycles int
 	// ExhaustWindows disables capa-based cluster parking: every cluster
 	// stays in the MLFQ until all of its window sizes are consumed. With
 	// the ∅-seed this makes the result exact at the cost of comparing
@@ -51,8 +38,10 @@ type Options struct {
 	// Workers is the degree of parallelism of the engine: one persistent
 	// worker pool runs sampling-pass chunks, negative-cover admission
 	// shards, and inversion shards. Legal range: ≥ 0, where 0 (the
-	// default) means runtime.NumCPU() and Workers = 1 forces the paper's
-	// sequential execution. The result is identical for every value —
+	// default) means runtime.GOMAXPROCS(0) — the CPUs the Go scheduler
+	// may use at once, which a CPU quota can set below the machine's
+	// core count — and Workers = 1 forces the paper's sequential
+	// execution. The result is identical for every value —
 	// sampling chunks merge in sweep order and per-RHS covers are
 	// independent — so parallelism is purely a wall-clock knob.
 	Workers int
@@ -86,56 +75,39 @@ type Options struct {
 	// keeps discriminating even after absolute capa values decay below
 	// the static Table IV ladder.
 	DynamicCapaRanges bool
-	// CompactFraction is the tombstone share of the encoder's row spine
-	// that triggers compaction after a committed mutation batch: when
-	// dead rows / total slots reaches the fraction (and the spine holds at
-	// least CompactMinRows slots), NewIncremental's encoder densifies in
-	// one pass. Legal range: [0, 1] and not NaN, with 0 selecting the
-	// default 0.25. One-shot discovery ignores it.
-	CompactFraction float64
-	// CompactMinRows is the minimum row-spine height before compaction is
-	// considered, so small sessions never pay for densification. Legal
-	// range: ≥ 0, with 0 selecting the default 1024. One-shot discovery
-	// ignores it.
-	CompactMinRows int
-	// DeltaChunkPairs bounds how many pair comparisons one chunk of the
-	// incremental delta scan performs between cancellation checks: larger
-	// chunks amortize the check, smaller ones cancel faster. Legal range:
-	// ≥ 0, with 0 selecting the default 8192. One-shot discovery ignores
-	// it.
-	DeltaChunkPairs int
 }
 
 // DefaultOptions returns the configuration used throughout the paper's
 // evaluation: thresholds 0.01/0.01 and a 6-queue MLFQ.
 func DefaultOptions() Options {
 	return Options{
-		ThNcover:     0.01,
-		ThPcover:     0.01,
-		NumQueues:    6,
-		RecentPasses: 3,
+		ThNcover:  0.01,
+		ThPcover:  0.01,
+		NumQueues: 6,
 	}
 }
 
-func (o Options) withDefaults(numRows int) Options {
+func (o Options) withDefaults() Options {
 	if o.NumQueues < 1 {
 		o.NumQueues = 6
 	}
-	if o.RecentPasses < 1 {
-		o.RecentPasses = 3
-	}
-	if o.BatchPairs < 1 {
-		o.BatchPairs = 1 << 30
-	}
 	if o.Workers < 1 {
-		o.Workers = runtime.NumCPU()
+		o.Workers = runtime.GOMAXPROCS(0)
 	}
-	if o.DeltaChunkPairs < 1 {
-		o.DeltaChunkPairs = defaultDeltaChunkPairs
-	}
-	_ = numRows
 	return o
 }
+
+// Fixed sampling settings.
+const (
+	// recentPasses is how many recent pass capas the requeue decision
+	// averages over.
+	recentPasses = 3
+	// batchPairs is the pair quota of one internal sampling batch. The
+	// unit of the double cycle is a full MLFQ drain (Algorithm 1 runs
+	// until no cluster remains enqueued); the quota only sizes a drain's
+	// internal slices, and this one leaves a drain in one batch.
+	batchPairs = 1 << 30
+)
 
 // Stats reports what a discovery run did, for the experiment harness and
 // for diagnosing threshold settings. The json tags are the stable wire
@@ -249,7 +221,7 @@ func DiscoverEncodedContext(ctx context.Context, enc *preprocess.Encoded, opt Op
 		return nil, Stats{}, err
 	}
 	encStart := timing.Start()
-	opt = opt.withDefaults(enc.NumRows)
+	opt = opt.withDefaults()
 	ncols := len(enc.Attrs)
 	stats := Stats{Counters: Counters{Rows: enc.NumRows, Cols: ncols}}
 	if ncols == 0 {
@@ -268,7 +240,7 @@ func DiscoverEncodedContext(ctx context.Context, enc *preprocess.Encoded, opt Op
 	pl := pool.New(opt.Workers)
 	defer pl.Close()
 
-	sampler := NewSampler(enc, opt.NumQueues, opt.RecentPasses)
+	sampler := NewSampler(enc, opt.NumQueues, recentPasses)
 	sampler.exhaustive = opt.ExhaustWindows
 	sampler.dynamicRanges = opt.DynamicCapaRanges
 	sampler.SetPool(pl)
@@ -293,7 +265,7 @@ func DiscoverEncodedContext(ctx context.Context, enc *preprocess.Encoded, opt Op
 		defer t0.AddTo(&stats.Sampling)
 		var all []fdset.AttrSet
 		for {
-			got := sampler.Batch(opt.BatchPairs)
+			got := sampler.Batch(batchPairs)
 			all = append(all, got...)
 			stats.SampleBatches++
 			if sampler.queue.Len() == 0 {
@@ -426,9 +398,6 @@ func runDoubleCycle(ctx context.Context, opt Options, sampler *Sampler, ncover *
 
 		grP := growthRate(addedP, beforeP)
 		if grP <= opt.ThPcover && (!opt.ExhaustWindows || sampler.Exhausted()) {
-			break
-		}
-		if opt.MaxCycles > 0 && cycle+1 >= opt.MaxCycles {
 			break
 		}
 		// Second cycle demands more evidence: wake the sampler (clusters

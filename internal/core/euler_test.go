@@ -2,11 +2,13 @@ package core
 
 import (
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"eulerfd/internal/dataset"
 	"eulerfd/internal/fdset"
 	"eulerfd/internal/naive"
+	"eulerfd/internal/pool"
 	"eulerfd/internal/preprocess"
 )
 
@@ -15,7 +17,6 @@ import (
 func exhaustiveOptions() Options {
 	o := DefaultOptions()
 	o.ThNcover, o.ThPcover = 0, 0
-	o.BatchPairs = 1 << 22
 	o.ExhaustWindows = true
 	return o
 }
@@ -190,23 +191,6 @@ func TestDiscoverDefaultAccuracyOnStructuredData(t *testing.T) {
 	}
 }
 
-func TestDiscoverMaxCyclesCapsWork(t *testing.T) {
-	opt := DefaultOptions()
-	opt.MaxCycles = 1
-	opt.BatchPairs = 8
-	rel := patientRelation()
-	got, stats, err := Discover(rel, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stats.Inversions != 1 {
-		t.Errorf("Inversions = %d, want 1", stats.Inversions)
-	}
-	if got.Len() == 0 {
-		t.Error("capped run still must produce candidates")
-	}
-}
-
 func TestDiscoverEncodedDirect(t *testing.T) {
 	enc := preprocess.Encode(patientRelation())
 	got, stats := DiscoverEncoded(enc, exhaustiveOptions())
@@ -232,13 +216,27 @@ func TestGrowthRate(t *testing.T) {
 }
 
 func TestOptionsWithDefaults(t *testing.T) {
-	o := Options{}.withDefaults(10)
-	if o.NumQueues != 6 || o.RecentPasses != 3 || o.BatchPairs != 1<<30 {
+	o := Options{}.withDefaults()
+	if o.NumQueues != 6 || o.Workers != runtime.GOMAXPROCS(0) {
 		t.Errorf("defaults wrong: %+v", o)
 	}
-	o = Options{BatchPairs: 100}.withDefaults(100000)
-	if o.BatchPairs != 100 {
-		t.Errorf("explicit BatchPairs overridden: %d", o.BatchPairs)
+	o = Options{NumQueues: 2, Workers: 3}.withDefaults()
+	if o.NumQueues != 2 || o.Workers != 3 {
+		t.Errorf("explicit fields overridden: %+v", o)
+	}
+}
+
+// TestDefaultWorkersFollowGOMAXPROCS pins that the default worker count
+// is what the Go scheduler can run at once, not the machine's core count:
+// under GOMAXPROCS=1 (a CPU quota) it resolves to the sequential nil pool.
+func TestDefaultWorkersFollowGOMAXPROCS(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	o := Options{}.withDefaults()
+	if o.Workers != 1 {
+		t.Fatalf("Workers = %d under GOMAXPROCS=1, want 1", o.Workers)
+	}
+	if pool.New(o.Workers) != nil {
+		t.Fatal("the default started a worker pool under GOMAXPROCS=1")
 	}
 }
 

@@ -49,17 +49,16 @@ type Incremental struct {
 	pcover  *cover.PCover
 	seeded  map[int]bool // RHS attrs whose ∅ non-FD is already recorded
 	ncols   int
-	word    bool // ≤ 64 columns: witness on raw agree masks
 
-	// Witness tallies per agree set, (pair × shared attribute) units; the
-	// word/wide split mirrors the sampler's dedup tables. An entry exists
-	// iff its count is positive.
-	witnessW map[uint64]int64
-	witness  map[fdset.AttrSet]int64
+	// witness tallies each agree set in (pair × shared attribute) units.
+	// An entry exists iff its count is positive.
+	witness *maskTable
+	// deltaChunk is the pair count of one delta-scan chunk:
+	// deltaChunkPairs, unless a test shrinks it.
+	deltaChunk int
 
-	version     int64
-	poisoned    bool
-	lastChanged []int64 // ids rewritten by the last committed batch
+	version  int64
+	poisoned bool
 
 	// Appends counts the batches committed so far (of any kind, for
 	// backward compatibility with the original append-only counter);
@@ -78,29 +77,20 @@ func NewIncremental(name string, attrs []string, opt Options) (*Incremental, err
 	if err := opt.Validate(); err != nil {
 		return nil, err
 	}
-	compactFraction, compactMinRows := opt.CompactFraction, opt.CompactMinRows
-	opt = opt.withDefaults(0)
 	ncols := len(attrs)
-	encoder := preprocess.NewEncoder(attrs)
-	encoder.SetCompaction(compactFraction, compactMinRows)
-	inc := &Incremental{
-		opt:     opt,
+	return &Incremental{
+		opt:     opt.withDefaults(),
 		name:    name,
-		encoder: encoder,
+		encoder: preprocess.NewEncoder(attrs),
 		// Split ranks need global attribute frequencies, which shift as
 		// data grows; incremental covers use natural order.
-		ncover: cover.NewNCover(ncols, nil),
-		pcover: cover.NewPCover(ncols, nil),
-		seeded: make(map[int]bool, ncols),
-		ncols:  ncols,
-		word:   ncols <= 64,
-	}
-	if inc.word {
-		inc.witnessW = make(map[uint64]int64)
-	} else {
-		inc.witness = make(map[fdset.AttrSet]int64)
-	}
-	return inc, nil
+		ncover:     cover.NewNCover(ncols, nil),
+		pcover:     cover.NewPCover(ncols, nil),
+		seeded:     make(map[int]bool, ncols),
+		ncols:      ncols,
+		witness:    newMaskTable(preprocess.MaskWords(ncols)),
+		deltaChunk: deltaChunkPairs,
+	}, nil
 }
 
 // NumRows returns the alive rows absorbed so far.
@@ -118,12 +108,6 @@ func (inc *Incremental) NextID() int64 { return inc.encoder.NextID() }
 // Poisoned reports whether a cancelled or failed bootstrap left the
 // covers partially built (see ErrPoisoned).
 func (inc *Incremental) Poisoned() bool { return inc.poisoned }
-
-// LastChangedIDs returns the row ids the last committed batch rewrote in
-// place (update targets that survived the batch). Together with Snapshot
-// it drives incremental refresh of derived state — fdserve advances its
-// AFD scorer's partition cache with exactly this list.
-func (inc *Incremental) LastChangedIDs() []int64 { return inc.lastChanged }
 
 // Append folds a batch of rows into the result, as a one-mutation batch.
 func (inc *Incremental) Append(rows [][]string) (Stats, error) {
@@ -198,12 +182,12 @@ func (inc *Incremental) bootstrapContext(ctx context.Context, rows [][]string, o
 	pl := pool.New(inc.opt.Workers)
 	defer pl.Close()
 
-	sampler := NewSampler(enc, inc.opt.NumQueues, inc.opt.RecentPasses)
+	sampler := NewSampler(enc, inc.opt.NumQueues, recentPasses)
 	sampler.exhaustive = inc.opt.ExhaustWindows
 	sampler.dynamicRanges = inc.opt.DynamicCapaRanges
 	sampler.SetPool(pl)
 	sampler.SetSeed(inc.opt.Seed)
-	sampler.SetWitness(inc.witnessW, inc.witness)
+	sampler.SetWitness(inc.witness)
 
 	// ∅ seeding: the relation is young but a column may already vary.
 	var seed []fdset.FD
@@ -219,7 +203,7 @@ func (inc *Incremental) bootstrapContext(ctx context.Context, rows [][]string, o
 		defer t0.AddTo(&stats.Sampling)
 		var all []fdset.AttrSet
 		for {
-			got := sampler.Batch(inc.opt.BatchPairs)
+			got := sampler.Batch(batchPairs)
 			all = append(all, got...)
 			stats.SampleBatches++
 			if sampler.queue.Len() == 0 {
@@ -242,7 +226,6 @@ func (inc *Incremental) bootstrapContext(ctx context.Context, rows [][]string, o
 	}
 	inc.version++
 	inc.Appends++
-	inc.lastChanged = nil
 	return stats, nil
 }
 
@@ -278,7 +261,7 @@ func (inc *Incremental) applyDelta(ctx context.Context, batch MutationBatch, obs
 			Rows:          rows,
 			Cols:          inc.ncols,
 			PairsCompared: b.pairs,
-			AgreeSets:     inc.witnessLen(),
+			AgreeSets:     inc.witness.len(),
 			NcoverSize:    inc.ncover.Size(),
 			PcoverSize:    inc.pcover.Size(),
 			Inversions:    stats.Inversions,
@@ -292,8 +275,8 @@ func (inc *Incremental) applyDelta(ctx context.Context, batch MutationBatch, obs
 	}
 
 	tPatch := timing.Start()
-	inc.lastChanged = b.commitEncoder()
-	realized, retired := inc.mergeWitness(&b.d)
+	b.commitEncoder()
+	realized, retired := inc.mergeWitness(b.d)
 	inc.patchCovers(realized, retired, pl, &stats)
 	tPatch.AddTo(&stats.Inversion)
 
@@ -302,21 +285,13 @@ func (inc *Incremental) applyDelta(ctx context.Context, batch MutationBatch, obs
 	inc.Deletes += b.deletes
 	inc.Updates += b.updates
 	stats.Rows = inc.encoder.NumRows()
-	stats.AgreeSets = inc.witnessLen()
+	stats.AgreeSets = inc.witness.len()
 	stats.NcoverSize = inc.ncover.Size()
 	stats.PcoverSize = inc.pcover.Size()
 	stats.Inversions++
 	start.SetTo(&stats.Total)
 	emit("inverted", stats.Rows)
 	return stats, nil
-}
-
-// witnessLen returns the number of alive agree sets.
-func (inc *Incremental) witnessLen() int {
-	if inc.word {
-		return len(inc.witnessW)
-	}
-	return len(inc.witness)
 }
 
 // mergeWitness folds the batch's net delta into the long-lived witness
@@ -326,80 +301,22 @@ func (inc *Incremental) witnessLen() int {
 // retired (its last witness died). Counts clamp at zero: with a
 // non-exhaustive bootstrap the tallies are lower bounds, so a decrement
 // can overshoot evidence that was never counted.
-func (inc *Incremental) mergeWitness(d *deltaScan) (realized, retired []fdset.AttrSet) {
-	if inc.word {
-		for _, w := range d.dwOrder {
-			dv := d.dw[w]
-			if dv == 0 {
-				continue
-			}
-			old := inc.witnessW[w]
-			now := old + dv
-			if now < 0 {
-				now = 0
-			}
-			switch {
-			case now == 0 && old > 0:
-				delete(inc.witnessW, w)
-				retired = append(retired, fdset.FromWord(w))
-			case now > 0 && old == 0:
-				inc.witnessW[w] = now
-				realized = append(realized, fdset.FromWord(w))
-			case now == 0:
-				delete(inc.witnessW, w)
-			default:
-				inc.witnessW[w] = now
-			}
-		}
-		return realized, retired
-	}
-	for _, s := range d.dsOrder {
-		dv := d.ds[s]
+func (inc *Incremental) mergeWitness(d *maskTable) (realized, retired []fdset.AttrSet) {
+	d.eachOrdered(func(m []uint64, dv int64) {
 		if dv == 0 {
-			continue
+			return
 		}
-		old := inc.witness[s]
-		now := old + dv
-		if now < 0 {
-			now = 0
-		}
+		old := inc.witness.get(m)
+		now := max(old+dv, 0)
+		inc.witness.put(m, now)
 		switch {
 		case now == 0 && old > 0:
-			delete(inc.witness, s)
-			retired = append(retired, s)
+			retired = append(retired, maskSet(m))
 		case now > 0 && old == 0:
-			inc.witness[s] = now
-			realized = append(realized, s)
-		case now == 0:
-			delete(inc.witness, s)
-		default:
-			inc.witness[s] = now
+			realized = append(realized, maskSet(m))
 		}
-	}
+	})
 	return realized, retired
-}
-
-// aliveSubsetsOf collects every alive agree set that is a subset of some
-// removed maximal set — the re-admission candidates after retirements.
-// Map iteration order does not reach the caller: the result is sorted.
-func (inc *Incremental) aliveSubsetsOf(removed []fdset.AttrSet) []fdset.AttrSet {
-	var out []fdset.AttrSet
-	if inc.word {
-		for w := range inc.witnessW {
-			s := fdset.FromWord(w)
-			if subsetOfAny(s, removed) {
-				out = append(out, s)
-			}
-		}
-	} else {
-		for s := range inc.witness {
-			if subsetOfAny(s, removed) {
-				out = append(out, s)
-			}
-		}
-	}
-	sortSetsDesc(out)
-	return out
 }
 
 // patchCovers folds one batch's realized and retired agree sets into the
@@ -475,8 +392,9 @@ func (inc *Incremental) patchCovers(realized, retired []fdset.AttrSet, pl *pool.
 
 	// 4. Re-admission of newly maximal evidence. Any newly maximal alive
 	// set must be a subset of some removed maximal set (otherwise what
-	// dominated it is still stored), so candidates come from one witness
-	// sweep against the union of removals.
+	// dominated it is still stored), so candidates — every alive agree
+	// set below a removal — come from one witness sweep against the union
+	// of removals.
 	affectedSorted := make([]int, 0, len(affected))
 	for rhs := range affected {
 		affectedSorted = append(affectedSorted, rhs)
@@ -487,7 +405,7 @@ func (inc *Incremental) patchCovers(realized, retired []fdset.AttrSet, pl *pool.
 		removedAll = append(removedAll, removedBy[rhs]...)
 	}
 	if len(removedAll) > 0 {
-		candidates := inc.aliveSubsetsOf(removedAll)
+		candidates := inc.witness.subsetsOf(removedAll)
 		for _, rhs := range affectedSorted {
 			for _, t := range candidates {
 				if !t.Has(rhs) && subsetOfAny(t, removedBy[rhs]) {
@@ -532,9 +450,8 @@ func (inc *Incremental) FDs() *fdset.Set {
 // storage (appends only write beyond its length); once deletes or updates
 // have happened it is an independent densified copy, so either way it
 // stays valid and immutable across later batches. Snapshot.RowIDs carries
-// the stable external ids, which is what lets PartitionCache.AdvancedTo
-// align two snapshots of the same session. It must not be taken
-// concurrently with a running batch.
+// the stable external ids. It must not be taken concurrently with a
+// running batch.
 func (inc *Incremental) Snapshot() *preprocess.Encoded {
 	return inc.encoder.Snapshot(inc.name)
 }

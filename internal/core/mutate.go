@@ -5,7 +5,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math/bits"
 	"slices"
 	"sort"
 
@@ -133,65 +132,19 @@ func (b MutationBatch) appendOnlyRows() ([][]string, error) {
 // last committed version. Callers should discard the Incremental.
 var ErrPoisoned = errors.New("core: a cancelled or failed bootstrap left the covers partially built; discard this Incremental")
 
-// defaultDeltaChunkPairs is the Options.DeltaChunkPairs default: pair
-// comparisons per delta-scan chunk between cancellation checks.
-const defaultDeltaChunkPairs = 8192
+// deltaChunkPairs is the number of pair comparisons one chunk of the
+// delta scan performs between cancellation checks: larger chunks amortize
+// the check, smaller ones cancel faster. Incremental.deltaChunk holds it,
+// so tests can shrink it to force multi-chunk sweeps.
+const deltaChunkPairs = 8192
 
-// deltaScan accumulates the net witness delta of one mutation batch in
-// (pair × shared attribute) units, the same unit the bootstrap sampler
-// tallies: each scanned pair adds or subtracts popcount(agree) from its
-// agree set's entry. Keys are recorded in first-touch order so the commit
-// merges them deterministically regardless of map iteration. The word/set
-// split mirrors the sampler's (≤ 64 columns vs wide).
-type deltaScan struct {
-	dw      map[uint64]int64
-	dwOrder []uint64
-	ds      map[fdset.AttrSet]int64
-	dsOrder []fdset.AttrSet
-}
-
-func (d *deltaScan) addWord(w uint64, pairs, sign int64) {
-	if w == 0 {
-		// Pairs agreeing nowhere lie in no cluster: the bootstrap never
-		// counted them and ∅ non-FDs are settled by column cardinality.
-		return
-	}
-	v, ok := d.dw[w]
-	if !ok {
-		d.dwOrder = append(d.dwOrder, w)
-	}
-	d.dw[w] = v + sign*pairs*int64(bits.OnesCount64(w))
-}
-
-func (d *deltaScan) addSet(s fdset.AttrSet, count int, pairs, sign int64) {
-	if count == 0 {
-		return
-	}
-	v, ok := d.ds[s]
-	if !ok {
-		d.dsOrder = append(d.dsOrder, s)
-	}
-	d.ds[s] = v + sign*pairs*int64(count)
-}
-
-// deltaChunk is the result scratch of one parallel chunk of a delta
-// sweep: the run-grouped evidence of DeltaChunkPairs consecutive base
-// slots. Each concurrent chunk owns exactly one deltaChunk, so workers
-// never share mutable result state; buffers are reused across sweeps.
-// Workers fill the run lists (keys/radds on the ≤ 64-column word path,
-// rsets/rcounts/radds on the wide path) and the coordinator merges the
-// chunks in position order into the witness delta — the same sequence of
-// addWord/addSet calls the sequential sweep makes, because that sweep
-// already folds runs per DeltaChunkPairs chunk.
+// deltaChunk is the result scratch of one chunk of a delta sweep: the
+// agree masks of up to deltaChunkPairs consecutive base slots. Each
+// concurrent chunk owns exactly one deltaChunk, so workers never share
+// mutable result state; buffers are reused across sweeps.
 type deltaChunk struct {
 	from, to int // positions [from, to) of baseAlive covered by this chunk
-	words    []uint64
-	sets     []fdset.AttrSet
-	counts   []int32
-	keys     []uint64        // word path: run-head agree masks
-	rsets    []fdset.AttrSet // wide path: run-head agree sets
-	rcounts  []int32         // wide path: shared-attribute count per run head
-	radds    []int32         // pairs per run
+	masks    []uint64
 }
 
 // extraRow is a row of the batch's virtual overlay: either a staged append
@@ -214,7 +167,6 @@ type extraRow struct {
 type batchState struct {
 	inc     *Incremental
 	enc     *preprocess.Encoder
-	word    bool
 	staging *preprocess.Staging
 
 	baseAlive []int32    // ascending alive base slots still untouched by this batch
@@ -228,19 +180,18 @@ type batchState struct {
 
 	deleteIDs []int64 // ids to tombstone at commit, in operation order
 
-	d     deltaScan
+	// d accumulates the net witness delta of the batch in (pair × shared
+	// attribute) units, the same unit the bootstrap sampler tallies: each
+	// scanned pair adds or subtracts popcount(agree) from its agree set's
+	// entry. It keeps its keys in first-touch order, so the commit merges
+	// them deterministically regardless of map iteration.
+	d     *maskTable
 	pairs int
 
-	// scan scratch (sequential path and the extras tail)
-	words  []uint64
-	sets   []fdset.AttrSet
-	counts []int32
+	one []uint64 // the agree mask of one pair against a staged row
 
-	// pool, when non-nil, parallelizes large base-slot sweeps: chunks are
-	// dispatched to the persistent workers and merged in position order,
-	// so the witness delta's first-touch key order — what mergeWitness
-	// depends on for deterministic realized/retired lists — is identical
-	// to the sequential sweep's.
+	// pool, when non-nil, parallelizes base-slot sweeps of more than one
+	// chunk; chunks merge in position order either way (scanBase).
 	pool   *pool.Pool
 	chunks []deltaChunk // per-chunk result scratch, reused across sweeps
 
@@ -248,25 +199,20 @@ type batchState struct {
 }
 
 func newBatchState(inc *Incremental, pl *pool.Pool) *batchState {
+	mw := inc.witness.mw
 	b := &batchState{
 		inc:         inc,
 		enc:         inc.encoder,
-		word:        inc.word,
 		staging:     inc.encoder.NewStaging(),
 		baseAlive:   inc.encoder.AliveSlots(nil),
 		baseNextID:  inc.encoder.NextID(),
 		replacedIdx: make(map[int64]int),
 		deletedBase: make(map[int64]struct{}),
+		d:           newMaskTable(mw),
+		one:         make([]uint64, mw),
 		pool:        pl,
 	}
-	if b.word {
-		b.d.dw = make(map[uint64]int64)
-		b.words = make([]uint64, inc.opt.DeltaChunkPairs)
-	} else {
-		b.d.ds = make(map[fdset.AttrSet]int64)
-		b.sets = make([]fdset.AttrSet, inc.opt.DeltaChunkPairs)
-		b.counts = make([]int32, inc.opt.DeltaChunkPairs)
-	}
+	b.d.ordered = true
 	return b
 }
 
@@ -327,20 +273,9 @@ func (b *batchState) pack(labels []int32) []uint64 {
 // scan folds the agree sets of (row × every virtual alive row) into the
 // witness delta with the given sign; row is packed at the encoder's lane
 // width. The caller must already have removed the row itself from the
-// virtual state, so a row is never paired with itself. Base slots go
-// through the batched encoder kernel in chunks of DeltaChunkPairs with a
-// cancellation check per chunk; identical consecutive agree masks fold
-// as one map operation (the same run-skip the sampler uses, and equally
-// common on low-cardinality data). Sweeps spanning more than one chunk
-// are dispatched to the worker pool when one is attached; the witness
-// delta is identical either way.
+// virtual state, so a row is never paired with itself.
 func (b *batchState) scan(ctx context.Context, row []uint64, sign int64) error {
-	chunk := b.inc.opt.DeltaChunkPairs
-	if b.pool != nil && len(b.baseAlive) > chunk {
-		if err := b.scanBaseParallel(ctx, row, sign, chunk); err != nil {
-			return err
-		}
-	} else if err := b.scanBase(ctx, row, sign, chunk); err != nil {
+	if err := b.scanBase(ctx, row, sign); err != nil {
 		return err
 	}
 	if err := ctx.Err(); err != nil {
@@ -351,152 +286,64 @@ func (b *batchState) scan(ctx context.Context, row []uint64, sign int64) error {
 		if ex.dead {
 			continue
 		}
-		if b.word {
-			b.d.addWord(b.enc.AgreeRowsWord(row, ex.packed), 1, sign)
-		} else {
-			s, n := b.enc.AgreeRowsSet(row, ex.packed)
-			b.d.addSet(s, n, 1, sign)
+		b.enc.AgreeRowsWords(row, ex.packed, b.one)
+		if n := maskCount(b.one); n > 0 {
+			b.d.add(b.one, sign*int64(n))
 		}
 		b.pairs++
 	}
 	return nil
 }
 
-// scanBase is the sequential base-slot sweep: one chunk at a time through
-// the batched kernel, runs folded straight into the witness delta.
-func (b *batchState) scanBase(ctx context.Context, row []uint64, sign int64, chunk int) error {
-	for start := 0; start < len(b.baseAlive); start += chunk {
+// scanBase sweeps row against the untouched base slots in chunks of
+// Incremental.deltaChunk pairs. Each chunk computes its agree masks with
+// the batched kernel, and the chunks merge into the witness delta in
+// position order, a run of identical consecutive masks — as common here
+// as in the sampler's windows — as one add. With a pool attached, a sweep's chunks run concurrently
+// and merge after all finish; without one, each merges as it completes.
+// The merge makes the identical sequence of adds either way, so the
+// delta's first-touch key order — what makes mergeWitness deterministic —
+// and every tally are the same. Cancellation is checked before and after
+// each wave of chunks, and a cancelled wave merges nothing.
+func (b *batchState) scanBase(ctx context.Context, row []uint64, sign int64) error {
+	n, size := len(b.baseAlive), b.inc.deltaChunk
+	numChunks := (n + size - 1) / size
+	wave := 1
+	if b.pool != nil {
+		wave = max(numChunks, 1)
+	}
+	for len(b.chunks) < wave {
+		b.chunks = append(b.chunks, deltaChunk{})
+	}
+	mw := b.d.mw
+	for k0 := 0; k0 < numChunks; k0 += wave {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		end := start + chunk
-		if end > len(b.baseAlive) {
-			end = len(b.baseAlive)
+		chunks := b.chunks[:min(wave, numChunks-k0)]
+		for k := range chunks {
+			from := (k0 + k) * size
+			chunks[k].from, chunks[k].to = from, min(from+size, n)
 		}
-		slots := b.baseAlive[start:end]
-		if b.word {
-			words := b.words[:len(slots)]
-			b.enc.AgreeSlotsWords(row, slots, words)
-			for i := 0; i < len(words); {
-				w := words[i]
-				j := i + 1
-				for j < len(words) && words[j] == w {
-					j++
-				}
-				b.d.addWord(w, int64(j-i), sign)
-				i = j
-			}
-		} else {
-			sets := b.sets[:len(slots)]
-			counts := b.counts[:len(slots)]
-			b.enc.AgreeSlotsInto(row, slots, sets, counts)
-			for i := 0; i < len(sets); {
-				s := sets[i]
-				j := i + 1
-				for j < len(sets) && sets[j] == s {
-					j++
-				}
-				b.d.addSet(s, int(counts[i]), int64(j-i), sign)
-				i = j
-			}
-		}
-		b.pairs += len(slots)
-	}
-	return nil
-}
-
-// scanBaseParallel runs the base-slot sweep through the worker pool: the
-// slot range is cut into the same DeltaChunkPairs chunks the sequential
-// sweep uses, each worker computes its chunk's agree masks (or sets) with
-// the batched kernel into the chunk's private buffers and run-groups them
-// into (key, pairs) lists, and the coordinator merges the chunks in
-// position order into the witness delta. Because the chunk boundaries
-// match the sequential sweep's and addWord/addSet accumulate, the merge
-// performs the identical call sequence — so first-touch key order (what
-// makes mergeWitness deterministic) and all tallies are bit-identical to
-// scanBase. Workers observe cancellation at chunk start and skip the
-// kernel; the coordinator then returns before merging anything, leaving
-// the delta exactly as cancellation mid-scanBase would.
-func (b *batchState) scanBaseParallel(ctx context.Context, row []uint64, sign int64, chunk int) error {
-	n := len(b.baseAlive)
-	numChunks := (n + chunk - 1) / chunk
-	for len(b.chunks) < numChunks {
-		b.chunks = append(b.chunks, deltaChunk{})
-	}
-	for k := 0; k < numChunks; k++ {
-		from := k * chunk
-		to := from + chunk
-		if to > n {
-			to = n
-		}
-		b.chunks[k].from, b.chunks[k].to = from, to
-	}
-	if b.word {
-		b.pool.Do(numChunks, func(k int) {
-			ch := &b.chunks[k]
-			ch.keys, ch.radds = ch.keys[:0], ch.radds[:0]
+		b.pool.Do(len(chunks), func(k int) {
 			if ctx.Err() != nil {
-				return // a cancelled sweep is discarded wholesale
+				return // the check after Do discards the whole wave
 			}
-			m := ch.to - ch.from
-			if cap(ch.words) < m {
-				ch.words = make([]uint64, m)
+			ch := &chunks[k]
+			m := (ch.to - ch.from) * mw
+			if cap(ch.masks) < m {
+				ch.masks = make([]uint64, m)
 			}
-			words := ch.words[:m]
-			b.enc.AgreeSlotsWords(row, b.baseAlive[ch.from:ch.to], words)
-			for i := 0; i < m; {
-				w := words[i]
-				j := i + 1
-				for j < m && words[j] == w {
-					j++
-				}
-				ch.keys = append(ch.keys, w)
-				ch.radds = append(ch.radds, int32(j-i))
-				i = j
-			}
+			ch.masks = ch.masks[:m]
+			b.enc.AgreeSlotsWords(row, b.baseAlive[ch.from:ch.to], ch.masks)
 		})
-	} else {
-		b.pool.Do(numChunks, func(k int) {
-			ch := &b.chunks[k]
-			ch.rsets, ch.rcounts, ch.radds = ch.rsets[:0], ch.rcounts[:0], ch.radds[:0]
-			if ctx.Err() != nil {
-				return
-			}
-			m := ch.to - ch.from
-			if cap(ch.sets) < m {
-				ch.sets = make([]fdset.AttrSet, m)
-				ch.counts = make([]int32, m)
-			}
-			sets, counts := ch.sets[:m], ch.counts[:m]
-			b.enc.AgreeSlotsInto(row, b.baseAlive[ch.from:ch.to], sets, counts)
-			for i := 0; i < m; {
-				s := sets[i]
-				j := i + 1
-				for j < m && sets[j] == s {
-					j++
-				}
-				ch.rsets = append(ch.rsets, s)
-				ch.rcounts = append(ch.rcounts, counts[i])
-				ch.radds = append(ch.radds, int32(j-i))
-				i = j
-			}
-		})
-	}
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	for k := 0; k < numChunks; k++ {
-		ch := &b.chunks[k]
-		if b.word {
-			for x, w := range ch.keys {
-				b.d.addWord(w, int64(ch.radds[x]), sign)
-			}
-		} else {
-			for x, s := range ch.rsets {
-				b.d.addSet(s, int(ch.rcounts[x]), int64(ch.radds[x]), sign)
-			}
+		if err := ctx.Err(); err != nil {
+			return err
 		}
-		b.pairs += ch.to - ch.from
+		for k := range chunks {
+			b.d.addMasks(chunks[k].masks, sign, true)
+			b.pairs += chunks[k].to - chunks[k].from
+		}
 	}
 	return nil
 }
@@ -613,9 +460,8 @@ func (b *batchState) virtualRows() int {
 // that keeps predicted ids exact: the dictionary overlay merges, every
 // staged append lands (even ones deleted later in the batch, so ids line
 // up), surviving rewrites replace in place, deletions tombstone, and
-// bounded compaction may densify the spine. It returns the ids whose
-// content changed (surviving updates), for partition-cache patching.
-func (b *batchState) commitEncoder() (changed []int64) {
+// bounded compaction may densify the spine.
+func (b *batchState) commitEncoder() {
 	b.staging.Commit()
 	for ei := range b.extras {
 		ex := &b.extras[ei]
@@ -627,14 +473,12 @@ func (b *batchState) commitEncoder() (changed []int64) {
 		ex := &b.extras[ei]
 		if ex.baseSlot >= 0 && !ex.dead {
 			b.enc.Replace(ex.id, ex.labels)
-			changed = append(changed, ex.id)
 		}
 	}
 	for _, id := range b.deleteIDs {
 		b.enc.Delete(id)
 	}
 	b.enc.MaybeCompact()
-	return changed
 }
 
 // sortSetsDesc orders agree sets by descending cardinality, ties broken

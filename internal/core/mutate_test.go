@@ -151,14 +151,12 @@ func TestApplyExhaustiveMatchesFresh(t *testing.T) {
 // spine rebuild (ids must survive and stay addressable).
 func TestApplyCompactionPreservesExactness(t *testing.T) {
 	r := rand.New(rand.NewSource(277))
-	opt := exhaustiveOptions()
-	opt.CompactFraction = 0.1
-	opt.CompactMinRows = 8
 	m := &mutationModel{attrs: []string{"A", "B", "C"}}
-	inc, err := NewIncremental("t", m.attrs, opt)
+	inc, err := NewIncremental("t", m.attrs, exhaustiveOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
+	inc.encoder.SetCompaction(0.1, 8)
 	base := make([][]string, 30)
 	for i := range base {
 		base[i] = randomRow(r, 3, 3)
@@ -546,41 +544,5 @@ func TestApplyFirstBatchRules(t *testing.T) {
 	}
 	if stats.Rows != 2 || inc.Version() != 1 {
 		t.Fatalf("rows=%d version=%d", stats.Rows, inc.Version())
-	}
-}
-
-// TestOptionsValidateMutationKnobs covers the new compaction and delta
-// knobs' legal ranges and typed errors.
-func TestOptionsValidateMutationKnobs(t *testing.T) {
-	cases := []struct {
-		name  string
-		mut   func(*Options)
-		field string
-	}{
-		{"CompactFractionNegative", func(o *Options) { o.CompactFraction = -0.5 }, "CompactFraction"},
-		{"CompactFractionOverOne", func(o *Options) { o.CompactFraction = 1.5 }, "CompactFraction"},
-		{"CompactMinRowsNegative", func(o *Options) { o.CompactMinRows = -1 }, "CompactMinRows"},
-		{"DeltaChunkPairsNegative", func(o *Options) { o.DeltaChunkPairs = -8 }, "DeltaChunkPairs"},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			o := DefaultOptions()
-			tc.mut(&o)
-			err := o.Validate()
-			var oerr *OptionError
-			if !errors.As(err, &oerr) {
-				t.Fatalf("error %T is not *OptionError: %v", err, err)
-			}
-			if oerr.Field != tc.field {
-				t.Fatalf("field %q, want %q", oerr.Field, tc.field)
-			}
-		})
-	}
-	good := DefaultOptions()
-	good.CompactFraction = 0.5
-	good.CompactMinRows = 64
-	good.DeltaChunkPairs = 1024
-	if err := good.Validate(); err != nil {
-		t.Fatalf("legal knobs rejected: %v", err)
 	}
 }

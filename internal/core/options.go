@@ -35,17 +35,8 @@ func (o Options) Validate() error {
 	if o.NumQueues < 0 {
 		return &OptionError{Field: "NumQueues", Value: o.NumQueues, Reason: "MLFQ depth must be ≥ 1 (0 selects the default)"}
 	}
-	if o.RecentPasses < 0 {
-		return &OptionError{Field: "RecentPasses", Value: o.RecentPasses, Reason: "pass window must be ≥ 1 (0 selects the default)"}
-	}
-	if o.BatchPairs < 0 {
-		return &OptionError{Field: "BatchPairs", Value: o.BatchPairs, Reason: "pair quota must be ≥ 0 (0 means unbounded)"}
-	}
-	if o.MaxCycles < 0 {
-		return &OptionError{Field: "MaxCycles", Value: o.MaxCycles, Reason: "cycle cap must be ≥ 0 (0 means uncapped)"}
-	}
 	if o.Workers < 0 {
-		return &OptionError{Field: "Workers", Value: o.Workers, Reason: "worker count must be ≥ 0 (0 means all CPU cores)"}
+		return &OptionError{Field: "Workers", Value: o.Workers, Reason: "worker count must be ≥ 0 (0 means GOMAXPROCS)"}
 	}
 	if math.IsNaN(o.Epsilon) || o.Epsilon < 0 || o.Epsilon > 1 {
 		return &OptionError{Field: "Epsilon", Value: o.Epsilon, Reason: "error budget must be in [0, 1]"}
@@ -55,15 +46,6 @@ func (o Options) Validate() error {
 	}
 	if o.Ensemble < 0 {
 		return &OptionError{Field: "Ensemble", Value: o.Ensemble, Reason: "member count must be ≥ 0 (0 means single-run discovery)"}
-	}
-	if math.IsNaN(o.CompactFraction) || o.CompactFraction < 0 || o.CompactFraction > 1 {
-		return &OptionError{Field: "CompactFraction", Value: o.CompactFraction, Reason: "tombstone share must be in [0, 1] (0 selects the default)"}
-	}
-	if o.CompactMinRows < 0 {
-		return &OptionError{Field: "CompactMinRows", Value: o.CompactMinRows, Reason: "row floor must be ≥ 0 (0 selects the default)"}
-	}
-	if o.DeltaChunkPairs < 0 {
-		return &OptionError{Field: "DeltaChunkPairs", Value: o.DeltaChunkPairs, Reason: "chunk size must be ≥ 0 (0 selects the default)"}
 	}
 	return nil
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -21,7 +22,22 @@ func parallelTestRelations() map[string]*dataset.Relation {
 		"uci":     gen.UCITable("uci", 3000, 8, false, 4, 42),
 		"wide":    gen.WideSparseTuned("wide", 400, 24, 0.2, 0.2, 7),
 		"weather": gen.Weather("weather", 2500, 99),
+		"wide70":  wideParallelRelation(),
 	}
+}
+
+// wideParallelRelation spreads a 2100-row UCI table over 70 columns, so
+// agree masks take two words: one filler column is constant — a cluster
+// of every row, whose early passes exceed parallelMinPairs — and the
+// others are keys, which form no cluster.
+func wideParallelRelation() *dataset.Relation {
+	rel, _ := spreadRelation(gen.UCITable("uci", 2100, 6, false, 3, 11), 70, func(row, k int) string {
+		if k == 0 {
+			return "k"
+		}
+		return fmt.Sprint(row)
+	})
+	return rel
 }
 
 // TestParallelDeterminism is the engine's core contract: for every worker
@@ -149,24 +165,34 @@ func TestSamplerParallelQuotaResume(t *testing.T) {
 // without workers over identical appends.
 func TestIncrementalParallelDeterminism(t *testing.T) {
 	rel := gen.UCITable("uci", 2400, 8, false, 4, 3)
-	batches := [][][]string{rel.Rows[:800], rel.Rows[800:1600], rel.Rows[1600:]}
-	run := func(workers int) *fdset.Set {
-		opt := DefaultOptions()
-		opt.ExhaustWindows = true
-		opt.Workers = workers
-		inc, err := NewIncremental("blocks", rel.Attrs, opt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, b := range batches {
-			if _, err := inc.Append(b); err != nil {
+	wide := wideParallelRelation()
+	shapes := map[string]struct {
+		attrs   []string
+		batches [][][]string
+	}{
+		"uci": {rel.Attrs, [][][]string{rel.Rows[:800], rel.Rows[800:1600], rel.Rows[1600:]}},
+		// The bootstrap's parallel passes tally witnesses on two-word masks.
+		"wide70": {wide.Attrs, [][][]string{wide.Rows, wide.Rows[:40]}},
+	}
+	for name, sh := range shapes {
+		run := func(workers int) *fdset.Set {
+			opt := DefaultOptions()
+			opt.ExhaustWindows = true
+			opt.Workers = workers
+			inc, err := NewIncremental("blocks", sh.attrs, opt)
+			if err != nil {
 				t.Fatal(err)
 			}
+			for _, b := range sh.batches {
+				if _, err := inc.Append(b); err != nil {
+					t.Fatal(err)
+				}
+			}
+			return inc.FDs()
 		}
-		return inc.FDs()
-	}
-	if want, got := run(1), run(4); !want.Equal(got) {
-		t.Error("incremental FD set differs between workers=1 and workers=4")
+		if want, got := run(1), run(4); !want.Equal(got) {
+			t.Errorf("%s: incremental FD set differs between workers=1 and workers=4", name)
+		}
 	}
 }
 
@@ -193,11 +219,11 @@ func TestDeltaScanParallelBatchDeterminism(t *testing.T) {
 				opt := DefaultOptions()
 				opt.ExhaustWindows = true
 				opt.Workers = workers
-				opt.DeltaChunkPairs = 32
 				inc, err := NewIncremental(rel.Name, rel.Attrs, opt)
 				if err != nil {
 					t.Fatal(err)
 				}
+				inc.deltaChunk = 32
 				m.append(rel.Rows)
 				if _, err := inc.Append(rel.Rows); err != nil {
 					t.Fatal(err)

@@ -6,7 +6,6 @@ package core
 
 import (
 	"math"
-	"math/bits"
 
 	"eulerfd/internal/fdset"
 	"eulerfd/internal/pool"
@@ -175,23 +174,13 @@ type Sampler struct {
 	clusters []*clusterState
 	// seen deduplicates sampled evidence at the agree-set level: the
 	// disagree set of a pair is always the complement of its agree set,
-	// so one agree set fully determines the pair's non-FDs. Relations of
-	// ≤ 64 columns (word == true, every dataset in the evaluation) dedup
-	// on raw uint64 agree masks in seenW instead — probing an 8-byte key
-	// is markedly cheaper than hashing a 48-byte AttrSet, and the mask ↔
-	// AttrSet mapping is bijective below 64 columns so the two tables
-	// record exactly the same evidence.
-	seen  map[fdset.AttrSet]struct{}
-	seenW map[uint64]struct{}
-	word  bool
-	// front is an exact cache of masks already in seenW, checked before
-	// the map probe. seenW never shrinks, so a hit is always a duplicate;
-	// a miss (an empty or collided slot) falls through to the map.
-	front *maskFilter[uint64]
+	// so one agree set fully determines the pair's non-FDs. Its exact
+	// front cache answers most repeats before the map probe.
+	seen *maskTable
 
-	// words is the scratch buffer of the sequential batched kernel
-	// (samplePass); grown once to the batch size and reused forever.
-	words []uint64
+	// masks is the scratch buffer of the sequential sweep (sweep); grown
+	// once to the batch size and reused forever.
+	masks []uint64
 
 	numQueues int
 	recentLen int
@@ -208,18 +197,17 @@ type Sampler struct {
 	dynamicRanges bool
 	maxRecentCapa float64
 
-	// witW/wit, when non-nil, accumulate witness tallies per agree set in
+	// wit, when non-nil, accumulates witness tallies per agree set in
 	// (pair × shared attribute) units: every swept pair occurrence adds one
 	// count to its agree set. A pair agreeing on k attributes lies in
 	// exactly k single-attribute clusters and each cluster sweeps each of
 	// its pairs exactly once across the window cycle, so an exhaustive run
 	// leaves witness[S] = |S| · #pairs-with-agree-set-S — the same unit the
 	// incremental delta scan adds or subtracts as popcount(agree) per pair.
-	// Non-exhaustive runs leave partial (never over-counted) tallies; the
-	// word/wide split mirrors seenW/seen. Nil disables witnessing entirely,
-	// keeping one-shot discovery free of the bookkeeping.
-	witW map[uint64]int64
-	wit  map[fdset.AttrSet]int64
+	// Non-exhaustive runs leave partial (never over-counted) tallies. Nil
+	// disables witnessing entirely, keeping one-shot discovery free of the
+	// bookkeeping.
+	wit *maskTable
 
 	// pool, when non-nil, parallelizes large window sweeps: the pair range
 	// of a pass is cut into chunks dispatched to the persistent workers,
@@ -233,8 +221,7 @@ type Sampler struct {
 	// only ever drops repeats within its own chunk, and which worker's
 	// filter serves which chunk cannot change what the coordinator sees
 	// first.
-	chunkSets  []*maskFilter[fdset.AttrSet]
-	chunkWords []*maskFilter[uint64]
+	filters []*maskFilter
 
 	// Stats
 	PairsCompared int
@@ -244,21 +231,11 @@ type Sampler struct {
 // passChunk is the result scratch of one parallel chunk of a window
 // sweep. Each concurrent chunk owns exactly one passChunk, so workers
 // never share mutable result state; buffers are reused across passes to
-// keep allocation off the hot path. words carries the single-word fast
-// path (≤ 64 columns), sets/counts the wide path.
+// keep allocation off the hot path.
 type passChunk struct {
-	from, to int // window positions [from, to) of this chunk
-	words    []uint64
-	sets     []fdset.AttrSet
-	counts   []int32
-	uniq     []int32 // indices into words/sets of first-in-chunk occurrences
-	// Witness aggregation scratch: run-grouped (mask, add) pairs covering
-	// every pair of the chunk — unlike uniq, duplicates count. Filled by the
-	// worker, merged by the coordinator; addition commutes, so merge order
-	// cannot change the tallies.
-	wkeys []uint64
-	wsets []fdset.AttrSet
-	wadds []int32
+	from, to int      // window positions [from, to) of this chunk
+	masks    []uint64 // the chunk's agree masks
+	uniq     []int32  // offsets into masks of first-in-chunk occurrences
 }
 
 // Chunking constants of the parallel pass: sweeps shorter than
@@ -276,19 +253,15 @@ func NewSampler(enc *preprocess.Encoded, numQueues, recentLen int) *Sampler {
 	if recentLen < 1 {
 		recentLen = 3
 	}
+	mw := preprocess.MaskWords(len(enc.Attrs))
 	s := &Sampler{
 		enc:       enc,
 		queue:     NewMLFQ(numQueues),
-		word:      len(enc.Attrs) <= 64,
+		seen:      newMaskTable(mw),
 		numQueues: numQueues,
 		recentLen: recentLen,
 	}
-	if s.word {
-		s.seenW = make(map[uint64]struct{})
-		s.front = newMaskFilter[uint64](frontBits)
-	} else {
-		s.seen = make(map[fdset.AttrSet]struct{})
-	}
+	s.seen.front = newMaskFilter(mw, frontBits)
 	for _, c := range enc.AllClusters() {
 		s.clusters = append(s.clusters, newClusterState(c, recentLen))
 	}
@@ -299,93 +272,13 @@ func NewSampler(enc *preprocess.Encoded, numQueues, recentLen int) *Sampler {
 // (or never calling SetPool) keeps the exact sequential path.
 func (s *Sampler) SetPool(p *pool.Pool) { s.pool = p }
 
-// SetWitness attaches witness tallies the sweeps maintain; pass the map
-// matching the relation's width (words for ≤ 64 columns, sets otherwise —
-// the same split as the dedup tables). core.Incremental hands its
-// long-lived maps here during bootstrap so deletes can later decrement
-// the same tallies.
-func (s *Sampler) SetWitness(words map[uint64]int64, sets map[fdset.AttrSet]int64) {
-	s.witW, s.wit = words, sets
-}
+// SetWitness attaches the witness tallies the sweeps maintain.
+// core.Incremental hands its long-lived table here during bootstrap so
+// deletes can later decrement the same tallies.
+func (s *Sampler) SetWitness(t *maskTable) { s.wit = t }
 
-// addWitnessRunsWord folds a batch of agree masks into the witness table,
-// one map operation per run of identical consecutive masks.
-func addWitnessRunsWord(m map[uint64]int64, words []uint64) {
-	for i := 0; i < len(words); {
-		w := words[i]
-		j := i + 1
-		for j < len(words) && words[j] == w {
-			j++
-		}
-		if w != 0 {
-			m[w] += int64(j - i)
-		}
-		i = j
-	}
-}
-
-// frontBits and chunkBits size the sampler's mask filters: 2^bits
-// direct-mapped slots each. The front cache spans a whole discovery, and
-// the relations the benchmark samples yield hundreds to a few thousand
-// distinct masks in all; a chunk filter spans at most a few thousand
-// pairs.
-const (
-	frontBits = 12
-	chunkBits = 10
-)
-
-// maskFilter is a fixed-size direct-mapped set of agree masks: one key
-// per slot, the slot picked by the key's hash. A slot holds its key only
-// while its tag equals the current generation, so a new generation
-// empties the filter in O(1), and no key value — not even the empty agree
-// set's 0 — doubles as "empty". A lookup can miss a key the filter saw
-// (a later key took the slot) but never reports one it did not see.
-type maskFilter[K comparable] struct {
-	keys  []K
-	tags  []uint32
-	gen   uint32
-	shift uint
-}
-
-func newMaskFilter[K comparable](bits uint) *maskFilter[K] {
-	return &maskFilter[K]{
-		keys:  make([]K, 1<<bits),
-		tags:  make([]uint32, 1<<bits),
-		gen:   1,
-		shift: 64 - bits,
-	}
-}
-
-// reset starts a new generation, emptying the filter.
-func (f *maskFilter[K]) reset() {
-	f.gen++
-	if f.gen == 0 { // wrapped: tags of old generations could match again
-		clear(f.tags)
-		f.gen = 1
-	}
-}
-
-// seenOrAdd reports whether k, whose hash is h, is in the filter, and
-// otherwise stores it in its slot.
-//
-//fdlint:hotpath
-func (f *maskFilter[K]) seenOrAdd(k K, h uint64) bool {
-	i := (h * 0x9E3779B97F4A7C15) >> f.shift
-	if f.tags[i] == f.gen && f.keys[i] == k {
-		return true
-	}
-	f.keys[i], f.tags[i] = k, f.gen
-	return false
-}
-
-// SeenCount returns the number of distinct agree sets sampled so far,
-// whichever dedup table is active.
-func (s *Sampler) SeenCount() int {
-	if s.word {
-		return len(s.seenW)
-	}
-	return len(s.seen)
-}
+// SeenCount returns the number of distinct agree sets sampled so far.
+func (s *Sampler) SeenCount() int { return s.seen.len() }
 
 // Exhausted reports whether no further pairs can ever be produced: the
 // MLFQ is empty and every cluster has used all window sizes.
@@ -473,9 +366,9 @@ func (s *Sampler) Batch(quotaPairs int) []fdset.AttrSet {
 	return found
 }
 
-// sampleBatchPairs is the batch size of the sequential word-path kernel:
-// large enough to amortize the call into preprocess and keep the mask
-// buffer resident in L1, small enough not to bloat the scratch.
+// sampleBatchPairs is the batch size of the sequential sweep: large
+// enough to amortize the call into preprocess and keep the mask buffer
+// resident in L1, small enough not to bloat the scratch.
 const sampleBatchPairs = 4096
 
 // samplePass advances the cluster's sliding window by up to maxPairs pair
@@ -494,12 +387,9 @@ func (s *Sampler) samplePass(c *clusterState, maxPairs int, found *[]fdset.AttrS
 		n = maxPairs
 	}
 	if s.pool != nil && n >= parallelMinPairs {
-		return s.samplePassParallel(c, n, last, found)
-	}
-	if s.word {
-		s.sweepWord(c, n, found)
+		s.sweepParallel(c, n, found)
 	} else {
-		s.sweepWide(c, n, found)
+		s.sweep(c, n, found)
 	}
 	c.passPairs += n
 	s.PairsCompared += n
@@ -510,239 +400,98 @@ func (s *Sampler) samplePass(c *clusterState, maxPairs int, found *[]fdset.AttrS
 	return n
 }
 
-// sweepWord advances n pairs of the sweep on the single-word fast path:
-// agree masks are computed in batches by the branch-free kernel, runs of
-// identical consecutive masks — the common case on low-cardinality data —
-// are skipped as guaranteed duplicates, and only run heads probe the
-// dedup table. Popcount runs only for globally-new masks, where the
-// per-pair work (one append, one map insert) dwarfs it anyway.
-func (s *Sampler) sweepWord(c *clusterState, n int, found *[]fdset.AttrSet) {
-	ncols := len(s.enc.Attrs)
-	if cap(s.words) < sampleBatchPairs {
-		s.words = make([]uint64, sampleBatchPairs)
+// sweep advances n pairs of the sweep sequentially: agree masks are
+// computed in batches by the branch-free kernel, runs of identical
+// consecutive masks — the common case on low-cardinality data — are
+// handled as one, and only run heads probe the dedup table.
+func (s *Sampler) sweep(c *clusterState, n int, found *[]fdset.AttrSet) {
+	mw := s.seen.mw
+	if len(s.masks) < sampleBatchPairs*mw {
+		s.masks = make([]uint64, sampleBatchPairs*mw)
 	}
 	for n > 0 {
-		m := n
-		if m > sampleBatchPairs {
-			m = sampleBatchPairs
+		m := min(n, sampleBatchPairs)
+		masks := s.masks[:m*mw]
+		s.enc.AgreeWindowWords(c.rows, c.window, c.pos, c.pos+m, masks)
+		if s.wit != nil {
+			s.wit.addMasks(masks, 1, false)
 		}
-		words := s.words[:m]
-		s.enc.AgreeWindowWords(c.rows, c.window, c.pos, c.pos+m, words)
-		if s.witW != nil {
-			addWitnessRunsWord(s.witW, words)
-		}
-		for i := 0; i < m; i++ {
-			w := words[i]
-			if i > 0 && w == words[i-1] {
-				continue
-			}
-			s.admitWord(c, w, ncols, found)
+		for i := s.seen.nextNew(masks, 0); i < len(masks); i = s.seen.nextNew(masks, i+mw) {
+			s.record(c, masks[i:i+mw], found)
 		}
 		c.pos += m
 		n -= m
 	}
 }
 
-// admitWord records mask w of cluster c unless seenW already holds it:
-// a new mask joins seenW and found, and counts its non-FDs toward the
-// pass's capa. The front cache answers most repeats without a map probe.
-func (s *Sampler) admitWord(c *clusterState, w uint64, ncols int, found *[]fdset.AttrSet) {
-	if s.front.seenOrAdd(w, w) {
-		return
-	}
-	if _, dup := s.seenW[w]; !dup {
-		s.seenW[w] = struct{}{}
-		*found = append(*found, fdset.FromWord(w))
-		// A pair disagreeing on k attributes witnesses k non-FDs.
-		c.passNew += ncols - bits.OnesCount64(w)
-	}
+// record appends mask m, new to seen, to found and counts its non-FDs
+// toward the pass's capa. Popcount runs only for globally new masks,
+// where the per-mask work (one append, one map insert) dwarfs it anyway.
+func (s *Sampler) record(c *clusterState, m []uint64, found *[]fdset.AttrSet) {
+	*found = append(*found, maskSet(m))
+	// A pair disagreeing on k attributes witnesses k non-FDs.
+	c.passNew += len(s.enc.Attrs) - maskCount(m)
 }
 
-// sweepWide is the > 64-column sequential sweep, deduplicating whole
-// AttrSets.
-func (s *Sampler) sweepWide(c *clusterState, n int, found *[]fdset.AttrSet) {
-	ncols := len(s.enc.Attrs)
-	for k := 0; k < n; k++ {
-		i, j := c.rows[c.pos], c.rows[c.pos+c.window-1]
-		agree := s.enc.AgreeSet(int(i), int(j))
-		if s.wit != nil && !agree.IsEmpty() {
-			s.wit[agree]++
-		}
-		if _, dup := s.seen[agree]; !dup {
-			s.seen[agree] = struct{}{}
-			*found = append(*found, agree)
-			c.passNew += ncols - agree.Count()
-		}
-		c.pos++
-	}
-}
-
-// samplePassParallel runs n pairs of the sweep through the worker pool:
+// sweepParallel advances n pairs of the sweep through the worker pool:
 // the position range is cut into chunks, each worker computes its chunk's
-// agree masks (≤ 64 columns) or sets with the batched kernel into the
-// chunk's private buffers and drops repeats within the chunk through its
-// per-worker filter (a new generation per chunk, so worker identity
-// cannot reach the uniq list), and the coordinator merges chunks in
-// position order against the global seen table. A filter miss only adds
-// an entry to uniq that the seen table then rejects, and a hit only
-// elides a pair the sequential path would also have classified as a
-// duplicate, so — merge order being sweep order — found order, capa
-// accounting, and all statistics are bit-identical to the sequential
-// path.
-func (s *Sampler) samplePassParallel(c *clusterState, n, last int, found *[]fdset.AttrSet) int {
-	chunk := (n + s.pool.Workers() - 1) / s.pool.Workers()
-	if chunk < parallelChunkPairs {
-		chunk = parallelChunkPairs
-	}
+// agree masks with the batched kernel into the chunk's private buffer and
+// drops repeats within the chunk through its per-worker filter (a new
+// generation per chunk, so worker identity cannot reach the uniq list),
+// and the coordinator merges chunks in position order against the global
+// seen table. A filter miss only adds an entry to uniq that the seen table
+// then rejects, and a hit only elides a pair the sequential path would
+// also have classified as a duplicate, so — merge order being sweep order
+// — found order, capa accounting, and all statistics are bit-identical to
+// the sequential path.
+func (s *Sampler) sweepParallel(c *clusterState, n int, found *[]fdset.AttrSet) {
+	chunk := max((n+s.pool.Workers()-1)/s.pool.Workers(), parallelChunkPairs)
 	numChunks := (n + chunk - 1) / chunk
 	for len(s.chunks) < numChunks {
 		s.chunks = append(s.chunks, passChunk{})
 	}
 	for k := 0; k < numChunks; k++ {
 		from := c.pos + k*chunk
-		to := from + chunk
-		if to > c.pos+n {
-			to = c.pos + n
-		}
-		s.chunks[k].from, s.chunks[k].to = from, to
+		s.chunks[k].from, s.chunks[k].to = from, min(from+chunk, c.pos+n)
 	}
-	ncols := len(s.enc.Attrs)
-	if s.word {
-		if s.chunkWords == nil {
-			s.chunkWords = make([]*maskFilter[uint64], s.pool.NumScratch())
+	if s.filters == nil {
+		s.filters = make([]*maskFilter, s.pool.NumScratch())
+	}
+	mw := s.seen.mw
+	s.pool.DoIndexed(numChunks, func(k, worker int) {
+		ch := &s.chunks[k]
+		m := (ch.to - ch.from) * mw
+		if cap(ch.masks) < m {
+			ch.masks = make([]uint64, m)
 		}
-		s.pool.DoIndexed(numChunks, func(k, worker int) {
-			ch := &s.chunks[k]
-			m := ch.to - ch.from
-			if cap(ch.words) < m {
-				ch.words = make([]uint64, m)
-			}
-			ch.words = ch.words[:m]
-			s.enc.AgreeWindowWords(c.rows, c.window, ch.from, ch.to, ch.words)
-			local := s.chunkWords[worker]
-			if local == nil {
-				local = newMaskFilter[uint64](chunkBits)
-				s.chunkWords[worker] = local
-			} else {
-				local.reset()
-			}
-			ch.uniq = ch.uniq[:0]
-			for i := 0; i < m; i++ {
-				w := ch.words[i]
-				// Window sweeps over low-cardinality data produce long runs
-				// of identical agree masks; a run is one filter probe, not m.
-				if i > 0 && w == ch.words[i-1] {
-					continue
-				}
-				if !local.seenOrAdd(w, w) {
-					ch.uniq = append(ch.uniq, int32(i))
-				}
-			}
-			if s.witW != nil {
-				// Witness tallies count every pair, not just chunk-unique
-				// masks, so they aggregate run-grouped into private scratch
-				// regardless of the dedup above.
-				ch.wkeys, ch.wadds = ch.wkeys[:0], ch.wadds[:0]
-				for i := 0; i < m; {
-					w := ch.words[i]
-					j := i + 1
-					for j < m && ch.words[j] == w {
-						j++
-					}
-					if w != 0 {
-						ch.wkeys = append(ch.wkeys, w)
-						ch.wadds = append(ch.wadds, int32(j-i))
-					}
-					i = j
-				}
-			}
-		})
-		for k := 0; k < numChunks; k++ {
-			ch := &s.chunks[k]
-			for _, i := range ch.uniq {
-				s.admitWord(c, ch.words[i], ncols, found)
-			}
-			if s.witW != nil {
-				for x, w := range ch.wkeys {
-					s.witW[w] += int64(ch.wadds[x])
-				}
+		ch.masks = ch.masks[:m]
+		s.enc.AgreeWindowWords(c.rows, c.window, ch.from, ch.to, ch.masks)
+		local := s.filters[worker]
+		if local == nil {
+			local = newMaskFilter(mw, chunkBits)
+			s.filters[worker] = local
+		} else {
+			local.reset()
+		}
+		ch.uniq = local.firstRuns(ch.masks, ch.uniq[:0])
+	})
+	for k := 0; k < numChunks; k++ {
+		ch := &s.chunks[k]
+		for _, i := range ch.uniq {
+			if m := ch.masks[i : int(i)+mw]; s.seen.insert(m) {
+				s.record(c, m, found)
 			}
 		}
-	} else {
-		if s.chunkSets == nil {
-			s.chunkSets = make([]*maskFilter[fdset.AttrSet], s.pool.NumScratch())
-		}
-		s.pool.DoIndexed(numChunks, func(k, worker int) {
-			ch := &s.chunks[k]
-			m := ch.to - ch.from
-			if cap(ch.sets) < m {
-				ch.sets = make([]fdset.AttrSet, m)
-				ch.counts = make([]int32, m)
-			}
-			ch.sets, ch.counts = ch.sets[:m], ch.counts[:m]
-			s.enc.AgreeWindowInto(c.rows, c.window, ch.from, ch.to, ch.sets, ch.counts)
-			local := s.chunkSets[worker]
-			if local == nil {
-				local = newMaskFilter[fdset.AttrSet](chunkBits)
-				s.chunkSets[worker] = local
-			} else {
-				local.reset()
-			}
-			ch.uniq = ch.uniq[:0]
-			for i := 0; i < m; i++ {
-				set := ch.sets[i]
-				if i > 0 && set == ch.sets[i-1] {
-					continue
-				}
-				if !local.seenOrAdd(set, set.Hash()) {
-					ch.uniq = append(ch.uniq, int32(i))
-				}
-			}
-			if s.wit != nil {
-				ch.wsets, ch.wadds = ch.wsets[:0], ch.wadds[:0]
-				for i := 0; i < m; {
-					set := ch.sets[i]
-					j := i + 1
-					for j < m && ch.sets[j] == set {
-						j++
-					}
-					if !set.IsEmpty() {
-						ch.wsets = append(ch.wsets, set)
-						ch.wadds = append(ch.wadds, int32(j-i))
-					}
-					i = j
-				}
-			}
-		})
-		for k := 0; k < numChunks; k++ {
-			ch := &s.chunks[k]
-			for _, i := range ch.uniq {
-				set := ch.sets[i]
-				if _, dup := s.seen[set]; !dup {
-					s.seen[set] = struct{}{}
-					*found = append(*found, set)
-					c.passNew += ncols - int(ch.counts[i])
-				}
-			}
-			if s.wit != nil {
-				for x, set := range ch.wsets {
-					s.wit[set] += int64(ch.wadds[x])
-				}
-			}
+		// Witness tallies count every pair of the chunk, not just
+		// chunk-unique masks.
+		if s.wit != nil {
+			s.wit.addMasks(ch.masks, 1, false)
 		}
 	}
-	c.passPairs += n
 	c.pos += n
-	s.PairsCompared += n
-	if c.pos <= last {
-		return n
-	}
-	s.finishPass(c)
-	return n
 }
 
-// finishPass records the completed pass's capa and widens the window,
-// shared by the sequential and parallel paths.
+// finishPass records the completed pass's capa and widens the window.
 func (s *Sampler) finishPass(c *clusterState) {
 	capa := 0.0
 	if c.passPairs > 0 {

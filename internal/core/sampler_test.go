@@ -368,35 +368,40 @@ func indexOf(cs []*clusterState, c *clusterState) int {
 }
 
 // TestMaskFilterExact pins what the sampler's dedup shortcuts rely on: a
-// filter reports a key only if it stored that key in the current
-// generation — mask 0 included — and a new generation, even one that
-// wraps the tag counter, forgets everything.
+// filter reports a mask only if it stored that mask in the current
+// generation — the empty mask included — and a new generation, even one
+// that wraps the tag counter, forgets everything. It runs at one and two
+// mask words.
 func TestMaskFilterExact(t *testing.T) {
-	f := newMaskFilter[uint64](4)
-	if f.seenOrAdd(0, 0) || !f.seenOrAdd(0, 0) {
-		t.Fatal("mask 0: first lookup must miss, the second hit")
-	}
-	// Find a key sharing 0's slot: storing it evicts 0, which must then
-	// miss rather than be confused with it.
-	var other uint64
-	for other = 1; (other*0x9E3779B97F4A7C15)>>f.shift != 0; other++ {
-	}
-	if f.seenOrAdd(other, other) || f.seenOrAdd(0, 0) {
-		t.Fatal("a collided slot reported a key it no longer holds")
-	}
-	f.reset()
-	if f.seenOrAdd(0, 0) {
-		t.Fatal("reset kept a key of the previous generation")
-	}
+	for _, mw := range []int{1, 2} {
+		f := newMaskFilter(mw, 4)
+		zero := make([]uint64, mw)
+		if f.seenOrAdd(zero) || !f.seenOrAdd(zero) {
+			t.Fatalf("mw=%d: empty mask: first lookup must miss, the second hit", mw)
+		}
+		// Find a mask sharing the empty mask's slot: storing it evicts the
+		// empty mask, which must then miss rather than be confused with it.
+		other := make([]uint64, mw)
+		for other[mw-1] = 1; f.slot(other) != f.slot(zero); other[mw-1]++ {
+		}
+		if f.seenOrAdd(other) || f.seenOrAdd(zero) {
+			t.Fatalf("mw=%d: a collided slot reported a mask it no longer holds", mw)
+		}
+		f.reset()
+		if f.seenOrAdd(zero) {
+			t.Fatalf("mw=%d: reset kept a mask of the previous generation", mw)
+		}
 
-	// Key 7 is stored under generation 1; after 2^32 − 1 resets the tag
-	// counter wraps back to 1, and only clearing the tags keeps the stale
-	// slot from matching again.
-	f = newMaskFilter[uint64](4)
-	f.seenOrAdd(7, 7)
-	f.gen = ^uint32(0)
-	f.reset()
-	if f.gen != 1 || f.seenOrAdd(7, 7) {
-		t.Fatal("a wrapped generation revived a stale key")
+		// A mask is stored under generation 1; after 2^32 − 1 resets the
+		// tag counter wraps back to 1, and only clearing the tags keeps
+		// the stale slot from matching again.
+		f = newMaskFilter(mw, 4)
+		seven := append(make([]uint64, mw-1), 7)
+		f.seenOrAdd(seven)
+		f.gen = ^uint32(0)
+		f.reset()
+		if f.gen != 1 || f.seenOrAdd(seven) {
+			t.Fatalf("mw=%d: a wrapped generation revived a stale mask", mw)
+		}
 	}
 }

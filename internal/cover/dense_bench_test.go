@@ -57,7 +57,7 @@ func loadDenseStream(b *testing.B) *denseStream {
 		}
 		s.admissions = append(s.admissions, seed)
 		opt := core.DefaultOptions()
-		sampler := core.NewSampler(enc, opt.NumQueues, opt.RecentPasses)
+		sampler := core.NewSampler(enc, opt.NumQueues, 3)
 		for d := 0; d < denseDrains; d++ {
 			var batch []fdset.FD
 			for _, agree := range sampler.Batch(1 << 30) {

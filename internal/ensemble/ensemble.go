@@ -143,7 +143,7 @@ func Discover(ctx context.Context, enc *preprocess.Encoded, cfg Config, obs Obse
 	}
 	workers := cfg.Euler.Workers
 	if workers < 1 {
-		workers = runtime.NumCPU()
+		workers = runtime.GOMAXPROCS(0)
 	}
 	seeds := core.SeedSequence(cfg.Euler.Seed, n)
 

@@ -41,49 +41,44 @@ func largestCluster(enc *Encoded) []int32 {
 	return best
 }
 
-func TestAgreeWindowWordsMatchesAgreeSet(t *testing.T) {
-	enc := Encode(gen.UCITable("narrow", 300, 9, true, 4, 11))
-	for _, cl := range enc.AllClusters() {
-		for window := 2; window <= len(cl.Rows) && window <= 5; window++ {
-			n := len(cl.Rows) - window + 1
-			words := make([]uint64, n)
-			enc.AgreeWindowWords(cl.Rows, window, 0, n, words)
-			for p := 0; p < n; p++ {
-				want := enc.AgreeSet(int(cl.Rows[p]), int(cl.Rows[p+window-1]))
-				if got := fdset.FromWord(words[p]); got != want {
-					t.Fatalf("window %d pos %d = %v, want %v", window, p, got, want)
-				}
-			}
-		}
-	}
-}
-
+// TestAgreeWindowWordsAllocFree pins the window kernel at one mask word
+// (the UCI shape).
 func TestAgreeWindowWordsAllocFree(t *testing.T) {
-	enc := benchEncoding()
-	rows := largestCluster(enc)
-	words := make([]uint64, len(rows)-1)
-	assertZeroAllocs(t, "AgreeWindowWords", func() {
-		enc.AgreeWindowWords(rows, 2, 0, len(rows)-1, words)
-	})
+	assertWindowAllocFree(t, benchEncoding())
 }
 
+// TestAgreeWindowIntoAllocFree pins the window kernel at two mask words
+// (80 columns).
 func TestAgreeWindowIntoAllocFree(t *testing.T) {
-	enc := Encode(gen.WideSparseTuned("wide", 120, 80, 0.1, 0.3, 13))
+	assertWindowAllocFree(t, Encode(gen.WideSparseTuned("wide", 120, 80, 0.1, 0.3, 13)))
+}
+
+// assertWindowAllocFree sweeps enc's largest cluster at window 2.
+func assertWindowAllocFree(t *testing.T, enc *Encoded) {
+	t.Helper()
 	rows := largestCluster(enc)
-	out := make([]fdset.AttrSet, len(rows)-1)
-	counts := make([]int32, len(rows)-1)
-	assertZeroAllocs(t, "AgreeWindowInto", func() {
-		enc.AgreeWindowInto(rows, 2, 0, len(rows)-1, out, counts)
+	masks := make([]uint64, (len(rows)-1)*MaskWords(len(enc.Attrs)))
+	assertZeroAllocs(t, "AgreeWindowWords "+enc.Name, func() {
+		enc.AgreeWindowWords(rows, 2, 0, len(rows)-1, masks)
 	})
 }
 
+// TestAgreeSlotsWordsAllocFree pins the delta kernel at one mask word
+// (lineitem) and at two (80 columns).
 func TestAgreeSlotsWordsAllocFree(t *testing.T) {
-	e, slots := benchEncoder()
-	row := e.Row(0)
-	words := make([]uint64, len(slots))
-	assertZeroAllocs(t, "AgreeSlotsWords", func() {
-		e.AgreeSlotsWords(row, slots, words)
-	})
+	wide := NewEncoder(make([]string, 80))
+	if err := wide.Append(gen.WideSparseTuned("wide", 120, 80, 0.1, 0.3, 13).Rows); err != nil {
+		t.Fatal(err)
+	}
+	tall, _ := benchEncoder()
+	for _, e := range []*Encoder{tall, wide} {
+		slots := e.AliveSlots(nil)
+		row := e.Row(0)
+		masks := make([]uint64, len(slots)*MaskWords(len(e.attrs)))
+		assertZeroAllocs(t, "AgreeSlotsWords", func() {
+			e.AgreeSlotsWords(row, slots, masks)
+		})
+	}
 }
 
 func TestAgreeSetsIntoAllocFree(t *testing.T) {
@@ -130,11 +125,11 @@ func BenchmarkAgreeWindowWords(b *testing.B) {
 	enc := benchEncoding()
 	rows := largestCluster(enc)
 	n := len(rows) - 1
-	words := make([]uint64, n)
+	masks := make([]uint64, n)
 	b.SetBytes(int64(n))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		enc.AgreeWindowWords(rows, 2, 0, n, words)
+		enc.AgreeWindowWords(rows, 2, 0, n, masks)
 	}
 }
 
@@ -151,7 +146,7 @@ func tallEncoding() *Encoded {
 func BenchmarkAgreeWindowWordsTall(b *testing.B) {
 	enc := tallEncoding()
 	clusters := enc.AllClusters()
-	words := make([]uint64, enc.NumRows)
+	masks := make([]uint64, enc.NumRows)
 	pairs := 0
 	for _, cl := range clusters {
 		for window := 2; window <= 4 && window <= len(cl.Rows); window++ {
@@ -162,7 +157,7 @@ func BenchmarkAgreeWindowWordsTall(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		for _, cl := range clusters {
 			for window := 2; window <= 4 && window <= len(cl.Rows); window++ {
-				enc.AgreeWindowWords(cl.Rows, window, 0, len(cl.Rows)-window+1, words)
+				enc.AgreeWindowWords(cl.Rows, window, 0, len(cl.Rows)-window+1, masks)
 			}
 		}
 	}
@@ -185,10 +180,10 @@ func benchEncoder() (*Encoder, []int32) {
 func BenchmarkAgreeSlotsWords(b *testing.B) {
 	e, slots := benchEncoder()
 	row := e.Row(len(slots) / 2)
-	words := make([]uint64, len(slots))
+	masks := make([]uint64, len(slots))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		e.AgreeSlotsWords(row, slots, words)
+		e.AgreeSlotsWords(row, slots, masks)
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(slots)), "ns/pair")
 }

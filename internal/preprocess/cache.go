@@ -145,172 +145,3 @@ func (c *PartitionCache) Stats() (hits, misses, derived int) {
 	defer c.mu.Unlock()
 	return c.Hits, c.Misses, c.Derived
 }
-
-// AdvancedTo returns a fresh cache over newEnc whose entries are patched
-// from this cache's instead of recomputed — the incremental refresh of
-// the per-session AFD scorer. Both encodings must carry RowIDs from the
-// same Encoder (otherwise an empty cache is returned and entries rebuild
-// lazily). changedIDs lists ids whose content was replaced between the
-// snapshots; they are treated as delete + insert. Per entry the patch is
-// O(||π|| + fresh·probe) instead of a full partition product: surviving
-// rows remap in place, clusters shrunk below two rows are dropped, fresh
-// rows (appends and changed ids) probe surviving clusters by their
-// X-projection, and the rows left uncovered refine in one pass. The
-// receiver is not modified, so requests scoring against the old snapshot
-// keep a consistent cache; recency order carries over, counters restart.
-func (c *PartitionCache) AdvancedTo(newEnc *Encoded, changedIDs []int64) *PartitionCache {
-	next := NewPartitionCache(newEnc, c.max)
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	old, neu := c.enc.RowIDs, newEnc.RowIDs
-	if old == nil || neu == nil {
-		return next
-	}
-	changed := make(map[int64]struct{}, len(changedIDs))
-	for _, id := range changedIDs {
-		changed[id] = struct{}{}
-	}
-	// Merge-join the ascending id spines: surviving rows remap old → new
-	// index, vanished ids are deletes, new or changed ids are fresh.
-	remap := make([]int32, len(old))
-	var fresh []int32
-	i, j := 0, 0
-	for i < len(old) && j < len(neu) {
-		switch {
-		case old[i] == neu[j]:
-			if _, ch := changed[old[i]]; ch {
-				remap[i] = -1
-				fresh = append(fresh, int32(j))
-			} else {
-				remap[i] = int32(j)
-			}
-			i++
-			j++
-		case old[i] < neu[j]:
-			remap[i] = -1
-			i++
-		default:
-			fresh = append(fresh, int32(j))
-			j++
-		}
-	}
-	for ; i < len(old); i++ {
-		remap[i] = -1
-	}
-	for ; j < len(neu); j++ {
-		fresh = append(fresh, int32(j))
-	}
-
-	// covered is generation-stamped so per-entry resets are O(1). next is
-	// still private to this call, but its lock is taken anyway so every
-	// write to a cache's guarded fields is uniformly under its mutex.
-	covered := make([]int32, newEnc.NumRows)
-	gen := int32(0)
-	next.mu.Lock()
-	defer next.mu.Unlock()
-	for el := c.order.Front(); el != nil; el = el.Next() {
-		ent := el.Value.(*cacheEntry)
-		gen++
-		attrs := ent.key.Attrs()
-		part := patchPartition(ent.part, remap, newEnc, attrs, fresh, covered, gen, next.scratch)
-		next.entries[ent.key] = next.order.PushBack(&cacheEntry{key: ent.key, part: part})
-	}
-	return next
-}
-
-// patchPartition rebuilds one cached stripped partition π_X against the
-// new encoding: remap surviving rows (dropping clusters shrunk below two
-// rows), attach fresh rows to surviving clusters whose X-projection they
-// match, and refine whatever stays uncovered — which can only form new
-// clusters around fresh rows, since two untouched rows that disagreed on
-// X still disagree.
-func patchPartition(p StrippedPartition, remap []int32, enc *Encoded, attrs []int, fresh []int32, covered []int32, gen int32, sc *JoinScratch) StrippedPartition {
-	clusters := make([][]int32, 0, len(p.Clusters))
-	for _, cl := range p.Clusters {
-		nc := make([]int32, 0, len(cl))
-		for _, r := range cl {
-			if m := remap[r]; m >= 0 {
-				nc = append(nc, m)
-			}
-		}
-		if len(nc) >= 2 {
-			clusters = append(clusters, nc)
-		}
-	}
-	if len(fresh) == 0 {
-		return NewStrippedPartition(clusters)
-	}
-	// Probe each fresh row against the surviving clusters' representatives
-	// by projection hash, confirming with an exact label comparison.
-	lanes := make([]Lane, len(attrs))
-	for k, a := range attrs {
-		lanes[k] = enc.Lane(a)
-	}
-	byProj := make(map[uint64][]int, len(clusters))
-	for ci, cl := range clusters {
-		h := projHash(lanes, cl[0])
-		byProj[h] = append(byProj[h], ci)
-	}
-	for _, cl := range clusters {
-		for _, r := range cl {
-			covered[r] = gen
-		}
-	}
-	anyUncovered := false
-	for _, f := range fresh {
-		h := projHash(lanes, f)
-		joined := false
-		for _, ci := range byProj[h] {
-			if projEqual(lanes, clusters[ci][0], f) {
-				clusters[ci] = append(clusters[ci], f)
-				covered[f] = gen
-				joined = true
-				break
-			}
-		}
-		if !joined {
-			anyUncovered = true
-		}
-	}
-	if anyUncovered {
-		// Unmatched fresh rows can still cluster with each other or with
-		// previously singleton rows: refine all uncovered rows by X in one
-		// pass. Clusters of exclusively old rows cannot emerge (they would
-		// have been a cluster already), so everything produced is new.
-		uncovered := make([]int32, 0, len(fresh))
-		for r := 0; r < len(covered); r++ {
-			if covered[r] != gen {
-				uncovered = append(uncovered, int32(r))
-			}
-		}
-		if len(uncovered) >= 2 {
-			part := NewStrippedPartition([][]int32{uncovered})
-			for _, a := range attrs {
-				part = enc.RefineWith(part, a, sc)
-			}
-			clusters = append(clusters, part.Clusters...)
-		}
-	}
-	return NewStrippedPartition(clusters)
-}
-
-// projHash hashes row r's projection onto the lanes' columns (FNV-1a
-// over labels).
-func projHash(lanes []Lane, r int32) uint64 {
-	h := uint64(1469598103934665603)
-	for _, l := range lanes {
-		h ^= uint64(uint32(l.At(r)))
-		h *= 1099511628211
-	}
-	return h
-}
-
-// projEqual reports whether rows a and b agree on every lane's column.
-func projEqual(lanes []Lane, a, b int32) bool {
-	for _, l := range lanes {
-		if l.At(a) != l.At(b) {
-			return false
-		}
-	}
-	return true
-}

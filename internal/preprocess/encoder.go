@@ -3,8 +3,6 @@ package preprocess
 import (
 	"fmt"
 	"sort"
-
-	"eulerfd/internal/fdset"
 )
 
 // Compaction defaults: the dead-row spine is rebuilt once tombstones
@@ -281,53 +279,40 @@ func (e *Encoder) AliveSlots(buf []int32) []int32 {
 	return buf
 }
 
-// AgreeSlotsWords computes, for every slot in slots, the agree mask of
-// (row, slot) into words — the ≤ 64-column delta kernel of incremental
-// maintenance: one staged or deleted row, packed at the spine's width
-// (PackRow or Row), compared against the alive slots, batched so bounds
-// checks amortize and the row stays in registers. words must have length
-// ≥ len(slots). It performs no allocation.
+// AgreeSlotsWords is the delta kernel of incremental maintenance: for
+// every slot in slots it writes the agree set of (row, slot) as
+// mw = MaskWords mask words into masks[k·mw:]. row is one staged or
+// deleted row, packed at the spine's width (PackRow or Row), compared
+// against the alive slots, batched so bounds checks amortize and the row
+// stays in registers. masks must have length ≥ len(slots)·mw. It performs
+// no allocation.
 //
 //fdlint:hotpath
-func (e *Encoder) AgreeSlotsWords(row []uint64, slots []int32, words []uint64) {
+func (e *Encoder) AgreeSlotsWords(row []uint64, slots []int32, masks []uint64) {
 	// Locals for the layout's fields, as in Encoded.AgreeWindowWords.
 	all, stride, tail, last := e.rows.words, e.rows.stride, e.rows.tail, e.rows.lastMask
 	lo, gather, top, down := e.rows.f.lo, e.rows.f.gather, e.rows.f.top, e.rows.f.down
+	blk := int(e.rows.f.width) // packed words per full mask word
 	row = row[:stride]
-	for k, s := range slots {
+	o := 0
+	for _, s := range slots {
 		b := all[int(s)*stride : int(s)*stride+stride]
-		words[k] = agreeLanes(row, b, lo, gather, top, down) >> tail & last
+		a := row
+		for len(a) > blk { // a full mask word: 64 lanes, no tail
+			masks[o] = agreeLanes(a[:blk], b, lo, gather, top, down)
+			a, b = a[blk:], b[blk:]
+			o++
+		}
+		masks[o] = agreeLanes(a, b, lo, gather, top, down) >> tail & last
+		o++
 	}
 }
 
-// AgreeSlotsInto is the wide-relation (> 64 columns) form of
-// AgreeSlotsWords: agree sets land in out and their cardinalities in
-// counts, both of length ≥ len(slots). It performs no allocation.
+// AgreeRowsWords writes the agree set of two rows, both packed at the
+// spine's width, as MaskWords mask words into masks.
 //
 //fdlint:hotpath
-func (e *Encoder) AgreeSlotsInto(row []uint64, slots []int32, out []fdset.AttrSet, counts []int32) {
-	p := &e.rows
-	for k, s := range slots {
-		set := p.agreeSet(row, p.row(int(s)))
-		out[k] = set
-		counts[k] = int32(set.Count())
-	}
-}
-
-// AgreeRowsWord returns the agree mask of two rows of ≤ 64 columns, both
-// packed at the spine's width.
-//
-//fdlint:hotpath
-func (e *Encoder) AgreeRowsWord(a, b []uint64) uint64 { return e.rows.agreeWord(a, b) }
-
-// AgreeRowsSet returns the agree set of two rows of more than 64
-// columns, both packed at the spine's width, along with its cardinality.
-//
-//fdlint:hotpath
-func (e *Encoder) AgreeRowsSet(a, b []uint64) (fdset.AttrSet, int) {
-	s := e.rows.agreeSet(a, b)
-	return s, s.Count()
-}
+func (e *Encoder) AgreeRowsWords(a, b, masks []uint64) { e.rows.agreeMasks(masks, a, b) }
 
 // MaybeCompact rebuilds the spine when the tombstone share crosses the
 // configured threshold, reporting whether a compaction ran. Compaction

@@ -1,20 +1,31 @@
 package preprocess
 
 import (
+	"fmt"
 	"testing"
 
 	"eulerfd/internal/fdset"
 	"eulerfd/internal/gen"
 )
 
-// kernelRelations covers both kernel code paths: ≤64 columns (single-word
-// fast path) and >64 columns (word-blocked wide path).
+// kernelEncodings are relations whose agree sets take one, two and six
+// mask words.
 func kernelEncodings(t *testing.T) []*Encoded {
 	t.Helper()
 	return []*Encoded{
 		Encode(gen.UCITable("narrow", 300, 9, true, 4, 11)),
 		Encode(gen.WideSparseTuned("wide", 120, 80, 0.1, 0.3, 13)),
+		Encode(gen.WideSparseTuned("wide6", 60, 350, 0.1, 0.3, 13)),
 	}
+}
+
+// maskSet reads one pair's mask words back as an AttrSet.
+func maskSet(m []uint64) fdset.AttrSet {
+	var s fdset.AttrSet
+	for k, w := range m {
+		s.SetWord(k, w)
+	}
+	return s
 }
 
 func TestAgreeSetsIntoMatchesAgreeSet(t *testing.T) {
@@ -35,40 +46,45 @@ func TestAgreeSetsIntoMatchesAgreeSet(t *testing.T) {
 	}
 }
 
+// TestAgreeWindowWordsMatchesAgreeSet checks the window kernel at one
+// mask word per pair.
+func TestAgreeWindowWordsMatchesAgreeSet(t *testing.T) {
+	checkWindowKernel(t, kernelEncodings(t)[:1])
+}
+
+// TestAgreeWindowIntoMatchesAgreeSet checks the window kernel writing two
+// and six mask words per pair into the caller's flat buffer.
 func TestAgreeWindowIntoMatchesAgreeSet(t *testing.T) {
-	for _, enc := range kernelEncodings(t) {
+	checkWindowKernel(t, kernelEncodings(t)[1:])
+}
+
+// checkWindowKernel compares every window of every cluster, and a
+// sub-range sweep, with AgreeSet.
+func checkWindowKernel(t *testing.T, encs []*Encoded) {
+	t.Helper()
+	for _, enc := range encs {
+		mw := MaskWords(len(enc.Attrs))
 		for _, cl := range enc.AllClusters() {
-			for window := 2; window <= len(cl.Rows); window++ {
+			for window := 2; window <= len(cl.Rows) && window <= 5; window++ {
 				n := len(cl.Rows) - window + 1
-				out := make([]fdset.AttrSet, n)
-				counts := make([]int32, n)
-				enc.AgreeWindowInto(cl.Rows, window, 0, n, out, counts)
+				masks := make([]uint64, n*mw)
+				enc.AgreeWindowWords(cl.Rows, window, 0, n, masks)
 				for p := 0; p < n; p++ {
 					want := enc.AgreeSet(int(cl.Rows[p]), int(cl.Rows[p+window-1]))
-					if out[p] != want {
-						t.Fatalf("%s: window %d pos %d = %v, want %v", enc.Name, window, p, out[p], want)
+					if got := maskSet(masks[p*mw : p*mw+mw]); got != want {
+						t.Fatalf("%s: window %d pos %d = %v, want %v", enc.Name, window, p, got, want)
 					}
-					if int(counts[p]) != want.Count() {
-						t.Fatalf("%s: window %d pos %d count = %d, want %d", enc.Name, window, p, counts[p], want.Count())
-					}
-				}
-				if window > 4 {
-					break // wider windows retread the same row pairs shifted
 				}
 			}
 			// Sub-range invocation must match the full sweep shifted.
 			if len(cl.Rows) >= 6 {
 				n := len(cl.Rows) - 1
-				full := make([]fdset.AttrSet, n)
-				cnts := make([]int32, n)
-				enc.AgreeWindowInto(cl.Rows, 2, 0, n, full, cnts)
-				sub := make([]fdset.AttrSet, 3)
-				subc := make([]int32, 3)
-				enc.AgreeWindowInto(cl.Rows, 2, 2, 5, sub, subc)
-				for k := 0; k < 3; k++ {
-					if sub[k] != full[2+k] {
-						t.Fatalf("%s: sub-range mismatch at %d", enc.Name, k)
-					}
+				full := make([]uint64, n*mw)
+				enc.AgreeWindowWords(cl.Rows, 2, 0, n, full)
+				sub := make([]uint64, 3*mw)
+				enc.AgreeWindowWords(cl.Rows, 2, 2, 5, sub)
+				if fmt.Sprint(sub) != fmt.Sprint(full[2*mw:5*mw]) {
+					t.Fatalf("%s: sub-range %#x, want %#x", enc.Name, sub, full[2*mw:5*mw])
 				}
 			}
 		}

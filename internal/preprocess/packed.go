@@ -59,15 +59,6 @@ func laneFormatFor(numLabels int) laneFormat {
 	}
 }
 
-// agree returns the equal-lane flags of two runs of at most width packed
-// words: bit k·per+l is set when lane l of word k is equal in a and b.
-// len(b) must be ≥ len(a).
-//
-//fdlint:hotpath
-func (f *laneFormat) agree(a, b []uint64) uint64 {
-	return agreeLanes(a, b, f.lo, f.gather, f.top, f.down) >> ((64 - uint(len(a))*f.per) & 63)
-}
-
 // agreeLanes is the SWAR core of every agree kernel, over a format's
 // constants so a kernel can hold them in registers across pairs. A lane
 // is equal when its XOR is zero. ((x & lo) + lo) | x has a lane's top
@@ -113,6 +104,11 @@ func (f *laneFormat) place(c int, l int32) uint64 {
 	return uint64(uint32(l)) << ((uint(c) & (f.per - 1)) * f.width)
 }
 
+// MaskWords returns how many 64-bit mask words the agree kernels write
+// per pair of a relation with ncols columns: ⌈ncols/64⌉, and 1 for none.
+// Bit i of mask word k is set when the pair agrees on column 64k+i.
+func MaskWords(ncols int) int { return max(1, (ncols+63)/64) }
+
 // packedRows is the one row layout of every encoded relation: row r is
 // the stride words rows.words[r·stride : (r+1)·stride], its labels packed
 // at format f. Lanes past the last column are zero padding, so they
@@ -122,11 +118,14 @@ type packedRows struct {
 	stride int
 	ncols  int
 	f      laneFormat
+	// maskWords is MaskWords(ncols). Mask word k covers the width packed
+	// words from k·width on (64 lanes); only the last one can be short.
+	maskWords int
 	// lastMask keeps the real columns of an agree set's last mask word:
 	// the low ncols − 64·(mask words − 1) bits.
 	lastMask uint64
-	// tail is the shift that aligns agreeLanes over a whole row of ≤ 64
-	// columns: 64 − stride·per.
+	// tail is the shift that aligns agreeLanes over the packed words of
+	// the last mask word: 64 − (stride − (maskWords−1)·width)·per.
 	tail uint
 }
 
@@ -136,12 +135,13 @@ func newPackedRows(ncols int, f laneFormat) packedRows {
 		rem = 64
 	}
 	p := packedRows{
-		stride:   (ncols + int(f.per) - 1) >> f.perLog,
-		ncols:    ncols,
-		f:        f,
-		lastMask: ^uint64(0) >> (64 - rem),
+		stride:    (ncols + int(f.per) - 1) >> f.perLog,
+		ncols:     ncols,
+		f:         f,
+		maskWords: MaskWords(ncols),
+		lastMask:  ^uint64(0) >> (64 - rem),
 	}
-	p.tail = (64 - uint(p.stride)*f.per) & 63
+	p.tail = (64 - uint(p.stride-(p.maskWords-1)*int(f.width))*f.per) & 63
 	return p
 }
 
@@ -205,28 +205,32 @@ func (p *packedRows) lane(c int) Lane {
 	}
 }
 
-// agreeWord returns the agree mask of two packed rows of ≤ 64 columns.
+// agreeMasks writes the agree set of two packed rows as maskWords mask
+// words into out, padding lanes masked off. It is the reference
+// form of the batched kernels (AgreeWindowWords, AgreeSlotsWords), which
+// run the same loop with the layout's fields held in locals.
 //
 //fdlint:hotpath
-func (p *packedRows) agreeWord(a, b []uint64) uint64 {
-	return p.f.agree(a, b) & p.lastMask
+func (p *packedRows) agreeMasks(out, a, b []uint64) {
+	f := &p.f
+	blk, o := int(f.width), 0
+	for len(a) > blk { // a full mask word: 64 lanes, no tail
+		out[o] = agreeLanes(a[:blk], b, f.lo, f.gather, f.top, f.down)
+		a, b = a[blk:], b[blk:]
+		o++
+	}
+	out[o] = agreeLanes(a, b, f.lo, f.gather, f.top, f.down) >> p.tail & p.lastMask
 }
 
-// agreeSet returns the agree set of two packed rows of any width: one
-// mask word per width packed words (64 lanes), padding lanes masked off.
+// agreeSet returns the agree set of two packed rows.
 //
 //fdlint:hotpath
 func (p *packedRows) agreeSet(a, b []uint64) fdset.AttrSet {
+	var m [fdset.NumWords]uint64
+	p.agreeMasks(m[:p.maskWords], a, b)
 	var s fdset.AttrSet
-	blk := int(p.f.width) // packed words per 64-lane mask word
-	m := 0
-	for k := 0; k < len(a); k += blk {
-		end := min(k+blk, len(a))
-		s.SetWord(m, p.f.agree(a[k:end], b[k:end]))
-		m++
-	}
-	if m > 0 {
-		s.SetWord(m-1, s.Word(m-1)&p.lastMask)
+	for k, w := range m[:p.maskWords] {
+		s.SetWord(k, w)
 	}
 	return s
 }

@@ -74,11 +74,12 @@ func fuzzLabel(v byte, top int32) int32 {
 	}
 }
 
-// decodeAgreeCase turns fuzz bytes into a relation of 1–80 columns × 1–64
-// rows and a sequence of row indices: byte 0 picks the width, byte 1 the
-// height, byte 2 the label range (up to 2^8−1, 2^16−1 or 2^31−1, so every
-// lane width runs without tens of thousands of rows), then one byte per
-// cell (missing ones read as 0) and one per sequence entry.
+// decodeAgreeCase turns fuzz bytes into a relation of 1–fdset.MaxAttrs
+// columns × 1–64 rows and a sequence of row indices: byte 0 and the low
+// bit of byte 1 pick the width, the rest of byte 1 the height, byte 2 the
+// label range (up to 2^8−1, 2^16−1 or 2^31−1, so every lane width runs
+// without tens of thousands of rows), then one byte per cell (missing
+// ones read as 0) and one per sequence entry.
 func decodeAgreeCase(data []byte) (ncols int, rows [][]int32, seq []int32) {
 	at := func(i int) byte {
 		if i < len(data) {
@@ -86,8 +87,8 @@ func decodeAgreeCase(data []byte) (ncols int, rows [][]int32, seq []int32) {
 		}
 		return 0
 	}
-	ncols = 1 + int(at(0))%80
-	nrows := 1 + int(at(1))%64
+	ncols = 1 + (int(at(0))|int(at(1)&1)<<8)%fdset.MaxAttrs
+	nrows := 1 + int(at(1)>>1)%64
 	top := [...]int32{1<<8 - 1, 1<<16 - 1, 1<<31 - 1}[int(at(2))%3]
 	next := 3
 	rows = make([][]int32, nrows)
@@ -108,14 +109,14 @@ func decodeAgreeCase(data []byte) (ncols int, rows [][]int32, seq []int32) {
 }
 
 // FuzzPackedAgree checks every agree kernel against the per-column
-// reference over the label literals, at every lane width and on both
-// sides of the 64-column single-word limit.
+// reference over the label literals, at every lane width and at one, two
+// and six mask words per pair.
 func FuzzPackedAgree(f *testing.F) {
 	r := rand.New(rand.NewSource(5))
-	for _, ncols := range []int{1, 5, 16, 17, 64, 65, 80} {
+	for _, ncols := range []int{1, 5, 16, 17, 64, 65, 80, 128, 129, 330, 384} {
 		for scale := 0; scale < 3; scale++ {
 			nrows := 2 + r.Intn(20)
-			data := []byte{byte(ncols - 1), byte(nrows - 1), byte(scale)}
+			data := []byte{byte(ncols - 1), byte((nrows-1)<<1 | (ncols-1)>>8), byte(scale)}
 			for k := 0; k < ncols*nrows+12; k++ {
 				data = append(data, byte(r.Intn(256)))
 			}
@@ -133,10 +134,19 @@ func FuzzPackedAgree(f *testing.F) {
 				}
 			}
 		}
+		mw := MaskWords(ncols)
+		// masksEqual reports whether mask words m hold exactly set w.
+		masksEqual := func(m []uint64, w fdset.AttrSet) bool {
+			for k := 0; k < fdset.NumWords; k++ {
+				if k < len(m) && m[k] != w.Word(k) || k >= len(m) && w.Word(k) != 0 {
+					return false
+				}
+			}
+			return true
+		}
 		n := len(seq)
 		sets := make([]fdset.AttrSet, n)
-		counts := make([]int32, n)
-		words := make([]uint64, n)
+		masks := make([]uint64, n*mw)
 		enc.AgreeSetsInto(int(seq[0]), seq, sets)
 		for k, o := range seq {
 			if w := want(seq[0], o); sets[k] != w || enc.AgreeSet(int(seq[0]), int(o)) != w {
@@ -145,38 +155,22 @@ func FuzzPackedAgree(f *testing.F) {
 		}
 		window := 2 + int(seq[0])%(n-1)
 		m := n - window + 1
-		enc.AgreeWindowInto(seq, window, 0, m, sets, counts)
-		if ncols <= 64 {
-			enc.AgreeWindowWords(seq, window, 0, m, words)
-		}
+		enc.AgreeWindowWords(seq, window, 0, m, masks)
 		for p := 0; p < m; p++ {
-			w := want(seq[p], seq[p+window-1])
-			if sets[p] != w || int(counts[p]) != w.Count() {
-				t.Fatalf("AgreeWindowInto window %d pos %d = %v (%d), want %v", window, p, sets[p], counts[p], w)
-			}
-			if ncols <= 64 && words[p] != w.Word0() {
-				t.Fatalf("AgreeWindowWords window %d pos %d = %#x, want %v", window, p, words[p], w)
+			if w := want(seq[p], seq[p+window-1]); !masksEqual(masks[p*mw:p*mw+mw], w) {
+				t.Fatalf("AgreeWindowWords window %d pos %d = %#x, want %v", window, p, masks[p*mw:p*mw+mw], w)
 			}
 		}
 		// The encoder's delta kernels read the same layout.
 		e := &Encoder{rows: enc.rows}
 		row := enc.rows.row(int(seq[0]))
-		e.AgreeSlotsInto(row, seq, sets, counts)
-		if ncols <= 64 {
-			e.AgreeSlotsWords(row, seq, words)
-		}
+		e.AgreeSlotsWords(row, seq, masks)
+		one := make([]uint64, mw)
 		for k, o := range seq {
 			w := want(seq[0], o)
-			if sets[k] != w || int(counts[k]) != w.Count() {
-				t.Fatalf("AgreeSlotsInto(%d,%d) = %v, want %v", seq[0], o, sets[k], w)
-			}
-			other := enc.rows.row(int(o))
-			if ncols <= 64 {
-				if words[k] != w.Word0() || e.AgreeRowsWord(row, other) != w.Word0() {
-					t.Fatalf("AgreeSlotsWords/AgreeRowsWord(%d,%d) = %#x, want %v", seq[0], o, words[k], w)
-				}
-			} else if s, cnt := e.AgreeRowsSet(row, other); s != w || cnt != w.Count() {
-				t.Fatalf("AgreeRowsSet(%d,%d) = %v, want %v", seq[0], o, s, w)
+			e.AgreeRowsWords(row, enc.rows.row(int(o)), one)
+			if !masksEqual(masks[k*mw:k*mw+mw], w) || !masksEqual(one, w) {
+				t.Fatalf("AgreeSlotsWords/AgreeRowsWords(%d,%d) = %#x / %#x, want %v", seq[0], o, masks[k*mw:k*mw+mw], one, w)
 			}
 		}
 	})

@@ -37,10 +37,9 @@ type Encoded struct {
 	// Partitions[c] is the stripped partition of column c.
 	Partitions []StrippedPartition
 	// RowIDs, when non-nil, maps row index to the stable external row id
-	// assigned by the Encoder that produced this snapshot. Ids are strictly
-	// ascending, so two snapshots of the same encoder align by merge-join;
-	// PartitionCache.AdvancedTo uses that to patch cached partitions across
-	// mutations instead of recomputing them. One-shot Encode leaves it nil.
+	// assigned by the Encoder that produced this snapshot, in strictly
+	// ascending order; violation reports name rows by it. One-shot Encode
+	// leaves it nil.
 	RowIDs []int64
 }
 
@@ -171,46 +170,34 @@ func (e *Encoded) AgreeSetsInto(base int, others []int32, out []fdset.AttrSet) {
 	}
 }
 
-// AgreeWindowWords is the single-word sliding-window kernel of the
-// sampler, usable whenever the relation has at most 64 columns: for every
-// position p in [from, to) it writes the agree mask of the pair
-// (rows[p], rows[p+window-1]) into words[p-from]. Emitting raw uint64
-// masks instead of AttrSets keeps the inner loop free of 48-byte stores
-// and lets the caller deduplicate on machine words; materialize retained
-// masks with fdset.FromWord. words must have length ≥ to−from. It
-// performs no allocation.
+// AgreeWindowWords is the sliding-window kernel of the sampler: for
+// every position p in [from, to) it writes the agree set of the pair
+// (rows[p], rows[p+window-1]) as mw = MaskWords(len(Attrs)) mask words
+// into masks[(p−from)·mw:]. Emitting raw mask words instead of AttrSets
+// keeps the inner loop free of 48-byte stores and lets the caller
+// deduplicate on machine words. masks must have length ≥ (to−from)·mw.
+// It performs no allocation.
 //
 //fdlint:hotpath
-func (e *Encoded) AgreeWindowWords(rows []int32, window, from, to int, words []uint64) {
+func (e *Encoded) AgreeWindowWords(rows []int32, window, from, to int, masks []uint64) {
 	// The row layout's fields are copied to locals: the compiler cannot
-	// tell that stores to words leave them unchanged, and would reload
+	// tell that stores to masks leave them unchanged, and would reload
 	// them for every pair.
 	all, stride, tail, last := e.rows.words, e.rows.stride, e.rows.tail, e.rows.lastMask
 	lo, gather, top, down := e.rows.f.lo, e.rows.f.gather, e.rows.f.top, e.rows.f.down
+	blk := int(e.rows.f.width) // packed words per full mask word
 	far := rows[from+window-1 : to+window-1]
+	o := 0
 	for k, r := range rows[from:to] {
 		a := all[int(r)*stride : int(r)*stride+stride]
 		b := all[int(far[k])*stride : int(far[k])*stride+stride]
-		words[k] = agreeLanes(a, b, lo, gather, top, down) >> tail & last
-	}
-}
-
-// AgreeWindowInto is the wide-relation sliding-window kernel (> 64
-// columns; narrower relations use AgreeWindowWords): for every position
-// p in [from, to) it computes the agree set of the pair (rows[p],
-// rows[p+window-1]) into out[p-from] and the agree-set cardinality into
-// counts[p-from]. The counts come for free from the same scan and feed
-// capa accounting (newNonFDs = ncols − |agree|) without a separate
-// popcount pass. out and counts must have length ≥ to−from. It performs
-// no allocation.
-//
-//fdlint:hotpath
-func (e *Encoded) AgreeWindowInto(rows []int32, window, from, to int, out []fdset.AttrSet, counts []int32) {
-	p := &e.rows
-	for i := from; i < to; i++ {
-		s := p.agreeSet(p.row(int(rows[i])), p.row(int(rows[i+window-1])))
-		out[i-from] = s
-		counts[i-from] = int32(s.Count())
+		for len(a) > blk { // a full mask word: 64 lanes, no tail
+			masks[o] = agreeLanes(a[:blk], b, lo, gather, top, down)
+			a, b = a[blk:], b[blk:]
+			o++
+		}
+		masks[o] = agreeLanes(a, b, lo, gather, top, down) >> tail & last
+		o++
 	}
 }
 

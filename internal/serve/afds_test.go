@@ -1,12 +1,14 @@
 package serve
 
 import (
+	"context"
 	"encoding/json"
 	"net/http"
 	"reflect"
 	"testing"
 	"time"
 
+	"eulerfd/internal/afd"
 	"eulerfd/internal/core"
 	"eulerfd/internal/fdset"
 )
@@ -167,30 +169,30 @@ func TestAFDsScorerAdvancedByAppend(t *testing.T) {
 	if code, _, _ := getAFDs(t, ts.URL, id, "?eps=0"); code != http.StatusOK {
 		t.Fatal("first afds query failed")
 	}
-	srv.mu.Lock()
-	sess := srv.sessions[id]
-	srv.mu.Unlock()
-	sess.mu.Lock()
-	before := sess.scorer
-	sess.mu.Unlock()
-	if before == nil {
-		t.Fatal("scorer not cached after query")
-	}
-	// Append rows; the completed job must advance the cached scorer onto
-	// the grown snapshot instead of leaving it on the stale one.
+	// Append rows; once the job commits, /afds must answer over the grown
+	// snapshot exactly as a fresh threshold run over it does.
 	code, blob := postMutations(t, ts.URL, id, patientBatch)
 	if code != http.StatusAccepted {
 		t.Fatalf("append: status %d: %s", code, blob)
 	}
 	waitState(t, ts.URL, id, stateReady)
+	srv.mu.Lock()
+	sess := srv.sessions[id]
+	srv.mu.Unlock()
 	sess.mu.Lock()
-	after := sess.scorer
+	snap := sess.inc.Snapshot()
 	sess.mu.Unlock()
-	if after == before {
-		t.Fatal("scorer not advanced after append")
+	opt := afd.DefaultOptions()
+	opt.Epsilon = 0
+	want, _, err := afd.Threshold(context.Background(), snap, opt)
+	if err != nil {
+		t.Fatal(err)
 	}
-	// And a query answers over the grown relation.
-	if code, doc, _ := getAFDs(t, ts.URL, id, "?eps=0"); code != http.StatusOK || doc.Count == 0 {
-		t.Errorf("post-append afds: status %d, count %d", code, doc.Count)
+	code, doc, body := getAFDs(t, ts.URL, id, "?eps=0")
+	if code != http.StatusOK {
+		t.Fatalf("post-append afds: status %d: %s", code, body)
+	}
+	if doc.Count == 0 || !reflect.DeepEqual(doc.FDs, want) {
+		t.Errorf("post-append afds = %v, want afd.Threshold on the new snapshot = %v", doc.FDs, want)
 	}
 }

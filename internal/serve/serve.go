@@ -385,12 +385,9 @@ func (s *Server) finishJob(sess *session, jb *job, stats core.Stats, err error) 
 		sess.updates = sess.inc.Updates
 		sess.nextID = sess.inc.NextID()
 		jb.code = http.StatusOK
-		// Advance the AFD scorer onto the committed snapshot instead of
-		// discarding its partition cache; if none was built yet, the next
-		// /afds query builds one lazily.
-		if sess.scorer != nil {
-			sess.scorer = sess.scorer.Advanced(sess.inc.Snapshot(), sess.inc.LastChangedIDs())
-		}
+		// The scorer describes the previous version; the next /afds or
+		// /quality query builds one over the committed snapshot.
+		sess.scorer = nil
 	} else {
 		jb.err = err.Error()
 		switch {

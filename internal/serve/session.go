@@ -73,9 +73,8 @@ type session struct {
 	// scorer serves /afds queries over the last completed result. Built
 	// lazily from an Incremental snapshot and shared by concurrent
 	// requests (afd.Scorer is concurrency-safe). When a later batch
-	// commits, finishJob advances the existing scorer onto the new
-	// snapshot (afd.Scorer.Advanced patches cached partitions instead of
-	// discarding them); a rolled-back batch leaves it untouched.
+	// commits, finishJob drops it, and the next query builds one over the
+	// new snapshot; a rolled-back batch leaves it untouched.
 	scorer *afd.Scorer
 }
 
