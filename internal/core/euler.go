@@ -116,13 +116,17 @@ const (
 // time.Duration encoding) under *_ns keys.
 type Stats struct {
 	Counters
-	// Retired and PatchedRHS are produced only by incremental mutation
-	// batches (core.Incremental): maximal non-FDs that left the negative
-	// cover because their last witness died, and RHS attributes whose
-	// positive-cover tree was re-inverted because of a retirement. One-shot
-	// discovery leaves them zero.
+	// Retired, PatchedRHS and Clamped are produced only by incremental
+	// mutation batches (core.Incremental): (RHS, maximal non-FD) pairs
+	// that left the negative cover because their last witness died or,
+	// for ∅, because the RHS column became constant; RHS attributes
+	// whose positive-cover tree was patched because of a retirement; and
+	// witness decrements that would have taken a tally below zero and
+	// were clamped at it (sampled tallies are lower bounds, see
+	// Incremental). One-shot discovery leaves them zero.
 	Retired     int           `json:"retired"`
 	PatchedRHS  int           `json:"patched_rhs"`
+	Clamped     int           `json:"clamped"`
 	Preprocess  time.Duration `json:"preprocess_ns"`
 	Sampling    time.Duration `json:"sampling_ns"`
 	NcoverBuild time.Duration `json:"ncover_build_ns"`

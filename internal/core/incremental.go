@@ -25,16 +25,18 @@ import (
 // incremental inversion the double cycle uses; deletes and updates can
 // *retire* violations — when a maximal non-FD's witness count reaches
 // zero it leaves the negative cover, still-witnessed subsets it dominated
-// are re-admitted, and the affected positive-cover regions re-invert from
-// the patched negative cover while every other RHS tree is patched
-// forward as usual.
+// are re-admitted, and each positive-cover tree that lost a non-FD is
+// patched inside the region the retired sets span (cover.PCover.Retire)
+// after every tree has inverted the batch's admissions forward.
 //
 // Under Options.ExhaustWindows the bootstrap counts every intra-cluster
 // pair exactly once per shared-attribute cluster, so witness counts are
 // exact and any mutation sequence yields the exact minimal cover of the
-// final relation. Without it, bootstrap counts are lower bounds (sampling
-// skips pairs): decrements clamp at zero, so deletes may retire evidence
-// early — the same flavor of approximation sampling itself introduces.
+// final relation; a batch that would take a tally below zero fails with
+// ErrWitnessOvershoot and commits nothing. Without it, bootstrap counts
+// are lower bounds (sampling skips pairs): decrements clamp at zero
+// (Stats.Clamped counts them), so deletes may retire evidence early —
+// the same flavor of approximation sampling itself introduces.
 //
 // Batches are atomic: evidence gathering (phase one) is cancellable and
 // touches nothing, the commit (phase two) is not cancellable. A cancelled
@@ -252,6 +254,11 @@ func (inc *Incremental) applyDelta(ctx context.Context, batch MutationBatch, obs
 	}
 	tScan.AddTo(&stats.Sampling)
 	stats.PairsCompared = b.pairs
+	if inc.opt.ExhaustWindows {
+		if err := inc.checkWitness(b.d); err != nil {
+			return stats, err
+		}
+	}
 
 	emit := func(phase string, rows int) {
 		if obs == nil {
@@ -276,7 +283,8 @@ func (inc *Incremental) applyDelta(ctx context.Context, batch MutationBatch, obs
 
 	tPatch := timing.Start()
 	b.commitEncoder()
-	realized, retired := inc.mergeWitness(b.d)
+	realized, retired, clamped := inc.mergeWitness(b.d)
+	stats.Clamped = clamped
 	inc.patchCovers(realized, retired, pl, &stats)
 	tPatch.AddTo(&stats.Inversion)
 
@@ -294,20 +302,39 @@ func (inc *Incremental) applyDelta(ctx context.Context, batch MutationBatch, obs
 	return stats, nil
 }
 
+// checkWitness is a read-only pass over the batch's net delta, for
+// exhaustive tallies only: it returns ErrWitnessOvershoot for the first
+// agree set, in first-touch order, whose tally the delta would take
+// below zero.
+func (inc *Incremental) checkWitness(d *maskTable) error {
+	var err error
+	d.eachOrdered(func(m []uint64, dv int64) {
+		if old := inc.witness.get(m); err == nil && old+dv < 0 {
+			err = fmt.Errorf("%w: agree set %v has tally %d and batch delta %d", ErrWitnessOvershoot, maskSet(m), old, dv)
+		}
+	})
+	return err
+}
+
 // mergeWitness folds the batch's net delta into the long-lived witness
 // tallies, in the scan's first-touch order so the realized and retired
 // lists are deterministic. An agree set whose count rises from zero is
 // realized (new evidence to admit); one whose count falls to zero is
-// retired (its last witness died). Counts clamp at zero: with a
+// retired (its last witness died). Counts clamp at zero, and clamped
+// counts the decrements that would have gone below it: with a
 // non-exhaustive bootstrap the tallies are lower bounds, so a decrement
 // can overshoot evidence that was never counted.
-func (inc *Incremental) mergeWitness(d *maskTable) (realized, retired []fdset.AttrSet) {
+func (inc *Incremental) mergeWitness(d *maskTable) (realized, retired []fdset.AttrSet, clamped int) {
 	d.eachOrdered(func(m []uint64, dv int64) {
 		if dv == 0 {
 			return
 		}
 		old := inc.witness.get(m)
-		now := max(old+dv, 0)
+		now := old + dv
+		if now < 0 {
+			clamped++
+			now = 0
+		}
 		inc.witness.put(m, now)
 		switch {
 		case now == 0 && old > 0:
@@ -316,7 +343,7 @@ func (inc *Incremental) mergeWitness(d *maskTable) (realized, retired []fdset.At
 			realized = append(realized, maskSet(m))
 		}
 	})
-	return realized, retired
+	return realized, retired, clamped
 }
 
 // patchCovers folds one batch's realized and retired agree sets into the
@@ -335,10 +362,10 @@ func (inc *Incremental) mergeWitness(d *maskTable) (realized, retired []fdset.At
 //     set may now be maximal themselves; candidates (subsets of a removed
 //     set) re-enter affected trees in descending cardinality. A tree left
 //     empty while its column still varies re-seeds ∅.
-//  5. Positive cover: every RHS with a removal re-inverts from its patched
-//     tree (inversion cannot run backwards); RHSs that only admitted
-//     evidence invert the pending non-FDs forward, as the double cycle
-//     does.
+//  5. Positive cover: every RHS inverts the pending non-FDs forward, as
+//     the double cycle does. Inversion cannot run backwards, so each RHS
+//     with a removal is then patched inside the region its removed sets
+//     span (cover.PCover.Retire), from its patched negative-cover tree.
 func (inc *Incremental) patchCovers(realized, retired []fdset.AttrSet, pl *pool.Pool, stats *Stats) {
 	affected := make(map[int]bool)
 	removedBy := make(map[int][]fdset.AttrSet)
@@ -362,7 +389,7 @@ func (inc *Incremental) patchCovers(realized, retired []fdset.AttrSet, pl *pool.
 
 	// 2. Admissions, with the double cycle's pending bookkeeping: entries
 	// superseded within the batch are dropped before inversion.
-	sortSetsDesc(realized)
+	fdset.SortSetsDesc(realized)
 	admissions := append(seeds, nonFDsOf(realized, inc.ncols)...)
 	pending := make(map[fdset.FD]struct{})
 	if len(admissions) > 0 {
@@ -376,7 +403,7 @@ func (inc *Incremental) patchCovers(realized, retired []fdset.AttrSet, pl *pool.
 	}
 
 	// 3. Retirements.
-	sortSetsDesc(retired)
+	fdset.SortSetsDesc(retired)
 	for _, m := range retired {
 		for rhs := 0; rhs < inc.ncols; rhs++ {
 			if m.Has(rhs) {
@@ -420,23 +447,22 @@ func (inc *Incremental) patchCovers(realized, retired []fdset.AttrSet, pl *pool.
 		}
 	}
 
-	// 5. Positive cover: rebuild affected RHSs (disjoint trees, so the
-	// pool shards race-free); invert pending admissions everywhere else.
-	if len(affectedSorted) > 0 {
-		pl.Do(len(affectedSorted), func(k int) {
-			rhs := affectedSorted[k]
-			inc.pcover.Rebuild(rhs, inc.ncover.Tree(rhs).Sets())
-		})
-	}
-	stats.PatchedRHS = len(affectedSorted)
+	// 5. Positive cover: invert pending admissions into every RHS, then
+	// patch the affected ones (disjoint trees, so the pool shards
+	// race-free).
 	forward := make([]fdset.FD, 0, len(pending))
 	for f := range pending {
-		if !affected[f.RHS] {
-			forward = append(forward, f)
-		}
+		forward = append(forward, f)
 	}
 	fdset.SortFDs(forward)
 	inc.pcover.InvertAllPool(forward, pl)
+	if len(affectedSorted) > 0 {
+		pl.Do(len(affectedSorted), func(k int) {
+			rhs := affectedSorted[k]
+			inc.pcover.Retire(rhs, removedBy[rhs], inc.ncover.Tree(rhs).Sets())
+		})
+	}
+	stats.PatchedRHS = len(affectedSorted)
 }
 
 // FDs returns the current approximate set of minimal non-trivial FDs.

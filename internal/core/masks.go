@@ -187,7 +187,8 @@ func (t *maskTable) eachOrdered(fn func(m []uint64, v int64)) {
 }
 
 // subsetsOf returns every key that is a subset of some set in list, in
-// sortSetsDesc order, so map iteration order does not reach the caller.
+// fdset.SortSetsDesc order, so map iteration order does not reach the
+// caller.
 func (t *maskTable) subsetsOf(list []fdset.AttrSet) []fdset.AttrSet {
 	var out []fdset.AttrSet
 	for w := range t.narrow {
@@ -200,7 +201,7 @@ func (t *maskTable) subsetsOf(list []fdset.AttrSet) []fdset.AttrSet {
 			out = append(out, s)
 		}
 	}
-	sortSetsDesc(out)
+	fdset.SortSetsDesc(out)
 	return out
 }
 

@@ -1,11 +1,9 @@
 package core
 
 import (
-	"cmp"
 	"context"
 	"errors"
 	"fmt"
-	"slices"
 	"sort"
 
 	"eulerfd/internal/fdset"
@@ -131,6 +129,13 @@ func (b MutationBatch) appendOnlyRows() ([][]string, error) {
 // Delta batches never poison — they are two-phase and roll back to the
 // last committed version. Callers should discard the Incremental.
 var ErrPoisoned = errors.New("core: a cancelled or failed bootstrap left the covers partially built; discard this Incremental")
+
+// ErrWitnessOvershoot is returned by a delta batch under
+// Options.ExhaustWindows whose witness delta would take an agree set's
+// tally below zero. Exhaustive tallies are exact, so an overshoot means
+// the tallies no longer match the relation: a bug, not bad input. The
+// check runs before the commit, so the batch is not applied.
+var ErrWitnessOvershoot = errors.New("core: a batch would take an exact witness tally below zero")
 
 // deltaChunkPairs is the number of pair comparisons one chunk of the
 // delta scan performs between cancellation checks: larger chunks amortize
@@ -479,19 +484,6 @@ func (b *batchState) commitEncoder() {
 		b.enc.Delete(id)
 	}
 	b.enc.MaybeCompact()
-}
-
-// sortSetsDesc orders agree sets by descending cardinality, ties broken
-// by ascending element lists — the admission order that lets the
-// negative cover reject dominated sets without ever superseding a stored
-// one.
-func sortSetsDesc(sets []fdset.AttrSet) {
-	slices.SortFunc(sets, func(a, b fdset.AttrSet) int {
-		if c := cmp.Compare(b.Count(), a.Count()); c != 0 {
-			return c
-		}
-		return fdset.Compare(fdset.FD{LHS: a}, fdset.FD{LHS: b})
-	})
 }
 
 // subsetOfAny reports whether s is a subset of any set in list.

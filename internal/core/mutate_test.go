@@ -9,6 +9,7 @@ import (
 
 	"eulerfd/internal/dataset"
 	"eulerfd/internal/fdset"
+	"eulerfd/internal/gen"
 	"eulerfd/internal/naive"
 )
 
@@ -544,5 +545,97 @@ func TestApplyFirstBatchRules(t *testing.T) {
 	}
 	if stats.Rows != 2 || inc.Version() != 1 {
 		t.Fatalf("rows=%d version=%d", stats.Rows, inc.Version())
+	}
+}
+
+// TestApplyWitnessOvershoot zeroes the tally of the one pair agreeing
+// only on A, then deletes a row of that pair. Under ExhaustWindows the
+// batch must fail with ErrWitnessOvershoot and commit nothing; with
+// sampled tallies the decrement clamps and Stats.Clamped counts it.
+func TestApplyWitnessOvershoot(t *testing.T) {
+	rows := [][]string{{"a", "x", "1"}, {"a", "y", "2"}, {"b", "y", "3"}}
+	for _, exhaustive := range []bool{true, false} {
+		opt := DefaultOptions()
+		if exhaustive {
+			opt = exhaustiveOptions()
+		}
+		inc, err := NewIncremental("t", []string{"A", "B", "C"}, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := inc.Append(rows); err != nil {
+			t.Fatal(err)
+		}
+		onlyA := make([]uint64, inc.witness.mw)
+		onlyA[0] = 1
+		if exhaustive && inc.witness.get(onlyA) == 0 {
+			t.Fatal("exhaustive bootstrap did not tally the pair agreeing on A")
+		}
+		inc.witness.put(onlyA, 0)
+		version, nextID, fds := inc.Version(), inc.NextID(), inc.FDs()
+		stats, err := inc.Delete([]int64{0})
+		if !exhaustive {
+			if err != nil {
+				t.Fatalf("sampled: %v", err)
+			}
+			if stats.Clamped != 1 {
+				t.Fatalf("sampled: Clamped = %d, want 1", stats.Clamped)
+			}
+			continue
+		}
+		if !errors.Is(err, ErrWitnessOvershoot) {
+			t.Fatalf("exhaustive: err = %v, want ErrWitnessOvershoot", err)
+		}
+		if inc.Version() != version || inc.NextID() != nextID || inc.NumRows() != len(rows) || !inc.FDs().Equal(fds) {
+			t.Fatalf("failed batch moved state: version %d→%d, next id %d→%d, rows %d→%d",
+				version, inc.Version(), nextID, inc.NextID(), len(rows), inc.NumRows())
+		}
+	}
+}
+
+// TestApplyClampedOnlyWhenSampled replays a sliding window of deletes
+// and appends over a weather log. A sampled bootstrap's tallies are
+// lower bounds, so deletes overshoot some of them; exact tallies never
+// are.
+func TestApplyClampedOnlyWhenSampled(t *testing.T) {
+	const (
+		bootRows = 800
+		batches  = 8
+		perBatch = 16
+	)
+	rel := gen.Weather("weather", bootRows+batches*perBatch, 1)
+	for _, exhaustive := range []bool{false, true} {
+		opt := DefaultOptions()
+		if exhaustive {
+			opt = exhaustiveOptions()
+		}
+		inc, err := NewIncremental("weather", rel.Attrs, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := inc.Append(rel.Rows[:bootRows]); err != nil {
+			t.Fatal(err)
+		}
+		clamped := 0
+		for b := 0; b < batches; b++ {
+			ids := make([]int64, perBatch)
+			for k := range ids {
+				ids[k] = int64(b*perBatch + k)
+			}
+			from := bootRows + b*perBatch
+			st, err := inc.Apply(MutationBatch{Mutations: []Mutation{
+				DeleteOp(ids...), AppendOp(rel.Rows[from : from+perBatch]),
+			}})
+			if err != nil {
+				t.Fatalf("exhaustive=%v, batch %d: %v", exhaustive, b, err)
+			}
+			clamped += st.Clamped
+		}
+		if exhaustive && clamped != 0 {
+			t.Fatalf("exhaustive tallies clamped %d decrements", clamped)
+		}
+		if !exhaustive && clamped == 0 {
+			t.Fatal("sampled tallies never clamped a decrement")
+		}
 	}
 }

@@ -15,11 +15,11 @@ func TestStatsProgressJSONGolden(t *testing.T) {
 	st.PairsCompared, st.AgreeSets = 3, 4
 	st.NcoverSize, st.PcoverSize = 5, 6
 	st.SampleBatches, st.Inversions = 7, 8
-	st.Retired, st.PatchedRHS = 9, 10
-	st.Preprocess, st.Sampling, st.NcoverBuild, st.Inversion, st.Total = 11, 12, 13, 14, 15
+	st.Retired, st.PatchedRHS, st.Clamped = 9, 10, 11
+	st.Preprocess, st.Sampling, st.NcoverBuild, st.Inversion, st.Total = 12, 13, 14, 15, 16
 	const wantStats = `{"rows":1,"cols":2,"pairs_compared":3,"agree_sets":4,"ncover_size":5,"pcover_size":6,` +
-		`"sample_batches":7,"inversions":8,"retired":9,"patched_rhs":10,"preprocess_ns":11,"sampling_ns":12,` +
-		`"ncover_build_ns":13,"inversion_ns":14,"total_ns":15}`
+		`"sample_batches":7,"inversions":8,"retired":9,"patched_rhs":10,"clamped":11,"preprocess_ns":12,` +
+		`"sampling_ns":13,"ncover_build_ns":14,"inversion_ns":15,"total_ns":16}`
 
 	var p Progress
 	p.Phase, p.Cycle = "sampled", 16

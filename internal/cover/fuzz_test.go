@@ -1,6 +1,7 @@
 package cover
 
 import (
+	"math/rand"
 	"reflect"
 	"slices"
 	"testing"
@@ -307,4 +308,133 @@ func checkStructure(t *testing.T, tree *Tree) {
 		}
 		free[n] = true
 	}
+}
+
+// FuzzPCoverRetire drives PCover.Retire the way incremental maintenance
+// does and holds it to Rebuild. The input decodes as: byte 0 the column
+// count (1–10), byte 1 the rounds (1–3), bytes 2–9 a seed. The seed
+// draws a starting non-FD antichain per RHS; each round then admits
+// random non-FDs, removes random stored ones, and re-admits alive
+// subsets of the removed sets in descending cardinality (the order
+// NCover.Readmit needs to keep the antichain), re-seeding ∅ into some
+// emptied trees. After the pending admissions are inverted forward and
+// every RHS that lost a non-FD is patched, each tree must hold exactly
+// what Rebuild derives from the final negative cover, and pass
+// checkStructure.
+func FuzzPCoverRetire(f *testing.F) {
+	for seed := byte(1); seed <= 4; seed++ {
+		f.Add([]byte{3 + seed, seed, seed, 0, 0, 0, 0, 0, 0, 0})
+		f.Add([]byte{9, 3, seed * 41, seed, 7, 0, 0, 0, 0, 0})
+	}
+	f.Add([]byte{0, 1, 5, 0, 0, 0, 0, 0, 0, 0})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		at := func(i int) byte {
+			if i < len(data) {
+				return data[i]
+			}
+			return 0
+		}
+		ncols := 1 + int(at(0))%10
+		rounds := 1 + int(at(1))%3
+		var seed int64
+		for i := 0; i < 8; i++ {
+			seed |= int64(at(2+i)) << (8 * i)
+		}
+		r := rand.New(rand.NewSource(seed))
+		// draw returns a random LHS for rhs, dense or sparse by the roll.
+		draw := func(rhs int) fdset.AttrSet {
+			var s fdset.AttrSet
+			den := 2 + r.Intn(3)
+			for a := 0; a < ncols; a++ {
+				if a != rhs && r.Intn(den) != 0 {
+					s.Add(a)
+				}
+			}
+			return s
+		}
+		subsetOf := func(s fdset.AttrSet) fdset.AttrSet {
+			var sub fdset.AttrSet
+			s.ForEach(func(a int) bool {
+				if r.Intn(3) != 0 {
+					sub.Add(a)
+				}
+				return true
+			})
+			return sub
+		}
+
+		nc := NewNCover(ncols, nil)
+		pc := NewPCover(ncols, nil)
+		for rhs := 0; rhs < ncols; rhs++ {
+			if r.Intn(4) == 0 {
+				nc.Add(fdset.FD{RHS: rhs})
+			}
+			for k := r.Intn(8); k > 0; k-- {
+				nc.Add(fdset.FD{LHS: draw(rhs), RHS: rhs})
+			}
+			for _, lhs := range nc.Tree(rhs).Sets() {
+				pc.Invert(fdset.FD{LHS: lhs, RHS: rhs})
+			}
+		}
+
+		for round := 0; round < rounds; round++ {
+			var admissions []fdset.FD
+			for k := r.Intn(3 * ncols); k > 0; k-- {
+				rhs := r.Intn(ncols)
+				admissions = append(admissions, fdset.FD{LHS: draw(rhs), RHS: rhs})
+			}
+			pending := make(map[fdset.FD]bool)
+			_, events := nc.AddTrackedBatch(admissions, nil)
+			for _, ev := range events {
+				for _, lhs := range ev.Superseded {
+					delete(pending, fdset.FD{LHS: lhs, RHS: ev.NonFD.RHS})
+				}
+				pending[ev.NonFD] = true
+			}
+
+			removed := make([][]fdset.AttrSet, ncols)
+			for rhs := 0; rhs < ncols; rhs++ {
+				for _, lhs := range nc.Tree(rhs).Sets() {
+					if r.Intn(3) == 0 && nc.RemoveLHS(rhs, lhs) {
+						removed[rhs] = append(removed[rhs], lhs)
+					}
+				}
+				var alive []fdset.AttrSet
+				for _, m := range removed[rhs] {
+					for k := r.Intn(4); k > 0; k-- {
+						alive = append(alive, subsetOf(m))
+					}
+				}
+				fdset.SortSetsDesc(alive)
+				for _, lhs := range alive {
+					nc.Readmit(rhs, lhs)
+				}
+				if len(removed[rhs]) > 0 && nc.Tree(rhs).Size() == 0 && r.Intn(2) == 0 {
+					nc.Readmit(rhs, fdset.EmptySet())
+				}
+			}
+
+			forward := make([]fdset.FD, 0, len(pending))
+			for f := range pending {
+				forward = append(forward, f)
+			}
+			fdset.SortFDs(forward)
+			pc.InvertAll(forward)
+			ref := NewPCover(ncols, nil)
+			for rhs := 0; rhs < ncols; rhs++ {
+				if len(removed[rhs]) > 0 {
+					pc.Retire(rhs, removed[rhs], nc.Tree(rhs).Sets())
+				}
+				ref.Rebuild(rhs, nc.Tree(rhs).Sets())
+				got, want := pc.Tree(rhs).Sets(), ref.Tree(rhs).Sets()
+				sortSets(got)
+				sortSets(want)
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("round %d, rhs %d (removed %v, negative cover %v):\ngot  %v\nwant %v",
+						round, rhs, removed[rhs], nc.Tree(rhs).Sets(), got, want)
+				}
+				checkStructure(t, pc.Tree(rhs))
+			}
+		}
+	})
 }

@@ -2,6 +2,7 @@ package cover
 
 import (
 	"math/bits"
+	"slices"
 
 	"eulerfd/internal/fdset"
 	"eulerfd/internal/pool"
@@ -63,7 +64,12 @@ func (p *PCover) Size() int {
 //
 //fdlint:hotpath
 func (p *PCover) Invert(nonFD fdset.FD) int {
-	t := p.trees[nonFD.RHS]
+	return p.trees[nonFD.RHS].invert(nonFD, p.ncols)
+}
+
+// invert is Invert on tree t, the candidate tree of nonFD.RHS over ncols
+// attributes.
+func (t *Tree) invert(nonFD fdset.FD, ncols int) int {
 	// All invalidated generalizations come out in one traversal. Because
 	// every replacement candidate contains an attribute outside the
 	// non-FD's LHS, none of them is itself a generalization of the
@@ -72,7 +78,7 @@ func (p *PCover) Invert(nonFD fdset.FD) int {
 	added := 0
 	for _, general := range t.generals {
 		enumerated := t.blockerBases(general)
-		for attr := 0; attr < p.ncols; attr++ {
+		for attr := 0; attr < ncols; attr++ {
 			if attr == nonFD.RHS || nonFD.LHS.Has(attr) {
 				continue
 			}
@@ -218,15 +224,58 @@ func (p *PCover) InvertAllPool(nonFDs []fdset.FD, pl *pool.Pool) int {
 	return added
 }
 
+// Retire patches the candidate tree of rhs in place after retirements
+// shrank its negative cover. retired are the LHSs that left the negative
+// cover for rhs, and nonFDs every LHS it stores for rhs now: the
+// survivors plus re-admitted subsets of retired sets. The tree must hold
+// the cover of the negative cover before the retirements; afterwards it
+// holds exactly what Rebuild(rhs, nonFDs) derives.
+//
+// Inversion only runs forward, but a retirement can validate only sets
+// inside the region W that the retired sets span. Retire inverts the
+// distinct projections n ∩ W from ∅ in a scratch tree, each widened by
+// every attribute outside W so that candidates grow only inside W. That
+// leaves S, the minimal subsets of W no stored non-FD contains, and each
+// member of S the tree lacks replaces its stored supersets (DESIGN.md,
+// "Pcover patching, not rebuild", gives the proof). When W spans every
+// attribute but rhs, this is Rebuild's work plus one sweep of S.
+// Touching only trees[rhs] makes Retire safe to run for distinct RHS
+// values concurrently.
+func (p *PCover) Retire(rhs int, retired, nonFDs []fdset.AttrSet) {
+	var region fdset.AttrSet
+	for _, r := range retired {
+		region = region.Union(r)
+	}
+	outside := fdset.FullSet(p.ncols).Diff(region).Without(rhs)
+	proj := make([]fdset.AttrSet, len(nonFDs))
+	for i, n := range nonFDs {
+		proj[i] = n.Intersect(region)
+	}
+	// Largest projections first: a smaller one inverted later finds most
+	// of its subsets already gone.
+	fdset.SortSetsDesc(proj)
+	proj = slices.Compact(proj)
+
+	t := p.trees[rhs]
+	patch := NewTree(t.rank)
+	patch.Add(fdset.EmptySet())
+	for _, x := range proj {
+		patch.invert(fdset.FD{LHS: x.Union(outside), RHS: rhs}, p.ncols)
+	}
+	patch.ForEach(func(x fdset.AttrSet) bool {
+		if !t.Contains(x) {
+			t.root, _ = t.removeSupersets(t.root, x)
+			t.Add(x)
+		}
+		return true
+	})
+}
+
 // Rebuild re-derives the per-RHS candidate tree from scratch: reset to
 // the most general candidate ∅ and invert every given non-FD LHS. It is
-// the retirement patch of incremental maintenance — when deletes retire
-// non-FDs, inversion cannot run backwards (candidates destroyed by the
-// retired set must reappear), so the affected RHS re-inverts from the
-// patched negative cover while every other RHS tree is untouched. The
-// result is independent of the order of nonFDs (the cover is determined
-// by the set of inverted non-FDs), and touching only trees[rhs] makes
-// Rebuild safe to run for distinct RHS values concurrently.
+// the reference that tests hold Retire to. The result is independent of
+// the order of nonFDs (the cover is determined by the set of inverted
+// non-FDs).
 func (p *PCover) Rebuild(rhs int, nonFDs []fdset.AttrSet) {
 	t := p.trees[rhs]
 	t.reset()
@@ -239,14 +288,14 @@ func (p *PCover) Rebuild(rhs int, nonFDs []fdset.AttrSet) {
 // FDs returns the candidate set as minimal, non-trivial FDs. Candidates
 // whose LHS covers every other attribute are kept: a key is a valid LHS.
 func (p *PCover) FDs() *fdset.Set {
-	s := fdset.NewSet()
+	fds := make([]fdset.FD, 0, p.Size())
 	for rhs, t := range p.trees {
 		t.ForEach(func(lhs fdset.AttrSet) bool {
-			s.Add(fdset.FD{LHS: lhs, RHS: rhs})
+			fds = append(fds, fdset.FD{LHS: lhs, RHS: rhs})
 			return true
 		})
 	}
-	return s
+	return fdset.NewSet(fds...)
 }
 
 // Tree exposes the per-RHS candidate tree.

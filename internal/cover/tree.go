@@ -318,6 +318,34 @@ func (t *Tree) removeSubsets(n *node, s fdset.AttrSet, out *[]fdset.AttrSet) (*n
 	return t.repair(n), true
 }
 
+// removeSupersets unlinks every stored Z ⊇ s below n, recycling the
+// unlinked nodes. It mirrors removeSubsets: the walk prunes subtrees
+// whose union lacks part of s, and only the paths that lost a set
+// re-derive their aggregates. It returns the subtree's new root and
+// whether anything below n was removed.
+func (t *Tree) removeSupersets(n *node, s fdset.AttrSet) (*node, bool) {
+	if n == nil || !s.IsSubsetOf(n.union) {
+		return n, false
+	}
+	if n.isLeaf() {
+		// union is the leaf's own set, so it is a superset of s.
+		delete(t.members, n.set())
+		t.size--
+		t.recycle(n)
+		return nil, true
+	}
+	var changedL, changedR bool
+	if !s.Has(n.attr) {
+		// Sets lacking n.attr can be supersets of s only when s lacks it.
+		n.left, changedL = t.removeSupersets(n.left, s)
+	}
+	n.right, changedR = t.removeSupersets(n.right, s)
+	if !changedL && !changedR {
+		return n, false
+	}
+	return t.repair(n), true
+}
+
 // repair restores internal node n after a removal below it: a node that
 // lost a whole side is replaced by the other side (or vanishes) and goes
 // on the free list; otherwise its aggregates are re-derived.

@@ -243,6 +243,17 @@ func Less(a, b FD) bool { return Compare(a, b) < 0 }
 // SortFDs orders fds canonically (Compare).
 func SortFDs(fds []FD) { slices.SortFunc(fds, Compare) }
 
+// SortSetsDesc orders attribute sets by descending cardinality, ties in
+// Compare's order of their attribute lists.
+func SortSetsDesc(sets []AttrSet) {
+	slices.SortFunc(sets, func(a, b AttrSet) int {
+		if c := cmp.Compare(b.Count(), a.Count()); c != 0 {
+			return c
+		}
+		return Compare(FD{LHS: a}, FD{LHS: b})
+	})
+}
+
 // FormatSet renders every FD in the set with attribute names, one per line.
 func FormatSet(s *Set, names []string) string {
 	var b strings.Builder

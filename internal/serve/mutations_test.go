@@ -2,7 +2,9 @@ package serve
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"strconv"
 	"strings"
@@ -133,6 +135,9 @@ func TestMutationsCommitAndVersion(t *testing.T) {
 	}
 	if st.Version != 2 || st.Deletes != 1 || st.Updates != 1 || st.NextID != 11 {
 		t.Fatalf("stats doc wrong: %+v", st)
+	}
+	if !bytes.Contains(blob, []byte(`"clamped":`)) {
+		t.Fatalf("stats doc lacks the clamped-decrement counter: %s", blob)
 	}
 }
 
@@ -354,5 +359,71 @@ func TestEventsReplayDoneOnceReady(t *testing.T) {
 			t.Fatal(err)
 		}
 		job = ack.Job
+	}
+}
+
+// TestJobStatus pins the done-event code of a failed job: a broken
+// engine invariant is the server's fault, not the request's.
+func TestJobStatus(t *testing.T) {
+	for _, c := range []struct {
+		err  error
+		want int
+	}{
+		{context.Canceled, StatusClientClosedRequest},
+		{fmt.Errorf("apply: %w", context.DeadlineExceeded), http.StatusGatewayTimeout},
+		{fmt.Errorf("%w: agree set {0}", core.ErrWitnessOvershoot), http.StatusInternalServerError},
+		{&core.MutationError{Op: core.OpDelete, Reason: "row id 9 is unknown or deleted"}, http.StatusBadRequest},
+	} {
+		if got := jobStatus(c.err); got != c.want {
+			t.Errorf("jobStatus(%v) = %d, want %d", c.err, got, c.want)
+		}
+	}
+}
+
+// TestEventsReplayMatchesLive has a live subscriber follow each of the
+// bootstrap and three mutation batches, then a late subscriber replay
+// the whole history. Each live stream starts with the replay of what
+// came before it, so the streams nest, and the late replay must equal,
+// byte for byte, the frames the live subscribers received in all.
+func TestEventsReplayMatchesLive(t *testing.T) {
+	_, ts := newTestServer(t, Config{CycleDelay: 50 * time.Millisecond})
+	doc := submit(t, ts.URL, patientCSV)
+	base := ts.URL + "/v1/sessions/" + doc.Session
+	var received []byte
+	follow := func(job string) {
+		t.Helper()
+		code, stream := doReq(t, "GET", base+"/events", "")
+		if code != http.StatusOK {
+			t.Fatalf("events: status %d", code)
+		}
+		if !bytes.HasPrefix(stream, received) {
+			t.Fatalf("job %s: live stream does not start with the earlier frames:\n%s", job, stream)
+		}
+		if want := "event: done\ndata: {\"job\":\"" + job + "\","; !bytes.Contains(stream[len(received):], []byte(want)) {
+			t.Fatalf("job %s: live stream lacks its done event:\n%s", job, stream)
+		}
+		received = stream
+	}
+	follow(doc.Job)
+	for i := 0; i < 3; i++ {
+		row := []string{"P" + strconv.Itoa(i), "33", "High", "Female", "drugA"}
+		code, blob := postMutations(t, ts.URL, doc.Session, core.MutationBatch{Mutations: []core.Mutation{
+			core.DeleteOp(int64(i)), core.AppendOp([][]string{row}),
+		}})
+		if code != http.StatusAccepted {
+			t.Fatalf("batch %d: status %d: %s", i, code, blob)
+		}
+		var ack submitDoc
+		if err := json.Unmarshal(blob, &ack); err != nil {
+			t.Fatal(err)
+		}
+		follow(ack.Job)
+	}
+	code, replay := doReq(t, "GET", base+"/events", "")
+	if code != http.StatusOK {
+		t.Fatalf("events: status %d", code)
+	}
+	if !bytes.Equal(replay, received) {
+		t.Fatalf("late replay differs from the live frames:\nreplay %q\nlive   %q", replay, received)
 	}
 }

@@ -373,10 +373,16 @@ func (s *Server) runJob(sess *session, jb *job, batch core.MutationBatch, ctx co
 // result to fall back to, and a cancelled first run poisons the
 // Incremental — parks the session in a terminal state.
 func (s *Server) finishJob(sess *session, jb *job, stats core.Stats, err error) {
+	// runJob owns inc until the state leaves running, so the cover copy
+	// is built before taking the lock that readers wait on.
+	var fds *fdset.Set
+	if err == nil {
+		fds = sess.inc.FDs()
+	}
 	sess.mu.Lock()
 	if err == nil {
 		sess.state = stateReady
-		sess.fds = sess.inc.FDs()
+		sess.fds = fds
 		sess.stats = stats
 		sess.rows = sess.inc.NumRows()
 		sess.version = sess.inc.Version()
@@ -390,14 +396,7 @@ func (s *Server) finishJob(sess *session, jb *job, stats core.Stats, err error) 
 		sess.scorer = nil
 	} else {
 		jb.err = err.Error()
-		switch {
-		case errors.Is(err, context.Canceled):
-			jb.code = StatusClientClosedRequest
-		case errors.Is(err, context.DeadlineExceeded):
-			jb.code = http.StatusGatewayTimeout
-		default:
-			jb.code = http.StatusBadRequest
-		}
+		jb.code = jobStatus(err)
 		if sess.fds != nil && !sess.inc.Poisoned() {
 			// Delta rollback: the last committed result still stands and
 			// the scorer still describes it.
@@ -416,6 +415,22 @@ func (s *Server) finishJob(sess *session, jb *job, stats core.Stats, err error) 
 	// flight always finds its done event in the replay.
 	sess.publishLocked(event{name: "done", data: doneDoc{Job: jb.id, State: sess.state, Code: jb.code, Error: jb.err, Version: sess.version}})
 	sess.mu.Unlock()
+}
+
+// jobStatus is the done-event code of a job that failed with err: 499
+// when cancelled, 504 past its deadline, 500 for a broken engine
+// invariant, and 400 for what the input caused.
+func jobStatus(err error) int {
+	switch {
+	case errors.Is(err, context.Canceled):
+		return StatusClientClosedRequest
+	case errors.Is(err, context.DeadlineExceeded):
+		return http.StatusGatewayTimeout
+	case errors.Is(err, core.ErrWitnessOvershoot):
+		return http.StatusInternalServerError
+	default:
+		return http.StatusBadRequest
+	}
 }
 
 func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {

@@ -18,9 +18,10 @@ import (
 //	data: {"job":"j1","state":"ready","code":200}
 //
 // The full history is replayed first, so a late subscriber still sees
-// every cycle of the current job. The stream ends after the done event
-// of the job in flight (or immediately after replay when no job is
-// running), or when the client disconnects.
+// every cycle of the current job; the replay goes out in one flush, and
+// each live event in one flush of its own. The stream ends after the
+// done event of the job in flight (or immediately after replay when no
+// job is running), or when the client disconnects.
 func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	sess, ok := s.getSession(w, r)
 	if !ok {
@@ -34,7 +35,6 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/event-stream")
 	w.Header().Set("Cache-Control", "no-cache")
 	w.WriteHeader(http.StatusOK)
-	flusher.Flush()
 
 	replay, ch := sess.subscribe()
 	defer sess.unsubscribe(ch)
@@ -49,11 +49,8 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 		if err != nil {
 			return false
 		}
-		if _, err := fmt.Fprintf(w, "event: %s\ndata: %s\n\n", ev.name, blob); err != nil {
-			return false
-		}
-		flusher.Flush()
-		return true
+		_, err = fmt.Fprintf(w, "event: %s\ndata: %s\n\n", ev.name, blob)
+		return err == nil
 	}
 
 	for _, ev := range replay {
@@ -61,6 +58,7 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
+	flusher.Flush()
 	if !inFlight {
 		return
 	}
@@ -70,6 +68,7 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 			if !write(ev) {
 				return
 			}
+			flusher.Flush()
 			if ev.name == "done" {
 				return
 			}
