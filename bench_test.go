@@ -235,7 +235,7 @@ func BenchmarkAblationTriePruning(b *testing.B) {
 			sets = append(sets, f.LHS)
 		}
 	})
-	tree := cover.NewTree(nil)
+	tree := cover.NewTree(m, nil)
 	for _, s := range sets {
 		tree.Add(s)
 	}

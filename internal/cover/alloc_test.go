@@ -1,6 +1,7 @@
 package cover
 
 import (
+	"fmt"
 	"slices"
 	"testing"
 
@@ -27,46 +28,59 @@ func assertZeroAllocs(t *testing.T, name string, fn func()) {
 // inverting again must reuse the recycled nodes and the tree's scratch.
 // The fixture exercises both blocker paths, blocked and admitted: small
 // generals probe the enumerated table, ones over enumLimit search the
-// tree.
+// tree. It runs on a one-word tree and, shifted to attributes 60–71 of a
+// 72-column cover whose other attributes pad the non-FD, on a two-word
+// tree whose sets straddle the word boundary.
 func TestInvertSteadyStateAllocFree(t *testing.T) {
-	p := NewPCover(12, nil)
-	tree := p.Tree(11)
-	tree.Remove(fdset.EmptySet())
-	for _, s := range []fdset.AttrSet{
-		fdset.NewAttrSet(0, 1), fdset.NewAttrSet(1, 10), // {0,1}+10 blocked by {1,10}
-		fdset.NewAttrSet(2, 3), fdset.NewAttrSet(3, 10), // {2,3}+10 blocked by {3,10}
-		fdset.NewAttrSet(0, 9),                // {0,9}+10 admitted
-		fdset.NewAttrSet(3, 4, 5, 6, 7, 8, 9), // +10 blocked by {3,10}
-		fdset.NewAttrSet(0, 2, 4, 5, 6, 7, 8), // +10 admitted
-	} {
-		tree.Add(s)
-	}
-	nonFD := fdset.FD{LHS: fdset.NewAttrSet(0, 1, 2, 3, 4, 5, 6, 7, 8, 9), RHS: 11}
-	before := tree.Sets()
-	if added := p.Invert(nonFD); added != 2 {
-		t.Fatalf("fixture inversion added %d candidates, want 2", added)
-	}
-	after := tree.Sets()
-	var generals, candidates []fdset.AttrSet
-	for _, s := range before {
-		if !tree.Contains(s) {
-			generals = append(generals, s)
+	for _, off := range []int{0, 60} {
+		ncols := off + 12
+		at := func(attrs ...int) fdset.AttrSet {
+			var s fdset.AttrSet
+			for _, a := range attrs {
+				s.Add(off + a)
+			}
+			return s
 		}
-	}
-	for _, s := range after {
-		if !slices.Contains(before, s) {
-			candidates = append(candidates, s)
-		}
-	}
-	assertZeroAllocs(t, "Invert", func() {
-		for _, s := range candidates {
-			tree.Remove(s)
-		}
-		for _, s := range generals {
+		p := NewPCover(ncols, nil)
+		tree := p.Tree(off + 11)
+		tree.Remove(fdset.EmptySet())
+		for _, s := range []fdset.AttrSet{
+			at(0, 1), at(1, 10), // {0,1}+10 blocked by {1,10}
+			at(2, 3), at(3, 10), // {2,3}+10 blocked by {3,10}
+			at(0, 9),                // {0,9}+10 admitted
+			at(3, 4, 5, 6, 7, 8, 9), // +10 blocked by {3,10}
+			at(0, 2, 4, 5, 6, 7, 8), // +10 admitted
+		} {
 			tree.Add(s)
 		}
-		p.Invert(nonFD)
-	})
+		pad := fdset.FullSet(off)
+		nonFD := fdset.FD{LHS: at(0, 1, 2, 3, 4, 5, 6, 7, 8, 9).Union(pad), RHS: off + 11}
+		before := tree.Sets()
+		if added := p.Invert(nonFD); added != 2 {
+			t.Fatalf("off %d: fixture inversion added %d candidates, want 2", off, added)
+		}
+		after := tree.Sets()
+		var generals, candidates []fdset.AttrSet
+		for _, s := range before {
+			if !tree.Contains(s) {
+				generals = append(generals, s)
+			}
+		}
+		for _, s := range after {
+			if !slices.Contains(before, s) {
+				candidates = append(candidates, s)
+			}
+		}
+		assertZeroAllocs(t, fmt.Sprintf("Invert at %d words", tree.mw), func() {
+			for _, s := range candidates {
+				tree.Remove(s)
+			}
+			for _, s := range generals {
+				tree.Add(s)
+			}
+			p.Invert(nonFD)
+		})
+	}
 }
 
 // TestShardSplitAllocFree pins the RHS-sharding helper: a warmed buffer

@@ -37,6 +37,8 @@ const streamDrains = 20
 var (
 	denseOnce sync.Once
 	dense     *coverStream
+	wideOnce  sync.Once
+	wide      *coverStream
 )
 
 // loadDenseStream replays an FD-dense relation: a letter-shaped 2000×17
@@ -53,6 +55,20 @@ func loadDenseStream(b *testing.B) *coverStream {
 		dense = newCoverStream(gen.Generate(gen.Profile{Name: "letter", Rows: 2000, Cols: cols, Seed: 1}))
 	})
 	return dense
+}
+
+// loadWideStream replays a relation wider than one mask word, so the
+// multi-word tree path has benchmarks of its own: DMS-shaped 400×72, two
+// words with eight attributes in the second. The sampler's first pass
+// sets the replay's cost and shrinking the rows does not shrink it; 72
+// columns keep one inversion iteration under a second where 100 take
+// about four.
+func loadWideStream(b *testing.B) *coverStream {
+	b.Helper()
+	wideOnce.Do(func() {
+		wide = newCoverStream(gen.DMSShape("dms", 400, 72, 1))
+	})
+	return wide
 }
 
 // newCoverStream encodes rel and replays its sampler's drains through a
@@ -127,6 +143,33 @@ func BenchmarkNCoverAdmitDense(b *testing.B) {
 // dense relation's pending batches into a fresh positive cover.
 func BenchmarkInvertDense(b *testing.B) {
 	s := loadDenseStream(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		pc := cover.NewPCover(s.ncols, s.rank)
+		for _, batch := range s.inversions {
+			pc.InvertAll(batch)
+		}
+	}
+}
+
+// BenchmarkNCoverAdmitWide is BenchmarkNCoverAdmitDense on the wide
+// relation.
+func BenchmarkNCoverAdmitWide(b *testing.B) {
+	s := loadWideStream(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		nc := cover.NewNCover(s.ncols, s.rank)
+		for _, batch := range s.admissions {
+			nc.AddTrackedBatch(batch, nil)
+		}
+	}
+}
+
+// BenchmarkInvertWide is BenchmarkInvertDense on the wide relation.
+func BenchmarkInvertWide(b *testing.B) {
+	s := loadWideStream(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -1,6 +1,7 @@
 package cover
 
 import (
+	"math/bits"
 	"math/rand"
 	"reflect"
 	"slices"
@@ -121,11 +122,44 @@ func FuzzTreeInsertInvert(f *testing.F) {
 	})
 }
 
-// FuzzTreeOps drives one 8-column tree through an interleaved sequence of
-// Add, Remove, RemoveSubsets and Invert (as the RHS-7 tree of a positive
-// cover), checking every step against a slice-based reference family and
+// fuzzWidth embeds a fuzz target's small attribute universe in a cover
+// of more columns: universe attribute b is attribute off+b, and every
+// non-FD LHS the target builds also holds pad, the cover's attributes
+// outside the universe, so inversion grows candidates only inside it.
+// The narrow width is the identity. The wide one puts the universe across
+// the boundary of words 0 and 1 of a 72-column, two-word cover, so the
+// multi-word tree path is fuzzed as well.
+type fuzzWidth struct{ off, ncols int }
+
+var fuzzWidths = []fuzzWidth{{0, 0}, {60, 72}}
+
+// attr returns the cover attribute of universe attribute b.
+func (w fuzzWidth) attr(b int) int { return w.off + b }
+
+// cols returns the column count of the cover embedding an n-attribute
+// universe.
+func (w fuzzWidth) cols(n int) int { return max(w.off+n, w.ncols) }
+
+// set returns the set of universe mask m: bit b is attribute off+b.
+func (w fuzzWidth) set(m uint64) fdset.AttrSet {
+	var s fdset.AttrSet
+	for ; m != 0; m &= m - 1 {
+		s.Add(w.attr(bits.TrailingZeros64(m)))
+	}
+	return s
+}
+
+// pad returns the cover's attributes outside an n-attribute universe.
+func (w fuzzWidth) pad(n int) fdset.AttrSet {
+	return fdset.FullSet(w.cols(n)).Diff(w.set(1<<n - 1))
+}
+
+// FuzzTreeOps drives one tree of an 8-attribute universe through an
+// interleaved sequence of Add, Remove, RemoveSubsets and Invert (as the
+// tree of universe attribute 7 of a positive cover), at every fuzzWidth,
+// checking every step against a slice-based reference family and
 // re-deriving the trie's structure from its leaves. Each op is two bytes:
-// the kind (byte mod 4) and an attribute mask. Invert runs only while the
+// the kind (byte mod 4) and a universe mask. Invert runs only while the
 // family is an antichain — the positive-cover precondition; raw Adds can
 // break it, and Invert ops are then skipped until removals restore it.
 func FuzzTreeOps(f *testing.F) {
@@ -140,41 +174,43 @@ func FuzzTreeOps(f *testing.F) {
 	f.Add([]byte{opInvert, 0x7f, opInvert, 0x3f, opInvert, 0x1f, opRemove, 0x40, opAdd, 0x01, opInvert, 0x55})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		const (
-			ncols  = 8
-			rhs    = ncols - 1
-			maxOps = 48
+			universe = 8
+			maxOps   = 48
 		)
-		p := NewPCover(ncols, nil)
-		tree := p.Tree(rhs)
-		ref := &naiveFamily{sets: []fdset.AttrSet{fdset.EmptySet()}}
-		for i := 0; i+1 < len(data) && i/2 < maxOps; i += 2 {
-			s := fdset.FromWord(uint64(data[i+1]))
-			switch data[i] % 4 {
-			case opAdd:
-				if got, want := tree.Add(s), ref.add(s); got != want {
-					t.Fatalf("op %d: Add(%v) = %v, want %v", i/2, s, got, want)
+		for _, w := range fuzzWidths {
+			ncols, rhs, pad := w.cols(universe), w.attr(universe-1), w.pad(universe)
+			p := NewPCover(ncols, nil)
+			tree := p.Tree(rhs)
+			ref := &naiveFamily{sets: []fdset.AttrSet{fdset.EmptySet()}}
+			for i := 0; i+1 < len(data) && i/2 < maxOps; i += 2 {
+				s := w.set(uint64(data[i+1]))
+				switch data[i] % 4 {
+				case opAdd:
+					if got, want := tree.Add(s), ref.add(s); got != want {
+						t.Fatalf("width %v, op %d: Add(%v) = %v, want %v", w, i/2, s, got, want)
+					}
+				case opRemove:
+					if got, want := tree.Remove(s), ref.remove(s); got != want {
+						t.Fatalf("width %v, op %d: Remove(%v) = %v, want %v", w, i/2, s, got, want)
+					}
+				case opRemoveSubsets:
+					got, want := tree.RemoveSubsets(s), ref.removeSubsets(s)
+					sortSets(got)
+					sortSets(want)
+					if !reflect.DeepEqual(got, want) && len(got)+len(want) > 0 {
+						t.Fatalf("width %v, op %d: RemoveSubsets(%v) = %v, want %v", w, i/2, s, got, want)
+					}
+				case opInvert:
+					if !ref.antichain() {
+						continue
+					}
+					lhs := s.Union(pad).Without(rhs)
+					if got, want := p.Invert(fdset.FD{LHS: lhs, RHS: rhs}), ref.invert(lhs, rhs, ncols); got != want {
+						t.Fatalf("width %v, op %d: Invert(%v) added %d, want %d", w, i/2, lhs, got, want)
+					}
 				}
-			case opRemove:
-				if got, want := tree.Remove(s), ref.remove(s); got != want {
-					t.Fatalf("op %d: Remove(%v) = %v, want %v", i/2, s, got, want)
-				}
-			case opRemoveSubsets:
-				got, want := tree.RemoveSubsets(s), ref.removeSubsets(s)
-				sortSets(got)
-				sortSets(want)
-				if !reflect.DeepEqual(got, want) && len(got)+len(want) > 0 {
-					t.Fatalf("op %d: RemoveSubsets(%v) = %v, want %v", i/2, s, got, want)
-				}
-			case opInvert:
-				if !ref.antichain() {
-					continue
-				}
-				lhs := s.Without(rhs)
-				if got, want := p.Invert(fdset.FD{LHS: lhs, RHS: rhs}), ref.invert(lhs, rhs, ncols); got != want {
-					t.Fatalf("op %d: Invert(%v) added %d, want %d", i/2, lhs, got, want)
-				}
+				checkTreeAgainst(t, tree, ref, w, s)
 			}
-			checkTreeAgainst(t, tree, ref, s)
 		}
 	})
 }
@@ -213,9 +249,10 @@ func (f *naiveFamily) invert(lhs fdset.AttrSet, rhs, ncols int) int {
 // checkTreeAgainst compares the tree's family and queries (Contains,
 // ContainsSuperset, FindSubset, ContainsSubsetWithAttr) with the
 // reference, then re-derives its structure from the leaves. probe is the
-// step's own set; its complement, ∅, the full set and every stored set
-// are probed too.
-func checkTreeAgainst(t *testing.T, tree *Tree, ref *naiveFamily, probe fdset.AttrSet) {
+// step's own set; its complement in the universe of w, ∅, the full
+// universe and every stored set are probed too, each also widened by the
+// first attribute past the tree's width, which no stored set can hold.
+func checkTreeAgainst(t *testing.T, tree *Tree, ref *naiveFamily, w fuzzWidth, probe fdset.AttrSet) {
 	t.Helper()
 	got, want := tree.Sets(), append([]fdset.AttrSet(nil), ref.sets...)
 	sortSets(got)
@@ -226,8 +263,12 @@ func checkTreeAgainst(t *testing.T, tree *Tree, ref *naiveFamily, probe fdset.At
 	if tree.Size() != len(want) {
 		t.Fatalf("Size() = %d, want %d", tree.Size(), len(want))
 	}
-	full := fdset.FromWord(0xff)
+	over := 64 * tree.mw
+	full := w.set(0xff)
 	probes := append([]fdset.AttrSet{probe, full.Diff(probe), fdset.EmptySet(), full}, want...)
+	for _, q := range probes {
+		probes = append(probes, q.With(over))
+	}
 	for _, q := range probes {
 		if got, want := tree.Contains(q), slices.Contains(ref.sets, q); got != want {
 			t.Fatalf("Contains(%v) = %v, want %v", q, got, want)
@@ -242,7 +283,11 @@ func checkTreeAgainst(t *testing.T, tree *Tree, ref *naiveFamily, probe fdset.At
 		if ok && (!y.IsSubsetOf(q) || !slices.Contains(ref.sets, y)) {
 			t.Fatalf("FindSubset(%v) = %v, not a stored subset", q, y)
 		}
-		for a := 0; a < 8; a++ {
+		for b := 0; b <= 8; b++ {
+			a := w.attr(b)
+			if b == 8 {
+				a = over
+			}
 			want := slices.ContainsFunc(ref.sets, func(y fdset.AttrSet) bool { return y.Has(a) && y.IsSubsetOf(q) })
 			if got := tree.ContainsSubsetWithAttr(q, a); got != want {
 				t.Fatalf("ContainsSubsetWithAttr(%v, %d) = %v, want %v", q, a, got, want)
@@ -255,67 +300,78 @@ func checkTreeAgainst(t *testing.T, tree *Tree, ref *naiveFamily, probe fdset.At
 // checkStructure re-derives every internal node's inter and union from
 // the leaves below it, checks the split invariant (leaves right of a
 // split contain its attribute, leaves left do not) and the membership
-// table, and checks that no node on the free list is still linked.
+// table, and checks that every arena node other than the sentinel is
+// either linked into the tree exactly once or on the free list.
 func checkStructure(t *testing.T, tree *Tree) {
 	t.Helper()
-	linked := make(map[*node]bool)
+	linked := make(map[int32]bool)
 	var leaves []fdset.AttrSet
-	var walk func(n *node) (inter, union fdset.AttrSet)
-	walk = func(n *node) (inter, union fdset.AttrSet) {
-		if linked[n] {
-			t.Fatalf("node %p linked twice", n)
+	var walk func(n int32) (inter, union fdset.AttrSet)
+	walk = func(n int32) (inter, union fdset.AttrSet) {
+		if n <= 0 || int(n) >= len(tree.nodes) || linked[n] {
+			t.Fatalf("node %d out of the arena or linked twice", n)
 		}
 		linked[n] = true
-		if n.isLeaf() {
-			if n.inter != n.union || n.left != nil || n.right != nil {
-				t.Fatalf("leaf %p: inter %v, union %v, children %p/%p", n, n.inter, n.union, n.left, n.right)
+		nd := tree.nodes[n]
+		inter, union = toSet(tree.inter(n)), toSet(tree.union(n))
+		if !tree.fits(union) {
+			t.Fatalf("node %d: union %v wider than %d words", n, union, tree.mw)
+		}
+		if nd.attr < 0 {
+			if inter != union || nd.left != 0 || nd.right != 0 {
+				t.Fatalf("leaf %d: inter %v, union %v, children %d/%d", n, inter, union, nd.left, nd.right)
 			}
-			leaves = append(leaves, n.set())
-			return n.inter, n.union
+			leaves = append(leaves, inter)
+			return inter, union
 		}
-		if n.left == nil || n.right == nil {
-			t.Fatalf("internal node %p (attr %d) has a nil child", n, n.attr)
+		if nd.left == 0 || nd.right == 0 {
+			t.Fatalf("internal node %d (attr %d) has a nil child", n, nd.attr)
 		}
-		li, lu := walk(n.left)
-		ri, ru := walk(n.right)
-		if lu.Has(n.attr) || !ri.Has(n.attr) {
-			t.Fatalf("split on %d violated: left union %v, right inter %v", n.attr, lu, ri)
+		li, lu := walk(nd.left)
+		ri, ru := walk(nd.right)
+		if a := int(nd.attr); lu.Has(a) || !ri.Has(a) {
+			t.Fatalf("split on %d violated: left union %v, right inter %v", a, lu, ri)
 		}
-		inter, union = li.Intersect(ri), lu.Union(ru)
-		if n.inter != inter || n.union != union {
-			t.Fatalf("stale aggregate at split %d: inter %v union %v, leaves give %v %v", n.attr, n.inter, n.union, inter, union)
+		if want, wantU := li.Intersect(ri), lu.Union(ru); inter != want || union != wantU {
+			t.Fatalf("stale aggregate at split %d: inter %v union %v, leaves give %v %v", nd.attr, inter, union, want, wantU)
 		}
 		return inter, union
 	}
-	if tree.root != nil {
+	if tree.root != 0 {
 		walk(tree.root)
 	}
-	if len(leaves) != tree.Size() || len(tree.members) != tree.Size() {
-		t.Fatalf("%d leaves, %d members, Size() = %d", len(leaves), len(tree.members), tree.Size())
+	if members := len(tree.narrow) + len(tree.wide); len(leaves) != tree.Size() || members != tree.Size() {
+		t.Fatalf("%d leaves, %d members, Size() = %d", len(leaves), members, tree.Size())
 	}
 	for _, s := range leaves {
 		if !tree.Contains(s) {
 			t.Fatalf("leaf %v missing from the membership table", s)
 		}
 	}
-	free := make(map[*node]bool)
-	for n := tree.free; n != nil; n = n.left {
+	free := make(map[int32]bool)
+	for n := tree.free; n != 0; n = tree.nodes[n].left {
 		if linked[n] {
-			t.Fatalf("free-list node %p is still linked in the tree", n)
+			t.Fatalf("free-list node %d is still linked in the tree", n)
 		}
-		if free[n] || n.right != nil {
-			t.Fatalf("free list corrupt at node %p", n)
+		if free[n] || tree.nodes[n].right != 0 {
+			t.Fatalf("free list corrupt at node %d", n)
 		}
 		free[n] = true
+	}
+	if len(linked)+len(free) != len(tree.nodes)-1 {
+		t.Fatalf("arena of %d nodes: %d linked, %d free", len(tree.nodes)-1, len(linked), len(free))
+	}
+	if len(tree.aggs) != 2*tree.mw*len(tree.nodes) {
+		t.Fatalf("%d aggregate words for %d nodes at %d words", len(tree.aggs), len(tree.nodes), tree.mw)
 	}
 }
 
 // FuzzPCoverRetire drives PCover.Retire the way incremental maintenance
-// does and holds it to Rebuild. The input decodes as: byte 0 the column
-// count (1–10), byte 1 the rounds (1–3), bytes 2–9 a seed. The seed
-// draws a starting non-FD antichain per RHS; each round then admits
-// random non-FDs, removes random stored ones, and re-admits alive
-// subsets of the removed sets in descending cardinality (the order
+// does and holds it to Rebuild, at every fuzzWidth. The input decodes as:
+// byte 0 the universe size (1–10), byte 1 the rounds (1–3), bytes 2–9 a
+// seed. The seed draws a starting non-FD antichain per RHS; each round
+// then admits random non-FDs, removes random stored ones, and re-admits
+// alive subsets of the removed sets in descending cardinality (the order
 // NCover.Readmit needs to keep the antichain), re-seeding ∅ into some
 // emptied trees. After the pending admissions are inverted forward and
 // every RHS that lost a non-FD is patched, each tree must hold exactly
@@ -328,113 +384,126 @@ func FuzzPCoverRetire(f *testing.F) {
 	}
 	f.Add([]byte{0, 1, 5, 0, 0, 0, 0, 0, 0, 0})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		at := func(i int) byte {
-			if i < len(data) {
-				return data[i]
-			}
-			return 0
-		}
-		ncols := 1 + int(at(0))%10
-		rounds := 1 + int(at(1))%3
-		var seed int64
-		for i := 0; i < 8; i++ {
-			seed |= int64(at(2+i)) << (8 * i)
-		}
-		r := rand.New(rand.NewSource(seed))
-		// draw returns a random LHS for rhs, dense or sparse by the roll.
-		draw := func(rhs int) fdset.AttrSet {
-			var s fdset.AttrSet
-			den := 2 + r.Intn(3)
-			for a := 0; a < ncols; a++ {
-				if a != rhs && r.Intn(den) != 0 {
-					s.Add(a)
-				}
-			}
-			return s
-		}
-		subsetOf := func(s fdset.AttrSet) fdset.AttrSet {
-			var sub fdset.AttrSet
-			s.ForEach(func(a int) bool {
-				if r.Intn(3) != 0 {
-					sub.Add(a)
-				}
-				return true
-			})
-			return sub
-		}
-
-		nc := NewNCover(ncols, nil)
-		pc := NewPCover(ncols, nil)
-		for rhs := 0; rhs < ncols; rhs++ {
-			if r.Intn(4) == 0 {
-				nc.Add(fdset.FD{RHS: rhs})
-			}
-			for k := r.Intn(8); k > 0; k-- {
-				nc.Add(fdset.FD{LHS: draw(rhs), RHS: rhs})
-			}
-			for _, lhs := range nc.Tree(rhs).Sets() {
-				pc.Invert(fdset.FD{LHS: lhs, RHS: rhs})
-			}
-		}
-
-		for round := 0; round < rounds; round++ {
-			var admissions []fdset.FD
-			for k := r.Intn(3 * ncols); k > 0; k-- {
-				rhs := r.Intn(ncols)
-				admissions = append(admissions, fdset.FD{LHS: draw(rhs), RHS: rhs})
-			}
-			pending := make(map[fdset.FD]bool)
-			_, events := nc.AddTrackedBatch(admissions, nil)
-			for _, ev := range events {
-				for _, lhs := range ev.Superseded {
-					delete(pending, fdset.FD{LHS: lhs, RHS: ev.NonFD.RHS})
-				}
-				pending[ev.NonFD] = true
-			}
-
-			removed := make([][]fdset.AttrSet, ncols)
-			for rhs := 0; rhs < ncols; rhs++ {
-				for _, lhs := range nc.Tree(rhs).Sets() {
-					if r.Intn(3) == 0 && nc.RemoveLHS(rhs, lhs) {
-						removed[rhs] = append(removed[rhs], lhs)
-					}
-				}
-				var alive []fdset.AttrSet
-				for _, m := range removed[rhs] {
-					for k := r.Intn(4); k > 0; k-- {
-						alive = append(alive, subsetOf(m))
-					}
-				}
-				fdset.SortSetsDesc(alive)
-				for _, lhs := range alive {
-					nc.Readmit(rhs, lhs)
-				}
-				if len(removed[rhs]) > 0 && nc.Tree(rhs).Size() == 0 && r.Intn(2) == 0 {
-					nc.Readmit(rhs, fdset.EmptySet())
-				}
-			}
-
-			forward := make([]fdset.FD, 0, len(pending))
-			for f := range pending {
-				forward = append(forward, f)
-			}
-			fdset.SortFDs(forward)
-			pc.InvertAll(forward)
-			ref := NewPCover(ncols, nil)
-			for rhs := 0; rhs < ncols; rhs++ {
-				if len(removed[rhs]) > 0 {
-					pc.Retire(rhs, removed[rhs], nc.Tree(rhs).Sets())
-				}
-				ref.Rebuild(rhs, nc.Tree(rhs).Sets())
-				got, want := pc.Tree(rhs).Sets(), ref.Tree(rhs).Sets()
-				sortSets(got)
-				sortSets(want)
-				if !reflect.DeepEqual(got, want) {
-					t.Fatalf("round %d, rhs %d (removed %v, negative cover %v):\ngot  %v\nwant %v",
-						round, rhs, removed[rhs], nc.Tree(rhs).Sets(), got, want)
-				}
-				checkStructure(t, pc.Tree(rhs))
-			}
+		for _, w := range fuzzWidths {
+			fuzzRetire(t, w, data)
 		}
 	})
+}
+
+// fuzzRetire is FuzzPCoverRetire's body at width w. Universe attributes
+// are indexed b; the cover's attribute of b is w.attr(b), and every LHS
+// holds w's pad.
+func fuzzRetire(t *testing.T, w fuzzWidth, data []byte) {
+	at := func(i int) byte {
+		if i < len(data) {
+			return data[i]
+		}
+		return 0
+	}
+	n := 1 + int(at(0))%10
+	ncols, pad := w.cols(n), w.pad(n)
+	rounds := 1 + int(at(1))%3
+	var seed int64
+	for i := 0; i < 8; i++ {
+		seed |= int64(at(2+i)) << (8 * i)
+	}
+	r := rand.New(rand.NewSource(seed))
+	// draw returns a random LHS for universe attribute b's RHS, dense or
+	// sparse by the roll.
+	draw := func(b int) fdset.AttrSet {
+		s := pad
+		den := 2 + r.Intn(3)
+		for a := 0; a < n; a++ {
+			if a != b && r.Intn(den) != 0 {
+				s.Add(w.attr(a))
+			}
+		}
+		return s
+	}
+	subsetOf := func(s fdset.AttrSet) fdset.AttrSet {
+		sub := pad
+		for a := 0; a < n; a++ {
+			if s.Has(w.attr(a)) && r.Intn(3) != 0 {
+				sub.Add(w.attr(a))
+			}
+		}
+		return sub
+	}
+
+	nc := NewNCover(ncols, nil)
+	pc := NewPCover(ncols, nil)
+	for b := 0; b < n; b++ {
+		rhs := w.attr(b)
+		if r.Intn(4) == 0 {
+			nc.Add(fdset.FD{LHS: pad, RHS: rhs})
+		}
+		for k := r.Intn(8); k > 0; k-- {
+			nc.Add(fdset.FD{LHS: draw(b), RHS: rhs})
+		}
+		for _, lhs := range nc.Tree(rhs).Sets() {
+			pc.Invert(fdset.FD{LHS: lhs, RHS: rhs})
+		}
+	}
+
+	for round := 0; round < rounds; round++ {
+		var admissions []fdset.FD
+		for k := r.Intn(3 * n); k > 0; k-- {
+			b := r.Intn(n)
+			admissions = append(admissions, fdset.FD{LHS: draw(b), RHS: w.attr(b)})
+		}
+		pending := make(map[fdset.FD]bool)
+		_, events := nc.AddTrackedBatch(admissions, nil)
+		for _, ev := range events {
+			for _, lhs := range ev.Superseded {
+				delete(pending, fdset.FD{LHS: lhs, RHS: ev.NonFD.RHS})
+			}
+			pending[ev.NonFD] = true
+		}
+
+		removed := make([][]fdset.AttrSet, n)
+		for b := 0; b < n; b++ {
+			rhs := w.attr(b)
+			for _, lhs := range nc.Tree(rhs).Sets() {
+				if r.Intn(3) == 0 && nc.RemoveLHS(rhs, lhs) {
+					removed[b] = append(removed[b], lhs)
+				}
+			}
+			var alive []fdset.AttrSet
+			for _, m := range removed[b] {
+				for k := r.Intn(4); k > 0; k-- {
+					alive = append(alive, subsetOf(m))
+				}
+			}
+			fdset.SortSetsDesc(alive)
+			for _, lhs := range alive {
+				nc.Readmit(rhs, lhs)
+			}
+			if len(removed[b]) > 0 && nc.Tree(rhs).Size() == 0 && r.Intn(2) == 0 {
+				nc.Readmit(rhs, pad)
+			}
+		}
+
+		forward := make([]fdset.FD, 0, len(pending))
+		for f := range pending {
+			forward = append(forward, f)
+		}
+		fdset.SortFDs(forward)
+		pc.InvertAll(forward)
+		ref := NewPCover(ncols, nil)
+		for b := 0; b < n; b++ {
+			rhs := w.attr(b)
+			if len(removed[b]) > 0 {
+				pc.Retire(rhs, removed[b], nc.Tree(rhs).Sets())
+			}
+			ref.Rebuild(rhs, nc.Tree(rhs).Sets())
+			got, want := pc.Tree(rhs).Sets(), ref.Tree(rhs).Sets()
+			sortSets(got)
+			sortSets(want)
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("width %v, round %d, rhs %d (removed %v, negative cover %v):\ngot  %v\nwant %v",
+					w, round, rhs, removed[b], nc.Tree(rhs).Sets(), got, want)
+			}
+			checkStructure(t, pc.Tree(rhs))
+		}
+	}
 }

@@ -23,7 +23,7 @@ type NCover struct {
 func NewNCover(ncols int, rank []int) *NCover {
 	n := &NCover{trees: make([]*Tree, ncols), ncols: ncols}
 	for i := range n.trees {
-		n.trees[i] = NewTree(rank)
+		n.trees[i] = NewTree(ncols, rank)
 	}
 	return n
 }
@@ -101,15 +101,19 @@ type admitResult struct {
 //
 //fdlint:hotpath
 func (n *NCover) admit(nonFDs []fdset.FD, shard []int32, r *admitResult) {
+	var buf [fdset.NumWords]uint64
 	for _, i := range shard {
 		f := nonFDs[i]
 		t := n.trees[f.RHS]
-		if t.ContainsSuperset(f.LHS) {
+		t.mustFit(f.LHS)
+		lhs := t.words(&buf, f.LHS)
+		if t.containsSuperset(t.root, lhs) {
 			continue
 		}
+		t.removed = t.removeSubsetsInto(lhs, t.removed[:0])
+		t.add(lhs)
 		from := len(r.superseded)
-		r.superseded = t.removeSubsetsInto(f.LHS, r.superseded)
-		t.Add(f.LHS)
+		r.superseded = t.appendSets(r.superseded, t.removed)
 		to := len(r.superseded)
 		r.sizeDelta += 1 - (to - from)
 		r.events = append(r.events, AddEvent{NonFD: f, Superseded: r.superseded[from:to:to]})

@@ -24,7 +24,7 @@ type PCover struct {
 func NewPCover(ncols int, rank []int) *PCover {
 	p := &PCover{trees: make([]*Tree, ncols), ncols: ncols}
 	for i := range p.trees {
-		p.trees[i] = NewTree(rank)
+		p.trees[i] = NewTree(ncols, rank)
 		p.trees[i].Add(fdset.EmptySet())
 	}
 	return p
@@ -64,33 +64,38 @@ func (p *PCover) Size() int {
 //
 //fdlint:hotpath
 func (p *PCover) Invert(nonFD fdset.FD) int {
-	return p.trees[nonFD.RHS].invert(nonFD, p.ncols)
+	t := p.trees[nonFD.RHS]
+	var buf [fdset.NumWords]uint64
+	return t.invert(t.words(&buf, nonFD.LHS), nonFD.RHS, p.ncols)
 }
 
-// invert is Invert on tree t, the candidate tree of nonFD.RHS over ncols
-// attributes.
-func (t *Tree) invert(nonFD fdset.FD, ncols int) int {
+// invert is Invert on tree t, the candidate tree of rhs over ncols
+// attributes, for the non-FD lhs ↛ rhs.
+func (t *Tree) invert(lhs []uint64, rhs, ncols int) int {
 	// All invalidated generalizations come out in one traversal. Because
 	// every replacement candidate contains an attribute outside the
 	// non-FD's LHS, none of them is itself a generalization of the
 	// non-FD, so a single removal pass suffices.
-	t.generals = t.removeSubsetsInto(nonFD.LHS, t.generals[:0])
+	t.removed = t.removeSubsetsInto(lhs, t.removed[:0])
 	added := 0
-	for _, general := range t.generals {
+	for g := 0; g < len(t.removed); g += t.mw {
+		general := t.removed[g : g+t.mw]
 		enumerated := t.blockerBases(general)
 		for attr := 0; attr < ncols; attr++ {
-			if attr == nonFD.RHS || nonFD.LHS.Has(attr) {
+			if attr == rhs || has(lhs, attr) {
 				continue
 			}
-			candidate := general.With(attr)
+			candidate := t.cand
+			copy(candidate, general)
+			candidate[attr>>6] |= 1 << (attr & 63)
 			if enumerated {
 				if t.blockedByBases(attr) {
 					continue
 				}
-			} else if t.ContainsSubsetWithAttr(candidate, attr) {
+			} else if t.findSubsetWith(t.root, candidate, attr) {
 				continue
 			}
-			if t.Add(candidate) {
+			if t.add(candidate) {
 				added++
 			}
 		}
@@ -125,37 +130,54 @@ var blockerMasks = func() (m [enumLimit + 1][]uint8) {
 	return m
 }()
 
-// blockerBases fills t.subsets with the proper subsets of general in
-// blockerMasks order and reports true, or reports false when general has
-// more than enumLimit attributes.
-func (t *Tree) blockerBases(general fdset.AttrSet) bool {
+// blockerBases fills t.subsets with the proper subsets of general, mw
+// words apiece, in blockerMasks order and reports true, or reports false
+// when general has more than enumLimit attributes.
+func (t *Tree) blockerBases(general []uint64) bool {
 	var attrs [enumLimit]int
 	k := 0
-	for a := general.First(); a >= 0; a = general.NextAfter(a) {
-		if k == enumLimit {
-			return false
+	for i, x := range general {
+		for ; x != 0; x &= x - 1 {
+			if k == enumLimit {
+				return false
+			}
+			attrs[k] = i<<6 | bits.TrailingZeros64(x)
+			k++
 		}
-		attrs[k] = a
-		k++
 	}
 	t.subsets = t.subsets[:0]
 	for _, mask := range blockerMasks[k] {
-		var sub fdset.AttrSet
+		at := len(t.subsets)
+		t.subsets = append(t.subsets, make([]uint64, t.mw)...)
+		sub := t.subsets[at:]
 		for b := 0; b < k; b++ {
 			if mask&(1<<b) != 0 {
-				sub.Add(attrs[b])
+				sub[attrs[b]>>6] |= 1 << (attrs[b] & 63)
 			}
 		}
-		t.subsets = append(t.subsets, sub)
 	}
 	return true
 }
 
 // blockedByBases reports whether some S ∪ {attr}, S in the table
-// blockerBases filled, is stored.
+// blockerBases filled, is stored. Its probes are most of an inversion's
+// membership lookups, so one word probes the map directly: copying each
+// base into a probe first cost the dense inversion benchmark about 10%.
 func (t *Tree) blockedByBases(attr int) bool {
-	for _, sub := range t.subsets {
-		if t.Contains(sub.With(attr)) {
+	if t.mw == 1 {
+		bit := uint64(1) << attr
+		for _, sub := range t.subsets {
+			if _, ok := t.narrow[sub|bit]; ok {
+				return true
+			}
+		}
+		return false
+	}
+	probe := t.probe
+	for i := 0; i < len(t.subsets); i += t.mw {
+		copy(probe, t.subsets[i:i+t.mw])
+		probe[attr>>6] |= 1 << (attr & 63)
+		if t.isMember(probe) {
 			return true
 		}
 	}
@@ -257,15 +279,16 @@ func (p *PCover) Retire(rhs int, retired, nonFDs []fdset.AttrSet) {
 	proj = slices.Compact(proj)
 
 	t := p.trees[rhs]
-	patch := NewTree(t.rank)
+	patch := NewTree(p.ncols, t.rank)
 	patch.Add(fdset.EmptySet())
+	var buf [fdset.NumWords]uint64
 	for _, x := range proj {
-		patch.invert(fdset.FD{LHS: x.Union(outside), RHS: rhs}, p.ncols)
+		patch.invert(patch.words(&buf, x.Union(outside)), rhs, p.ncols)
 	}
 	patch.ForEach(func(x fdset.AttrSet) bool {
-		if !t.Contains(x) {
-			t.root, _ = t.removeSupersets(t.root, x)
-			t.Add(x)
+		if w := t.words(&buf, x); !t.isMember(w) {
+			t.root, _ = t.removeSupersets(t.root, w)
+			t.add(w)
 		}
 		return true
 	})

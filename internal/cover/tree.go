@@ -14,6 +14,10 @@
 package cover
 
 import (
+	"fmt"
+	"math/bits"
+	"slices"
+
 	"eulerfd/internal/fdset"
 )
 
@@ -21,88 +25,239 @@ import (
 // supports subset/superset queries, removal, and enumeration. The zero
 // value is not usable; call NewTree. A Tree is not safe for concurrent
 // use: each per-RHS tree is owned by one shard at a time.
+//
+// A tree holds its sets at the relation's width, mw = ⌈ncols/64⌉ words
+// (word k holds attributes [64k, 64k+64)), not at fdset.AttrSet's fixed
+// six: every predicate is a loop over mw words. The exported methods take
+// and return fdset.AttrSet and convert at the boundary.
 type Tree struct {
-	root *node
+	mw int
+	// nodes is the node arena; index 0 is the nil sentinel, so a zero
+	// root or child means none. Nodes link by index, so the garbage
+	// collector never scans the arena. Adding may grow (move) the arena
+	// and aggs: code holds node indices across calls, never slices.
+	nodes []node
+	// aggs holds 2·mw words per node, by node index: the intersection of
+	// the sets below it, then their union. A leaf's set is its inter,
+	// which equals its union.
+	aggs []uint64
+	root int32
 	size int
 	// rank orders attributes when choosing split attributes; lower rank
 	// splits first. The paper sorts LHS attributes by ascending frequency
 	// so that rare attributes discriminate near the root.
 	rank []int
-	// members mirrors the stored sets for O(1) exact-membership checks;
-	// AttrSet is comparable, so it keys the map directly. The inversion
-	// fast path (enumerating potential blockers of a candidate) depends
-	// on this.
-	members map[fdset.AttrSet]struct{}
+	// narrow (mw = 1) or wide (mw > 1) mirrors the stored sets for O(1)
+	// exact-membership checks, keyed on the one word itself where there is
+	// one — hashing 8 bytes instead of a 48-byte AttrSet — and on the
+	// AttrSet above it. The inversion fast path (enumerating potential
+	// blockers of a candidate) depends on this.
+	narrow map[uint64]struct{}
+	wide   map[fdset.AttrSet]struct{}
 	// free chains (through left) the nodes that removals unlinked; Add
-	// takes from it before allocating, so a tree that shrinks and regrows
-	// — every inversion does — reuses its nodes.
-	free *node
-	// generals and subsets are PCover.Invert's scratch: the removed
-	// generalizations and one general's blocker table, grown once and
-	// reused by every inversion on this tree.
-	generals []fdset.AttrSet
-	subsets  []fdset.AttrSet
+	// takes from it before growing the arena, so a tree that shrinks and
+	// regrows — every inversion does — reuses its nodes.
+	free int32
+	// Scratch, mw words per set, grown once and reused: removed holds the
+	// sets the last removal walk took out (an inversion's generals, an
+	// admission's superseded sets); subsets is one general's blocker
+	// table; cand and probe are one candidate and one membership probe.
+	removed, subsets, cand, probe []uint64
 }
 
-// node is a trie node. A leaf (attr < 0) holds exactly one stored set,
-// which is both its inter and its union.
+// node is a trie node. A leaf (attr < 0) holds exactly one stored set in
+// its aggregates.
 type node struct {
-	attr        int // split attribute; -1 marks a leaf
-	left, right *node
-	inter       fdset.AttrSet // intersection of all descendant sets
-	union       fdset.AttrSet // union of all descendant sets
+	attr        int32 // split attribute; -1 marks a leaf
+	left, right int32 // child indices; 0 is none
 }
 
-func (n *node) isLeaf() bool { return n.attr < 0 }
-
-// set is the stored set of a leaf.
-func (n *node) set() fdset.AttrSet { return n.inter }
-
-// recompute re-derives an internal node's aggregates from its two
-// children. Internal nodes always have both: a removal that empties one
-// side collapses the node into the other.
-func (n *node) recompute() {
-	n.inter = n.left.inter.Intersect(n.right.inter)
-	n.union = n.left.union.Union(n.right.union)
-}
-
-// NewTree builds an empty tree. rank, when non-nil, maps attribute index to
-// split priority (lower first); nil means natural attribute order.
-func NewTree(rank []int) *Tree {
-	return &Tree{rank: rank, members: make(map[fdset.AttrSet]struct{})}
+// NewTree builds an empty tree over ncols attributes. rank, when non-nil,
+// maps attribute index to split priority (lower first); nil means natural
+// attribute order.
+func NewTree(ncols int, rank []int) *Tree {
+	mw := max(1, (ncols+63)/64)
+	if mw > fdset.NumWords {
+		panic(fmt.Sprintf("cover: %d columns exceed fdset.MaxAttrs", ncols))
+	}
+	t := &Tree{
+		mw: mw, rank: rank,
+		nodes: make([]node, 1), aggs: make([]uint64, 2*mw),
+		cand: make([]uint64, mw), probe: make([]uint64, mw),
+	}
+	if mw == 1 {
+		t.narrow = make(map[uint64]struct{})
+	} else {
+		t.wide = make(map[fdset.AttrSet]struct{})
+	}
+	return t
 }
 
 // Size returns the number of stored sets.
 func (t *Tree) Size() int { return t.size }
 
-// newNode returns a node with the given split attribute and aggregates,
-// recycled from the free list when one is available.
-func (t *Tree) newNode(attr int, inter, union fdset.AttrSet) *node {
-	n := t.free
-	if n == nil {
-		return &node{attr: attr, inter: inter, union: union}
+// has reports whether attribute a is in the set w.
+func has(w []uint64, a int) bool {
+	return uint(a>>6) < uint(len(w)) && w[a>>6]&(1<<(a&63)) != 0
+}
+
+// subset reports a ⊆ b for two sets of one width.
+func subset(a, b []uint64) bool {
+	b = b[:len(a)]
+	for i, x := range a {
+		if x&^b[i] != 0 {
+			return false
+		}
 	}
-	t.free = n.left
-	*n = node{attr: attr, inter: inter, union: union}
+	return true
+}
+
+// toSet converts a set of mw words to an fdset.AttrSet.
+func toSet(w []uint64) fdset.AttrSet {
+	var s fdset.AttrSet
+	for i, x := range w {
+		s.SetWord(i, x)
+	}
+	return s
+}
+
+// words copies the first mw words of s into buf and returns them: s
+// itself whenever it fits the tree.
+func (t *Tree) words(buf *[fdset.NumWords]uint64, s fdset.AttrSet) []uint64 {
+	w := buf[:t.mw]
+	for i := range w {
+		w[i] = s.Word(i)
+	}
+	return w
+}
+
+// fits reports whether s has no attribute at or above 64·mw. A set that
+// does not fit can be neither stored nor a superset of a stored set, but
+// its first mw words still decide which stored sets it contains.
+func (t *Tree) fits(s fdset.AttrSet) bool {
+	for i := t.mw; i < fdset.NumWords; i++ {
+		if s.Word(i) != 0 {
+			return false
+		}
+	}
+	return true
+}
+
+// mustFit panics when s does not fit the tree: storing such a set is a
+// programming error.
+func (t *Tree) mustFit(s fdset.AttrSet) {
+	if !t.fits(s) {
+		panic(fmt.Sprintf("cover: %v does not fit a %d-word tree", s, t.mw))
+	}
+}
+
+// appendSets appends the sets of ws, mw words apiece, to out.
+func (t *Tree) appendSets(out []fdset.AttrSet, ws []uint64) []fdset.AttrSet {
+	for i := 0; i < len(ws); i += t.mw {
+		out = append(out, toSet(ws[i:i+t.mw]))
+	}
+	return out
+}
+
+// isMember reports whether s is stored.
+func (t *Tree) isMember(s []uint64) bool {
+	if t.mw == 1 {
+		_, ok := t.narrow[s[0]]
+		return ok
+	}
+	_, ok := t.wide[toSet(s)]
+	return ok
+}
+
+// addMember records s as stored, reporting whether it was not already.
+func (t *Tree) addMember(s []uint64) bool {
+	if t.isMember(s) {
+		return false
+	}
+	if t.mw == 1 {
+		t.narrow[s[0]] = struct{}{}
+	} else {
+		t.wide[toSet(s)] = struct{}{}
+	}
+	return true
+}
+
+// dropMember forgets s.
+func (t *Tree) dropMember(s []uint64) {
+	if t.mw == 1 {
+		delete(t.narrow, s[0])
+	} else {
+		delete(t.wide, toSet(s))
+	}
+}
+
+// inter returns node n's intersection aggregate: a leaf's set.
+func (t *Tree) inter(n int32) []uint64 {
+	o := 2 * t.mw * int(n)
+	return t.aggs[o : o+t.mw : o+t.mw]
+}
+
+// union returns node n's union aggregate.
+func (t *Tree) union(n int32) []uint64 {
+	o := t.mw * (2*int(n) + 1)
+	return t.aggs[o : o+t.mw : o+t.mw]
+}
+
+// isLeaf reports whether node n is a leaf.
+func (t *Tree) isLeaf(n int32) bool { return t.nodes[n].attr < 0 }
+
+// recompute re-derives internal node n's aggregates from its two
+// children. Internal nodes always have both: a removal that empties one
+// side collapses the node into the other.
+func (t *Tree) recompute(n int32) {
+	l, r := t.nodes[n].left, t.nodes[n].right
+	in, un := t.inter(n), t.union(n)
+	li, lu, ri, ru := t.inter(l), t.union(l), t.inter(r), t.union(r)
+	for i := range in {
+		in[i] = li[i] & ri[i]
+		un[i] = lu[i] | ru[i]
+	}
+}
+
+// newNode returns a node with the given split attribute (-1 for a leaf),
+// recycled from the free list when one is available, else appended to
+// the arena. Its aggregates are the caller's to fill.
+func (t *Tree) newNode(attr int) int32 {
+	n := t.free
+	if n != 0 {
+		t.free = t.nodes[n].left
+		t.nodes[n] = node{attr: int32(attr)}
+		return n
+	}
+	n = int32(len(t.nodes))
+	t.nodes = append(t.nodes, node{attr: int32(attr)})
+	t.aggs = append(t.aggs, make([]uint64, 2*t.mw)...)
 	return n
 }
 
-// recycle puts an unlinked node on the free list. Its child pointers are
-// dropped, so a recycled node never keeps live nodes reachable.
-func (t *Tree) recycle(n *node) {
-	*n = node{left: t.free}
+// newLeaf returns a leaf holding s.
+func (t *Tree) newLeaf(s []uint64) int32 {
+	n := t.newNode(-1)
+	copy(t.inter(n), s)
+	copy(t.union(n), s)
+	return n
+}
+
+// recycle puts an unlinked node on the free list. Its children are
+// dropped, so a recycled node never links live nodes.
+func (t *Tree) recycle(n int32) {
+	t.nodes[n] = node{left: t.free}
 	t.free = n
 }
 
 // recycleAll puts every node of the subtree rooted at n on the free list.
-func (t *Tree) recycleAll(n *node) {
-	if n == nil {
+func (t *Tree) recycleAll(n int32) {
+	if n == 0 {
 		return
 	}
-	if !n.isLeaf() {
-		t.recycleAll(n.left)
-		t.recycleAll(n.right)
-	}
+	// A leaf's children are 0, so the recursion ends there.
+	t.recycleAll(t.nodes[n].left)
+	t.recycleAll(t.nodes[n].right)
 	t.recycle(n)
 }
 
@@ -110,8 +265,9 @@ func (t *Tree) recycleAll(n *node) {
 // membership table's capacity for the sets that come next.
 func (t *Tree) reset() {
 	t.recycleAll(t.root)
-	t.root, t.size = nil, 0
-	clear(t.members)
+	t.root, t.size = 0, 0
+	clear(t.narrow)
+	clear(t.wide)
 }
 
 func (t *Tree) rankOf(a int) int {
@@ -123,128 +279,149 @@ func (t *Tree) rankOf(a int) int {
 
 // splitAttr picks the discriminating attribute between two distinct sets:
 // the lowest-rank attribute of their symmetric difference.
-func (t *Tree) splitAttr(a, b fdset.AttrSet) int {
-	sym := a.Diff(b).Union(b.Diff(a))
+func (t *Tree) splitAttr(a, b []uint64) int {
 	best, bestRank := -1, int(^uint(0)>>1)
-	sym.ForEach(func(x int) bool {
-		if r := t.rankOf(x); r < bestRank {
-			best, bestRank = x, r
+	for k, x := range a {
+		for d := x ^ b[k]; d != 0; d &= d - 1 {
+			at := k<<6 | bits.TrailingZeros64(d)
+			if r := t.rankOf(at); r < bestRank {
+				best, bestRank = at, r
+			}
 		}
-		return true
-	})
+	}
 	return best
 }
 
-// Add inserts s, reporting whether it was not already present.
+// Add inserts s, reporting whether it was not already present. It panics
+// when s does not fit the tree's width, as that is a programming error.
 func (t *Tree) Add(s fdset.AttrSet) bool {
-	if _, dup := t.members[s]; dup {
+	t.mustFit(s)
+	var buf [fdset.NumWords]uint64
+	return t.add(t.words(&buf, s))
+}
+
+// add is Add on a set of mw words.
+func (t *Tree) add(s []uint64) bool {
+	if !t.addMember(s) {
 		return false
 	}
-	t.members[s] = struct{}{}
 	t.size++
-	if t.root == nil {
-		t.root = t.newNode(-1, s, s)
+	if t.root == 0 {
+		t.root = t.newLeaf(s)
 		return true
 	}
 	// Iterative descent. Adding a set can only shrink intersections and
 	// grow unions along the path, so aggregates are updated on the way
 	// down — no unwind needed.
-	n := t.root
-	var parent *node
-	fromRight := false
-	for !n.isLeaf() {
-		n.inter = n.inter.Intersect(s)
-		n.union = n.union.Union(s)
+	n, parent, fromRight := t.root, int32(0), false
+	for !t.isLeaf(n) {
+		in, un := t.inter(n), t.union(n)
+		for i, x := range s {
+			in[i] &= x
+			un[i] |= x
+		}
 		parent = n
-		if s.Has(n.attr) {
-			n, fromRight = n.right, true
+		if has(s, int(t.nodes[n].attr)) {
+			n, fromRight = t.nodes[n].right, true
 		} else {
-			n, fromRight = n.left, false
+			n, fromRight = t.nodes[n].left, false
 		}
 	}
-	// Split the leaf on an attribute that discriminates it from s.
-	old := n.set()
-	a := t.splitAttr(old, s)
-	in := t.newNode(a, old.Intersect(s), old.Union(s))
-	if old.Has(a) {
-		in.right, in.left = n, t.newNode(-1, s, s)
+	// Split leaf n on an attribute that discriminates its set from s.
+	a := t.splitAttr(t.inter(n), s)
+	in, leaf := t.newNode(a), t.newLeaf(s)
+	old, ii, iu := t.inter(n), t.inter(in), t.union(in)
+	for i, x := range s {
+		ii[i] = old[i] & x
+		iu[i] = old[i] | x
+	}
+	if has(old, a) {
+		t.nodes[in].right, t.nodes[in].left = n, leaf
 	} else {
-		in.left, in.right = n, t.newNode(-1, s, s)
+		t.nodes[in].left, t.nodes[in].right = n, leaf
 	}
 	switch {
-	case parent == nil:
+	case parent == 0:
 		t.root = in
 	case fromRight:
-		parent.right = in
+		t.nodes[parent].right = in
 	default:
-		parent.left = in
+		t.nodes[parent].left = in
 	}
 	return true
 }
 
 // Contains reports whether s is stored exactly.
 func (t *Tree) Contains(s fdset.AttrSet) bool {
-	_, ok := t.members[s]
-	return ok
+	var buf [fdset.NumWords]uint64
+	return t.fits(s) && t.isMember(t.words(&buf, s))
 }
 
 // ContainsSuperset reports whether some stored set Z satisfies Z ⊇ s: the
 // findSpecialization check of Algorithm 2.
 func (t *Tree) ContainsSuperset(s fdset.AttrSet) bool {
-	return containsSuperset(t.root, s)
+	var buf [fdset.NumWords]uint64
+	return t.fits(s) && t.containsSuperset(t.root, t.words(&buf, s))
 }
 
-func containsSuperset(n *node, s fdset.AttrSet) bool {
-	if n == nil || !s.IsSubsetOf(n.union) {
+func (t *Tree) containsSuperset(n int32, s []uint64) bool {
+	if n == 0 || !subset(s, t.union(n)) {
 		return false
 	}
-	if n.isLeaf() {
+	nd := t.nodes[n]
+	if nd.attr < 0 {
 		// union is the leaf's own set, already tested.
 		return true
 	}
-	if s.Has(n.attr) {
-		// Supersets of s must contain n.attr, so only the right subtree.
-		return containsSuperset(n.right, s)
+	if has(s, int(nd.attr)) {
+		// Supersets of s must contain nd.attr, so only the right subtree.
+		return t.containsSuperset(nd.right, s)
 	}
-	return containsSuperset(n.right, s) || containsSuperset(n.left, s)
+	return t.containsSuperset(nd.right, s) || t.containsSuperset(nd.left, s)
 }
 
 // ContainsSubset reports whether some stored set Y satisfies Y ⊆ s: the
 // findGeneralization check of Algorithm 3.
 func (t *Tree) ContainsSubset(s fdset.AttrSet) bool {
-	_, ok := findSubset(t.root, s)
-	return ok
+	var buf [fdset.NumWords]uint64
+	return t.findSubset(t.root, t.words(&buf, s)) != 0
 }
 
 // FindSubset returns one stored set Y ⊆ s, if any.
 func (t *Tree) FindSubset(s fdset.AttrSet) (fdset.AttrSet, bool) {
-	return findSubset(t.root, s)
+	var buf [fdset.NumWords]uint64
+	if n := t.findSubset(t.root, t.words(&buf, s)); n != 0 {
+		return toSet(t.inter(n)), true
+	}
+	return fdset.AttrSet{}, false
 }
 
-func findSubset(n *node, s fdset.AttrSet) (fdset.AttrSet, bool) {
-	if n == nil || !n.inter.IsSubsetOf(s) {
-		return fdset.AttrSet{}, false
+// findSubset returns the leaf of one stored set Y ⊆ s below n, or 0.
+func (t *Tree) findSubset(n int32, s []uint64) int32 {
+	if n == 0 || !subset(t.inter(n), s) {
+		return 0
 	}
 	// Positive shortcut: when every attribute stored below is in s, any
 	// leaf is a subset — dense covers hit this constantly. A leaf always
 	// takes it (its inter and union are its set).
-	if n.union.IsSubsetOf(s) {
-		for !n.isLeaf() {
-			n = n.left
+	if subset(t.union(n), s) {
+		for !t.isLeaf(n) {
+			n = t.nodes[n].left
 		}
-		return n.set(), true
+		return n
 	}
-	if n.isLeaf() {
-		return fdset.AttrSet{}, false
+	nd := t.nodes[n]
+	if nd.attr < 0 {
+		return 0
 	}
-	if !s.Has(n.attr) {
-		// Subsets of s cannot contain n.attr, so only the left subtree.
-		return findSubset(n.left, s)
+	if !has(s, int(nd.attr)) {
+		// Subsets of s cannot contain nd.attr, so only the left subtree.
+		return t.findSubset(nd.left, s)
 	}
-	if y, ok := findSubset(n.left, s); ok {
-		return y, true
+	if y := t.findSubset(nd.left, s); y != 0 {
+		return y
 	}
-	return findSubset(n.right, s)
+	return t.findSubset(nd.right, s)
 }
 
 // ContainsSubsetWithAttr reports whether some stored Y satisfies
@@ -253,42 +430,46 @@ func findSubset(n *node, s fdset.AttrSet) (fdset.AttrSet, bool) {
 // attr (the tree is an antichain and general itself was just removed),
 // so subtrees whose union lacks attr are pruned wholesale.
 func (t *Tree) ContainsSubsetWithAttr(s fdset.AttrSet, attr int) bool {
-	return findSubsetWith(t.root, s, attr)
+	var buf [fdset.NumWords]uint64
+	return t.findSubsetWith(t.root, t.words(&buf, s), attr)
 }
 
-func findSubsetWith(n *node, s fdset.AttrSet, attr int) bool {
-	if n == nil || !n.union.Has(attr) || !n.inter.IsSubsetOf(s) {
+func (t *Tree) findSubsetWith(n int32, s []uint64, attr int) bool {
+	if n == 0 || !has(t.union(n), attr) || !subset(t.inter(n), s) {
 		return false
 	}
-	if n.isLeaf() {
+	nd := t.nodes[n]
+	if nd.attr < 0 {
 		// The leaf's set is its union (has attr) and its inter (⊆ s).
 		return true
 	}
-	if n.attr == attr {
+	if int(nd.attr) == attr {
 		// Sets containing attr live only in the right subtree.
-		return findSubsetWith(n.right, s, attr)
+		return t.findSubsetWith(nd.right, s, attr)
 	}
-	if !s.Has(n.attr) {
-		return findSubsetWith(n.left, s, attr)
+	if !has(s, int(nd.attr)) {
+		return t.findSubsetWith(nd.left, s, attr)
 	}
-	return findSubsetWith(n.left, s, attr) || findSubsetWith(n.right, s, attr)
+	return t.findSubsetWith(nd.left, s, attr) || t.findSubsetWith(nd.right, s, attr)
 }
 
 // RemoveSubsets deletes every stored set Y ⊆ s and returns the removed
 // sets. Ncover construction uses it to discard generalizations of a newly
 // added non-FD.
 func (t *Tree) RemoveSubsets(s fdset.AttrSet) []fdset.AttrSet {
-	return t.removeSubsetsInto(s, nil)
+	var buf [fdset.NumWords]uint64
+	t.removed = t.removeSubsetsInto(t.words(&buf, s), t.removed[:0])
+	return t.appendSets(nil, t.removed)
 }
 
-// removeSubsetsInto is RemoveSubsets appending the removed sets to out,
-// so callers with a reusable buffer allocate nothing.
-func (t *Tree) removeSubsetsInto(s fdset.AttrSet, out []fdset.AttrSet) []fdset.AttrSet {
+// removeSubsetsInto is RemoveSubsets appending the removed sets, mw words
+// apiece, to out, so callers with a reusable buffer allocate nothing.
+func (t *Tree) removeSubsetsInto(s, out []uint64) []uint64 {
 	from := len(out)
 	t.root, _ = t.removeSubsets(t.root, s, &out)
-	t.size -= len(out) - from
-	for _, y := range out[from:] {
-		delete(t.members, y)
+	t.size -= (len(out) - from) / t.mw
+	for i := from; i < len(out); i += t.mw {
+		t.dropMember(out[i : i+t.mw])
 	}
 	return out
 }
@@ -297,24 +478,26 @@ func (t *Tree) removeSubsetsInto(s fdset.AttrSet, out []fdset.AttrSet) []fdset.A
 // *out and recycling the unlinked nodes. It returns the subtree's new
 // root and whether anything below n was removed: only the paths that
 // lost a set re-derive their aggregates.
-func (t *Tree) removeSubsets(n *node, s fdset.AttrSet, out *[]fdset.AttrSet) (*node, bool) {
-	if n == nil || !n.inter.IsSubsetOf(s) {
+func (t *Tree) removeSubsets(n int32, s []uint64, out *[]uint64) (int32, bool) {
+	if n == 0 || !subset(t.inter(n), s) {
 		return n, false
 	}
-	if n.isLeaf() {
+	nd := t.nodes[n]
+	if nd.attr < 0 {
 		// inter is the leaf's own set, so it is a subset of s.
-		*out = append(*out, n.set())
+		*out = append(*out, t.inter(n)...)
 		t.recycle(n)
-		return nil, true
+		return 0, true
 	}
-	var changedL, changedR bool
-	n.left, changedL = t.removeSubsets(n.left, s, out)
-	if s.Has(n.attr) {
-		n.right, changedR = t.removeSubsets(n.right, s, out)
+	left, changedL := t.removeSubsets(nd.left, s, out)
+	right, changedR := nd.right, false
+	if has(s, int(nd.attr)) {
+		right, changedR = t.removeSubsets(nd.right, s, out)
 	}
 	if !changedL && !changedR {
 		return n, false
 	}
+	t.nodes[n].left, t.nodes[n].right = left, right
 	return t.repair(n), true
 }
 
@@ -323,41 +506,43 @@ func (t *Tree) removeSubsets(n *node, s fdset.AttrSet, out *[]fdset.AttrSet) (*n
 // whose union lacks part of s, and only the paths that lost a set
 // re-derive their aggregates. It returns the subtree's new root and
 // whether anything below n was removed.
-func (t *Tree) removeSupersets(n *node, s fdset.AttrSet) (*node, bool) {
-	if n == nil || !s.IsSubsetOf(n.union) {
+func (t *Tree) removeSupersets(n int32, s []uint64) (int32, bool) {
+	if n == 0 || !subset(s, t.union(n)) {
 		return n, false
 	}
-	if n.isLeaf() {
+	nd := t.nodes[n]
+	if nd.attr < 0 {
 		// union is the leaf's own set, so it is a superset of s.
-		delete(t.members, n.set())
+		t.dropMember(t.inter(n))
 		t.size--
 		t.recycle(n)
-		return nil, true
+		return 0, true
 	}
-	var changedL, changedR bool
-	if !s.Has(n.attr) {
-		// Sets lacking n.attr can be supersets of s only when s lacks it.
-		n.left, changedL = t.removeSupersets(n.left, s)
+	left, changedL := nd.left, false
+	if !has(s, int(nd.attr)) {
+		// Sets lacking nd.attr can be supersets of s only when s lacks it.
+		left, changedL = t.removeSupersets(nd.left, s)
 	}
-	n.right, changedR = t.removeSupersets(n.right, s)
+	right, changedR := t.removeSupersets(nd.right, s)
 	if !changedL && !changedR {
 		return n, false
 	}
+	t.nodes[n].left, t.nodes[n].right = left, right
 	return t.repair(n), true
 }
 
 // repair restores internal node n after a removal below it: a node that
 // lost a whole side is replaced by the other side (or vanishes) and goes
 // on the free list; otherwise its aggregates are re-derived.
-func (t *Tree) repair(n *node) *node {
-	var keep *node
-	switch {
-	case n.left == nil:
-		keep = n.right
-	case n.right == nil:
-		keep = n.left
+func (t *Tree) repair(n int32) int32 {
+	var keep int32
+	switch nd := t.nodes[n]; {
+	case nd.left == 0:
+		keep = nd.right
+	case nd.right == 0:
+		keep = nd.left
 	default:
-		n.recompute()
+		t.recompute(n)
 		return n
 	}
 	t.recycle(n)
@@ -366,47 +551,53 @@ func (t *Tree) repair(n *node) *node {
 
 // Remove deletes the exact set s, reporting whether it was present.
 func (t *Tree) Remove(s fdset.AttrSet) bool {
-	if _, ok := t.members[s]; !ok {
+	var buf [fdset.NumWords]uint64
+	w := t.words(&buf, s)
+	if !t.fits(s) || !t.isMember(w) {
 		return false
 	}
-	t.root = t.remove(t.root, s)
+	t.root = t.remove(t.root, w)
 	t.size--
-	delete(t.members, s)
+	t.dropMember(w)
 	return true
 }
 
 // remove unlinks the leaf of stored set s from the subtree rooted at n.
 // The descent follows s's split decisions, which is the path Add placed
 // its leaf on.
-func (t *Tree) remove(n *node, s fdset.AttrSet) *node {
-	if n.isLeaf() {
-		if n.set() != s {
+func (t *Tree) remove(n int32, s []uint64) int32 {
+	nd := t.nodes[n]
+	if nd.attr < 0 {
+		if !slices.Equal(t.inter(n), s) {
 			panic("cover: stored set is not on its descent path")
 		}
 		t.recycle(n)
-		return nil
+		return 0
 	}
-	if s.Has(n.attr) {
-		n.right = t.remove(n.right, s)
+	if has(s, int(nd.attr)) {
+		right := t.remove(nd.right, s)
+		t.nodes[n].right = right
 	} else {
-		n.left = t.remove(n.left, s)
+		left := t.remove(nd.left, s)
+		t.nodes[n].left = left
 	}
 	return t.repair(n)
 }
 
 // ForEach visits every stored set; it stops early when fn returns false.
 func (t *Tree) ForEach(fn func(fdset.AttrSet) bool) {
-	forEach(t.root, fn)
+	t.forEach(t.root, fn)
 }
 
-func forEach(n *node, fn func(fdset.AttrSet) bool) bool {
-	if n == nil {
+func (t *Tree) forEach(n int32, fn func(fdset.AttrSet) bool) bool {
+	if n == 0 {
 		return true
 	}
-	if n.isLeaf() {
-		return fn(n.set())
+	nd := t.nodes[n]
+	if nd.attr < 0 {
+		return fn(toSet(t.inter(n)))
 	}
-	return forEach(n.left, fn) && forEach(n.right, fn)
+	return t.forEach(nd.left, fn) && t.forEach(nd.right, fn)
 }
 
 // Sets returns all stored sets in tree order.

@@ -92,7 +92,7 @@ func sortSets(ss []fdset.AttrSet) {
 func TestTreeRunningExample(t *testing.T) {
 	// Figure 4: RHS = Name, non-FD LHSs AMB, MBG, BG (specialized), AG.
 	a, b, g, m := 1, 2, 3, 4
-	tree := NewTree(nil)
+	tree := NewTree(16, nil)
 	tree.Add(fdset.NewAttrSet(a, m, b))
 	tree.Add(fdset.NewAttrSet(m, b, g))
 	if !tree.ContainsSuperset(fdset.NewAttrSet(b, g)) {
@@ -115,7 +115,7 @@ func TestTreeRunningExample(t *testing.T) {
 }
 
 func TestTreeDuplicates(t *testing.T) {
-	tree := NewTree(nil)
+	tree := NewTree(16, nil)
 	s := fdset.NewAttrSet(1, 2)
 	if !tree.Add(s) || tree.Add(s) {
 		t.Error("duplicate Add semantics wrong")
@@ -132,7 +132,7 @@ func TestTreeDuplicates(t *testing.T) {
 }
 
 func TestTreeEmptySetMembership(t *testing.T) {
-	tree := NewTree(nil)
+	tree := NewTree(16, nil)
 	tree.Add(fdset.EmptySet())
 	if !tree.Contains(fdset.EmptySet()) {
 		t.Error("empty set not stored")
@@ -152,7 +152,7 @@ func TestTreeAgainstNaiveProperty(t *testing.T) {
 	r := rand.New(rand.NewSource(3))
 	for iter := 0; iter < 50; iter++ {
 		universe := 4 + r.Intn(10)
-		tree := NewTree(nil)
+		tree := NewTree(universe, nil)
 		naive := &naiveFamily{}
 		for op := 0; op < 300; op++ {
 			s := randSet(r, universe)
@@ -206,7 +206,7 @@ func TestTreeRankChangesSplitsNotSemantics(t *testing.T) {
 	for i := range rank {
 		rank[i] = universe - i // reversed priority
 	}
-	tree := NewTree(rank)
+	tree := NewTree(universe, rank)
 	naive := &naiveFamily{}
 	for op := 0; op < 400; op++ {
 		s := randSet(r, universe)
@@ -223,7 +223,7 @@ func TestTreeRankChangesSplitsNotSemantics(t *testing.T) {
 }
 
 func TestTreeForEachEarlyStop(t *testing.T) {
-	tree := NewTree(nil)
+	tree := NewTree(16, nil)
 	for i := 0; i < 10; i++ {
 		tree.Add(fdset.NewAttrSet(i))
 	}
@@ -241,7 +241,7 @@ func TestContainsSubsetWithAttrAgainstNaive(t *testing.T) {
 	r := rand.New(rand.NewSource(71))
 	for iter := 0; iter < 30; iter++ {
 		universe := 5 + r.Intn(8)
-		tree := NewTree(nil)
+		tree := NewTree(universe, nil)
 		naive := &naiveFamily{}
 		for i := 0; i < 150; i++ {
 			s := randSet(r, universe)
@@ -262,6 +262,71 @@ func TestContainsSubsetWithAttrAgainstNaive(t *testing.T) {
 				t.Fatalf("ContainsSubsetWithAttr(%v, %d) = %v, want %v", s, attr, got, want)
 			}
 		}
+	}
+}
+
+// TestTreeWidthContract builds trees at the last one-word width and the
+// first two-word one and probes each with sets one attribute past its
+// width: storing one panics, exact and superset queries answer false,
+// and subset queries and RemoveSubsets answer from the probe's first mw
+// words, as the reference family does.
+func TestTreeWidthContract(t *testing.T) {
+	for _, ncols := range []int{64, 65} {
+		tree := NewTree(ncols, nil)
+		over := 64 * tree.mw // the first attribute the tree cannot hold
+		edge := ncols - 1
+		ref := &naiveFamily{}
+		for _, s := range []fdset.AttrSet{
+			fdset.NewAttrSet(0, edge), fdset.NewAttrSet(1, 2), fdset.NewAttrSet(edge),
+			fdset.NewAttrSet(0, 1, 63), fdset.NewAttrSet(2, 63),
+		} {
+			tree.Add(s)
+			ref.add(s)
+		}
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("ncols %d: Add of attribute %d did not panic", ncols, over)
+				}
+			}()
+			tree.Add(fdset.NewAttrSet(0, over))
+		}()
+
+		probes := []fdset.AttrSet{fdset.NewAttrSet(over), fdset.FullSet(over + 1)}
+		for _, s := range ref.sets {
+			probes = append(probes, s.With(over))
+		}
+		for _, q := range probes {
+			if tree.Contains(q) || tree.ContainsSuperset(q) || tree.Remove(q) {
+				t.Errorf("ncols %d: Contains, ContainsSuperset or Remove of %v answered true", ncols, q)
+			}
+			if got, want := tree.ContainsSubset(q), ref.containsSubset(q); got != want {
+				t.Errorf("ncols %d: ContainsSubset(%v) = %v, want %v", ncols, q, got, want)
+			}
+			if y, ok := tree.FindSubset(q); ok != ref.containsSubset(q) || ok && (!y.IsSubsetOf(q) || !tree.Contains(y)) {
+				t.Errorf("ncols %d: FindSubset(%v) = %v, %v", ncols, q, y, ok)
+			}
+			for _, a := range []int{0, 63, edge, over} {
+				want := false
+				for _, y := range ref.sets {
+					want = want || y.Has(a) && y.IsSubsetOf(q)
+				}
+				if got := tree.ContainsSubsetWithAttr(q, a); got != want {
+					t.Errorf("ncols %d: ContainsSubsetWithAttr(%v, %d) = %v, want %v", ncols, q, a, got, want)
+				}
+			}
+		}
+		if tree.Size() != len(ref.sets) {
+			t.Fatalf("ncols %d: Size() = %d after wider probes, want %d", ncols, tree.Size(), len(ref.sets))
+		}
+		q := fdset.NewAttrSet(0, 1, 2, 63, over)
+		got, want := tree.RemoveSubsets(q), ref.removeSubsets(q)
+		sortSets(got)
+		sortSets(want)
+		if len(want) == 0 || !reflect.DeepEqual(got, want) {
+			t.Errorf("ncols %d: RemoveSubsets(%v) = %v, want %v", ncols, q, got, want)
+		}
+		checkStructure(t, tree)
 	}
 }
 
@@ -291,7 +356,7 @@ func TestTreeQuickProperties(t *testing.T) {
 	// Superset query agrees with linear scan, on arbitrary families.
 	if err := quick.Check(func(f quickFamily, qp quickSet) bool {
 		probe := qp.S
-		tree := NewTree(nil)
+		tree := NewTree(12, nil)
 		for _, s := range f {
 			tree.Add(s)
 		}
@@ -308,7 +373,7 @@ func TestTreeQuickProperties(t *testing.T) {
 	}
 	// Add is idempotent and size equals the number of distinct sets.
 	if err := quick.Check(func(f quickFamily) bool {
-		tree := NewTree(nil)
+		tree := NewTree(12, nil)
 		distinct := map[fdset.AttrSet]struct{}{}
 		for _, s := range f {
 			tree.Add(s)
@@ -322,7 +387,7 @@ func TestTreeQuickProperties(t *testing.T) {
 	// RemoveSubsets leaves exactly the non-subsets.
 	if err := quick.Check(func(f quickFamily, qp quickSet) bool {
 		probe := qp.S
-		tree := NewTree(nil)
+		tree := NewTree(12, nil)
 		for _, s := range f {
 			tree.Add(s)
 		}

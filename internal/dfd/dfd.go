@@ -67,8 +67,8 @@ func DiscoverEncodedContext(ctx context.Context, enc *preprocess.Encoded) (*fdse
 			// Deterministic per-RHS walks: reproducible runs.
 			rng:        rand.New(rand.NewSource(int64(rhs)*2654435761 + 1)),
 			stats:      &stats,
-			minDeps:    cover.NewTree(nil),
-			maxNonDeps: cover.NewTree(nil),
+			minDeps:    cover.NewTree(m, nil),
+			maxNonDeps: cover.NewTree(m, nil),
 			visited:    map[fdset.AttrSet]bool{},
 		}
 		s.run()
