@@ -1,6 +1,7 @@
 # Developer entry points. `make check` is the PR gate: it builds, vets,
 # and runs the full suite under the race detector so every concurrent
-# path (parallel sampling, sharded covers, worker pool) is exercised.
+# path (RHS-sharded covers, the chunked delta scan, worker pool) is
+# exercised.
 
 GO ?= go
 

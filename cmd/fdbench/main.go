@@ -14,8 +14,13 @@
 //	fdbench -exp sampling -cpuprofile cpu.out -memprofile mem.out
 //	                                        # profile any run with go tool pprof
 //
+// -workers sizes EulerFD's worker pool: 0 means GOMAXPROCS, except in the
+// sampling group, whose Workers=N cells run at max(NumCPU, 4) so the pool
+// runs even on small machines; 1 is the sequential path.
+//
 // A report group exits 1 when a cell fails or an invariant breaks (a
-// Workers=N sampling cover that differs from the Workers=1 cover).
+// Workers=N cover of the sampling group that differs from its Workers=1
+// cover).
 package main
 
 import (
@@ -39,7 +44,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	list := fs.Bool("list", false, "list experiment ids and exit")
 	exp := fs.String("exp", "", "experiment id (table3, fig6..fig11, table5, sampling, ensemble, incremental, quality, all)")
 	budget := fs.Duration("budget", 2*time.Minute, "per-cell time budget (0 = unlimited)")
-	workers := fs.Int("workers", 0, "EulerFD worker-pool size (0 = all CPU cores, 1 = sequential)")
+	workers := fs.Int("workers", 0, "EulerFD worker-pool size (0 = GOMAXPROCS, or max(NumCPU, 4) for the sampling group's Workers=N cells; 1 = sequential)")
 	reportPath := fs.String("report", "", "run every report group and write the JSON report (BENCH_report.json) to this file")
 	cpuProfile := fs.String("cpuprofile", "", "write a CPU profile of the whole run to this file")
 	memProfile := fs.String("memprofile", "", "write a heap profile at exit to this file")

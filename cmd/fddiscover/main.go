@@ -10,7 +10,7 @@
 //	-th 0.01                           EulerFD/AID-FD growth-rate threshold
 //	-queues 6                          EulerFD MLFQ depth
 //	-exhaustive                        EulerFD: sample every window (exact)
-//	-workers N                         EulerFD worker pool (0 = all cores, 1 = sequential)
+//	-workers N                         EulerFD worker pool (0 = GOMAXPROCS, 1 = sequential)
 //	-stats                             print run statistics to stderr
 //	-check                             also run the exact oracle and report F1
 //
@@ -80,7 +80,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	th := fs.Float64("th", 0.01, "growth-rate threshold (euler, aidfd)")
 	queues := fs.Int("queues", 6, "EulerFD MLFQ queue count")
 	exhaustive := fs.Bool("exhaustive", false, "EulerFD: exhaust all sampling windows (exact)")
-	workers := fs.Int("workers", 0, "EulerFD: worker-pool size for sampling, ncover admission, and inversion (0 = all CPU cores, 1 = sequential)")
+	workers := fs.Int("workers", 0, "EulerFD: worker-pool size for ncover admission and inversion (0 = GOMAXPROCS, 1 = sequential)")
 	stats := fs.Bool("stats", false, "print run statistics to stderr")
 	check := fs.Bool("check", false, "run the exact oracle too and report F1")
 	asJSON := fs.Bool("json", false, "emit the FDs as a JSON array")

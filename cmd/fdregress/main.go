@@ -16,9 +16,9 @@
 // truth, cover sizes, cycle counters) are exact-match gated: the
 // determinism suite guarantees bit-identical FD sets, so any drift is a
 // real behavior change. Wall times are threshold gated, and in the
-// default auto mode only when the machine shape (NumCPU, Workers)
-// matches the baseline's. check and diff exit 1 on regression, 2 on
-// usage errors.
+// default auto mode only when the machine shape (NumCPU, GOMAXPROCS,
+// Workers) matches the baseline's. check and diff exit 1 on regression,
+// 2 on usage errors.
 package main
 
 import (
@@ -89,7 +89,7 @@ func profFlags(fs *flag.FlagSet) func(stderr io.Writer, verb func() int) int {
 func perfFlags(fs *flag.FlagSet) (*float64, *float64, *string) {
 	ratio := fs.Float64("perf-ratio", 3.0, "fail a module time exceeding baseline*ratio")
 	floor := fs.Float64("perf-floor", 25, "noise floor in ms: baselines below it are clamped up before the ratio test")
-	mode := fs.String("perf-mode", "auto", "perf gating: auto (gate only on matching machine shape), gate, warn, off")
+	mode := fs.String("perf-mode", "auto", "perf gating: auto (gate only when NumCPU, GOMAXPROCS and workers match the baseline), gate, warn, off")
 	return ratio, floor, mode
 }
 
@@ -107,7 +107,7 @@ func runRecord(args []string, stdout, stderr io.Writer) int {
 	fs.SetOutput(stderr)
 	out := fs.String("o", "BASELINE.json", "output path")
 	runs := fs.Int("runs", 5, "timed runs per cell (median is recorded)")
-	workers := fs.Int("workers", 0, "EulerFD worker-pool size (0 = all CPU cores)")
+	workers := fs.Int("workers", 0, "EulerFD worker-pool size (0 = GOMAXPROCS, 1 = sequential)")
 	profiled := profFlags(fs)
 	if err := fs.Parse(args); err != nil {
 		return 2
@@ -128,7 +128,7 @@ func runCheck(args []string, stdout, stderr io.Writer) int {
 	fs.SetOutput(stderr)
 	basePath := fs.String("baseline", "BASELINE.json", "baseline to check against")
 	runs := fs.Int("runs", 3, "timed runs per cell (median is compared)")
-	workers := fs.Int("workers", 0, "EulerFD worker-pool size (0 = all CPU cores)")
+	workers := fs.Int("workers", 0, "EulerFD worker-pool size (0 = GOMAXPROCS, 1 = sequential)")
 	ratio, floor, mode := perfFlags(fs)
 	profiled := profFlags(fs)
 	if err := fs.Parse(args); err != nil {

@@ -7,7 +7,7 @@
 //	-addr :8080            listen address
 //	-max-sessions 16       concurrent sessions kept in the store
 //	-max-jobs 2            discovery jobs running at once
-//	-workers 0             per-job worker pool (0 = all cores, 1 = sequential)
+//	-workers 0             per-job worker pool (0 = GOMAXPROCS, 1 = sequential)
 //	-timeout 0             per-job deadline (e.g. 30s; 0 = none)
 //	-cycle-delay 0         artificial pause per progress event (testing)
 //	-pprof                 mount net/http/pprof under /debug/pprof/
@@ -72,7 +72,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	addr := fs.String("addr", ":8080", "listen address")
 	maxSessions := fs.Int("max-sessions", 16, "concurrent sessions kept in the store")
 	maxJobs := fs.Int("max-jobs", 2, "discovery jobs running at once")
-	workers := fs.Int("workers", 0, "per-job worker pool (0 = all cores, 1 = sequential)")
+	workers := fs.Int("workers", 0, "per-job worker pool (0 = GOMAXPROCS, 1 = sequential)")
 	timeout := fs.Duration("timeout", 0, "per-job deadline (0 = none)")
 	cycleDelay := fs.Duration("cycle-delay", 0, "artificial pause per progress event")
 	pprofOn := fs.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/")

@@ -3,7 +3,7 @@
 // callback may only write to state it owns per invocation. Writes to
 // variables captured from the enclosing scope are flagged unless the
 // destination is a slice/array slot addressed by a callback-local index
-// (the per-chunk discipline the sampler and covers use), or the write is
+// (the per-chunk discipline the delta scan and covers use), or the write is
 // preceded by a mutex Lock inside the callback. Captured map writes are
 // always flagged — concurrent map writes fault even with distinct keys.
 //

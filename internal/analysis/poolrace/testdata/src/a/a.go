@@ -64,7 +64,7 @@ type chunk struct {
 }
 
 // perChunk owns chunk i through a pointer derived from the callback
-// index, the sampler's scratch-buffer pattern.
+// index, the delta scan's scratch-buffer pattern.
 func perChunk(p *pool.Pool, chunks []chunk) {
 	p.Do(len(chunks), func(i int) {
 		c := &chunks[i]

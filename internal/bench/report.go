@@ -39,9 +39,10 @@ type Report struct {
 
 // ReportCell is one measured (group, dataset, algorithm + options,
 // workers) cell. Counters holds the group's deterministic tallies,
-// Speedup the group's headline ratio (sampling: Workers=1 over
-// Workers=N sampling time; incremental: rediscovery over delta time), and
-// Score the accuracy against exact ground truth when the cell is scored.
+// Speedup the group's headline ratio (sampling: Workers=1 over Workers=N
+// time of the pool-sharded stages, Ncover admission plus inversion;
+// incremental: rediscovery over delta time), and Score the accuracy
+// against exact ground truth when the cell is scored.
 type ReportCell struct {
 	Group   string  `json:"group"`
 	Dataset string  `json:"dataset"`
@@ -49,7 +50,7 @@ type ReportCell struct {
 	Cols    int     `json:"cols"`
 	Algo    algo.ID `json:"algo"`
 	Options string  `json:"options"`
-	// Workers is the configured pool size; 0 means all CPU cores.
+	// Workers is the configured pool size; 0 means runtime.GOMAXPROCS(0).
 	Workers int `json:"workers"`
 	Timing
 	Counters map[string]int `json:"counters,omitempty"`

@@ -1,10 +1,9 @@
 package core
 
-// deque is a ring-buffer double-ended queue of cluster states, backing one
-// MLFQ priority level. The previous slice-based queue leaked popped heads
-// (queues[k][1:] keeps the backing array's prefix reachable) and copied
-// the whole slice on every PushFront; the ring makes all three operations
-// O(1) amortized with no retained references.
+// deque is a ring-buffer FIFO queue of cluster states, backing one MLFQ
+// priority level. A slice-based queue leaks popped heads (queues[k][1:]
+// keeps the backing array's prefix reachable); the ring makes push and
+// pop O(1) amortized with no retained references.
 type deque struct {
 	buf  []*clusterState
 	head int // index of the front element when n > 0
@@ -26,16 +25,6 @@ func (d *deque) pushBack(c *clusterState) {
 		d.grow()
 	}
 	d.buf[(d.head+d.n)%len(d.buf)] = c
-	d.n++
-}
-
-// pushFront prepends at the head.
-func (d *deque) pushFront(c *clusterState) {
-	if d.n == len(d.buf) {
-		d.grow()
-	}
-	d.head = (d.head - 1 + len(d.buf)) % len(d.buf)
-	d.buf[d.head] = c
 	d.n++
 }
 

@@ -17,16 +17,12 @@ func TestDequeAgainstList(t *testing.T) {
 		states[i] = &clusterState{}
 	}
 	for op := 0; op < 5000; op++ {
-		switch r.Intn(3) {
+		switch r.Intn(2) {
 		case 0:
 			c := states[r.Intn(len(states))]
 			d.pushBack(c)
 			oracle.PushBack(c)
 		case 1:
-			c := states[r.Intn(len(states))]
-			d.pushFront(c)
-			oracle.PushFront(c)
-		case 2:
 			got, ok := d.popFront()
 			if oracle.Len() == 0 {
 				if ok {

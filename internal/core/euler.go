@@ -36,14 +36,15 @@ type Options struct {
 	// every intra-cluster pair; used for verification and ablations.
 	ExhaustWindows bool
 	// Workers is the degree of parallelism of the engine: one persistent
-	// worker pool runs sampling-pass chunks, negative-cover admission
-	// shards, and inversion shards. Legal range: ≥ 0, where 0 (the
-	// default) means runtime.GOMAXPROCS(0) — the CPUs the Go scheduler
-	// may use at once, which a CPU quota can set below the machine's
-	// core count — and Workers = 1 forces the paper's sequential
-	// execution. The result is identical for every value —
-	// sampling chunks merge in sweep order and per-RHS covers are
-	// independent — so parallelism is purely a wall-clock knob.
+	// worker pool runs negative-cover admission and inversion sharded by
+	// RHS, and for core.Incremental the delta scan's chunks and the
+	// positive-cover patching after retirements. Sampling is sequential.
+	// Legal range: ≥ 0, where 0 (the default) means runtime.GOMAXPROCS(0)
+	// — the CPUs the Go scheduler may use at once, which a CPU quota can
+	// set below the machine's core count — and Workers = 1 forces the
+	// paper's sequential execution. The result is identical for every
+	// value — per-RHS covers are independent and delta-scan chunks merge
+	// in position order — so parallelism is purely a wall-clock knob.
 	Workers int
 	// Epsilon is the error budget of approximate (AFD) discovery: a
 	// dependency is reported when its error under the chosen measure is
@@ -97,17 +98,9 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// Fixed sampling settings.
-const (
-	// recentPasses is how many recent pass capas the requeue decision
-	// averages over.
-	recentPasses = 3
-	// batchPairs is the pair quota of one internal sampling batch. The
-	// unit of the double cycle is a full MLFQ drain (Algorithm 1 runs
-	// until no cluster remains enqueued); the quota only sizes a drain's
-	// internal slices, and this one leaves a drain in one batch.
-	batchPairs = 1 << 30
-)
+// recentPasses is how many recent pass capas the requeue decision
+// averages over.
+const recentPasses = 3
 
 // Stats reports what a discovery run did, for the experiment harness and
 // for diagnosing threshold settings. The json tags are the stable wire
@@ -144,6 +137,8 @@ type Counters struct {
 	AgreeSets     int `json:"agree_sets"`  // distinct agree sets sampled
 	NcoverSize    int `json:"ncover_size"` // maximal non-FDs stored
 	PcoverSize    int `json:"pcover_size"` // minimal FDs output
+	// SampleBatches is the number of sampling drains: runs of Algorithm 1
+	// until no cluster is left in the MLFQ.
 	SampleBatches int `json:"sample_batches"`
 	Inversions    int `json:"inversions"` // second-cycle iterations
 }
@@ -237,8 +232,8 @@ func DiscoverEncodedContext(ctx context.Context, enc *preprocess.Encoded, opt Op
 		return nil, stats, err
 	}
 
-	// One persistent pool serves every parallel stage of the run: sampling
-	// chunks, negative-cover admission shards, and inversion shards. With
+	// One persistent pool serves every parallel stage of the run:
+	// negative-cover admission shards and inversion shards. With
 	// Workers = 1 the pool is nil and every stage runs the exact
 	// sequential path.
 	pl := pool.New(opt.Workers)
@@ -247,7 +242,6 @@ func DiscoverEncodedContext(ctx context.Context, enc *preprocess.Encoded, opt Op
 	sampler := NewSampler(enc, opt.NumQueues, recentPasses)
 	sampler.exhaustive = opt.ExhaustWindows
 	sampler.dynamicRanges = opt.DynamicCapaRanges
-	sampler.SetPool(pl)
 	sampler.SetSeed(opt.Seed)
 
 	// Seed the negative cover with ∅ ↛ A for every non-constant attribute.
@@ -261,32 +255,14 @@ func DiscoverEncodedContext(ctx context.Context, enc *preprocess.Encoded, opt Op
 		}
 	}
 
-	// drain runs the sampling module to completion: Algorithm 1 loops
-	// until no cluster remains enqueued (productive clusters are requeued
-	// by capa; parked ones wait for a Reseed from the double cycle).
-	drain := func() []fdset.AttrSet {
-		t0 := timing.Start()
-		defer t0.AddTo(&stats.Sampling)
-		var all []fdset.AttrSet
-		for {
-			got := sampler.Batch(batchPairs)
-			all = append(all, got...)
-			stats.SampleBatches++
-			if sampler.queue.Len() == 0 {
-				return all
-			}
-		}
-	}
-
 	// First sampling drain, from which the attribute-frequency split rank
 	// of the cover trees is derived (Algorithm 2, Line 1).
-	agrees := drain()
-	first := nonFDsOf(agrees, ncols)
+	first := nonFDsOf(drain(sampler, &stats), ncols)
 	rank := cover.AttrFrequencyRank(ncols, first)
 	ncover := cover.NewNCover(ncols, rank)
 	pcover := cover.NewPCover(ncols, rank)
 
-	err := runDoubleCycle(ctx, opt, sampler, ncover, pcover, seed, first, ncols, drain, pl, &stats, obs)
+	err := runDoubleCycle(ctx, opt, sampler, ncover, pcover, seed, first, ncols, pl, &stats, obs)
 
 	stats.PairsCompared = sampler.PairsCompared
 	stats.AgreeSets = sampler.SeenCount()
@@ -315,12 +291,23 @@ func CandidatesEncodedContext(ctx context.Context, enc *preprocess.Encoded, opt 
 	return fds.Slice(), stats, nil
 }
 
+// drain runs the sampling module to completion (Sampler.Drain: productive
+// clusters are requeued by capa, parked ones wait for a Reseed from the
+// double cycle), timing it into stats.Sampling and counting it in
+// stats.SampleBatches.
+func drain(sampler *Sampler, stats *Stats) []fdset.AttrSet {
+	t := timing.Start()
+	defer t.AddTo(&stats.Sampling)
+	stats.SampleBatches++
+	return sampler.Drain()
+}
+
 // runDoubleCycle is the shared engine of Figure 1: it admits evidence into
 // the negative cover and loops sampling (first cycle, GR_Ncover) and
 // inversion (second cycle, GR_Pcover) until both growth criteria settle.
 // seed and first are evidence batches admitted before the first inversion;
-// drain runs the sampler to queue exhaustion and reports new agree sets.
-// Both one-shot discovery and incremental appends drive this function.
+// every later drain of sampler reports its new agree sets. Both one-shot
+// discovery and the incremental bootstrap drive this function.
 //
 // Cancellation is checked only at stage boundaries — before each drain
 // and after each inversion — never inside one, so a run that returns nil
@@ -329,7 +316,7 @@ func CandidatesEncodedContext(ctx context.Context, enc *preprocess.Encoded, opt 
 // boundaries: "sampled" after a drain's evidence is admitted, "inverted"
 // after an inversion.
 func runDoubleCycle(ctx context.Context, opt Options, sampler *Sampler, ncover *cover.NCover, pcover *cover.PCover,
-	seed, first []fdset.FD, ncols int, drain func() []fdset.AttrSet, pl *pool.Pool, stats *Stats, obs Observer) error {
+	seed, first []fdset.FD, ncols int, pl *pool.Pool, stats *Stats, obs Observer) error {
 	// pending holds non-FDs admitted to the Ncover but not yet inverted.
 	// Entries superseded by a later specialization before their inversion
 	// are dropped: inverting them would only spawn candidates that the
@@ -378,7 +365,7 @@ func runDoubleCycle(ctx context.Context, opt Options, sampler *Sampler, ncover *
 				break
 			}
 			lastBefore = ncover.Size()
-			lastAdded = addBatch(nonFDsOf(drain(), ncols))
+			lastAdded = addBatch(nonFDsOf(drain(sampler, stats), ncols))
 			emit("sampled", cycle)
 		}
 
@@ -412,7 +399,7 @@ func runDoubleCycle(ctx context.Context, opt Options, sampler *Sampler, ncover *
 			break
 		}
 		lastBefore = ncover.Size()
-		lastAdded = addBatch(nonFDsOf(drain(), ncols))
+		lastAdded = addBatch(nonFDsOf(drain(sampler, stats), ncols))
 		emit("sampled", cycle+1)
 	}
 	return nil

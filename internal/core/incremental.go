@@ -187,7 +187,6 @@ func (inc *Incremental) bootstrapContext(ctx context.Context, rows [][]string, o
 	sampler := NewSampler(enc, inc.opt.NumQueues, recentPasses)
 	sampler.exhaustive = inc.opt.ExhaustWindows
 	sampler.dynamicRanges = inc.opt.DynamicCapaRanges
-	sampler.SetPool(pl)
 	sampler.SetSeed(inc.opt.Seed)
 	sampler.SetWitness(inc.witness)
 
@@ -200,22 +199,8 @@ func (inc *Incremental) bootstrapContext(ctx context.Context, rows [][]string, o
 		}
 	}
 
-	drain := func() []fdset.AttrSet {
-		t0 := timing.Start()
-		defer t0.AddTo(&stats.Sampling)
-		var all []fdset.AttrSet
-		for {
-			got := sampler.Batch(batchPairs)
-			all = append(all, got...)
-			stats.SampleBatches++
-			if sampler.queue.Len() == 0 {
-				return all
-			}
-		}
-	}
-
-	first := nonFDsOf(drain(), inc.ncols)
-	err := runDoubleCycle(ctx, inc.opt, sampler, inc.ncover, inc.pcover, seed, first, inc.ncols, drain, pl, &stats, obs)
+	first := nonFDsOf(drain(sampler, &stats), inc.ncols)
+	err := runDoubleCycle(ctx, inc.opt, sampler, inc.ncover, inc.pcover, seed, first, inc.ncols, pl, &stats, obs)
 
 	stats.PairsCompared = sampler.PairsCompared
 	stats.AgreeSets = sampler.SeenCount()

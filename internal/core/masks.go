@@ -26,13 +26,12 @@ import (
 //     replays its keys in first-touch order and the commit merges them
 //     deterministically regardless of map iteration.
 //
-// The direct-mapped maskFilter beside it is the front cache and the
-// parallel sweep's per-worker chunk filter.
+// The direct-mapped maskFilter beside it is the dedup set's front cache.
 //
-// The loops that run once per compared pair — nextNew, addMasks and
-// maskFilter.firstRuns — keep a one-word path of plain compares and
-// direct map operations: the general loop over mw-word slices cost
-// sample-tall about a quarter of its sampling time.
+// The loops that run once per compared pair — nextNew and addMasks —
+// keep a one-word path of plain compares and direct map operations: the
+// general loop over mw-word slices cost sample-tall about a quarter of
+// its sampling time.
 type maskTable struct {
 	mw     int
 	narrow map[uint64]int64        // mw = 1
@@ -264,28 +263,22 @@ func (t *maskTable) addMasks(masks []uint64, scale int64, perAttr bool) {
 	}
 }
 
-// frontBits and chunkBits size the sampler's mask filters: 2^bits
-// direct-mapped slots each. The front cache spans a whole discovery, and
-// the relations the benchmark samples yield hundreds to a few thousand
-// distinct masks in all; a chunk filter spans at most a few thousand
-// pairs.
-const (
-	frontBits = 12
-	chunkBits = 10
-)
+// frontBits sizes the dedup set's front cache: 2^frontBits direct-mapped
+// slots. The cache spans a whole discovery, and the relations the
+// benchmark samples yield hundreds to a few thousand distinct masks in
+// all.
+const frontBits = 12
 
 // maskFilter is a fixed-size direct-mapped set of masks: one mask per
-// slot of mw words, the slot picked by the mask's hash. A slot holds its
-// mask only while its tag equals the current generation, so a new
-// generation empties the filter in O(1), and no mask value — not even the
-// empty agree set's 0 — doubles as "empty". A lookup can miss a mask the
-// filter saw (a later mask took the slot) but never reports one it did
-// not see.
+// slot of mw words, the slot picked by the mask's hash. Each slot has its
+// own used flag, so no mask value — not even the empty agree set's 0 —
+// doubles as "empty". A lookup can miss a mask the filter saw (a later
+// mask took the slot) but never reports one it did not see. Nothing ever
+// empties a filter: the front cache lives as long as its dedup set.
 type maskFilter struct {
 	mw    int
 	keys  []uint64 // slot i is keys[i·mw : (i+1)·mw]
-	tags  []uint32
-	gen   uint32
+	used  []bool
 	shift uint
 }
 
@@ -293,18 +286,8 @@ func newMaskFilter(mw int, bits uint) *maskFilter {
 	return &maskFilter{
 		mw:    mw,
 		keys:  make([]uint64, mw<<bits),
-		tags:  make([]uint32, 1<<bits),
-		gen:   1,
+		used:  make([]bool, 1<<bits),
 		shift: 64 - bits,
-	}
-}
-
-// reset starts a new generation, emptying the filter.
-func (f *maskFilter) reset() {
-	f.gen++
-	if f.gen == 0 { // wrapped: tags of old generations could match again
-		clear(f.tags)
-		f.gen = 1
 	}
 }
 
@@ -318,11 +301,11 @@ func (f *maskFilter) seenOrAdd(m []uint64) bool {
 	}
 	i := f.slot(m)
 	slot := f.keys[i*f.mw : i*f.mw+f.mw]
-	if f.tags[i] == f.gen && sameMask(slot, m) {
+	if f.used[i] && sameMask(slot, m) {
 		return true
 	}
 	copy(slot, m)
-	f.tags[i] = f.gen
+	f.used[i] = true
 	return false
 }
 
@@ -331,34 +314,11 @@ func (f *maskFilter) seenOrAdd(m []uint64) bool {
 //fdlint:hotpath
 func (f *maskFilter) seenWord(w uint64) bool {
 	i := (w * 0x9E3779B97F4A7C15) >> f.shift
-	if f.tags[i] == f.gen && f.keys[i] == w {
+	if f.used[i] && f.keys[i] == w {
 		return true
 	}
-	f.keys[i], f.tags[i] = w, f.gen
+	f.keys[i], f.used[i] = w, true
 	return false
-}
-
-// firstRuns appends to uniq the offset of every run head of masks — a
-// mask that differs from the one before it — that the filter did not
-// hold, storing it, and returns uniq.
-//
-//fdlint:hotpath
-func (f *maskFilter) firstRuns(masks []uint64, uniq []int32) []int32 {
-	if f.mw == 1 { // one word: the parallel sweep's hot loop, kept to plain compares
-		for i, w := range masks {
-			if (i == 0 || w != masks[i-1]) && !f.seenWord(w) {
-				uniq = append(uniq, int32(i))
-			}
-		}
-		return uniq
-	}
-	for i, mw := 0, f.mw; i < len(masks); i += mw {
-		m := masks[i : i+mw]
-		if (i == 0 || !sameMask(m, masks[i-mw:i])) && !f.seenOrAdd(m) {
-			uniq = append(uniq, int32(i))
-		}
-	}
-	return uniq
 }
 
 // slot returns the index of mask m's slot.

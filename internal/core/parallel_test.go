@@ -9,13 +9,13 @@ import (
 	"eulerfd/internal/fdset"
 	"eulerfd/internal/gen"
 	"eulerfd/internal/naive"
-	"eulerfd/internal/pool"
 	"eulerfd/internal/preprocess"
 )
 
 // parallelTestRelations are shapes that exercise the parallel paths:
-// clusters large enough to cross the chunk threshold, many columns for
-// RHS sharding, and duplicate-heavy columns for dedup pressure.
+// many columns for RHS sharding of admission and inversion, a two-word
+// mask shape, large clusters and duplicate-heavy columns that keep the
+// sequential sampler's dedup under pressure while the covers shard.
 func parallelTestRelations() map[string]*dataset.Relation {
 	return map[string]*dataset.Relation{
 		"patient": patientRelation(),
@@ -27,9 +27,9 @@ func parallelTestRelations() map[string]*dataset.Relation {
 }
 
 // wideParallelRelation spreads a 2100-row UCI table over 70 columns, so
-// agree masks take two words: one filler column is constant — a cluster
-// of every row, whose early passes exceed parallelMinPairs — and the
-// others are keys, which form no cluster.
+// agree masks and cover sets take two words and the RHS shards span both:
+// one filler column is constant — a cluster of every row — and the others
+// are keys, which form no cluster.
 func wideParallelRelation() *dataset.Relation {
 	rel, _ := spreadRelation(gen.UCITable("uci", 2100, 6, false, 3, 11), 70, func(row, k int) string {
 		if k == 0 {
@@ -94,73 +94,6 @@ func TestParallelDeterminismApproximate(t *testing.T) {
 	}
 }
 
-// TestSamplerParallelFoundOrder pins the stronger guarantee the merge
-// relies on: not just the same agree-set *set* but the same *sequence* of
-// first discoveries, which feeds capa and therefore MLFQ decisions.
-func TestSamplerParallelFoundOrder(t *testing.T) {
-	enc := preprocess.Encode(gen.UCITable("uci", 4000, 6, false, 3, 17))
-	collect := func(workers int) []fdset.AttrSet {
-		pl := pool.New(workers)
-		defer pl.Close()
-		s := NewSampler(enc, 6, 3)
-		s.exhaustive = true
-		s.SetPool(pl)
-		var all []fdset.AttrSet
-		for {
-			all = append(all, s.Batch(1<<20)...)
-			if s.queue.Len() == 0 && !s.Reseed() {
-				return all
-			}
-		}
-	}
-	want := collect(1)
-	got := collect(4)
-	if len(want) != len(got) {
-		t.Fatalf("found %d agree sets with workers=4, want %d", len(got), len(want))
-	}
-	for i := range want {
-		if want[i] != got[i] {
-			t.Fatalf("agree-set order diverges at %d: %v vs %v", i, got[i], want[i])
-		}
-	}
-	if len(want) == 0 {
-		t.Fatal("no agree sets sampled")
-	}
-}
-
-// TestSamplerParallelQuotaResume crosses the chunk threshold with a small
-// batch quota so parallel passes are interrupted and resumed, which must
-// not change coverage.
-func TestSamplerParallelQuotaResume(t *testing.T) {
-	enc := preprocess.Encode(gen.UCITable("uci", 3000, 5, false, 3, 5))
-	pl := pool.New(4)
-	defer pl.Close()
-	collect := func(quota int, p *pool.Pool) map[fdset.AttrSet]bool {
-		s := NewSampler(enc, 6, 3)
-		s.exhaustive = true
-		s.SetPool(p)
-		out := map[fdset.AttrSet]bool{}
-		for {
-			for _, a := range s.Batch(quota) {
-				out[a] = true
-			}
-			if s.queue.Len() == 0 && !s.Reseed() {
-				return out
-			}
-		}
-	}
-	want := collect(1<<20, nil)
-	got := collect(2500, pl) // quota chops passes mid-sweep
-	if len(want) != len(got) {
-		t.Fatalf("coverage %d agree sets with interrupted parallel passes, want %d", len(got), len(want))
-	}
-	for a := range want {
-		if !got[a] {
-			t.Errorf("missing agree set %v", a)
-		}
-	}
-}
-
 // TestIncrementalParallelDeterminism runs the incremental path with and
 // without workers over identical appends.
 func TestIncrementalParallelDeterminism(t *testing.T) {
@@ -171,7 +104,7 @@ func TestIncrementalParallelDeterminism(t *testing.T) {
 		batches [][][]string
 	}{
 		"uci": {rel.Attrs, [][][]string{rel.Rows[:800], rel.Rows[800:1600], rel.Rows[1600:]}},
-		// The bootstrap's parallel passes tally witnesses on two-word masks.
+		// The bootstrap tallies witnesses on two-word masks.
 		"wide70": {wide.Attrs, [][][]string{wide.Rows, wide.Rows[:40]}},
 	}
 	for name, sh := range shapes {

@@ -8,24 +8,17 @@ import (
 	"math"
 
 	"eulerfd/internal/fdset"
-	"eulerfd/internal/pool"
 	"eulerfd/internal/preprocess"
 )
 
 // clusterState tracks one stripped-partition cluster through multiple
-// samples: its current sliding-window size, the position of the window in
-// the pass now underway, and the capa history of recent passes.
+// samples: its current sliding-window size and the capa history of
+// recent passes.
 type clusterState struct {
 	rows   []int32
 	window int // current window size; pairs are (rows[i], rows[i+window-1])
-	pos    int // next window start within the current pass
 	wseq   int // window sizes consumed so far (cluster lifetime)
 	wstart int // seeded rotation offset into the window-size cycle (Sampler.SetSeed)
-
-	// Pass accounting: capa of a pass = newNonFDs/pairs over the whole
-	// pass even when a pass is split across batches by the pair quota.
-	passPairs int
-	passNew   int
 
 	recent []float64 // ring of the last few pass capas
 	rhead  int
@@ -95,7 +88,7 @@ func (c *clusterState) lastCapa() float64 {
 // highest priority; thresholds follow Table IV of the paper: the highest
 // queue holds capa ∈ [10, ∞) and each following queue divides the bound by
 // ten, with the last queue absorbing [0, bound). Each level is a ring
-// deque so Pop and PushFront are O(1) and popped heads are not retained.
+// deque so Push and Pop are O(1) and popped heads are not retained.
 type MLFQ struct {
 	queues     []deque
 	thresholds []float64 // len = numQueues-1, descending
@@ -144,13 +137,6 @@ func (q *MLFQ) Push(c *clusterState, capa float64) {
 	q.count++
 }
 
-// PushFront re-enqueues a cluster at the head of the queue matching capa,
-// used to resume a pass interrupted by the batch pair quota.
-func (q *MLFQ) PushFront(c *clusterState, capa float64) {
-	q.queues[q.queueFor(capa)].pushFront(c)
-	q.count++
-}
-
 // Pop dequeues the head of the highest-priority non-empty queue.
 func (q *MLFQ) Pop() (*clusterState, bool) {
 	for k := range q.queues {
@@ -167,7 +153,9 @@ func (q *MLFQ) Len() int { return q.count }
 
 // Sampler is EulerFD's sampling module (Algorithm 1). It owns the MLFQ,
 // the per-cluster sliding windows, and the agree-set deduplication table
-// that makes capa count only genuinely new evidence.
+// that makes capa count only genuinely new evidence. It runs on the
+// caller's goroutine: the worker pool serves the cover stages, not the
+// window sweeps.
 type Sampler struct {
 	enc      *preprocess.Encoded
 	queue    *MLFQ
@@ -178,13 +166,11 @@ type Sampler struct {
 	// front cache answers most repeats before the map probe.
 	seen *maskTable
 
-	// masks is the scratch buffer of the sequential sweep (sweep); grown
-	// once to the batch size and reused forever.
+	// masks is the scratch buffer of the window sweep; grown once to
+	// sampleBatchPairs masks and reused forever.
 	masks []uint64
 
-	numQueues int
-	recentLen int
-	seeded    bool
+	seeded bool
 	// exhaustive disables capa-based parking: clusters are requeued until
 	// every window size is used, guaranteeing full pair coverage (and,
 	// with the ∅-seed, an exact result). Used by tests and ablations.
@@ -209,42 +195,9 @@ type Sampler struct {
 	// bookkeeping.
 	wit *maskTable
 
-	// pool, when non-nil, parallelizes large window sweeps: the pair range
-	// of a pass is cut into chunks dispatched to the persistent workers,
-	// which fill per-chunk scratch buffers; the coordinator then merges the
-	// chunks sequentially into seen, so dedup, capa accounting, and requeue
-	// decisions are bit-identical to the sequential path.
-	pool   *pool.Pool
-	chunks []passChunk // per-chunk result scratch, reused across passes
-	// Per-worker chunk filters, indexed by the pool worker id
-	// (pool.DoIndexed). Each chunk starts a new generation, so a filter
-	// only ever drops repeats within its own chunk, and which worker's
-	// filter serves which chunk cannot change what the coordinator sees
-	// first.
-	filters []*maskFilter
-
 	// Stats
 	PairsCompared int
-	Passes        int
 }
-
-// passChunk is the result scratch of one parallel chunk of a window
-// sweep. Each concurrent chunk owns exactly one passChunk, so workers
-// never share mutable result state; buffers are reused across passes to
-// keep allocation off the hot path.
-type passChunk struct {
-	from, to int      // window positions [from, to) of this chunk
-	masks    []uint64 // the chunk's agree masks
-	uniq     []int32  // offsets into masks of first-in-chunk occurrences
-}
-
-// Chunking constants of the parallel pass: sweeps shorter than
-// parallelMinPairs stay inline (dispatch overhead would dominate), and no
-// chunk is cut below parallelChunkPairs.
-const (
-	parallelMinPairs   = 2048
-	parallelChunkPairs = 1024
-)
 
 // NewSampler prepares sampling state over an encoded relation. numQueues
 // is the MLFQ depth (paper default 6); recentLen is how many recent pass
@@ -255,11 +208,9 @@ func NewSampler(enc *preprocess.Encoded, numQueues, recentLen int) *Sampler {
 	}
 	mw := preprocess.MaskWords(len(enc.Attrs))
 	s := &Sampler{
-		enc:       enc,
-		queue:     NewMLFQ(numQueues),
-		seen:      newMaskTable(mw),
-		numQueues: numQueues,
-		recentLen: recentLen,
+		enc:   enc,
+		queue: NewMLFQ(numQueues),
+		seen:  newMaskTable(mw),
 	}
 	s.seen.front = newMaskFilter(mw, frontBits)
 	for _, c := range enc.AllClusters() {
@@ -267,10 +218,6 @@ func NewSampler(enc *preprocess.Encoded, numQueues, recentLen int) *Sampler {
 	}
 	return s
 }
-
-// SetPool attaches a worker pool for parallel pass execution. A nil pool
-// (or never calling SetPool) keeps the exact sequential path.
-func (s *Sampler) SetPool(p *pool.Pool) { s.pool = p }
 
 // SetWitness attaches the witness tallies the sweeps maintain.
 // core.Incremental hands its long-lived table here during bootstrap so
@@ -318,192 +265,81 @@ func (s *Sampler) Reseed() bool {
 	return re
 }
 
-// Batch runs the sampling loop until roughly quotaPairs tuple pairs have
-// been compared (or the MLFQ drains) and returns the distinct new agree
-// sets discovered. The first call performs the initial pass over every
-// cluster with window size 2 and seeds the MLFQ by capa.
-func (s *Sampler) Batch(quotaPairs int) []fdset.AttrSet {
-	if quotaPairs < 1 {
-		quotaPairs = 1
-	}
+// Drain runs Algorithm 1 until no cluster is left in the MLFQ and
+// returns the distinct new agree sets it found, in discovery order. The
+// first call is the seeding pass: one window-2 pass over every cluster,
+// each enqueued by its capa. Then it pops the highest-priority cluster,
+// runs one pass over it and requeues it by capa, until the queue is
+// empty. Parked clusters wait for a Reseed.
+func (s *Sampler) Drain() []fdset.AttrSet {
 	var found []fdset.AttrSet
-	budget := quotaPairs
-
 	if !s.seeded {
 		s.seeded = true
 		for _, c := range s.clusters {
-			n := s.samplePass(c, -1, &found) // initial pass is not quota-bound
-			budget -= n
-			if !c.exhausted() && (s.exhaustive || c.shouldRequeue()) {
-				s.queue.Push(c, c.lastCapa())
-			}
-		}
-		if budget <= 0 {
-			return found
+			s.samplePass(c, &found)
+			s.requeue(c)
 		}
 	}
-
-	for budget > 0 {
+	for {
 		c, ok := s.queue.Pop()
 		if !ok {
-			break
+			return found
 		}
-		n := s.samplePass(c, budget, &found)
-		budget -= n
-		if c.pos > 0 {
-			// Pass interrupted by quota: resume at the head of its queue
-			// next batch, keyed by the capa of its last completed pass.
-			s.queue.PushFront(c, c.lastCapa())
-			continue
-		}
-		if c.exhausted() {
-			continue
-		}
-		if s.exhaustive || c.shouldRequeue() {
-			s.queue.Push(c, c.lastCapa())
-		}
+		s.samplePass(c, &found)
+		s.requeue(c)
 	}
-	return found
 }
 
-// sampleBatchPairs is the batch size of the sequential sweep: large
-// enough to amortize the call into preprocess and keep the mask buffer
-// resident in L1, small enough not to bloat the scratch.
+// requeue enqueues c by the capa of its last pass unless every window
+// size is spent or, outside exhaustive mode, its recent passes found
+// nothing new.
+func (s *Sampler) requeue(c *clusterState) {
+	if !c.exhausted() && (s.exhaustive || c.shouldRequeue()) {
+		s.queue.Push(c, c.lastCapa())
+	}
+}
+
+// sampleBatchPairs is the batch size of the window sweep: large enough
+// to amortize the call into preprocess and keep the mask buffer resident
+// in L1, small enough not to bloat the scratch.
 const sampleBatchPairs = 4096
 
-// samplePass advances the cluster's sliding window by up to maxPairs pair
-// comparisons (unbounded when maxPairs < 0). When the window completes its
-// sweep the pass ends: capa is recorded and the window widens by one; an
-// interrupted pass leaves c.pos > 0 so the caller resumes it later. It
-// returns the number of pairs compared. Large sweeps are dispatched to the
-// worker pool when one is attached; the result is identical either way.
-func (s *Sampler) samplePass(c *clusterState, maxPairs int, found *[]fdset.AttrSet) int {
-	if c.exhausted() {
-		return 0
-	}
-	last := len(c.rows) - c.window // final window start of this pass
-	n := last - c.pos + 1          // pairs remaining in this pass
-	if maxPairs >= 0 && n > maxPairs {
-		n = maxPairs
-	}
-	if s.pool != nil && n >= parallelMinPairs {
-		s.sweepParallel(c, n, found)
-	} else {
-		s.sweep(c, n, found)
-	}
-	c.passPairs += n
-	s.PairsCompared += n
-	if c.pos <= last {
-		return n // interrupted by the quota; the caller resumes later
-	}
-	s.finishPass(c)
-	return n
-}
-
-// sweep advances n pairs of the sweep sequentially: agree masks are
+// samplePass runs one sliding-window pass over cluster c: it compares the
+// pair (rows[i], rows[i+window-1]) at every window start i, appends the
+// agree sets new to the dedup table to found, records the pass's capa —
+// new non-FDs per compared pair — and widens the window. Agree masks are
 // computed in batches by the branch-free kernel, runs of identical
 // consecutive masks — the common case on low-cardinality data — are
 // handled as one, and only run heads probe the dedup table.
-func (s *Sampler) sweep(c *clusterState, n int, found *[]fdset.AttrSet) {
+func (s *Sampler) samplePass(c *clusterState, found *[]fdset.AttrSet) {
+	if c.exhausted() {
+		return
+	}
 	mw := s.seen.mw
 	if len(s.masks) < sampleBatchPairs*mw {
 		s.masks = make([]uint64, sampleBatchPairs*mw)
 	}
-	for n > 0 {
-		m := min(n, sampleBatchPairs)
-		masks := s.masks[:m*mw]
-		s.enc.AgreeWindowWords(c.rows, c.window, c.pos, c.pos+m, masks)
+	pairs := len(c.rows) - c.window + 1 // one pair per window start
+	newNonFDs := 0
+	for from := 0; from < pairs; from += sampleBatchPairs {
+		to := min(from+sampleBatchPairs, pairs)
+		masks := s.masks[:(to-from)*mw]
+		s.enc.AgreeWindowWords(c.rows, c.window, from, to, masks)
 		if s.wit != nil {
 			s.wit.addMasks(masks, 1, false)
 		}
 		for i := s.seen.nextNew(masks, 0); i < len(masks); i = s.seen.nextNew(masks, i+mw) {
-			s.record(c, masks[i:i+mw], found)
+			m := masks[i : i+mw]
+			*found = append(*found, maskSet(m))
+			// A pair disagreeing on k attributes witnesses k non-FDs.
+			newNonFDs += len(s.enc.Attrs) - maskCount(m)
 		}
-		c.pos += m
-		n -= m
+		s.PairsCompared += to - from
 	}
-}
 
-// record appends mask m, new to seen, to found and counts its non-FDs
-// toward the pass's capa. Popcount runs only for globally new masks,
-// where the per-mask work (one append, one map insert) dwarfs it anyway.
-func (s *Sampler) record(c *clusterState, m []uint64, found *[]fdset.AttrSet) {
-	*found = append(*found, maskSet(m))
-	// A pair disagreeing on k attributes witnesses k non-FDs.
-	c.passNew += len(s.enc.Attrs) - maskCount(m)
-}
-
-// sweepParallel advances n pairs of the sweep through the worker pool:
-// the position range is cut into chunks, each worker computes its chunk's
-// agree masks with the batched kernel into the chunk's private buffer and
-// drops repeats within the chunk through its per-worker filter (a new
-// generation per chunk, so worker identity cannot reach the uniq list),
-// and the coordinator merges chunks in position order against the global
-// seen table. A filter miss only adds an entry to uniq that the seen table
-// then rejects, and a hit only elides a pair the sequential path would
-// also have classified as a duplicate, so — merge order being sweep order
-// — found order, capa accounting, and all statistics are bit-identical to
-// the sequential path.
-func (s *Sampler) sweepParallel(c *clusterState, n int, found *[]fdset.AttrSet) {
-	chunk := max((n+s.pool.Workers()-1)/s.pool.Workers(), parallelChunkPairs)
-	numChunks := (n + chunk - 1) / chunk
-	for len(s.chunks) < numChunks {
-		s.chunks = append(s.chunks, passChunk{})
-	}
-	for k := 0; k < numChunks; k++ {
-		from := c.pos + k*chunk
-		s.chunks[k].from, s.chunks[k].to = from, min(from+chunk, c.pos+n)
-	}
-	if s.filters == nil {
-		s.filters = make([]*maskFilter, s.pool.NumScratch())
-	}
-	mw := s.seen.mw
-	s.pool.DoIndexed(numChunks, func(k, worker int) {
-		ch := &s.chunks[k]
-		m := (ch.to - ch.from) * mw
-		if cap(ch.masks) < m {
-			ch.masks = make([]uint64, m)
-		}
-		ch.masks = ch.masks[:m]
-		s.enc.AgreeWindowWords(c.rows, c.window, ch.from, ch.to, ch.masks)
-		local := s.filters[worker]
-		if local == nil {
-			local = newMaskFilter(mw, chunkBits)
-			s.filters[worker] = local
-		} else {
-			local.reset()
-		}
-		ch.uniq = local.firstRuns(ch.masks, ch.uniq[:0])
-	})
-	for k := 0; k < numChunks; k++ {
-		ch := &s.chunks[k]
-		for _, i := range ch.uniq {
-			if m := ch.masks[i : int(i)+mw]; s.seen.insert(m) {
-				s.record(c, m, found)
-			}
-		}
-		// Witness tallies count every pair of the chunk, not just
-		// chunk-unique masks.
-		if s.wit != nil {
-			s.wit.addMasks(ch.masks, 1, false)
-		}
-	}
-	c.pos += n
-}
-
-// finishPass records the completed pass's capa and widens the window.
-func (s *Sampler) finishPass(c *clusterState) {
-	capa := 0.0
-	if c.passPairs > 0 {
-		capa = float64(c.passNew) / float64(c.passPairs)
-	}
+	capa := float64(newNonFDs) / float64(pairs)
 	c.pushCapa(capa)
-	if capa > s.maxRecentCapa {
-		s.maxRecentCapa = capa
-	}
-	s.Passes++
-	c.passPairs, c.passNew = 0, 0
-	c.pos = 0
+	s.maxRecentCapa = max(s.maxRecentCapa, capa)
 	c.wseq++
 	c.setWindow()
 }

@@ -67,16 +67,6 @@ func TestMLFQPriorityOrder(t *testing.T) {
 	}
 }
 
-func TestMLFQPushFront(t *testing.T) {
-	q := NewMLFQ(2)
-	a, b := &clusterState{}, &clusterState{}
-	q.Push(a, 0)
-	q.PushFront(b, 0)
-	if got, _ := q.Pop(); got != b {
-		t.Error("PushFront should jump the queue")
-	}
-}
-
 func TestSamplerWindowPairs(t *testing.T) {
 	// One cluster of 4 rows in a 2-column relation where col0 is constant
 	// within the cluster. Window 2 yields pairs (0,1),(1,2),(2,3); window
@@ -87,13 +77,10 @@ func TestSamplerWindowPairs(t *testing.T) {
 	enc := preprocess.Encode(r)
 	s := NewSampler(enc, 6, 3)
 	var all []fdset.AttrSet
-	for !s.Exhausted() {
-		got := s.Batch(1 << 20)
-		all = append(all, got...)
-		if len(got) == 0 && s.queue.Len() == 0 {
-			if !s.Reseed() {
-				break
-			}
+	for {
+		all = append(all, s.Drain()...)
+		if !s.Reseed() {
+			break
 		}
 	}
 	if s.PairsCompared != 6 {
@@ -105,54 +92,18 @@ func TestSamplerWindowPairs(t *testing.T) {
 	}
 }
 
-func TestSamplerQuotaInterruptsAndResumes(t *testing.T) {
-	rows := make([][]string, 64)
-	for i := range rows {
-		rows[i] = []string{"c", string(rune('a' + i%7)), string(rune('a' + i%11))}
-	}
-	r := dataset.MustNew("t", []string{"A", "B", "C"}, rows)
-	enc := preprocess.Encode(r)
-
-	// Sample everything with a tiny quota and with a huge quota; the set
-	// of distinct agree sets must be identical (quota only batches work).
-	collect := func(quota int) map[fdset.AttrSet]bool {
-		s := NewSampler(enc, 6, 3)
-		out := map[fdset.AttrSet]bool{}
-		for {
-			got := s.Batch(quota)
-			for _, a := range got {
-				out[a] = true
-			}
-			if s.queue.Len() == 0 && !s.Reseed() {
-				break
-			}
-		}
-		return out
-	}
-	small, big := collect(7), collect(1<<20)
-	if len(small) == 0 || len(small) != len(big) {
-		t.Fatalf("agree-set coverage differs: %d vs %d", len(small), len(big))
-	}
-	for a := range big {
-		if !small[a] {
-			t.Errorf("missing agree set %v under small quota", a)
-		}
-	}
-}
-
 func TestSamplerNoDuplicateAgreeSets(t *testing.T) {
 	enc := preprocess.Encode(patientRelation())
 	s := NewSampler(enc, 6, 3)
 	seen := map[fdset.AttrSet]bool{}
 	for {
-		got := s.Batch(1000)
-		for _, a := range got {
+		for _, a := range s.Drain() {
 			if seen[a] {
 				t.Fatalf("duplicate agree set %v", a)
 			}
 			seen[a] = true
 		}
-		if s.queue.Len() == 0 && !s.Reseed() {
+		if !s.Reseed() {
 			break
 		}
 	}
@@ -162,8 +113,11 @@ func TestSamplerNoDuplicateAgreeSets(t *testing.T) {
 }
 
 func TestSamplerFullCoverageEqualsPairwise(t *testing.T) {
-	// Exhaustive sampling must discover exactly the agree sets of every
-	// row pair that shares at least one attribute value.
+	// Sampling until every cluster is exhausted must discover exactly the
+	// agree sets of every row pair that shares at least one attribute
+	// value, and compare each intra-cluster pair exactly once: a pass that
+	// repeats or skips a window start can still find every agree set, but
+	// not with Σ C(|c|, 2) compared pairs.
 	enc := preprocess.Encode(patientRelation())
 	want := map[fdset.AttrSet]bool{}
 	for i := 0; i < enc.NumRows; i++ {
@@ -174,22 +128,35 @@ func TestSamplerFullCoverageEqualsPairwise(t *testing.T) {
 			}
 		}
 	}
-	s := NewSampler(enc, 6, 3)
-	got := map[fdset.AttrSet]bool{}
-	for {
-		for _, a := range s.Batch(1 << 20) {
-			got[a] = true
-		}
-		if s.queue.Len() == 0 && !s.Reseed() {
-			break
-		}
+	wantPairs := 0
+	for _, c := range enc.AllClusters() {
+		wantPairs += len(c.Rows) * (len(c.Rows) - 1) / 2
 	}
-	if len(got) != len(want) {
-		t.Fatalf("coverage %d agree sets, want %d", len(got), len(want))
-	}
-	for a := range want {
-		if !got[a] {
-			t.Errorf("missing %v", a)
+	for _, exhaustive := range []bool{false, true} {
+		s := NewSampler(enc, 6, 3)
+		s.exhaustive = exhaustive
+		got := map[fdset.AttrSet]bool{}
+		for {
+			for _, a := range s.Drain() {
+				got[a] = true
+			}
+			if !s.Reseed() {
+				break
+			}
+		}
+		if !s.Exhausted() {
+			t.Fatalf("exhaustive=%v: sampling stopped before every window size was used", exhaustive)
+		}
+		if s.PairsCompared != wantPairs {
+			t.Errorf("exhaustive=%v: PairsCompared = %d, want Σ C(|c|, 2) = %d", exhaustive, s.PairsCompared, wantPairs)
+		}
+		if len(got) != len(want) {
+			t.Fatalf("exhaustive=%v: coverage %d agree sets, want %d", exhaustive, len(got), len(want))
+		}
+		for a := range want {
+			if !got[a] {
+				t.Errorf("exhaustive=%v: missing %v", exhaustive, a)
+			}
 		}
 	}
 }
@@ -215,9 +182,9 @@ func TestSamplerExhaustionNoReseed(t *testing.T) {
 	r := dataset.MustNew("t", []string{"A"}, [][]string{{"x"}, {"x"}})
 	enc := preprocess.Encode(r)
 	s := NewSampler(enc, 6, 3)
-	s.Batch(100)
+	s.Drain()
 	if !s.Exhausted() {
-		t.Error("2-row single cluster should exhaust after one batch")
+		t.Error("2-row single cluster should exhaust after one drain")
 	}
 	if s.Reseed() {
 		t.Error("Reseed must report false when everything is exhausted")
@@ -268,12 +235,12 @@ func TestDynamicCapaRangesStillSound(t *testing.T) {
 }
 
 // TestMLFQRequeueOrderRegression pins the full service order of an
-// interleaved Push/PushFront/Pop sequence across the Table IV ladder.
-// Queues and thresholds are plain slices indexed by queue number — no map
-// is involved anywhere in the MLFQ — so this order is part of the
-// determinism contract: it must be queue-ascending, FIFO within a queue,
-// with PushFront jumping only its own queue. Any reintroduction of
-// map-keyed queue state would break this test on the first run.
+// interleaved Push/Pop sequence across the Table IV ladder. Queues and
+// thresholds are plain slices indexed by queue number — no map is
+// involved anywhere in the MLFQ — so this order is part of the
+// determinism contract: it must be queue-ascending and FIFO within a
+// queue. Any reintroduction of map-keyed queue state would break this
+// test on the first run.
 func TestMLFQRequeueOrderRegression(t *testing.T) {
 	q := NewMLFQ(4) // thresholds 10, 1, 0.1 (Table IV)
 	cs := make([]*clusterState, 8)
@@ -291,8 +258,8 @@ func TestMLFQRequeueOrderRegression(t *testing.T) {
 			t.Fatalf("queueFor(%v) = %d, want %d", tc.capa, got, tc.want)
 		}
 	}
-	// Interleave pushes into every level, with a mid-stream pop and an
-	// interrupted-pass PushFront, the way a drain round does.
+	// Interleave pushes into every level, with a mid-stream pop and a
+	// requeue of the popped cluster, the way a drain round does.
 	q.Push(cs[0], 0.5)  // q2
 	q.Push(cs[1], 20)   // q0
 	q.Push(cs[2], 0)    // q3
@@ -302,12 +269,12 @@ func TestMLFQRequeueOrderRegression(t *testing.T) {
 	if first != cs[1] {
 		t.Fatalf("first pop = cs[%d], want cs[1]", indexOf(cs, first))
 	}
-	q.PushFront(first, 3) // pass interrupted by quota: resumes at head of q1
-	q.Push(cs[5], 0.5)    // q2, behind cs[0]
-	q.Push(cs[6], 1)      // q1, behind the re-queued cs[1] and cs[3]
-	q.Push(cs[7], 0)      // q3, behind cs[2]
+	q.Push(first, 3)   // requeued after its pass: tail of q1, behind cs[3]
+	q.Push(cs[5], 0.5) // q2, behind cs[0]
+	q.Push(cs[6], 1)   // q1, behind cs[3] and the requeued cs[1]
+	q.Push(cs[7], 0)   // q3, behind cs[2]
 
-	want := []*clusterState{cs[4], cs[1], cs[3], cs[6], cs[0], cs[5], cs[2], cs[7]}
+	want := []*clusterState{cs[4], cs[3], cs[1], cs[6], cs[0], cs[5], cs[2], cs[7]}
 	for i, w := range want {
 		got, ok := q.Pop()
 		if !ok {
@@ -367,11 +334,9 @@ func indexOf(cs []*clusterState, c *clusterState) int {
 	return -1
 }
 
-// TestMaskFilterExact pins what the sampler's dedup shortcuts rely on: a
-// filter reports a mask only if it stored that mask in the current
-// generation — the empty mask included — and a new generation, even one
-// that wraps the tag counter, forgets everything. It runs at one and two
-// mask words.
+// TestMaskFilterExact pins what the sampler's dedup shortcut relies on: a
+// filter reports a mask only if it stored that mask and still holds it —
+// the empty mask included. It runs at one and two mask words.
 func TestMaskFilterExact(t *testing.T) {
 	for _, mw := range []int{1, 2} {
 		f := newMaskFilter(mw, 4)
@@ -386,22 +351,6 @@ func TestMaskFilterExact(t *testing.T) {
 		}
 		if f.seenOrAdd(other) || f.seenOrAdd(zero) {
 			t.Fatalf("mw=%d: a collided slot reported a mask it no longer holds", mw)
-		}
-		f.reset()
-		if f.seenOrAdd(zero) {
-			t.Fatalf("mw=%d: reset kept a mask of the previous generation", mw)
-		}
-
-		// A mask is stored under generation 1; after 2^32 − 1 resets the
-		// tag counter wraps back to 1, and only clearing the tags keeps
-		// the stale slot from matching again.
-		f = newMaskFilter(mw, 4)
-		seven := append(make([]uint64, mw-1), 7)
-		f.seenOrAdd(seven)
-		f.gen = ^uint32(0)
-		f.reset()
-		if f.gen != 1 || f.seenOrAdd(seven) {
-			t.Fatalf("mw=%d: a wrapped generation revived a stale mask", mw)
 		}
 	}
 }

@@ -64,7 +64,7 @@ func SeedSequence(base uint64, n int) []uint64 {
 }
 
 // SetSeed applies the seeded schedule perturbation. It must be called
-// before the first Batch (the schedule is fixed once sampling starts) and
+// before the first Drain (the schedule is fixed once sampling starts) and
 // is a no-op for seed 0, preserving the canonical schedule byte for byte.
 func (s *Sampler) SetSeed(seed uint64) {
 	if seed == 0 {
@@ -75,7 +75,7 @@ func (s *Sampler) SetSeed(seed uint64) {
 	}
 	rng := splitmix64{state: seed}
 	// Fisher–Yates over the initial cluster order: permutes both the
-	// seeding pass of Batch and, through it, the evidence the attribute
+	// seeding pass of Drain and, through it, the evidence the attribute
 	// split rank is derived from.
 	for i := len(s.clusters) - 1; i > 0; i-- {
 		j := rng.intn(i + 1)

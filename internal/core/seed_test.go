@@ -117,10 +117,10 @@ func TestSeedExhaustiveStillExact(t *testing.T) {
 func TestSetSeedAfterBatchPanics(t *testing.T) {
 	enc := preprocess.Encode(patientRelation())
 	s := NewSampler(enc, 6, 3)
-	s.Batch(16)
+	s.Drain()
 	defer func() {
 		if recover() == nil {
-			t.Fatal("SetSeed after Batch did not panic")
+			t.Fatal("SetSeed after Drain did not panic")
 		}
 	}()
 	s.SetSeed(1)

@@ -90,7 +90,7 @@ func newCoverStream(rel *dataset.Relation) *coverStream {
 	sampler := core.NewSampler(enc, opt.NumQueues, 3)
 	for d := 0; d < streamDrains; d++ {
 		var batch []fdset.FD
-		for _, agree := range sampler.Batch(1 << 30) {
+		for _, agree := range sampler.Drain() {
 			s.agree = append(s.agree, agree)
 			for a := 0; a < ncols; a++ {
 				if !agree.Has(a) {

@@ -37,8 +37,9 @@ type Config struct {
 	// ensemble-level meaning: Ensemble is the member count N (≥ 1, with
 	// 0 meaning 1), Seed is the base seed member seeds derive from
 	// (core.SeedSequence; member 0 runs the base itself), and Workers
-	// sizes the pool members run on (0 = all CPU cores) — each member
-	// itself runs sequentially, so one pool.Do spans the whole ensemble.
+	// sizes the pool members run on (0 = runtime.GOMAXPROCS(0)) — each
+	// member itself runs sequentially, so one pool.Do spans the whole
+	// ensemble.
 	Euler core.Options
 	// CrossCheck scores every candidate's g3 error on the full relation
 	// after the vote. g3 > 0 proves the FD does not hold, so Suspect

@@ -1,7 +1,9 @@
 // Package pool provides the persistent worker pool shared by EulerFD's
-// parallel stages: sampling-pass chunk execution, negative-cover admission
-// sharded by RHS, and positive-cover inversion. One pool is created per
-// discovery run so goroutine churn is paid once, not per sampling pass.
+// parallel stages: negative-cover admission and positive-cover inversion
+// sharded by RHS, and, for incremental maintenance, the delta scan's
+// chunks and the positive-cover patching after retirements. Sampling is
+// sequential and never uses it. One pool is created per discovery run or
+// mutation batch, so goroutine churn is paid once, not per stage.
 //
 // The nil *Pool is a valid pool that runs everything inline on the calling
 // goroutine; callers never need to branch on the worker count themselves.
@@ -41,9 +43,8 @@ func (e *PanicError) Unwrap() error {
 // time: Do must not be called from inside a task (tasks submitting tasks
 // can starve the pool).
 type Pool struct {
-	jobs    chan func(worker int)
-	workers int
-	once    sync.Once
+	jobs chan func()
+	once sync.Once
 }
 
 // New starts a pool of n worker goroutines. n ≤ 1 returns nil — the nil
@@ -53,42 +54,22 @@ func New(n int) *Pool {
 	if n <= 1 {
 		return nil
 	}
-	p := &Pool{jobs: make(chan func(worker int)), workers: n}
-	// Worker 0 is reserved for the coordinator (DoIndexed runs its first
-	// task inline), so the spawned goroutines identify as 1..n.
-	for i := 1; i <= n; i++ {
-		go p.loop(i)
+	p := &Pool{jobs: make(chan func())}
+	for i := 0; i < n; i++ {
+		go p.loop()
 	}
 	return p
 }
 
-func (p *Pool) loop(worker int) {
+func (p *Pool) loop() {
 	for f := range p.jobs {
-		f(worker)
+		f()
 	}
-}
-
-// Workers returns the degree of parallelism: 1 for the nil pool.
-func (p *Pool) Workers() int {
-	if p == nil {
-		return 1
-	}
-	return p.workers
-}
-
-// NumScratch returns how many scratch slots a DoIndexed caller must
-// allocate to cover every worker id it can observe: the spawned workers
-// plus the coordinator (worker 0). On the nil pool this is 1.
-func (p *Pool) NumScratch() int {
-	if p == nil {
-		return 1
-	}
-	return p.workers + 1
 }
 
 // Do runs fn(0), fn(1), …, fn(n-1) and returns when all calls have
 // finished. On the nil pool the calls run inline in index order; otherwise
-// they run concurrently on the workers (the coordinator executes tasks
+// they run concurrently on the workers (the coordinator executes fn(0)
 // itself rather than sitting idle). fn must confine its writes to
 // per-index state — Do imposes no ordering between concurrent calls.
 //
@@ -98,23 +79,9 @@ func (p *Pool) NumScratch() int {
 // for the smallest panicking index. The sequential path recovers and
 // rethrows identically, so Workers=1 and Workers=N fail the same way.
 func (p *Pool) Do(n int, fn func(i int)) {
-	p.DoIndexed(n, func(i, _ int) { fn(i) })
-}
-
-// DoIndexed is Do for callbacks that keep per-worker scratch: fn receives
-// both the task index i and the identity of the worker executing it, a
-// stable integer in [0, Workers()] — NumScratch slots cover every id.
-// Worker 0 is always the coordinator goroutine (and the only worker on
-// the nil pool). Two calls with the same worker id never run
-// concurrently, so scratch buffers indexed by worker are data-race-free
-// without locking — but *which* tasks land on which worker is
-// scheduling-dependent, so worker-indexed state must never influence
-// results, only allocation reuse (invariant I3 extends: per-index state
-// carries results, per-worker state carries scratch).
-func (p *Pool) DoIndexed(n int, fn func(i, worker int)) {
 	if p == nil || n <= 1 {
 		for i := 0; i < n; i++ {
-			if pe := safeCall(i, 0, fn); pe != nil {
+			if pe := safeCall(i, fn); pe != nil {
 				panic(pe)
 			}
 		}
@@ -126,13 +93,12 @@ func (p *Pool) DoIndexed(n int, fn func(i, worker int)) {
 	var wg sync.WaitGroup
 	wg.Add(n - 1)
 	for i := 1; i < n; i++ {
-		i := i
-		p.jobs <- func(worker int) {
+		p.jobs <- func() {
 			defer wg.Done()
-			panics[i] = safeCall(i, worker, fn)
+			panics[i] = safeCall(i, fn)
 		}
 	}
-	panics[0] = safeCall(0, 0, fn)
+	panics[0] = safeCall(0, fn)
 	wg.Wait()
 	for _, pe := range panics {
 		if pe != nil {
@@ -141,10 +107,10 @@ func (p *Pool) DoIndexed(n int, fn func(i, worker int)) {
 	}
 }
 
-// safeCall runs fn(i, worker), converting a panic into a *PanicError. A
-// callback that deliberately panics with a *PanicError (rethrowing) is
-// passed through unwrapped.
-func safeCall(i, worker int, fn func(i, worker int)) (pe *PanicError) {
+// safeCall runs fn(i), converting a panic into a *PanicError. A callback
+// that deliberately panics with a *PanicError (rethrowing) is passed
+// through unwrapped.
+func safeCall(i int, fn func(i int)) (pe *PanicError) {
 	defer func() {
 		if v := recover(); v != nil {
 			if wrapped, ok := v.(*PanicError); ok {
@@ -154,7 +120,7 @@ func safeCall(i, worker int, fn func(i, worker int)) (pe *PanicError) {
 			pe = &PanicError{Index: i, Value: v, Stack: debug.Stack()}
 		}
 	}()
-	fn(i, worker)
+	fn(i)
 	return nil
 }
 

@@ -242,25 +242,13 @@ func (e *Encoder) Replace(id int64, row []int32) bool {
 // NumRows returns the number of alive rows.
 func (e *Encoder) NumRows() int { return len(e.ids) - e.deadRows }
 
-// NumSlots returns the spine height including tombstoned slots.
-func (e *Encoder) NumSlots() int { return len(e.ids) }
-
-// DeadRows returns the current tombstone count.
-func (e *Encoder) DeadRows() int { return e.deadRows }
-
 // NextID returns the id the next appended row will receive.
 func (e *Encoder) NextID() int64 { return e.nextID }
-
-// Alive reports whether the slot holds a live row.
-func (e *Encoder) Alive(slot int) bool { return !e.dead[slot] }
 
 // Row returns the packed words of a slot, at the spine's current lane
 // width: valid until the spine next widens or compacts. Callers must not
 // mutate the returned slice.
 func (e *Encoder) Row(slot int) []uint64 { return e.rows.row(slot) }
-
-// IDAt returns the external id of a slot.
-func (e *Encoder) IDAt(slot int) int64 { return e.ids[slot] }
 
 // AliveDistinct returns the number of distinct values among alive rows in
 // column c — the cardinality the ∅-seed decision must use once rows can

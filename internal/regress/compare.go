@@ -12,9 +12,11 @@ type PerfMode int
 
 const (
 	// PerfAuto gates wall times only when the machine shape (NumCPU,
-	// Workers) matches the baseline's; otherwise differences downgrade
-	// to warnings. This is the CI default: a baseline recorded on a
-	// 1-CPU container must not fail a 4-CPU runner, and vice versa.
+	// GOMAXPROCS, Workers) matches the baseline's; otherwise differences
+	// downgrade to warnings. This is the CI default: a baseline recorded
+	// on a 1-CPU container must not fail a 4-CPU runner, and vice versa,
+	// and Workers = 0 sizes the pool by GOMAXPROCS, so equal CPU counts
+	// under different GOMAXPROCS values time different pool sizes.
 	PerfAuto PerfMode = iota
 	// PerfGate always gates wall times, regardless of machine shape.
 	PerfGate
@@ -225,10 +227,10 @@ func perfGating(base, cur *Baseline, th Thresholds) (bool, string) {
 	case PerfGate:
 		return true, "perf hard-gated (-perf-mode gate)"
 	}
-	if base.NumCPU != cur.NumCPU || base.Workers != cur.Workers {
+	if base.NumCPU != cur.NumCPU || base.GOMAXPROCS != cur.GOMAXPROCS || base.Workers != cur.Workers {
 		return false, fmt.Sprintf(
-			"perf warnings only: machine shape differs from baseline (cpu %d→%d, workers %d→%d)",
-			base.NumCPU, cur.NumCPU, base.Workers, cur.Workers)
+			"perf warnings only: machine shape differs from baseline (cpu %d→%d, gomaxprocs %d→%d, workers %d→%d)",
+			base.NumCPU, cur.NumCPU, base.GOMAXPROCS, cur.GOMAXPROCS, base.Workers, cur.Workers)
 	}
 	return true, fmt.Sprintf("perf gated at %.1fx (floor %.0fms): machine shape matches baseline", th.PerfRatio, th.PerfFloorMS)
 }

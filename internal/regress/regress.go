@@ -11,8 +11,8 @@
 //     they are gated by exact match; and
 //   - performance: median-of-N wall times per module (sampling / ncover /
 //     inversion / total) — inherently noisy, so they are gated by relative
-//     thresholds, and only when the machine shape (NumCPU, Workers)
-//     matches the baseline's.
+//     thresholds, and only when the machine shape (NumCPU, GOMAXPROCS,
+//     Workers) matches the baseline's.
 //
 // cmd/fdregress records baselines (BASELINE.json), checks a tree against
 // one, and diffs two recorded files.
@@ -344,8 +344,9 @@ type Config struct {
 	// Accuracy comes from the last run (the rest are bit-identical by
 	// the determinism contract). Minimum 1.
 	Runs int
-	// Workers is the EulerFD worker-pool size (0 = NumCPU). Recorded in
-	// the baseline: wall times are only compared across equal values.
+	// Workers is the EulerFD worker-pool size (0 = runtime.GOMAXPROCS(0)).
+	// Recorded in the baseline with NumCPU and GOMAXPROCS: wall times are
+	// only compared across equal machine shapes.
 	Workers int
 }
 

@@ -247,7 +247,7 @@ func TestLoadRejectsBadSchema(t *testing.T) {
 func synthetic() *Baseline {
 	return &Baseline{
 		Schema: bench.SchemaVersion, Suite: "default",
-		NumCPU: 4, Workers: 0,
+		NumCPU: 4, GOMAXPROCS: 4, Workers: 0,
 		Cells: []CellResult{
 			{
 				Dataset: "d1", Rows: 100, Cols: 5,
@@ -345,19 +345,32 @@ func TestDiffPerfNoiseFloor(t *testing.T) {
 }
 
 func TestDiffPerfCPUMismatchWarnsOnly(t *testing.T) {
-	base := synthetic()
-	cur := clone(base)
-	cur.NumCPU = 1 // recorded on 4 CPUs, checked on 1
-	cur.Cells[1].Perf.SamplingMS = 1000
-	d := Diff(base, cur, DefaultThresholds())
-	if !d.Clean() {
-		t.Fatalf("perf gated across machine shapes: %+v", d.Regressions)
-	}
-	if d.PerfGated {
-		t.Error("PerfGated true despite CPU mismatch")
-	}
-	if len(d.Warnings) == 0 {
-		t.Error("excursion should downgrade to a warning, not vanish")
+	for _, tc := range []struct {
+		name  string
+		shape func(b *Baseline)
+		note  string
+	}{
+		{"cpu", func(b *Baseline) { b.NumCPU = 1 }, "cpu 4→1"}, // recorded on 4 CPUs, checked on 1
+		// Same CPUs, but Workers = 0 follows GOMAXPROCS: a different pool size.
+		{"gomaxprocs", func(b *Baseline) { b.GOMAXPROCS = 1 }, "gomaxprocs 4→1"},
+	} {
+		base := synthetic()
+		cur := clone(base)
+		tc.shape(cur)
+		cur.Cells[1].Perf.SamplingMS = 1000
+		d := Diff(base, cur, DefaultThresholds())
+		if !d.Clean() {
+			t.Fatalf("%s: perf gated across machine shapes: %+v", tc.name, d.Regressions)
+		}
+		if d.PerfGated {
+			t.Errorf("%s: PerfGated true despite the mismatch", tc.name)
+		}
+		if !strings.Contains(d.PerfNote, tc.note) {
+			t.Errorf("%s: note %q does not name %q", tc.name, d.PerfNote, tc.note)
+		}
+		if len(d.Warnings) == 0 {
+			t.Errorf("%s: excursion should downgrade to a warning, not vanish", tc.name)
+		}
 	}
 }
 
