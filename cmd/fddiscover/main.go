@@ -392,7 +392,7 @@ func runApprox(rel *dataset.Relation, measure string, eps float64, topk int, asJ
 		if topk > 0 {
 			mode = fmt.Sprintf("k=%d", topk)
 		}
-		fmt.Fprintf(stderr, "%s: %d rows × %d cols, %d scored FDs in %s (measure=%s %s candidates=%d)\n",
+		fmt.Fprintf(stderr, "%s: %d rows × %d cols, %d scored FDs in %s (measure=%s %s, %d candidates scored)\n",
 			res.Algo, rel.NumRows(), rel.NumCols(), len(res.FDs),
 			elapsed.Round(time.Microsecond), res.Measure, mode, res.Stats.Candidates)
 	}

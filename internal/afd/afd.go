@@ -73,8 +73,10 @@ type Stats struct {
 	Mode    string  `json:"mode"` // "threshold" or "topk"
 	Epsilon float64 `json:"epsilon,omitempty"`
 	K       int     `json:"k,omitempty"`
-	// Candidates is the number of dependencies scored (threshold mode:
-	// lattice nodes probed; top-k: expanded seed candidates).
+	// Candidates is the number of dependencies scored (Scorer.Scored):
+	// in threshold mode the lattice nodes probed, in top-k mode the
+	// candidates Rank scored, which its bound may leave far below the
+	// expanded seed pool.
 	Candidates int `json:"candidates"`
 	Results    int `json:"results"`
 	// Partition-cache counters; zero in top-k mode, whose ranking walks

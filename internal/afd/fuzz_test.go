@@ -16,9 +16,10 @@ import (
 // any input: scores stay in [0, 1], g3/g1 are zero exactly when the FD
 // holds, and adding an LHS attribute never increases an anti-monotone
 // measure. It then ranks every X → r with X ⊆ lhs ∪ {extra} — empty,
-// duplicate and nested LHSs included — and checks the full ranking
-// against the canonical oracle. Wired into the CI fuzz-smoke job next to
-// the other targets.
+// duplicate and nested LHSs included — and checks the full ranking, and
+// its first k entries at k = 1, 2 and 3, where Rank's branch-and-bound
+// cut runs, against the canonical oracle. Wired into the CI fuzz-smoke
+// job next to the other targets.
 func FuzzAFDScore(f *testing.F) {
 	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8, 9}, uint8(3), uint8(0b01), uint8(2), uint8(0))
 	f.Add([]byte{0, 0, 0, 0}, uint8(2), uint8(0b10), uint8(0), uint8(1))
@@ -95,12 +96,15 @@ func FuzzAFDScore(f *testing.F) {
 		}
 		cands := oracleCandidates(enc, seeds)
 		for _, m := range afd.Measures() {
-			got, err := s.Rank(context.Background(), m, seeds, len(cands))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if diff := rankingDiff(got, oracleRanking(s, enc, cands, m)); diff != "" {
-				t.Fatalf("%s: Rank departs from the canonical oracle: %s", m, diff)
+			want := oracleRanking(s, enc, cands, m)
+			for _, k := range []int{1, 2, 3, len(cands)} {
+				got, err := s.Rank(context.Background(), m, seeds, k)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if diff := rankingDiff(got, want[:min(k, len(want))]); diff != "" {
+					t.Fatalf("%s, k=%d: Rank departs from the canonical oracle: %s", m, k, diff)
+				}
 			}
 		}
 	})

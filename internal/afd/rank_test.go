@@ -3,6 +3,7 @@ package afd_test
 import (
 	"context"
 	"fmt"
+	"math"
 	"sync"
 	"testing"
 
@@ -82,16 +83,21 @@ func rankingDiff(got, want []fdset.ScoredFD) string {
 }
 
 // TestRankMatchesCanonicalScoring pins Rank's prefix walk to the
-// canonical oracle bit for bit: with k covering every candidate, each
-// measure's full ranking over a registry corpus's discovered cover must
-// equal the one built from per-candidate enc.PartitionOf partitions —
-// the float low bits of pdep and τ included, which follow cluster order.
+// canonical oracle bit for bit: each measure's ranking over a registry
+// corpus's discovered cover must equal the first k entries of the one
+// built from per-candidate enc.PartitionOf partitions — the float low
+// bits of pdep and τ included, which follow cluster order. With k
+// covering every candidate the heap never fills and every candidate is
+// scored; at small k the branch-and-bound cut runs, and under redundancy
+// it must fire on the corpora listed in boundFires.
 func TestRankMatchesCanonicalScoring(t *testing.T) {
 	names := []string{"iris", "balance-scale", "chess", "abalone", "nursery", "breast-cancer",
 		"bridges", "echocardiogram", "ncvoter", "hepatitis"}
 	if !testing.Short() {
 		names = append(names, "adult", "horse")
 	}
+	boundFires := map[string]bool{"iris": true, "abalone": true, "breast-cancer": true, "bridges": true,
+		"echocardiogram": true, "ncvoter": true, "hepatitis": true, "adult": true, "horse": true}
 	for _, name := range names {
 		d, err := datasets.ByName(name)
 		if err != nil {
@@ -103,17 +109,22 @@ func TestRankMatchesCanonicalScoring(t *testing.T) {
 			seeds := cover.Slice()
 			cands := oracleCandidates(enc, seeds)
 			for _, m := range afd.Measures() {
-				s := afd.NewScorer(enc, 0)
-				got, err := s.Rank(context.Background(), m, seeds, len(cands)+1)
-				if err != nil {
-					t.Fatal(err)
-				}
-				want := oracleRanking(s, enc, cands, m)
-				if diff := rankingDiff(got, want); diff != "" {
-					t.Fatalf("%s: Rank departs from the canonical oracle: %s", m, diff)
-				}
-				if s.Scored() != len(cands) {
-					t.Fatalf("%s: scored %d candidates, oracle has %d", m, s.Scored(), len(cands))
+				want := oracleRanking(afd.NewScorer(enc, 0), enc, cands, m)
+				for _, k := range []int{1, 2, 5, 20, len(cands) + 1} {
+					s := afd.NewScorer(enc, 0)
+					got, err := s.Rank(context.Background(), m, seeds, k)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if diff := rankingDiff(got, want[:min(k, len(want))]); diff != "" {
+						t.Fatalf("%s, k=%d: Rank departs from the canonical oracle: %s", m, k, diff)
+					}
+					switch {
+					case k > len(cands) && s.Scored() != len(cands):
+						t.Fatalf("%s, k=%d: scored %d candidates, oracle has %d", m, k, s.Scored(), len(cands))
+					case m == afd.Redundancy && k == 5 && boundFires[name] && s.Scored() >= len(cands):
+						t.Fatalf("%s, k=%d: scored all %d candidates; the bound never fired", m, k, len(cands))
+					}
 				}
 			}
 		})
@@ -180,17 +191,31 @@ func TestRankDeterministicAcrossScorerHistory(t *testing.T) {
 
 // BenchmarkRankRedundancy times the redundancy ranking a quality report
 // starts with: Rank over the discovered cover of a 1000×18 weather
-// relation, k = 5, on a fresh scorer per iteration.
+// relation on a fresh scorer per iteration. k=5 is the report's bound,
+// where the branch-and-bound cut skips most of the pool; all ranks at
+// the pool size, the full walk that large-k and non-redundancy requests
+// still take.
 func BenchmarkRankRedundancy(b *testing.B) {
 	enc := preprocess.Encode(gen.Weather("weather", 1000, 1))
 	cover, _ := core.DiscoverEncoded(enc, core.DefaultOptions())
 	seeds := cover.Slice()
 	ctx := context.Background()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := afd.NewScorer(enc, 0).Rank(ctx, afd.Redundancy, seeds, 5); err != nil {
-			b.Fatal(err)
-		}
+	// An unbounded ranking returns the whole pool.
+	pool, err := afd.NewScorer(enc, 0).Rank(ctx, afd.Redundancy, seeds, math.MaxInt)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, bc := range []struct {
+		name string
+		k    int
+	}{{"k=5", 5}, {"all", len(pool)}} {
+		b.Run(bc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := afd.NewScorer(enc, 0).Rank(ctx, afd.Redundancy, seeds, bc.k); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

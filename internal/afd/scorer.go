@@ -76,7 +76,8 @@ func (s *Scorer) CacheStats() (hits, misses, derived int) {
 	return s.cache.Stats()
 }
 
-// Scored returns how many dependencies this scorer has evaluated.
+// Scored returns how many dependencies this scorer has evaluated. Rank
+// counts only the candidates it scored, not those its bound skipped.
 func (s *Scorer) Scored() int { return int(s.scored.Load()) }
 
 // Score returns the error of lhs → rhs under measure m, in [0, 1] with 0
@@ -159,6 +160,20 @@ func (s *Scorer) measureFrom(m Measure, mc preprocess.MeasureCounts, rhs, n int)
 		return clamp01(1 - float64(mc.RedundantRows())/float64(n-1))
 	}
 	panic(fmt.Sprintf("afd: invalid measure %q", string(m)))
+}
+
+// errorFloor returns a lower bound on m's error for every candidate
+// X → A whose LHS partition π_X refines part, bit for bit. Only
+// Redundancy has one above 0: a cluster explains at most |c| − 1 of its
+// RHS cells, so red(X → A) ≤ e(π_X) ≤ e(part) — refinement never raises
+// the partition error — and measureFrom's correctly rounded division,
+// subtraction and clamp01 are monotone. An exact FD scores 0 under g3,
+// g1, pdep and τ, so their floor is 0, and so is every floor when n ≤ 1.
+func errorFloor(m Measure, part preprocess.StrippedPartition, n int) float64 {
+	if m != Redundancy || n <= 1 {
+		return 0
+	}
+	return clamp01(1 - float64(part.Error())/float64(n-1))
 }
 
 // clamp01 pins float rounding residue back into [0, 1].
@@ -258,7 +273,16 @@ func maxAttr(x fdset.AttrSet) int {
 // follows PartitionOf's refinement path, so each candidate is scored on
 // exactly enc.PartitionOf(lhs) and the ranking — float low bits of pdep
 // and τ included — is a function of the snapshot, whatever the scorer
-// answered before. Cancellation is checked every 256 LHS groups.
+// answered before.
+//
+// The walk is a branch and bound. Once the heap holds k entries, every
+// prefix partition the walk reuses or refines is checked against the
+// heap root: when m's error floor on it (errorFloor) is strictly above
+// the root's score, no candidate under that prefix can enter the top-k,
+// and the walk skips every group whose attribute list starts with it —
+// contiguous in lexicographic order — without refining. Skipped
+// candidates are not scored and not counted by Scored. Cancellation is
+// checked every 256 visited groups.
 func (s *Scorer) Rank(ctx context.Context, m Measure, seeds []fdset.FD, k int) ([]fdset.ScoredFD, error) {
 	if !m.Valid() {
 		return nil, fmt.Errorf("afd: invalid measure %q", string(m))
@@ -272,13 +296,29 @@ func (s *Scorer) Rank(ctx context.Context, m Measure, seeds []fdset.FD, k int) (
 	defer s.scratch.Put(sc)
 	n := s.enc.NumRows
 	h := &worstFirstHeap{}
-	for i, g := range groups {
-		if i%256 == 0 {
+	// hopeless reports that no candidate whose LHS partition refines part
+	// can outrank the heap root. Strictly above keeps canonical
+	// tie-breaking: a candidate tied with the root may still outrank it.
+	hopeless := func(part preprocess.StrippedPartition) bool {
+		return h.Len() == k && errorFloor(m, part, n) > (*h)[0].Score
+	}
+	for i, visited := 0, 0; i < len(groups); visited++ {
+		if visited%256 == 0 {
 			if err := ctx.Err(); err != nil {
 				return nil, err
 			}
 		}
-		part := walk.partition(g.attrs)
+		g := groups[i]
+		i++
+		part, cut := walk.partition(g.attrs, hopeless)
+		if cut > 0 {
+			// The groups under a prefix are contiguous in lexicographic
+			// order.
+			for i < len(groups) && hasPrefix(groups[i].attrs, g.attrs[:cut]) {
+				i++
+			}
+			continue
+		}
 		for rhs := g.rhs.First(); rhs >= 0; rhs = g.rhs.NextAfter(rhs) {
 			s.scored.Add(1)
 			sf := fdset.ScoredFD{FD: fdset.FD{LHS: g.lhs, RHS: rhs}}
@@ -298,6 +338,11 @@ func (s *Scorer) Rank(ctx context.Context, m Measure, seeds []fdset.FD, k int) (
 		out[i] = heap.Pop(h).(fdset.ScoredFD)
 	}
 	return out, nil
+}
+
+// hasPrefix reports whether attrs starts with prefix.
+func hasPrefix(attrs, prefix []int) bool {
+	return len(attrs) >= len(prefix) && slices.Equal(attrs[:len(prefix)], prefix)
 }
 
 // lhsGroup is one distinct candidate LHS with every RHS Rank scores it
@@ -355,18 +400,28 @@ type prefixWalk struct {
 }
 
 // partition returns π of the LHS whose ascending attribute list is
-// attrs.
+// attrs. On the way down it offers the partition of every non-empty
+// prefix of attrs, reused or refined, shortest first, to hopeless. The
+// first prefix attrs[:j] it rejects stops the walk there: partition
+// returns cut = j instead of a partition, and the next LHS, which no
+// longer shares that prefix, pops past it. cut = 0 means no prefix was
+// rejected.
 //
 //fdlint:hotpath
-func (w *prefixWalk) partition(attrs []int) preprocess.StrippedPartition {
+func (w *prefixWalk) partition(attrs []int, hopeless func(preprocess.StrippedPartition) bool) (part preprocess.StrippedPartition, cut int) {
 	if len(attrs) == 0 {
-		return w.enc.PartitionOf(fdset.EmptySet())
+		return w.enc.PartitionOf(fdset.EmptySet()), 0
 	}
 	d := 0
 	for d < len(w.attrs) && d < len(attrs) && w.attrs[d] == attrs[d] {
 		d++
 	}
 	w.attrs, w.parts = w.attrs[:d], w.parts[:d]
+	for j := range w.parts {
+		if hopeless(w.parts[j]) {
+			return preprocess.StrippedPartition{}, j + 1
+		}
+	}
 	for ; d < len(attrs); d++ {
 		a := attrs[d]
 		p := w.enc.Partitions[a]
@@ -379,8 +434,11 @@ func (w *prefixWalk) partition(attrs []int) preprocess.StrippedPartition {
 		}
 		w.attrs = append(w.attrs, a)
 		w.parts = append(w.parts, p)
+		if hopeless(p) {
+			return preprocess.StrippedPartition{}, d + 1
+		}
 	}
-	return w.parts[len(attrs)-1]
+	return w.parts[len(attrs)-1], 0
 }
 
 // outranks reports whether a belongs strictly ahead of b in the ranking:

@@ -268,7 +268,7 @@ var registry = []entry{
 			for _, sf := range scored {
 				fds.Add(sf.FD)
 			}
-			return fds, fmt.Sprintf("measure=%s k=%d candidates=%d results=%d",
+			return fds, fmt.Sprintf("measure=%s k=%d scored=%d results=%d",
 				st.Measure, st.K, st.Candidates, st.Results), nil
 		},
 	},
@@ -290,7 +290,7 @@ var registry = []entry{
 			for _, sf := range scored {
 				fds.Add(sf.FD)
 			}
-			return fds, fmt.Sprintf("measure=%s k=%d candidates=%d results=%d",
+			return fds, fmt.Sprintf("measure=%s k=%d scored=%d results=%d",
 				st.Measure, st.K, st.Candidates, st.Results), nil
 		},
 	},

@@ -94,13 +94,19 @@ func TestCountViolationsMatchesNaive(t *testing.T) {
 					x.Add((a + 1) % 5)
 				}
 			}
-			got := enc.CountViolations(enc.PartitionOf(x), a)
+			part := enc.PartitionOf(x)
+			got := enc.CountViolations(part, a)
 			want := naiveMeasureCounts(enc, x, a)
 			if got.ViolatingRows != want.ViolatingRows ||
 				got.ViolatingPairs != want.ViolatingPairs ||
 				got.Covered != want.Covered ||
 				math.Abs(got.GroupSqSum-want.GroupSqSum) > 1e-9 {
 				t.Fatalf("CountViolations(%v, %d) = %+v, naive = %+v", x, a, got, want)
+			}
+			// afd.Scorer.Rank's redundancy bound: a cluster explains at
+			// most |c| − 1 cells, so red(X → a) ≤ e(π_X).
+			if red, e := got.RedundantRows(), part.Error(); red > e {
+				t.Fatalf("RedundantRows(%v, %d) = %d above the partition error %d", x, a, red, e)
 			}
 		}
 	}

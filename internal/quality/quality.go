@@ -220,9 +220,12 @@ func Analyze(ctx context.Context, enc *preprocess.Encoded, cover *fdset.Set, sco
 		part := enc.PartitionOfWith(sf.FD.LHS, sc)
 		viol, repair, _ := analyzeFD(enc, part, sf.FD, opt.MaxClusters, opt.MaxRows)
 		rep.Ranked = append(rep.Ranked, RankedFD{
-			FD:            sf.FD,
-			Score:         sf.Score,
-			RedundantRows: scorer.RedundantRows(sf.FD.LHS, sf.FD.RHS),
+			FD:    sf.FD,
+			Score: sf.Score,
+			// analyzeFD counts exactly the non-plurality rows, so this is
+			// the redundancy numerator e(π) − g3 that Scorer.RedundantRows
+			// would re-derive from the partition cache.
+			RedundantRows: part.Error() - viol.ViolatingRows,
 			Exact:         viol.ViolatingRows == 0,
 		})
 		if viol.ViolatingRows > 0 {

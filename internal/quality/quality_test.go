@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"eulerfd/internal/afd"
 	"eulerfd/internal/core"
 	"eulerfd/internal/dataset"
 	"eulerfd/internal/datasets"
@@ -62,7 +63,8 @@ func bruteForceHolds(rel *dataset.Relation, lhs fdset.AttrSet, rhs int) bool {
 // TestRepairSoundnessRegistry is the acceptance criterion: on every
 // registry corpus, applying each proposed repair makes its dependency
 // exact (verified against the brute-force raw-value checker) and costs
-// exactly the violating-row count.
+// exactly the violating-row count, and each ranked dependency's
+// redundant-row count equals the scorer's.
 func TestRepairSoundnessRegistry(t *testing.T) {
 	for _, d := range datasets.All() {
 		if testing.Short() && d.Rows*d.Cols > 20000 {
@@ -80,7 +82,11 @@ func TestRepairSoundnessRegistry(t *testing.T) {
 			if len(rep.Ranked) == 0 {
 				t.Fatal("empty ranking")
 			}
+			scorer := afd.NewScorer(enc, 0)
 			for i, rf := range rep.Ranked {
+				if want := scorer.RedundantRows(rf.FD.LHS, rf.FD.RHS); rf.RedundantRows != want {
+					t.Errorf("%v: redundant rows %d, scorer counts %d", rf.FD, rf.RedundantRows, want)
+				}
 				plan := quality.Plan(enc, rf.FD.LHS, rf.FD.RHS)
 				cost := 0
 				for _, step := range plan {

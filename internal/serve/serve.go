@@ -393,7 +393,7 @@ func (s *Server) finishJob(sess *session, jb *job, stats core.Stats, err error) 
 		jb.code = http.StatusOK
 		// The scorer describes the previous version; the next /afds or
 		// /quality query builds one over the committed snapshot.
-		sess.scorer = nil
+		sess.scorer, sess.snap = nil, nil
 	} else {
 		jb.err = err.Error()
 		jb.code = jobStatus(err)
@@ -403,10 +403,10 @@ func (s *Server) finishJob(sess *session, jb *job, stats core.Stats, err error) 
 			sess.state = stateReady
 		} else if errors.Is(err, context.Canceled) {
 			sess.state = stateCancelled
-			sess.scorer = nil
+			sess.scorer, sess.snap = nil, nil
 		} else {
 			sess.state = stateFailed
-			sess.scorer = nil
+			sess.scorer, sess.snap = nil, nil
 		}
 	}
 	sess.cancel = nil
@@ -648,7 +648,9 @@ func (s *Server) handleEnsembleFDs(w http.ResponseWriter, r *http.Request, sess 
 // returns the k best. ?measure= selects the error measure (default g3;
 // threshold mode requires an anti-monotone one). The two modes are
 // mutually exclusive. Scoring honors the request context, so a client
-// disconnect abandons the walk at the next level boundary.
+// disconnect abandons the walk at the next level boundary. The scorer,
+// its snapshot and the cover are read together, and the response's
+// version is the one they describe.
 func (s *Server) handleAFDs(w http.ResponseWriter, r *http.Request) {
 	sess, ok := s.getSession(w, r)
 	if !ok {
@@ -668,12 +670,12 @@ func (s *Server) handleAFDs(w http.ResponseWriter, r *http.Request) {
 	if !minVersionOK(w, r, sess) {
 		return
 	}
-	scorer, ready := sess.afdScorer(0)
+	view, ready := sess.scoring()
 	if !ready {
 		writeError(w, http.StatusConflict, "no completed result yet")
 		return
 	}
-	doc := afdsDoc{Measure: string(measure), Mode: "threshold"}
+	doc := afdsDoc{Attrs: view.attrs, Version: view.version, Measure: string(measure), Mode: "threshold"}
 	var scored []fdset.ScoredFD
 	if kStr != "" {
 		k, kerr := strconv.Atoi(kStr)
@@ -681,10 +683,9 @@ func (s *Server) handleAFDs(w http.ResponseWriter, r *http.Request) {
 			writeError(w, http.StatusBadRequest, fmt.Sprintf("k must be a positive integer, got %q", kStr))
 			return
 		}
-		fds, _, _, _, _ := sess.snapshotResult()
 		doc.Mode = "topk"
 		doc.K = k
-		scored, err = scorer.Rank(r.Context(), measure, fds.Slice(), k)
+		scored, err = view.scorer.Rank(r.Context(), measure, view.cover.Slice(), k)
 	} else {
 		eps := 0.05
 		if epsStr != "" {
@@ -695,7 +696,7 @@ func (s *Server) handleAFDs(w http.ResponseWriter, r *http.Request) {
 			}
 		}
 		doc.Epsilon = eps
-		scored, err = scorer.Discover(r.Context(), measure, eps)
+		scored, err = view.scorer.Discover(r.Context(), measure, eps)
 	}
 	switch {
 	case err == nil:
@@ -709,10 +710,6 @@ func (s *Server) handleAFDs(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	sess.mu.Lock()
-	doc.Attrs = sess.attrs
-	doc.Version = sess.version
-	sess.mu.Unlock()
 	if scored == nil {
 		scored = []fdset.ScoredFD{}
 	}
@@ -760,13 +757,11 @@ func (s *Server) handleQuality(w http.ResponseWriter, r *http.Request) {
 	if !minVersionOK(w, r, sess) {
 		return
 	}
-	scorer, ready := sess.afdScorer(0)
+	view, ready := sess.scoring()
 	if !ready {
 		writeError(w, http.StatusConflict, "no completed result yet")
 		return
 	}
-	cover, _, _, version, _ := sess.snapshotResult()
-	enc, _ := sess.snapshotEncoded()
 
 	s.mu.Lock()
 	if s.draining {
@@ -785,7 +780,7 @@ func (s *Server) handleQuality(w http.ResponseWriter, r *http.Request) {
 	}
 	defer func() { <-s.slots }()
 
-	rep, err := quality.Analyze(r.Context(), enc, cover, scorer, opt)
+	rep, err := quality.Analyze(r.Context(), view.enc, view.cover, view.scorer, opt)
 	switch {
 	case err == nil:
 	case errors.Is(err, context.Canceled):
@@ -798,7 +793,7 @@ func (s *Server) handleQuality(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	rep.Version = version
+	rep.Version = view.version
 	writeJSON(w, http.StatusOK, (*qualityDoc)(rep))
 }
 

@@ -70,12 +70,14 @@ type session struct {
 	history []event            // guarded by mu
 	subs    []chan event       // live SSE subscribers, in order, guarded by mu
 
-	// scorer serves /afds queries over the last completed result. Built
-	// lazily from an Incremental snapshot and shared by concurrent
-	// requests (afd.Scorer is concurrency-safe). When a later batch
-	// commits, finishJob drops it, and the next query builds one over the
-	// new snapshot; a rolled-back batch leaves it untouched.
+	// scorer serves /afds and /quality queries over the last completed
+	// result, and snap is the Incremental snapshot it was built over.
+	// Both are built lazily and shared by concurrent requests
+	// (afd.Scorer is concurrency-safe). When a later batch commits,
+	// finishJob drops them, and the next query builds them over the new
+	// snapshot; a rolled-back batch leaves them untouched.
 	scorer *afd.Scorer
+	snap   *preprocess.Encoded
 }
 
 // doc renders the session for the wire. Callers must not hold s.mu.
@@ -147,27 +149,41 @@ func (s *session) unsubscribe(ch chan event) {
 	}
 }
 
-// afdScorer returns the session's AFD scorer, building it on first use.
-// ok = false when the session has no completed result to score against.
-// Taking the Incremental snapshot under s.mu is safe: state == ready
-// means no job is in flight (startJob flips the state to queued under
-// this mutex before a job may touch inc), and the snapshot itself stays
-// valid even after later appends (see core.Incremental.Snapshot).
-func (s *session) afdScorer(cacheSize int) (*afd.Scorer, bool) {
+// scoringView is everything an /afds or /quality request reads: the
+// session's scorer, the snapshot it was built over, and the committed
+// cover, attributes and version they describe.
+type scoringView struct {
+	scorer  *afd.Scorer
+	enc     *preprocess.Encoded
+	cover   *fdset.Set
+	attrs   []string
+	version int64
+}
+
+// scoring returns the scoring view from one critical section, so a
+// concurrent commit cannot mix versions, building the scorer on first
+// use. ok = false when the session has no completed result to score
+// against or a job is in flight. Taking the Incremental snapshot under
+// s.mu is safe: state == ready means no job is in flight (startJob flips
+// the state to queued under this mutex before a job may touch inc), and
+// the snapshot itself stays valid even after later batches (see
+// core.Incremental.Snapshot).
+func (s *session) scoring() (scoringView, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.state != stateReady {
-		return nil, false
+		return scoringView{}, false
 	}
 	if s.scorer == nil {
-		s.scorer = afd.NewScorer(s.inc.Snapshot(), cacheSize)
+		s.snap = s.inc.Snapshot()
+		s.scorer = afd.NewScorer(s.snap, 0)
 	}
-	return s.scorer, true
+	return scoringView{scorer: s.scorer, enc: s.snap, cover: s.fds, attrs: s.attrs, version: s.version}, true
 }
 
 // snapshotEncoded returns an immutable encoding of every row absorbed
 // so far, for ensemble re-discovery. ok = false when the session has no
-// completed result. The same safety argument as afdScorer applies:
+// completed result. The same safety argument as scoring applies:
 // ready means no job touches inc, and the snapshot outlives appends.
 func (s *session) snapshotEncoded() (*preprocess.Encoded, bool) {
 	s.mu.Lock()
