@@ -248,21 +248,21 @@ func DiscoverEncodedContext(ctx context.Context, enc *preprocess.Encoded, opt Op
 	// Cluster-based sampling can only pair rows that agree somewhere, so
 	// the empty agree set is otherwise invisible; column cardinalities
 	// from preprocessing settle it exactly.
-	seed := make([]fdset.FD, 0, ncols)
+	seed := make([]int, 0, ncols)
 	for a := 0; a < ncols; a++ {
 		if enc.NumLabels[a] > 1 {
-			seed = append(seed, fdset.FD{LHS: fdset.EmptySet(), RHS: a})
+			seed = append(seed, a)
 		}
 	}
 
 	// First sampling drain, from which the attribute-frequency split rank
 	// of the cover trees is derived (Algorithm 2, Line 1).
-	first := nonFDsOf(drain(sampler, &stats), ncols)
-	rank := cover.AttrFrequencyRank(ncols, first)
+	first := drain(sampler, &stats)
+	rank := cover.AgreeSetRank(ncols, first)
 	ncover := cover.NewNCover(ncols, rank)
 	pcover := cover.NewPCover(ncols, rank)
 
-	err := runDoubleCycle(ctx, opt, sampler, ncover, pcover, seed, first, ncols, pl, &stats, obs)
+	err := runDoubleCycle(ctx, opt, sampler, ncover, pcover, seed, first, pl, &stats, obs)
 
 	stats.PairsCompared = sampler.PairsCompared
 	stats.AgreeSets = sampler.SeenCount()
@@ -305,9 +305,10 @@ func drain(sampler *Sampler, stats *Stats) []fdset.AttrSet {
 // runDoubleCycle is the shared engine of Figure 1: it admits evidence into
 // the negative cover and loops sampling (first cycle, GR_Ncover) and
 // inversion (second cycle, GR_Pcover) until both growth criteria settle.
-// seed and first are evidence batches admitted before the first inversion;
-// every later drain of sampler reports its new agree sets. Both one-shot
-// discovery and the incremental bootstrap drive this function.
+// seed (the RHSs whose ∅ non-FD is new) and first (the first drain's
+// agree sets) are admitted before the first inversion; every later drain
+// of sampler reports its new agree sets. Both one-shot discovery and the
+// incremental bootstrap drive this function.
 //
 // Cancellation is checked only at stage boundaries — before each drain
 // and after each inversion — never inside one, so a run that returns nil
@@ -316,23 +317,14 @@ func drain(sampler *Sampler, stats *Stats) []fdset.AttrSet {
 // boundaries: "sampled" after a drain's evidence is admitted, "inverted"
 // after an inversion.
 func runDoubleCycle(ctx context.Context, opt Options, sampler *Sampler, ncover *cover.NCover, pcover *cover.PCover,
-	seed, first []fdset.FD, ncols int, pl *pool.Pool, stats *Stats, obs Observer) error {
-	// pending holds non-FDs admitted to the Ncover but not yet inverted.
-	// Entries superseded by a later specialization before their inversion
-	// are dropped: inverting them would only spawn candidates that the
-	// specialization immediately destroys.
-	pending := make(map[fdset.FD]struct{})
-	addBatch := func(batch []fdset.FD) (added int) {
+	seed []int, first []fdset.AttrSet, pl *pool.Pool, stats *Stats, obs Observer) error {
+	// The negative cover marks what it admits pending until the next
+	// inversion takes it; a pending set superseded by a later
+	// specialization leaves with its leaf, never inverted.
+	admit := func(agrees []fdset.AttrSet) int {
 		t := timing.Start()
-		added, events := ncover.AddTrackedBatch(batch, pl)
-		for _, ev := range events {
-			for _, lhs := range ev.Superseded {
-				delete(pending, fdset.FD{LHS: lhs, RHS: ev.NonFD.RHS})
-			}
-			pending[ev.NonFD] = struct{}{}
-		}
-		t.AddTo(&stats.NcoverBuild)
-		return added
+		defer t.AddTo(&stats.NcoverBuild)
+		return ncover.Admit(agrees, pl)
 	}
 	emit := func(phase string, cycle int) {
 		if obs == nil {
@@ -350,8 +342,12 @@ func runDoubleCycle(ctx context.Context, opt Options, sampler *Sampler, ncover *
 		}})
 	}
 	lastBefore := ncover.Size()
-	addBatch(seed)
-	lastAdded := addBatch(first)
+	t := timing.Start()
+	for _, a := range seed {
+		ncover.Seed(a)
+	}
+	t.AddTo(&stats.NcoverBuild)
+	lastAdded := admit(first)
 	emit("sampled", 0)
 
 	for cycle := 0; ; cycle++ {
@@ -365,7 +361,7 @@ func runDoubleCycle(ctx context.Context, opt Options, sampler *Sampler, ncover *
 				break
 			}
 			lastBefore = ncover.Size()
-			lastAdded = addBatch(nonFDsOf(drain(sampler, stats), ncols))
+			lastAdded = admit(drain(sampler, stats))
 			emit("sampled", cycle)
 		}
 
@@ -373,15 +369,9 @@ func runDoubleCycle(ctx context.Context, opt Options, sampler *Sampler, ncover *
 		// most general first to minimize candidate churn.
 		beforeP := pcover.Size()
 		t := timing.Start()
-		batch := make([]fdset.FD, 0, len(pending))
-		for f := range pending {
-			batch = append(batch, f)
-		}
-		fdset.SortFDs(batch)
-		addedP := pcover.InvertAllPool(batch, pl)
+		addedP := pcover.InvertPending(ncover, pl)
 		t.AddTo(&stats.Inversion)
 		stats.Inversions++
-		clear(pending)
 		emit("inverted", cycle)
 		if err := ctx.Err(); err != nil {
 			return err
@@ -399,28 +389,10 @@ func runDoubleCycle(ctx context.Context, opt Options, sampler *Sampler, ncover *
 			break
 		}
 		lastBefore = ncover.Size()
-		lastAdded = addBatch(nonFDsOf(drain(sampler, stats), ncols))
+		lastAdded = admit(drain(sampler, stats))
 		emit("sampled", cycle+1)
 	}
 	return nil
-}
-
-// nonFDsOf expands agree sets into the non-FDs they witness: agree ↛ a for
-// every attribute a outside the agree set.
-func nonFDsOf(agrees []fdset.AttrSet, ncols int) []fdset.FD {
-	n := 0
-	for _, agree := range agrees {
-		n += ncols - agree.Count()
-	}
-	out := make([]fdset.FD, 0, n)
-	for _, agree := range agrees {
-		for a := 0; a < ncols; a++ {
-			if !agree.Has(a) {
-				out = append(out, fdset.FD{LHS: agree, RHS: a})
-			}
-		}
-	}
-	return out
 }
 
 // growthRate is the paper's GR: additions relative to the prior size. A

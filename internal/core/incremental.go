@@ -191,16 +191,16 @@ func (inc *Incremental) bootstrapContext(ctx context.Context, rows [][]string, o
 	sampler.SetWitness(inc.witness)
 
 	// ∅ seeding: the relation is young but a column may already vary.
-	var seed []fdset.FD
+	var seed []int
 	for a := 0; a < inc.ncols; a++ {
 		if !inc.seeded[a] && enc.NumLabels[a] > 1 {
 			inc.seeded[a] = true
-			seed = append(seed, fdset.FD{LHS: fdset.EmptySet(), RHS: a})
+			seed = append(seed, a)
 		}
 	}
 
-	first := nonFDsOf(drain(sampler, &stats), inc.ncols)
-	err := runDoubleCycle(ctx, inc.opt, sampler, inc.ncover, inc.pcover, seed, first, inc.ncols, pl, &stats, obs)
+	first := drain(sampler, &stats)
+	err := runDoubleCycle(ctx, inc.opt, sampler, inc.ncover, inc.pcover, seed, first, pl, &stats, obs)
 
 	stats.PairsCompared = sampler.PairsCompared
 	stats.AgreeSets = sampler.SeenCount()
@@ -337,32 +337,37 @@ func (inc *Incremental) mergeWitness(d *maskTable) (realized, retired []fdset.At
 //  1. ∅-seed transitions from alive column cardinalities: a column that
 //     starts varying admits ∅ ↛ a; one that collapses back to constant
 //     retires it.
-//  2. Admissions: realized sets expand to non-FDs and enter the negative
-//     cover in descending cardinality (the batch order that only rejects
-//     dominated sets), tracked exactly like a double-cycle drain.
+//  2. Admissions: new ∅ seeds, then the realized sets in descending
+//     cardinality (the batch order that only rejects dominated sets),
+//     enter the negative cover marked pending, exactly like a
+//     double-cycle drain.
 //  3. Retirements: each retired set leaves every per-RHS tree that stored
 //     it. A retired set superseded during this batch's admissions is
 //     already gone — its region is consistent without patching.
 //  4. Re-admission: alive agree sets dominated only by a removed maximal
 //     set may now be maximal themselves; candidates (subsets of a removed
-//     set) re-enter affected trees in descending cardinality. A tree left
-//     empty while its column still varies re-seeds ∅.
-//  5. Positive cover: every RHS inverts the pending non-FDs forward, as
+//     set) re-enter affected trees in descending cardinality, unmarked.
+//     A tree left empty while its column still varies re-seeds ∅.
+//  5. Positive cover: every RHS inverts its pending non-FDs forward, as
 //     the double cycle does. Inversion cannot run backwards, so each RHS
 //     with a removal is then patched inside the region its removed sets
 //     span (cover.PCover.Retire), from its patched negative-cover tree.
+//
+// Steps 1 and 3 never remove a pending set: step 1 runs before the
+// admissions, ∅ is never tallied and so never retired, and a mask the
+// batch realized is not one it retired (mergeWitness).
 func (inc *Incremental) patchCovers(realized, retired []fdset.AttrSet, pl *pool.Pool, stats *Stats) {
 	affected := make(map[int]bool)
 	removedBy := make(map[int][]fdset.AttrSet)
 
 	// 1. ∅-seed transitions.
-	var seeds []fdset.FD
+	var seeds []int
 	for a := 0; a < inc.ncols; a++ {
 		varying := inc.encoder.AliveDistinct(a) > 1
 		switch {
 		case varying && !inc.seeded[a]:
 			inc.seeded[a] = true
-			seeds = append(seeds, fdset.FD{LHS: fdset.EmptySet(), RHS: a})
+			seeds = append(seeds, a)
 		case !varying && inc.seeded[a]:
 			inc.seeded[a] = false
 			if inc.ncover.RemoveLHS(a, fdset.EmptySet()) {
@@ -372,20 +377,13 @@ func (inc *Incremental) patchCovers(realized, retired []fdset.AttrSet, pl *pool.
 		}
 	}
 
-	// 2. Admissions, with the double cycle's pending bookkeeping: entries
-	// superseded within the batch are dropped before inversion.
-	fdset.SortSetsDesc(realized)
-	admissions := append(seeds, nonFDsOf(realized, inc.ncols)...)
-	pending := make(map[fdset.FD]struct{})
-	if len(admissions) > 0 {
-		_, events := inc.ncover.AddTrackedBatch(admissions, pl)
-		for _, ev := range events {
-			for _, lhs := range ev.Superseded {
-				delete(pending, fdset.FD{LHS: lhs, RHS: ev.NonFD.RHS})
-			}
-			pending[ev.NonFD] = struct{}{}
-		}
+	// 2. Admissions. Each RHS admits its seed before the realized sets,
+	// the per-RHS order of the double cycle's seeding.
+	for _, a := range seeds {
+		inc.ncover.Seed(a)
 	}
+	fdset.SortSetsDesc(realized)
+	inc.ncover.Admit(realized, pl)
 
 	// 3. Retirements.
 	fdset.SortSetsDesc(retired)
@@ -435,12 +433,7 @@ func (inc *Incremental) patchCovers(realized, retired []fdset.AttrSet, pl *pool.
 	// 5. Positive cover: invert pending admissions into every RHS, then
 	// patch the affected ones (disjoint trees, so the pool shards
 	// race-free).
-	forward := make([]fdset.FD, 0, len(pending))
-	for f := range pending {
-		forward = append(forward, f)
-	}
-	fdset.SortFDs(forward)
-	inc.pcover.InvertAllPool(forward, pl)
+	inc.pcover.InvertPending(inc.ncover, pl)
 	if len(affectedSorted) > 0 {
 		pl.Do(len(affectedSorted), func(k int) {
 			rhs := affectedSorted[k]

@@ -83,46 +83,71 @@ func TestInvertSteadyStateAllocFree(t *testing.T) {
 	}
 }
 
-// TestShardSplitAllocFree pins the RHS-sharding helper: a warmed buffer
-// splits a batch of the same size without allocating.
-func TestShardSplitAllocFree(t *testing.T) {
-	const ncols = 12
-	batch := randomNonFDs(ncols, 500, 5)
-	var b rhsShards
-	assertZeroAllocs(t, "rhsShards.split", func() {
-		b.split(batch, ncols)
-	})
+// TestPendingSteadyStateAllocFree pins the double cycle's cover stages on
+// warmed trees: admitting an agree-set batch into each RHS's negative
+// cover tree, marking what it stores pending, then taking and inverting
+// the marks into the positive cover. Between runs the covers are rebuilt
+// in place from their own recycled nodes, so each run repeats the same
+// work. It runs at one and at two words.
+func TestPendingSteadyStateAllocFree(t *testing.T) {
+	for _, off := range []int{0, 60} {
+		ncols := off + 8
+		at := func(attrs ...int) fdset.AttrSet {
+			s := fdset.FullSet(off)
+			for _, a := range attrs {
+				s.Add(off + a)
+			}
+			return s
+		}
+		batch := []fdset.AttrSet{at(0, 1), at(1, 2), at(0, 1, 2), at(3, 4), at(0, 5, 6), at(2, 3, 4, 7)}
+		var flat []uint64
+		for _, x := range batch {
+			for i := 0; i < (ncols+63)/64; i++ {
+				flat = append(flat, x.Word(i))
+			}
+		}
+		n, p := NewNCover(ncols, nil), NewPCover(ncols, nil)
+		run := func() {
+			for rhs := off; rhs < ncols; rhs++ {
+				nt, pt := n.trees[rhs], p.trees[rhs]
+				nt.reset()
+				pt.reset()
+				pt.Add(fdset.EmptySet())
+				nt.admitAll(flat, rhs)
+				pt.invertPending(nt, rhs, ncols)
+			}
+		}
+		run()
+		if n.Size() == 0 || p.Size() == ncols {
+			t.Fatalf("off %d: fixture admitted %d sets and left %d candidates", off, n.Size(), p.Size())
+		}
+		assertZeroAllocs(t, fmt.Sprintf("admit and invert pending at %d words", n.trees[off].mw), run)
+	}
 }
 
-// TestShardSplitStableByRHS checks the helper's order contract: ascending
-// RHS, batch order within one RHS, nothing lost.
-func TestShardSplitStableByRHS(t *testing.T) {
-	const ncols = 7
-	batch := randomNonFDs(ncols, 300, 11)
-	var b rhsShards
-	for round := 0; round < 2; round++ { // the second split reuses the buffers
-		shards := b.split(batch[:len(batch)-round*50], ncols)
-		var want [ncols][]fdset.FD
-		for _, f := range batch[:len(batch)-round*50] {
-			want[f.RHS] = append(want[f.RHS], f)
+// TestMembersSteadyStateAllocFree pins the membership table once grown:
+// probing, deleting and re-inserting its sets allocates nothing, at one
+// and at two words.
+func TestMembersSteadyStateAllocFree(t *testing.T) {
+	for _, mw := range []int{1, 2} {
+		m := newMembers(mw)
+		var keys []uint64
+		for k := uint64(1); k <= 200; k++ {
+			key := make([]uint64, mw)
+			key[mw-1] = k * 0x51
+			keys = append(keys, key...)
+			m.insert(key)
 		}
-		k := 0
-		for rhs := 0; rhs < ncols; rhs++ {
-			if len(want[rhs]) == 0 {
-				continue
-			}
-			if k >= len(shards) || len(shards[k]) != len(want[rhs]) {
-				t.Fatalf("round %d: shard %d does not hold RHS %d's %d FDs", round, k, rhs, len(want[rhs]))
-			}
-			for i, f := range want[rhs] {
-				if got := batch[shards[k][i]]; got != f {
-					t.Fatalf("round %d: RHS %d position %d = %v, want %v", round, rhs, i, got, f)
+		probe := make([]uint64, mw)
+		assertZeroAllocs(t, fmt.Sprintf("members at %d words", mw), func() {
+			for o := 0; o < len(keys); o += mw {
+				key := keys[o : o+mw]
+				copy(probe, key)
+				probe[0] ^= 1 << 62
+				if !m.has(key) || m.has(probe) || !m.remove(key) || !m.insert(key) {
+					t.Fatal("table lost a key")
 				}
 			}
-			k++
-		}
-		if k != len(shards) {
-			t.Fatalf("round %d: %d shards, want %d", round, len(shards), k)
-		}
+		})
 	}
 }

@@ -19,15 +19,11 @@ import (
 type coverStream struct {
 	ncols int
 	rank  []int
-	// agree holds every agree set the drains returned, in drain order.
-	agree []fdset.AttrSet
-	// admissions holds the ∅-seed batch, then one non-FD batch per
-	// sampler drain (agree set X witnesses X ↛ a for every a ∉ X).
-	admissions [][]fdset.FD
-	// inversions holds, per admission batch, the admitted non-FDs not
-	// superseded within it, in the sorted order the double cycle inverts
-	// them.
-	inversions [][]fdset.FD
+	// seed lists the non-constant columns, whose ∅ non-FDs seed the
+	// negative cover before the first drain.
+	seed []int
+	// drains holds each sampler drain's agree sets, in drain order.
+	drains [][]fdset.AttrSet
 }
 
 // streamDrains caps the replayed drains at what one discovery performs
@@ -71,111 +67,84 @@ func loadWideStream(b *testing.B) *coverStream {
 	return wide
 }
 
-// newCoverStream encodes rel and replays its sampler's drains through a
-// negative cover, recording each drain's admissions and pending
-// inversions.
+// newCoverStream encodes rel and records its sampler's drains.
 func newCoverStream(rel *dataset.Relation) *coverStream {
 	enc := preprocess.Encode(rel)
 	ncols := len(enc.Attrs)
 	s := &coverStream{ncols: ncols}
-
-	var seed []fdset.FD
 	for a := 0; a < ncols; a++ {
 		if enc.NumLabels[a] > 1 {
-			seed = append(seed, fdset.FD{RHS: a})
+			s.seed = append(s.seed, a)
 		}
 	}
-	s.admissions = append(s.admissions, seed)
 	opt := core.DefaultOptions()
 	sampler := core.NewSampler(enc, opt.NumQueues, 3)
 	for d := 0; d < streamDrains; d++ {
-		var batch []fdset.FD
-		for _, agree := range sampler.Drain() {
-			s.agree = append(s.agree, agree)
-			for a := 0; a < ncols; a++ {
-				if !agree.Has(a) {
-					batch = append(batch, fdset.FD{LHS: agree, RHS: a})
-				}
-			}
-		}
-		s.admissions = append(s.admissions, batch)
+		s.drains = append(s.drains, sampler.Drain())
 		if !sampler.Reseed() {
 			break
 		}
 	}
-	s.rank = cover.AttrFrequencyRank(ncols, s.admissions[1])
-
-	nc := cover.NewNCover(ncols, s.rank)
-	for _, batch := range s.admissions {
-		pending := make(map[fdset.FD]bool)
-		_, events := nc.AddTrackedBatch(batch, nil)
-		for _, ev := range events {
-			for _, lhs := range ev.Superseded {
-				delete(pending, fdset.FD{LHS: lhs, RHS: ev.NonFD.RHS})
-			}
-			pending[ev.NonFD] = true
-		}
-		inv := make([]fdset.FD, 0, len(pending))
-		for f := range pending {
-			inv = append(inv, f)
-		}
-		fdset.SortFDs(inv)
-		s.inversions = append(s.inversions, inv)
-	}
+	s.rank = cover.AgreeSetRank(ncols, s.drains[0])
 	return s
 }
 
-// BenchmarkNCoverAdmitDense times Ncover admission (Algorithm 2) alone:
-// the dense relation's admission batches into a fresh negative cover.
-func BenchmarkNCoverAdmitDense(b *testing.B) {
-	s := loadDenseStream(b)
+// admit feeds nc the stream's batch k: the ∅ seeds for k = 0, else
+// drain k − 1, each marked pending as the double cycle admits them.
+func (s *coverStream) admit(nc *cover.NCover, k int) {
+	if k == 0 {
+		for _, a := range s.seed {
+			nc.Seed(a)
+		}
+		return
+	}
+	nc.Admit(s.drains[k-1], nil)
+}
+
+// batches returns the number of admission batches: the seeds, then one
+// per drain.
+func (s *coverStream) batches() int { return 1 + len(s.drains) }
+
+// benchAdmit times Ncover admission (Algorithm 2) alone: the stream's
+// batches into a fresh negative cover.
+func benchAdmit(b *testing.B, s *coverStream) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		nc := cover.NewNCover(s.ncols, s.rank)
-		for _, batch := range s.admissions {
-			nc.AddTrackedBatch(batch, nil)
+		for k := 0; k < s.batches(); k++ {
+			s.admit(nc, k)
 		}
 	}
 }
 
-// BenchmarkInvertDense times Pcover inversion (Algorithm 3) alone: the
-// dense relation's pending batches into a fresh positive cover.
-func BenchmarkInvertDense(b *testing.B) {
-	s := loadDenseStream(b)
+// benchInvert times Pcover inversion (Algorithm 3) alone: after each
+// batch, which is admitted with the timer stopped, the sets it left
+// pending invert into a fresh positive cover.
+func benchInvert(b *testing.B, s *coverStream) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		pc := cover.NewPCover(s.ncols, s.rank)
-		for _, batch := range s.inversions {
-			pc.InvertAll(batch)
-		}
-	}
-}
-
-// BenchmarkNCoverAdmitWide is BenchmarkNCoverAdmitDense on the wide
-// relation.
-func BenchmarkNCoverAdmitWide(b *testing.B) {
-	s := loadWideStream(b)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+		b.StopTimer()
 		nc := cover.NewNCover(s.ncols, s.rank)
-		for _, batch := range s.admissions {
-			nc.AddTrackedBatch(batch, nil)
+		pc := cover.NewPCover(s.ncols, s.rank)
+		for k := 0; k < s.batches(); k++ {
+			b.StopTimer()
+			s.admit(nc, k)
+			b.StartTimer()
+			pc.InvertPending(nc, nil)
 		}
 	}
 }
 
-// BenchmarkInvertWide is BenchmarkInvertDense on the wide relation.
-func BenchmarkInvertWide(b *testing.B) {
-	s := loadWideStream(b)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		pc := cover.NewPCover(s.ncols, s.rank)
-		for _, batch := range s.inversions {
-			pc.InvertAll(batch)
-		}
-	}
-}
+// BenchmarkNCoverAdmitDense times admission on the dense relation.
+func BenchmarkNCoverAdmitDense(b *testing.B) { benchAdmit(b, loadDenseStream(b)) }
+
+// BenchmarkInvertDense times pending inversion on the dense relation.
+func BenchmarkInvertDense(b *testing.B) { benchInvert(b, loadDenseStream(b)) }
+
+// BenchmarkNCoverAdmitWide times admission on the wide relation.
+func BenchmarkNCoverAdmitWide(b *testing.B) { benchAdmit(b, loadWideStream(b)) }
+
+// BenchmarkInvertWide times pending inversion on the wide relation.
+func BenchmarkInvertWide(b *testing.B) { benchInvert(b, loadWideStream(b)) }

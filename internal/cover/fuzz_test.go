@@ -340,7 +340,7 @@ func checkStructure(t *testing.T, tree *Tree) {
 	if tree.root != 0 {
 		walk(tree.root)
 	}
-	if members := len(tree.narrow) + len(tree.wide); len(leaves) != tree.Size() || members != tree.Size() {
+	if members := tree.members.len(); len(leaves) != tree.Size() || members != tree.Size() {
 		t.Fatalf("%d leaves, %d members, Size() = %d", len(leaves), members, tree.Size())
 	}
 	for _, s := range leaves {
@@ -370,13 +370,12 @@ func checkStructure(t *testing.T, tree *Tree) {
 // does and holds it to Rebuild, at every fuzzWidth. The input decodes as:
 // byte 0 the universe size (1–10), byte 1 the rounds (1–3), bytes 2–9 a
 // seed. The seed draws a starting non-FD antichain per RHS; each round
-// then admits random non-FDs, removes random stored ones, and re-admits
-// alive subsets of the removed sets in descending cardinality (the order
-// NCover.Readmit needs to keep the antichain), re-seeding ∅ into some
-// emptied trees. After the pending admissions are inverted forward and
-// every RHS that lost a non-FD is patched, each tree must hold exactly
-// what Rebuild derives from the final negative cover, and pass
-// checkStructure.
+// then admits random agree sets and inverts them forward, removes random
+// stored non-FDs, and re-admits alive subsets of the removed sets in
+// descending cardinality (the order NCover.Readmit needs to keep the
+// antichain), re-seeding ∅ into some emptied trees. After every RHS that
+// lost a non-FD is patched, each tree must hold exactly what Rebuild
+// derives from the final negative cover, and pass checkStructure.
 func FuzzPCoverRetire(f *testing.F) {
 	for seed := byte(1); seed <= 4; seed++ {
 		f.Add([]byte{3 + seed, seed, seed, 0, 0, 0, 0, 0, 0, 0})
@@ -446,19 +445,15 @@ func fuzzRetire(t *testing.T, w fuzzWidth, data []byte) {
 	}
 
 	for round := 0; round < rounds; round++ {
-		var admissions []fdset.FD
+		var admissions []fdset.AttrSet
 		for k := r.Intn(3 * n); k > 0; k-- {
-			b := r.Intn(n)
-			admissions = append(admissions, fdset.FD{LHS: draw(b), RHS: w.attr(b)})
+			admissions = append(admissions, draw(r.Intn(n)))
 		}
-		pending := make(map[fdset.FD]bool)
-		_, events := nc.AddTrackedBatch(admissions, nil)
-		for _, ev := range events {
-			for _, lhs := range ev.Superseded {
-				delete(pending, fdset.FD{LHS: lhs, RHS: ev.NonFD.RHS})
-			}
-			pending[ev.NonFD] = true
-		}
+		// Invert the admissions forward before any removal: Retire needs
+		// the positive cover of the negative cover before the
+		// retirements, and a removal can take a pending set with it.
+		nc.Admit(admissions, nil)
+		pc.InvertPending(nc, nil)
 
 		removed := make([][]fdset.AttrSet, n)
 		for b := 0; b < n; b++ {
@@ -483,12 +478,6 @@ func fuzzRetire(t *testing.T, w fuzzWidth, data []byte) {
 			}
 		}
 
-		forward := make([]fdset.FD, 0, len(pending))
-		for f := range pending {
-			forward = append(forward, f)
-		}
-		fdset.SortFDs(forward)
-		pc.InvertAll(forward)
 		ref := NewPCover(ncols, nil)
 		for b := 0; b < n; b++ {
 			rhs := w.attr(b)

@@ -11,11 +11,16 @@ import (
 // maximal non-FD LHSs observed so far. By Lemma 1 a non-FD X ↛ A implies
 // Y ↛ A for every Y ⊂ X, so storing only maximal LHSs loses nothing while
 // keeping the trees small (Algorithm 2).
+//
+// The cover also holds the double cycle's pending-inversion set: Admit
+// and Seed mark each set they store pending on its leaf, until
+// PCover.InvertPending takes it. A pending set that a later admission
+// supersedes leaves the cover with its leaf and is never inverted:
+// inverting a generalization whose specialization is already known only
+// creates candidates the specialization immediately destroys.
 type NCover struct {
-	trees  []*Tree
-	ncols  int
-	size   int
-	shards rhsShards // AddTrackedBatch's batch split
+	trees []*Tree
+	ncols int
 }
 
 // NewNCover builds an empty negative cover over ncols attributes. rank
@@ -32,92 +37,100 @@ func NewNCover(ncols int, rank []int) *NCover {
 func (n *NCover) NumCols() int { return n.ncols }
 
 // Size returns the number of stored maximal non-FDs.
-func (n *NCover) Size() int { return n.size }
+func (n *NCover) Size() int {
+	size := 0
+	for _, t := range n.trees {
+		size += t.Size()
+	}
+	return size
+}
 
 // Add inserts the non-FD into the cover. It reports whether the cover
 // changed: false when an equal or specializing non-FD was already present.
 // Generalizations of the new non-FD are discarded (Lines 2–5, Alg. 2).
+// The stored set is not marked pending.
 func (n *NCover) Add(nonFD fdset.FD) bool {
-	added, _ := n.AddTracked(nonFD)
+	t := n.trees[nonFD.RHS]
+	t.mustFit(nonFD.LHS)
+	var buf [fdset.NumWords]uint64
+	return t.admit(t.words(&buf, nonFD.LHS)) != 0
+}
+
+// admit is Add on a set of mw words, returning the new leaf or 0.
+//
+//fdlint:hotpath
+func (t *Tree) admit(s []uint64) int32 {
+	if t.containsSuperset(t.root, s) {
+		return 0
+	}
+	t.removed = t.removeSubsetsInto(s, t.removed[:0])
+	return t.insert(s)
+}
+
+// Admit admits one sampling drain's agree sets: agree set X witnesses
+// X ↛ a for every attribute a ∉ X. The tree of each RHS a admits, in
+// batch order, the agree sets that lack a and marks each one it stores
+// pending: the per-tree effect of adding the drain's non-FDs one at a
+// time. The trees are independent, so the pool runs one task per RHS
+// with no locking, and the cover, the marks and the count are the same
+// for every worker count, the nil (sequential) pool included. It returns
+// the number of non-FDs that changed the cover, GR_Ncover's numerator.
+func (n *NCover) Admit(agrees []fdset.AttrSet, p *pool.Pool) int {
+	if len(agrees) == 0 || n.ncols == 0 {
+		return 0
+	}
+	// The batch at the trees' width, mw words per agree set, converted
+	// once and read by every task.
+	t0 := n.trees[0]
+	flat := make([]uint64, 0, t0.mw*len(agrees))
+	var buf [fdset.NumWords]uint64
+	for _, x := range agrees {
+		t0.mustFit(x)
+		flat = append(flat, t0.words(&buf, x)...)
+	}
+	added := make([]int, n.ncols)
+	p.Do(n.ncols, func(rhs int) {
+		added[rhs] = n.trees[rhs].admitAll(flat, rhs)
+	})
+	total := 0
+	for _, a := range added {
+		total += a
+	}
+	return total
+}
+
+// admitAll admits into the tree of rhs, in order, every set of flat (mw
+// words apiece) that lacks rhs, marking each one it stores pending, and
+// returns how many it stored.
+//
+//fdlint:hotpath
+func (t *Tree) admitAll(flat []uint64, rhs int) int {
+	added := 0
+	for o := 0; o < len(flat); o += t.mw {
+		s := flat[o : o+t.mw]
+		if has(s, rhs) {
+			continue
+		}
+		if leaf := t.admit(s); leaf != 0 {
+			t.markPending(leaf)
+			added++
+		}
+	}
 	return added
 }
 
-// AddTracked is Add, additionally returning the LHSs of the stored
-// non-FDs (same RHS) that the new entry superseded. EulerFD's double
-// cycle uses this to drop superseded entries from its pending-inversion
-// queue: inverting a generalization whose specialization is already known
-// only creates candidates the specialization immediately destroys.
-func (n *NCover) AddTracked(nonFD fdset.FD) (added bool, superseded []fdset.AttrSet) {
-	t := n.trees[nonFD.RHS]
-	if t.ContainsSuperset(nonFD.LHS) {
-		return false, nil
+// Seed admits ∅ ↛ rhs and marks it pending, reporting whether the cover
+// changed: ∅ is stored only into an empty tree. Discovery seeds every
+// non-constant column, because sampling pairs only rows that agree
+// somewhere and so never witnesses the empty agree set.
+func (n *NCover) Seed(rhs int) bool {
+	t := n.trees[rhs]
+	var empty [fdset.NumWords]uint64
+	leaf := t.admit(empty[:t.mw])
+	if leaf != 0 {
+		t.markPending(leaf)
 	}
-	superseded = t.RemoveSubsets(nonFD.LHS)
-	t.Add(nonFD.LHS)
-	n.size += 1 - len(superseded)
-	return true, superseded
-}
-
-// AddEvent records one admission performed by AddTrackedBatch: the
-// admitted non-FD and the stored LHSs (same RHS) it superseded.
-type AddEvent struct {
-	NonFD      fdset.FD
-	Superseded []fdset.AttrSet
-}
-
-// AddTrackedBatch admits a batch of non-FDs, sharded by RHS across the
-// worker pool: per-RHS trees are independent (the same property inversion
-// exploits), so each shard is processed by exactly one worker with no
-// locking. Events are reported grouped by ascending RHS and, within one
-// RHS, in batch order — exactly the per-tree effect of sequential
-// AddTracked calls — so the resulting cover, the admission count, and the
-// event set are identical for every worker count, including the nil
-// (sequential) pool.
-func (n *NCover) AddTrackedBatch(nonFDs []fdset.FD, p *pool.Pool) (added int, events []AddEvent) {
-	shards := n.shards.split(nonFDs, n.ncols)
-	results := make([]admitResult, len(shards))
-	p.Do(len(shards), func(k int) {
-		n.admit(nonFDs, shards[k], &results[k])
-	})
-	for _, r := range results {
-		added += len(r.events)
-		n.size += r.sizeDelta
-		events = append(events, r.events...)
-	}
-	return added, events
-}
-
-// admitResult is one shard's share of an AddTrackedBatch.
-type admitResult struct {
-	events    []AddEvent
-	sizeDelta int
-	// superseded backs every event's Superseded slice: one buffer per
-	// shard instead of one allocation per admission.
-	superseded []fdset.AttrSet
-}
-
-// admit is the shard body of AddTrackedBatch: sequential AddTracked over
-// one RHS's non-FDs, nonFDs[i] for i in shard, recording events into r.
-//
-//fdlint:hotpath
-func (n *NCover) admit(nonFDs []fdset.FD, shard []int32, r *admitResult) {
-	var buf [fdset.NumWords]uint64
-	for _, i := range shard {
-		f := nonFDs[i]
-		t := n.trees[f.RHS]
-		t.mustFit(f.LHS)
-		lhs := t.words(&buf, f.LHS)
-		if t.containsSuperset(t.root, lhs) {
-			continue
-		}
-		t.removed = t.removeSubsetsInto(lhs, t.removed[:0])
-		t.add(lhs)
-		from := len(r.superseded)
-		r.superseded = t.appendSets(r.superseded, t.removed)
-		to := len(r.superseded)
-		r.sizeDelta += 1 - (to - from)
-		r.events = append(r.events, AddEvent{NonFD: f, Superseded: r.superseded[from:to:to]})
-	}
+	return leaf != 0
 }
 
 // RemoveLHS removes the stored maximal non-FD lhs ↛ rhs, reporting
@@ -126,27 +139,19 @@ func (n *NCover) admit(nonFDs []fdset.FD, shard []int32, r *admitResult) {
 // set is no longer evidenced and must leave the cover before the affected
 // region is re-inverted.
 func (n *NCover) RemoveLHS(rhs int, lhs fdset.AttrSet) bool {
-	if !n.trees[rhs].Remove(lhs) {
-		return false
-	}
-	n.size--
-	return true
+	return n.trees[rhs].Remove(lhs)
 }
 
 // Readmit re-admits a still-witnessed non-FD after retirements freed its
 // region: it is stored unless a stored superset already covers it. Unlike
-// AddTracked it never removes subsets — callers admit candidates in
-// descending cardinality, and a candidate that is a subset of a removed
-// maximal set cannot strictly contain any surviving stored set (the cover
-// is an antichain), so there is nothing to supersede.
+// Add it never removes subsets — callers admit candidates in descending
+// cardinality, and a candidate that is a subset of a removed maximal set
+// cannot strictly contain any surviving stored set (the cover is an
+// antichain), so there is nothing to supersede. It never marks the set
+// pending: a re-admitted set is a subset of one already inverted.
 func (n *NCover) Readmit(rhs int, lhs fdset.AttrSet) bool {
 	t := n.trees[rhs]
-	if t.ContainsSuperset(lhs) {
-		return false
-	}
-	t.Add(lhs)
-	n.size++
-	return true
+	return !t.ContainsSuperset(lhs) && t.Add(lhs)
 }
 
 // AddAll inserts a batch of non-FDs sorted in decreasing LHS length (the
@@ -202,6 +207,30 @@ func AttrFrequencyRank(ncols int, nonFDs []fdset.FD) []int {
 			return true
 		})
 	}
+	return rankByFrequency(freq)
+}
+
+// AgreeSetRank is AttrFrequencyRank over the non-FDs a sample of agree
+// sets witnesses, without expanding them: agree set X witnesses
+// ncols − |X| non-FDs, each with LHS X.
+func AgreeSetRank(ncols int, agrees []fdset.AttrSet) []int {
+	freq := make([]int, ncols)
+	for _, x := range agrees {
+		witnessed := ncols - x.Count()
+		x.ForEach(func(a int) bool {
+			if a < ncols {
+				freq[a] += witnessed
+			}
+			return true
+		})
+	}
+	return rankByFrequency(freq)
+}
+
+// rankByFrequency ranks attributes by ascending freq, ties in attribute
+// order.
+func rankByFrequency(freq []int) []int {
+	ncols := len(freq)
 	idx := make([]int, ncols)
 	for i := range idx {
 		idx[i] = i

@@ -13,9 +13,8 @@ import (
 // so far. It starts from the most general candidates ∅ → A and is refined
 // by Invert (Algorithm 3).
 type PCover struct {
-	trees  []*Tree
-	ncols  int
-	shards rhsShards // InvertAllPool's batch split
+	trees []*Tree
+	ncols int
 }
 
 // NewPCover builds a positive cover over ncols attributes initialized with
@@ -161,15 +160,22 @@ func (t *Tree) blockerBases(general []uint64) bool {
 
 // blockedByBases reports whether some S ∪ {attr}, S in the table
 // blockerBases filled, is stored. Its probes are most of an inversion's
-// membership lookups, so one word probes the map directly: copying each
-// base into a probe first cost the dense inversion benchmark about 10%.
+// membership lookups, so at one word it walks the table's slots in place
+// (S ∪ {attr} is never ∅, whose flag it may skip); copying each base
+// into a probe first cost the dense inversion benchmark about 10%.
 func (t *Tree) blockedByBases(attr int) bool {
+	m := &t.members
 	if t.mw == 1 {
 		bit := uint64(1) << attr
+	bases:
 		for _, sub := range t.subsets {
-			if _, ok := t.narrow[sub|bit]; ok {
-				return true
+			x := sub | bit
+			for i := (x * hashMul) >> m.shift; m.slots[i] != x; i = (i + 1) & m.mask {
+				if m.slots[i] == 0 {
+					continue bases
+				}
 			}
+			return true
 		}
 		return false
 	}
@@ -177,7 +183,7 @@ func (t *Tree) blockedByBases(attr int) bool {
 	for i := 0; i < len(t.subsets); i += t.mw {
 		copy(probe, t.subsets[i:i+t.mw])
 		probe[attr>>6] |= 1 << (attr & 63)
-		if t.isMember(probe) {
+		if m.has(probe) {
 			return true
 		}
 	}
@@ -223,25 +229,42 @@ func (p *PCover) InvertAll(nonFDs []fdset.FD) int {
 	return added
 }
 
-// InvertAllPool is InvertAll sharded by RHS over a shared worker pool (nil
-// pool = sequential). Per-shard added counts land in a private results
-// slot, so no synchronization beyond the pool's own join is needed.
-func (p *PCover) InvertAllPool(nonFDs []fdset.FD, pl *pool.Pool) int {
-	if pl == nil {
-		return p.InvertAll(nonFDs)
-	}
-	shards := p.shards.split(nonFDs, p.ncols)
-	results := make([]int, len(shards))
-	pl.Do(len(shards), func(k int) {
-		n := 0
-		for _, i := range shards[k] {
-			n += p.Invert(nonFDs[i])
+// InvertPending inverts every set that the negative cover n holds marked
+// pending into the candidate tree of the same RHS, and unmarks it. Each
+// RHS takes its sets in canonical order, ascending cardinality and then
+// attribute list (fdset.SortFDs' order within one RHS), so the most
+// general non-FDs invert first. The trees of distinct RHSs are
+// independent: the pool runs one task per RHS that has pending sets,
+// touching only that RHS's two trees, so the covers and the count are the
+// same for every worker count, the nil (sequential) pool included. It
+// returns the number of candidates added, GR_Pcover's numerator.
+func (p *PCover) InvertPending(n *NCover, pl *pool.Pool) int {
+	var busy []int
+	for rhs, t := range n.trees {
+		if len(t.pending) > 0 {
+			busy = append(busy, rhs)
 		}
-		results[k] = n
+	}
+	added := make([]int, len(busy))
+	pl.Do(len(busy), func(k int) {
+		rhs := busy[k]
+		added[k] = p.trees[rhs].invertPending(n.trees[rhs], rhs, p.ncols)
 	})
+	total := 0
+	for _, a := range added {
+		total += a
+	}
+	return total
+}
+
+// invertPending inverts the pending sets of nt, the negative-cover tree
+// of rhs, into t, its candidate tree, and returns the candidates added.
+//
+//fdlint:hotpath
+func (t *Tree) invertPending(nt *Tree, rhs, ncols int) int {
 	added := 0
-	for _, n := range results {
-		added += n
+	for _, leaf := range nt.takePending() {
+		added += t.invert(nt.inter(leaf), rhs, ncols)
 	}
 	return added
 }
@@ -286,7 +309,7 @@ func (p *PCover) Retire(rhs int, retired, nonFDs []fdset.AttrSet) {
 		patch.invert(patch.words(&buf, x.Union(outside)), rhs, p.ncols)
 	}
 	patch.ForEach(func(x fdset.AttrSet) bool {
-		if w := t.words(&buf, x); !t.isMember(w) {
+		if w := t.words(&buf, x); !t.members.has(w) {
 			t.root, _ = t.removeSupersets(t.root, w)
 			t.add(w)
 		}

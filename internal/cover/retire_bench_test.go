@@ -54,15 +54,11 @@ func loadRetireCase(b *testing.B) *retireCase {
 			pc:      cover.NewPCover(s.ncols, nil),
 		}
 		nc := cover.NewNCover(s.ncols, nil)
-		for _, batch := range s.admissions {
-			nc.AddTrackedBatch(batch, nil)
+		for k := 0; k < s.batches(); k++ {
+			s.admit(nc, k)
+			c.pc.InvertPending(nc, nil)
 		}
-		for rhs := 0; rhs < s.ncols; rhs++ {
-			for _, lhs := range nc.Tree(rhs).Sets() {
-				c.pc.Invert(fdset.FD{LHS: lhs, RHS: rhs})
-			}
-		}
-		alive := slices.Clone(s.agree)
+		alive := slices.Concat(s.drains...)
 		fdset.SortSetsDesc(alive)
 		for rhs := 0; rhs < s.ncols && len(c.affected) < retireRHSs; rhs++ {
 			sets := nc.Tree(rhs).Sets()

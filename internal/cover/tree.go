@@ -14,6 +14,7 @@
 package cover
 
 import (
+	"cmp"
 	"fmt"
 	"math/bits"
 	"slices"
@@ -47,30 +48,42 @@ type Tree struct {
 	// splits first. The paper sorts LHS attributes by ascending frequency
 	// so that rare attributes discriminate near the root.
 	rank []int
-	// narrow (mw = 1) or wide (mw > 1) mirrors the stored sets for O(1)
-	// exact-membership checks, keyed on the one word itself where there is
-	// one — hashing 8 bytes instead of a 48-byte AttrSet — and on the
-	// AttrSet above it. The inversion fast path (enumerating potential
-	// blockers of a candidate) depends on this.
-	narrow map[uint64]struct{}
-	wide   map[fdset.AttrSet]struct{}
+	// members mirrors the stored sets for O(1) exact-membership checks.
+	// The inversion fast path (enumerating potential blockers of a
+	// candidate) depends on this.
+	members members
 	// free chains (through left) the nodes that removals unlinked; Add
 	// takes from it before growing the arena, so a tree that shrinks and
 	// regrows — every inversion does — reuses its nodes.
 	free int32
+	// pending lists the leaves marked pending since the last
+	// takePending, in marking order. The mark on the leaf is what counts:
+	// an entry whose leaf has since been removed, or whose node has been
+	// recycled, is skipped, and a node recycled into a marked leaf again
+	// is listed twice but taken once.
+	pending []int32
 	// Scratch, mw words per set, grown once and reused: removed holds the
 	// sets the last removal walk took out (an inversion's generals, an
 	// admission's superseded sets); subsets is one general's blocker
 	// table; cand and probe are one candidate and one membership probe.
 	removed, subsets, cand, probe []uint64
+	// taken is takePending's result buffer.
+	taken []int32
 }
 
 // node is a trie node. A leaf (attr < 0) holds exactly one stored set in
 // its aggregates.
 type node struct {
-	attr        int32 // split attribute; -1 marks a leaf
+	attr        int32 // split attribute, or leafAttr or pendingLeaf
 	left, right int32 // child indices; 0 is none
 }
+
+// A leaf's attr: pendingLeaf marks a negative-cover set admitted since
+// its RHS was last inverted. Every new or recycled node starts unmarked.
+const (
+	leafAttr    = -1
+	pendingLeaf = -2
+)
 
 // NewTree builds an empty tree over ncols attributes. rank, when non-nil,
 // maps attribute index to split priority (lower first); nil means natural
@@ -80,17 +93,12 @@ func NewTree(ncols int, rank []int) *Tree {
 	if mw > fdset.NumWords {
 		panic(fmt.Sprintf("cover: %d columns exceed fdset.MaxAttrs", ncols))
 	}
-	t := &Tree{
+	return &Tree{
 		mw: mw, rank: rank,
 		nodes: make([]node, 1), aggs: make([]uint64, 2*mw),
-		cand: make([]uint64, mw), probe: make([]uint64, mw),
+		members: newMembers(mw),
+		cand:    make([]uint64, mw), probe: make([]uint64, mw),
 	}
-	if mw == 1 {
-		t.narrow = make(map[uint64]struct{})
-	} else {
-		t.wide = make(map[fdset.AttrSet]struct{})
-	}
-	return t
 }
 
 // Size returns the number of stored sets.
@@ -159,38 +167,6 @@ func (t *Tree) appendSets(out []fdset.AttrSet, ws []uint64) []fdset.AttrSet {
 	return out
 }
 
-// isMember reports whether s is stored.
-func (t *Tree) isMember(s []uint64) bool {
-	if t.mw == 1 {
-		_, ok := t.narrow[s[0]]
-		return ok
-	}
-	_, ok := t.wide[toSet(s)]
-	return ok
-}
-
-// addMember records s as stored, reporting whether it was not already.
-func (t *Tree) addMember(s []uint64) bool {
-	if t.isMember(s) {
-		return false
-	}
-	if t.mw == 1 {
-		t.narrow[s[0]] = struct{}{}
-	} else {
-		t.wide[toSet(s)] = struct{}{}
-	}
-	return true
-}
-
-// dropMember forgets s.
-func (t *Tree) dropMember(s []uint64) {
-	if t.mw == 1 {
-		delete(t.narrow, s[0])
-	} else {
-		delete(t.wide, toSet(s))
-	}
-}
-
 // inter returns node n's intersection aggregate: a leaf's set.
 func (t *Tree) inter(n int32) []uint64 {
 	o := 2 * t.mw * int(n)
@@ -219,25 +195,33 @@ func (t *Tree) recompute(n int32) {
 	}
 }
 
-// newNode returns a node with the given split attribute (-1 for a leaf),
-// recycled from the free list when one is available, else appended to
-// the arena. Its aggregates are the caller's to fill.
-func (t *Tree) newNode(attr int) int32 {
+// newNode returns an unmarked node with the given split attribute
+// (leafAttr for a leaf), recycled from the free list when one is
+// available, else appended to the arena. Its aggregates are the caller's
+// to fill.
+func (t *Tree) newNode(attr int32) int32 {
 	n := t.free
 	if n != 0 {
 		t.free = t.nodes[n].left
-		t.nodes[n] = node{attr: int32(attr)}
+		t.nodes[n] = node{attr: attr}
 		return n
 	}
 	n = int32(len(t.nodes))
-	t.nodes = append(t.nodes, node{attr: int32(attr)})
-	t.aggs = append(t.aggs, make([]uint64, 2*t.mw)...)
+	if len(t.nodes) == cap(t.nodes) {
+		// Double both at once: appending to each grew the aggregates at
+		// Go's slower rate for large slices, copying them more often.
+		c := 2 * cap(t.nodes)
+		t.nodes = append(make([]node, 0, c), t.nodes...)
+		t.aggs = append(make([]uint64, 0, 2*t.mw*c), t.aggs...)
+	}
+	t.nodes = append(t.nodes, node{attr: attr})
+	t.aggs = t.aggs[:len(t.aggs)+2*t.mw]
 	return n
 }
 
 // newLeaf returns a leaf holding s.
 func (t *Tree) newLeaf(s []uint64) int32 {
-	n := t.newNode(-1)
+	n := t.newNode(leafAttr)
 	copy(t.inter(n), s)
 	copy(t.union(n), s)
 	return n
@@ -266,8 +250,8 @@ func (t *Tree) recycleAll(n int32) {
 func (t *Tree) reset() {
 	t.recycleAll(t.root)
 	t.root, t.size = 0, 0
-	clear(t.narrow)
-	clear(t.wide)
+	t.members.reset()
+	t.pending = t.pending[:0]
 }
 
 func (t *Tree) rankOf(a int) int {
@@ -301,14 +285,17 @@ func (t *Tree) Add(s fdset.AttrSet) bool {
 }
 
 // add is Add on a set of mw words.
-func (t *Tree) add(s []uint64) bool {
-	if !t.addMember(s) {
-		return false
+func (t *Tree) add(s []uint64) bool { return t.insert(s) != 0 }
+
+// insert is add returning the new leaf, or 0 when s was already stored.
+func (t *Tree) insert(s []uint64) int32 {
+	if !t.members.insert(s) {
+		return 0
 	}
 	t.size++
 	if t.root == 0 {
 		t.root = t.newLeaf(s)
-		return true
+		return t.root
 	}
 	// Iterative descent. Adding a set can only shrink intersections and
 	// grow unions along the path, so aggregates are updated on the way
@@ -329,7 +316,7 @@ func (t *Tree) add(s []uint64) bool {
 	}
 	// Split leaf n on an attribute that discriminates its set from s.
 	a := t.splitAttr(t.inter(n), s)
-	in, leaf := t.newNode(a), t.newLeaf(s)
+	in, leaf := t.newNode(int32(a)), t.newLeaf(s)
 	old, ii, iu := t.inter(n), t.inter(in), t.union(in)
 	for i, x := range s {
 		ii[i] = old[i] & x
@@ -348,13 +335,63 @@ func (t *Tree) add(s []uint64) bool {
 	default:
 		t.nodes[parent].left = in
 	}
-	return true
+	return leaf
+}
+
+// markPending marks leaf pending and lists it.
+func (t *Tree) markPending(leaf int32) {
+	t.nodes[leaf].attr = pendingLeaf
+	t.pending = append(t.pending, leaf)
+}
+
+// takePending unmarks every pending leaf and returns them sorted by
+// their sets in canonical order: ascending cardinality, then ascending
+// attribute list (fdset.Compare's order within one RHS). The result
+// aliases a buffer the next call reuses.
+func (t *Tree) takePending() []int32 {
+	taken := t.taken[:0]
+	for _, n := range t.pending {
+		if t.nodes[n].attr == pendingLeaf {
+			t.nodes[n].attr = leafAttr
+			taken = append(taken, n)
+		}
+	}
+	t.pending = t.pending[:0]
+	slices.SortFunc(taken, func(a, b int32) int { return compareSets(t.inter(a), t.inter(b)) })
+	t.taken = taken
+	return taken
+}
+
+// compareSets orders two distinct or equal sets of one width as
+// fdset.Compare orders LHSs: by cardinality, then by the first attribute
+// in which their ascending attribute lists differ — the lowest attribute
+// of their symmetric difference, which the smaller set holds.
+func compareSets(a, b []uint64) int {
+	b = b[:len(a)]
+	ca, cb, first := 0, 0, -1
+	for i, x := range a {
+		ca += bits.OnesCount64(x)
+		cb += bits.OnesCount64(b[i])
+		if first < 0 && x != b[i] {
+			first = i
+		}
+	}
+	switch {
+	case ca != cb:
+		return cmp.Compare(ca, cb)
+	case first < 0:
+		return 0
+	}
+	if d := a[first] ^ b[first]; a[first]&(d&-d) != 0 {
+		return -1
+	}
+	return 1
 }
 
 // Contains reports whether s is stored exactly.
 func (t *Tree) Contains(s fdset.AttrSet) bool {
 	var buf [fdset.NumWords]uint64
-	return t.fits(s) && t.isMember(t.words(&buf, s))
+	return t.fits(s) && t.members.has(t.words(&buf, s))
 }
 
 // ContainsSuperset reports whether some stored set Z satisfies Z ⊇ s: the
@@ -469,7 +506,7 @@ func (t *Tree) removeSubsetsInto(s, out []uint64) []uint64 {
 	t.root, _ = t.removeSubsets(t.root, s, &out)
 	t.size -= (len(out) - from) / t.mw
 	for i := from; i < len(out); i += t.mw {
-		t.dropMember(out[i : i+t.mw])
+		t.members.remove(out[i : i+t.mw])
 	}
 	return out
 }
@@ -513,7 +550,7 @@ func (t *Tree) removeSupersets(n int32, s []uint64) (int32, bool) {
 	nd := t.nodes[n]
 	if nd.attr < 0 {
 		// union is the leaf's own set, so it is a superset of s.
-		t.dropMember(t.inter(n))
+		t.members.remove(t.inter(n))
 		t.size--
 		t.recycle(n)
 		return 0, true
@@ -553,12 +590,12 @@ func (t *Tree) repair(n int32) int32 {
 func (t *Tree) Remove(s fdset.AttrSet) bool {
 	var buf [fdset.NumWords]uint64
 	w := t.words(&buf, s)
-	if !t.fits(s) || !t.isMember(w) {
+	if !t.fits(s) || !t.members.has(w) {
 		return false
 	}
 	t.root = t.remove(t.root, w)
 	t.size--
-	t.dropMember(w)
+	t.members.remove(w)
 	return true
 }
 
