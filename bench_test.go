@@ -271,40 +271,32 @@ func BenchmarkAblationTriePruning(b *testing.B) {
 	})
 }
 
-// BenchmarkAblationAgreeSetDedup compares negative-cover construction
-// from a raw (duplicate-bearing) non-FD stream against the deduplicated
-// agree-set stream EulerFD's sampler emits.
+// BenchmarkAblationAgreeSetDedup compares negative-cover admission of
+// every pair's agree set (duplicates included) against admission of the
+// deduplicated agree-set stream EulerFD's sampler emits.
 func BenchmarkAblationAgreeSetDedup(b *testing.B) {
 	enc := encoded(b, "hepatitis")
 	m := len(enc.Attrs)
-	var raw, deduped []fdset.FD
+	var raw, deduped []fdset.AttrSet
 	seen := map[fdset.AttrSet]struct{}{}
 	for i := 0; i < enc.NumRows; i++ {
 		for j := i + 1; j < enc.NumRows; j++ {
 			agree := enc.AgreeSet(i, j)
-			_, dup := seen[agree]
-			for a := 0; a < m; a++ {
-				if !agree.Has(a) {
-					f := fdset.FD{LHS: agree, RHS: a}
-					raw = append(raw, f)
-					if !dup {
-						deduped = append(deduped, f)
-					}
-				}
+			raw = append(raw, agree)
+			if _, dup := seen[agree]; !dup {
+				seen[agree] = struct{}{}
+				deduped = append(deduped, agree)
 			}
-			seen[agree] = struct{}{}
 		}
 	}
 	b.Run("raw", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			nc := cover.NewNCover(m, nil)
-			nc.AddAll(raw)
+			cover.NewNCover(m, nil).Admit(raw, nil)
 		}
 	})
 	b.Run("deduped", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			nc := cover.NewNCover(m, nil)
-			nc.AddAll(deduped)
+			cover.NewNCover(m, nil).Admit(deduped, nil)
 		}
 	})
 }

@@ -91,8 +91,7 @@ func DiscoverEncodedContext(ctx context.Context, enc *preprocess.Encoded, opt Op
 	}
 
 	round(2)
-	first := expand(batch, ncols)
-	rank := cover.AttrFrequencyRank(ncols, first)
+	rank := cover.AgreeSetRank(ncols, batch)
 	ncover := cover.NewNCover(ncols, rank)
 
 	// Seed ∅ ↛ A for non-constant attributes: cluster sampling cannot
@@ -100,15 +99,10 @@ func DiscoverEncodedContext(ctx context.Context, enc *preprocess.Encoded, opt Op
 	// EulerFD, applied to both approximate algorithms for a fair race).
 	for a := 0; a < ncols; a++ {
 		if enc.NumLabels[a] > 1 {
-			ncover.Add(fdset.FD{LHS: fdset.EmptySet(), RHS: a})
+			ncover.Seed(a)
 		}
 	}
-	added := 0
-	for _, f := range first {
-		if ncover.Add(f) {
-			added++
-		}
-	}
+	ncover.Admit(batch, nil)
 	batch = batch[:0]
 
 	for window := 3; window <= maxWindow; window++ {
@@ -122,12 +116,7 @@ func DiscoverEncodedContext(ctx context.Context, enc *preprocess.Encoded, opt Op
 		if round(window) == 0 {
 			break // no cluster admits this window any more
 		}
-		added = 0
-		for _, f := range expand(batch, ncols) {
-			if ncover.Add(f) {
-				added++
-			}
-		}
+		added := ncover.Admit(batch, nil)
 		batch = batch[:0]
 		if before > 0 && float64(added)/float64(before) <= opt.ThNcover {
 			break
@@ -139,21 +128,9 @@ func DiscoverEncodedContext(ctx context.Context, enc *preprocess.Encoded, opt Op
 
 	// Single terminal inversion: AID-FD never returns to sampling.
 	pcover := cover.NewPCover(ncols, rank)
-	pcover.InvertAll(ncover.FDs())
+	pcover.InvertPending(ncover, nil)
 	out := pcover.FDs()
 	stats.PcoverSize = out.Len()
 	stats.Total = time.Since(start)
 	return out, stats, nil
-}
-
-func expand(agrees []fdset.AttrSet, ncols int) []fdset.FD {
-	var out []fdset.FD
-	for _, agree := range agrees {
-		for a := 0; a < ncols; a++ {
-			if !agree.Has(a) {
-				out = append(out, fdset.FD{LHS: agree, RHS: a})
-			}
-		}
-	}
-	return out
 }

@@ -239,10 +239,7 @@ func DiscoverEncodedContext(ctx context.Context, enc *preprocess.Encoded, opt Op
 	pl := pool.New(opt.Workers)
 	defer pl.Close()
 
-	sampler := NewSampler(enc, opt.NumQueues, recentPasses)
-	sampler.exhaustive = opt.ExhaustWindows
-	sampler.dynamicRanges = opt.DynamicCapaRanges
-	sampler.SetSeed(opt.Seed)
+	sampler := NewSampler(enc, opt)
 
 	// Seed the negative cover with ∅ ↛ A for every non-constant attribute.
 	// Cluster-based sampling can only pair rows that agree somewhere, so

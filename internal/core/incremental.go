@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"sort"
 
 	"eulerfd/internal/cover"
 	"eulerfd/internal/fdset"
@@ -49,12 +48,12 @@ type Incremental struct {
 	encoder *preprocess.Encoder
 	ncover  *cover.NCover
 	pcover  *cover.PCover
-	seeded  map[int]bool // RHS attrs whose ∅ non-FD is already recorded
+	seeded  []bool // by RHS attribute: its ∅ non-FD is already recorded
 	ncols   int
 
-	// witness tallies each agree set in (pair × shared attribute) units.
-	// An entry exists iff its count is positive.
-	witness *maskTable
+	// witness tallies each agree set in (pair × shared attribute) units,
+	// a counted table. An entry exists iff its count is positive.
+	witness *cover.Masks
 	// deltaChunk is the pair count of one delta-scan chunk:
 	// deltaChunkPairs, unless a test shrinks it.
 	deltaChunk int
@@ -88,9 +87,9 @@ func NewIncremental(name string, attrs []string, opt Options) (*Incremental, err
 		// data grows; incremental covers use natural order.
 		ncover:     cover.NewNCover(ncols, nil),
 		pcover:     cover.NewPCover(ncols, nil),
-		seeded:     make(map[int]bool, ncols),
+		seeded:     make([]bool, ncols),
 		ncols:      ncols,
-		witness:    newMaskTable(preprocess.MaskWords(ncols)),
+		witness:    cover.NewMasks(preprocess.MaskWords(ncols), true, false),
 		deltaChunk: deltaChunkPairs,
 	}, nil
 }
@@ -184,10 +183,7 @@ func (inc *Incremental) bootstrapContext(ctx context.Context, rows [][]string, o
 	pl := pool.New(inc.opt.Workers)
 	defer pl.Close()
 
-	sampler := NewSampler(enc, inc.opt.NumQueues, recentPasses)
-	sampler.exhaustive = inc.opt.ExhaustWindows
-	sampler.dynamicRanges = inc.opt.DynamicCapaRanges
-	sampler.SetSeed(inc.opt.Seed)
+	sampler := NewSampler(enc, inc.opt)
 	sampler.SetWitness(inc.witness)
 
 	// ∅ seeding: the relation is young but a column may already vary.
@@ -253,7 +249,7 @@ func (inc *Incremental) applyDelta(ctx context.Context, batch MutationBatch, obs
 			Rows:          rows,
 			Cols:          inc.ncols,
 			PairsCompared: b.pairs,
-			AgreeSets:     inc.witness.len(),
+			AgreeSets:     inc.witness.Len(),
 			NcoverSize:    inc.ncover.Size(),
 			PcoverSize:    inc.pcover.Size(),
 			Inversions:    stats.Inversions,
@@ -278,7 +274,7 @@ func (inc *Incremental) applyDelta(ctx context.Context, batch MutationBatch, obs
 	inc.Deletes += b.deletes
 	inc.Updates += b.updates
 	stats.Rows = inc.encoder.NumRows()
-	stats.AgreeSets = inc.witness.len()
+	stats.AgreeSets = inc.witness.Len()
 	stats.NcoverSize = inc.ncover.Size()
 	stats.PcoverSize = inc.pcover.Size()
 	stats.Inversions++
@@ -291,11 +287,11 @@ func (inc *Incremental) applyDelta(ctx context.Context, batch MutationBatch, obs
 // exhaustive tallies only: it returns ErrWitnessOvershoot for the first
 // agree set, in first-touch order, whose tally the delta would take
 // below zero.
-func (inc *Incremental) checkWitness(d *maskTable) error {
+func (inc *Incremental) checkWitness(d *cover.Masks) error {
 	var err error
-	d.eachOrdered(func(m []uint64, dv int64) {
-		if old := inc.witness.get(m); err == nil && old+dv < 0 {
-			err = fmt.Errorf("%w: agree set %v has tally %d and batch delta %d", ErrWitnessOvershoot, maskSet(m), old, dv)
+	d.EachOrdered(func(m []uint64, dv int64) {
+		if old := inc.witness.Get(m); err == nil && old+dv < 0 {
+			err = fmt.Errorf("%w: agree set %v has tally %d and batch delta %d", ErrWitnessOvershoot, fdset.FromWords(m), old, dv)
 		}
 	})
 	return err
@@ -309,23 +305,23 @@ func (inc *Incremental) checkWitness(d *maskTable) error {
 // counts the decrements that would have gone below it: with a
 // non-exhaustive bootstrap the tallies are lower bounds, so a decrement
 // can overshoot evidence that was never counted.
-func (inc *Incremental) mergeWitness(d *maskTable) (realized, retired []fdset.AttrSet, clamped int) {
-	d.eachOrdered(func(m []uint64, dv int64) {
+func (inc *Incremental) mergeWitness(d *cover.Masks) (realized, retired []fdset.AttrSet, clamped int) {
+	d.EachOrdered(func(m []uint64, dv int64) {
 		if dv == 0 {
 			return
 		}
-		old := inc.witness.get(m)
+		old := inc.witness.Get(m)
 		now := old + dv
 		if now < 0 {
 			clamped++
 			now = 0
 		}
-		inc.witness.put(m, now)
+		inc.witness.Put(m, now)
 		switch {
 		case now == 0 && old > 0:
-			retired = append(retired, maskSet(m))
+			retired = append(retired, fdset.FromWords(m))
 		case now > 0 && old == 0:
-			realized = append(realized, maskSet(m))
+			realized = append(realized, fdset.FromWords(m))
 		}
 	})
 	return realized, retired, clamped
@@ -357,8 +353,8 @@ func (inc *Incremental) mergeWitness(d *maskTable) (realized, retired []fdset.At
 // admissions, ∅ is never tallied and so never retired, and a mask the
 // batch realized is not one it retired (mergeWitness).
 func (inc *Incremental) patchCovers(realized, retired []fdset.AttrSet, pl *pool.Pool, stats *Stats) {
-	affected := make(map[int]bool)
-	removedBy := make(map[int][]fdset.AttrSet)
+	affected := make([]bool, inc.ncols)
+	removedBy := make([][]fdset.AttrSet, inc.ncols)
 
 	// 1. ∅-seed transitions.
 	var seeds []int
@@ -405,28 +401,26 @@ func (inc *Incremental) patchCovers(realized, retired []fdset.AttrSet, pl *pool.
 	// dominated it is still stored), so candidates — every alive agree
 	// set below a removal — come from one witness sweep against the union
 	// of removals.
-	affectedSorted := make([]int, 0, len(affected))
-	for rhs := range affected {
-		affectedSorted = append(affectedSorted, rhs)
-	}
-	sort.Ints(affectedSorted)
 	var removedAll []fdset.AttrSet
-	for _, rhs := range affectedSorted {
-		removedAll = append(removedAll, removedBy[rhs]...)
+	for _, removed := range removedBy {
+		removedAll = append(removedAll, removed...)
 	}
 	if len(removedAll) > 0 {
-		candidates := inc.witness.subsetsOf(removedAll)
-		for _, rhs := range affectedSorted {
+		candidates := inc.witnessSubsets(removedAll)
+		for rhs, removed := range removedBy {
 			for _, t := range candidates {
-				if !t.Has(rhs) && subsetOfAny(t, removedBy[rhs]) {
+				if !t.Has(rhs) && subsetOfAny(t, removed) {
 					inc.ncover.Readmit(rhs, t)
 				}
 			}
 		}
 	}
-	for _, rhs := range affectedSorted {
-		if inc.seeded[rhs] && inc.ncover.Tree(rhs).Size() == 0 {
-			inc.ncover.Readmit(rhs, fdset.EmptySet())
+	for rhs, a := range affected {
+		if a {
+			stats.PatchedRHS++
+			if inc.seeded[rhs] && inc.ncover.Tree(rhs).Size() == 0 {
+				inc.ncover.Readmit(rhs, fdset.EmptySet())
+			}
 		}
 	}
 
@@ -434,13 +428,26 @@ func (inc *Incremental) patchCovers(realized, retired []fdset.AttrSet, pl *pool.
 	// patch the affected ones (disjoint trees, so the pool shards
 	// race-free).
 	inc.pcover.InvertPending(inc.ncover, pl)
-	if len(affectedSorted) > 0 {
-		pl.Do(len(affectedSorted), func(k int) {
-			rhs := affectedSorted[k]
-			inc.pcover.Retire(rhs, removedBy[rhs], inc.ncover.Tree(rhs).Sets())
+	if stats.PatchedRHS > 0 {
+		pl.Do(inc.ncols, func(rhs int) {
+			if affected[rhs] {
+				inc.pcover.Retire(rhs, removedBy[rhs], inc.ncover.Tree(rhs).Sets())
+			}
 		})
 	}
-	stats.PatchedRHS = len(affectedSorted)
+}
+
+// witnessSubsets returns every witnessed agree set that is a subset of
+// some set in list, in fdset.SortSetsDesc order.
+func (inc *Incremental) witnessSubsets(list []fdset.AttrSet) []fdset.AttrSet {
+	var out []fdset.AttrSet
+	inc.witness.Each(func(m []uint64) {
+		if s := fdset.FromWords(m); subsetOfAny(s, list) {
+			out = append(out, s)
+		}
+	})
+	fdset.SortSetsDesc(out)
+	return out
 }
 
 // FDs returns the current approximate set of minimal non-trivial FDs.

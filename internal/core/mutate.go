@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"sort"
 
+	"eulerfd/internal/cover"
 	"eulerfd/internal/fdset"
 	"eulerfd/internal/pool"
 	"eulerfd/internal/preprocess"
@@ -188,9 +189,9 @@ type batchState struct {
 	// d accumulates the net witness delta of the batch in (pair × shared
 	// attribute) units, the same unit the bootstrap sampler tallies: each
 	// scanned pair adds or subtracts popcount(agree) from its agree set's
-	// entry. It keeps its keys in first-touch order, so the commit merges
-	// them deterministically regardless of map iteration.
-	d     *maskTable
+	// entry. It is a counted, ordered table, so the commit merges its keys
+	// in first-touch order.
+	d     *cover.Masks
 	pairs int
 
 	one []uint64 // the agree mask of one pair against a staged row
@@ -204,8 +205,8 @@ type batchState struct {
 }
 
 func newBatchState(inc *Incremental, pl *pool.Pool) *batchState {
-	mw := inc.witness.mw
-	b := &batchState{
+	mw := preprocess.MaskWords(inc.ncols)
+	return &batchState{
 		inc:         inc,
 		enc:         inc.encoder,
 		staging:     inc.encoder.NewStaging(),
@@ -213,12 +214,10 @@ func newBatchState(inc *Incremental, pl *pool.Pool) *batchState {
 		baseNextID:  inc.encoder.NextID(),
 		replacedIdx: make(map[int64]int),
 		deletedBase: make(map[int64]struct{}),
-		d:           newMaskTable(mw),
+		d:           cover.NewMasks(mw, true, true),
 		one:         make([]uint64, mw),
 		pool:        pl,
 	}
-	b.d.ordered = true
-	return b
 }
 
 // resolve addresses a row id against the virtual state. It returns the
@@ -292,9 +291,7 @@ func (b *batchState) scan(ctx context.Context, row []uint64, sign int64) error {
 			continue
 		}
 		b.enc.AgreeRowsWords(row, ex.packed, b.one)
-		if n := maskCount(b.one); n > 0 {
-			b.d.add(b.one, sign*int64(n))
-		}
+		b.d.AddRuns(b.one, sign, true)
 		b.pairs++
 	}
 	return nil
@@ -320,7 +317,7 @@ func (b *batchState) scanBase(ctx context.Context, row []uint64, sign int64) err
 	for len(b.chunks) < wave {
 		b.chunks = append(b.chunks, deltaChunk{})
 	}
-	mw := b.d.mw
+	mw := len(b.one) // words per mask
 	for k0 := 0; k0 < numChunks; k0 += wave {
 		if err := ctx.Err(); err != nil {
 			return err
@@ -346,7 +343,7 @@ func (b *batchState) scanBase(ctx context.Context, row []uint64, sign int64) err
 			return err
 		}
 		for k := range chunks {
-			b.d.addMasks(chunks[k].masks, sign, true)
+			b.d.AddRuns(chunks[k].masks, sign, true)
 			b.pairs += chunks[k].to - chunks[k].from
 		}
 	}

@@ -566,12 +566,11 @@ func TestApplyWitnessOvershoot(t *testing.T) {
 		if _, err := inc.Append(rows); err != nil {
 			t.Fatal(err)
 		}
-		onlyA := make([]uint64, inc.witness.mw)
-		onlyA[0] = 1
-		if exhaustive && inc.witness.get(onlyA) == 0 {
+		onlyA := []uint64{1} // three columns: one mask word
+		if exhaustive && inc.witness.Get(onlyA) == 0 {
 			t.Fatal("exhaustive bootstrap did not tally the pair agreeing on A")
 		}
-		inc.witness.put(onlyA, 0)
+		inc.witness.Put(onlyA, 0)
 		version, nextID, fds := inc.Version(), inc.NextID(), inc.FDs()
 		stats, err := inc.Delete([]int64{0})
 		if !exhaustive {

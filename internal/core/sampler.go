@@ -7,6 +7,7 @@ package core
 import (
 	"math"
 
+	"eulerfd/internal/cover"
 	"eulerfd/internal/fdset"
 	"eulerfd/internal/preprocess"
 )
@@ -25,8 +26,8 @@ type clusterState struct {
 	rlen   int
 }
 
-func newClusterState(c preprocess.Cluster, recentLen int) *clusterState {
-	return &clusterState{rows: c.Rows, window: 2, recent: make([]float64, recentLen)}
+func newClusterState(c preprocess.Cluster) *clusterState {
+	return &clusterState{rows: c.Rows, window: 2, recent: make([]float64, recentPasses)}
 }
 
 // exhausted reports whether every window size has been used up: no more
@@ -162,9 +163,8 @@ type Sampler struct {
 	clusters []*clusterState
 	// seen deduplicates sampled evidence at the agree-set level: the
 	// disagree set of a pair is always the complement of its agree set,
-	// so one agree set fully determines the pair's non-FDs. Its exact
-	// front cache answers most repeats before the map probe.
-	seen *maskTable
+	// so one agree set fully determines the pair's non-FDs.
+	seen *cover.Masks
 
 	// masks is the scratch buffer of the window sweep; grown once to
 	// sampleBatchPairs masks and reused forever.
@@ -193,39 +193,39 @@ type Sampler struct {
 	// Non-exhaustive runs leave partial (never over-counted) tallies. Nil
 	// disables witnessing entirely, keeping one-shot discovery free of the
 	// bookkeeping.
-	wit *maskTable
+	wit *cover.Masks
 
 	// Stats
 	PairsCompared int
 }
 
-// NewSampler prepares sampling state over an encoded relation. numQueues
-// is the MLFQ depth (paper default 6); recentLen is how many recent pass
-// capas the requeue decision averages over.
-func NewSampler(enc *preprocess.Encoded, numQueues, recentLen int) *Sampler {
-	if recentLen < 1 {
-		recentLen = 3
-	}
-	mw := preprocess.MaskWords(len(enc.Attrs))
+// NewSampler prepares sampling state over an encoded relation, set up
+// from opt: the MLFQ depth (NumQueues), capa-based parking
+// (ExhaustWindows), runtime capa ranges (DynamicCapaRanges) and the
+// sampling schedule (Seed).
+func NewSampler(enc *preprocess.Encoded, opt Options) *Sampler {
+	opt = opt.withDefaults()
 	s := &Sampler{
-		enc:   enc,
-		queue: NewMLFQ(numQueues),
-		seen:  newMaskTable(mw),
+		enc:           enc,
+		queue:         NewMLFQ(opt.NumQueues),
+		seen:          cover.NewMasks(preprocess.MaskWords(len(enc.Attrs)), false, false),
+		exhaustive:    opt.ExhaustWindows,
+		dynamicRanges: opt.DynamicCapaRanges,
 	}
-	s.seen.front = newMaskFilter(mw, frontBits)
 	for _, c := range enc.AllClusters() {
-		s.clusters = append(s.clusters, newClusterState(c, recentLen))
+		s.clusters = append(s.clusters, newClusterState(c))
 	}
+	s.SetSeed(opt.Seed)
 	return s
 }
 
-// SetWitness attaches the witness tallies the sweeps maintain.
-// core.Incremental hands its long-lived table here during bootstrap so
-// deletes can later decrement the same tallies.
-func (s *Sampler) SetWitness(t *maskTable) { s.wit = t }
+// SetWitness attaches the witness tallies the sweeps maintain, a counted
+// table. core.Incremental hands its long-lived table here during
+// bootstrap so deletes can later decrement the same tallies.
+func (s *Sampler) SetWitness(t *cover.Masks) { s.wit = t }
 
 // SeenCount returns the number of distinct agree sets sampled so far.
-func (s *Sampler) SeenCount() int { return s.seen.len() }
+func (s *Sampler) SeenCount() int { return s.seen.Len() }
 
 // Exhausted reports whether no further pairs can ever be produced: the
 // MLFQ is empty and every cluster has used all window sizes.
@@ -315,7 +315,7 @@ func (s *Sampler) samplePass(c *clusterState, found *[]fdset.AttrSet) {
 	if c.exhausted() {
 		return
 	}
-	mw := s.seen.mw
+	mw := preprocess.MaskWords(len(s.enc.Attrs))
 	if len(s.masks) < sampleBatchPairs*mw {
 		s.masks = make([]uint64, sampleBatchPairs*mw)
 	}
@@ -326,13 +326,13 @@ func (s *Sampler) samplePass(c *clusterState, found *[]fdset.AttrSet) {
 		masks := s.masks[:(to-from)*mw]
 		s.enc.AgreeWindowWords(c.rows, c.window, from, to, masks)
 		if s.wit != nil {
-			s.wit.addMasks(masks, 1, false)
+			s.wit.AddRuns(masks, 1, false)
 		}
-		for i := s.seen.nextNew(masks, 0); i < len(masks); i = s.seen.nextNew(masks, i+mw) {
-			m := masks[i : i+mw]
-			*found = append(*found, maskSet(m))
+		for i := s.seen.NextNew(masks, 0); i < len(masks); i = s.seen.NextNew(masks, i+mw) {
+			x := fdset.FromWords(masks[i : i+mw])
+			*found = append(*found, x)
 			// A pair disagreeing on k attributes witnesses k non-FDs.
-			newNonFDs += len(s.enc.Attrs) - maskCount(m)
+			newNonFDs += len(s.enc.Attrs) - x.Count()
 		}
 		s.PairsCompared += to - from
 	}

@@ -1,11 +1,14 @@
 package core
 
 import (
+	"fmt"
 	"testing"
 
+	"eulerfd/internal/cover"
 	"eulerfd/internal/dataset"
 	"eulerfd/internal/fdset"
 	"eulerfd/internal/preprocess"
+	"eulerfd/internal/testutil"
 )
 
 func patientRelation() *dataset.Relation {
@@ -75,7 +78,7 @@ func TestSamplerWindowPairs(t *testing.T) {
 		{"x", "1"}, {"x", "2"}, {"x", "3"}, {"x", "4"},
 	})
 	enc := preprocess.Encode(r)
-	s := NewSampler(enc, 6, 3)
+	s := NewSampler(enc, DefaultOptions())
 	var all []fdset.AttrSet
 	for {
 		all = append(all, s.Drain()...)
@@ -94,7 +97,7 @@ func TestSamplerWindowPairs(t *testing.T) {
 
 func TestSamplerNoDuplicateAgreeSets(t *testing.T) {
 	enc := preprocess.Encode(patientRelation())
-	s := NewSampler(enc, 6, 3)
+	s := NewSampler(enc, DefaultOptions())
 	seen := map[fdset.AttrSet]bool{}
 	for {
 		for _, a := range s.Drain() {
@@ -133,8 +136,9 @@ func TestSamplerFullCoverageEqualsPairwise(t *testing.T) {
 		wantPairs += len(c.Rows) * (len(c.Rows) - 1) / 2
 	}
 	for _, exhaustive := range []bool{false, true} {
-		s := NewSampler(enc, 6, 3)
-		s.exhaustive = exhaustive
+		opt := DefaultOptions()
+		opt.ExhaustWindows = exhaustive
+		s := NewSampler(enc, opt)
 		got := map[fdset.AttrSet]bool{}
 		for {
 			for _, a := range s.Drain() {
@@ -181,7 +185,7 @@ func TestClusterStateRing(t *testing.T) {
 func TestSamplerExhaustionNoReseed(t *testing.T) {
 	r := dataset.MustNew("t", []string{"A"}, [][]string{{"x"}, {"x"}})
 	enc := preprocess.Encode(r)
-	s := NewSampler(enc, 6, 3)
+	s := NewSampler(enc, DefaultOptions())
 	s.Drain()
 	if !s.Exhausted() {
 		t.Error("2-row single cluster should exhaust after one drain")
@@ -334,23 +338,49 @@ func indexOf(cs []*clusterState, c *clusterState) int {
 	return -1
 }
 
-// TestMaskFilterExact pins what the sampler's dedup shortcut relies on: a
-// filter reports a mask only if it stored that mask and still holds it —
-// the empty mask included. It runs at one and two mask words.
-func TestMaskFilterExact(t *testing.T) {
-	for _, mw := range []int{1, 2} {
-		f := newMaskFilter(mw, 4)
-		zero := make([]uint64, mw)
-		if f.seenOrAdd(zero) || !f.seenOrAdd(zero) {
-			t.Fatalf("mw=%d: empty mask: first lookup must miss, the second hit", mw)
+// TestSamplePassSteadyStateAllocFree pins the sampler's per-pair loop: a
+// window pass whose masks the dedup set already holds, tallied into a
+// witness table that holds them too, allocates nothing. It replays the
+// first window of the largest cluster after the seeding drain swept it,
+// on relations of one and of two mask words. Skipped under -race, whose
+// instrumentation allocates.
+func TestSamplePassSteadyStateAllocFree(t *testing.T) {
+	if testutil.RaceEnabled {
+		t.Skip("alloc assertions are meaningless under -race")
+	}
+	for _, ncols := range []int{6, 70} {
+		attrs := make([]string, ncols)
+		for a := range attrs {
+			attrs[a] = fmt.Sprint("c", a)
 		}
-		// Find a mask sharing the empty mask's slot: storing it evicts the
-		// empty mask, which must then miss rather than be confused with it.
-		other := make([]uint64, mw)
-		for other[mw-1] = 1; f.slot(other) != f.slot(zero); other[mw-1]++ {
+		rows := make([][]string, 600)
+		for r := range rows {
+			rows[r] = make([]string, ncols)
+			for a := range rows[r] {
+				rows[r][a] = fmt.Sprint(r * (a + 1) / 7 % (a + 3))
+			}
 		}
-		if f.seenOrAdd(other) || f.seenOrAdd(zero) {
-			t.Fatalf("mw=%d: a collided slot reported a mask it no longer holds", mw)
+		enc := preprocess.Encode(dataset.MustNew("t", attrs, rows))
+		s := NewSampler(enc, DefaultOptions())
+		s.SetWitness(cover.NewMasks(preprocess.MaskWords(ncols), true, false))
+		s.Drain()
+		c := s.clusters[0]
+		for _, d := range s.clusters {
+			if len(d.rows) > len(c.rows) {
+				c = d
+			}
+		}
+		var found []fdset.AttrSet
+		pass := func() {
+			c.wseq = 0
+			c.setWindow()
+			s.samplePass(c, &found)
+		}
+		if pass(); len(found) != 0 || c.window != 3 {
+			t.Fatalf("%d columns: replayed pass found %d new agree sets, window now %d", ncols, len(found), c.window)
+		}
+		if allocs := testing.AllocsPerRun(20, pass); allocs != 0 {
+			t.Errorf("%d columns: %.1f allocs per replayed pass, want 0", ncols, allocs)
 		}
 	}
 }

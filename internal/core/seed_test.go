@@ -116,7 +116,7 @@ func TestSeedExhaustiveStillExact(t *testing.T) {
 // fixed once sampling has started.
 func TestSetSeedAfterBatchPanics(t *testing.T) {
 	enc := preprocess.Encode(patientRelation())
-	s := NewSampler(enc, 6, 3)
+	s := NewSampler(enc, DefaultOptions())
 	s.Drain()
 	defer func() {
 		if recover() == nil {

@@ -130,7 +130,7 @@ func TestPendingSteadyStateAllocFree(t *testing.T) {
 // and at two words.
 func TestMembersSteadyStateAllocFree(t *testing.T) {
 	for _, mw := range []int{1, 2} {
-		m := newMembers(mw)
+		m := NewMasks(mw, false, false)
 		var keys []uint64
 		for k := uint64(1); k <= 200; k++ {
 			key := make([]uint64, mw)
@@ -146,6 +146,36 @@ func TestMembersSteadyStateAllocFree(t *testing.T) {
 				probe[0] ^= 1 << 62
 				if !m.has(key) || m.has(probe) || !m.remove(key) || !m.insert(key) {
 					t.Fatal("table lost a key")
+				}
+			}
+		})
+	}
+}
+
+// TestCountedMasksSteadyStateAllocFree pins a counted table once grown,
+// as core's witness tallies use it: adding runs of keys it holds, reading
+// and setting their counts, and removing and re-adding them allocate
+// nothing, at one and at two words.
+func TestCountedMasksSteadyStateAllocFree(t *testing.T) {
+	for _, mw := range []int{1, 2} {
+		m := NewMasks(mw, true, false)
+		var keys []uint64
+		for k := uint64(1); k <= 200; k++ {
+			key := make([]uint64, mw)
+			key[mw-1] = k * 0x51
+			keys = append(keys, key...)
+			keys = append(keys, key...) // a run of two
+		}
+		m.AddRuns(keys, 1, true)
+		assertZeroAllocs(t, fmt.Sprintf("counted masks at %d words", mw), func() {
+			m.AddRuns(keys, 1, false)
+			for o := 0; o < len(keys); o += 2 * mw {
+				key := keys[o : o+mw]
+				v := m.Get(key)
+				m.Put(key, 0)
+				m.Add(key, v)
+				if m.Get(key) != v {
+					t.Fatal("table lost a count")
 				}
 			}
 		})

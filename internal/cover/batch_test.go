@@ -91,7 +91,7 @@ func takeAll(n *NCover) []fdset.FD {
 	var out []fdset.FD
 	for rhs, t := range n.trees {
 		for _, leaf := range t.takePending() {
-			out = append(out, fdset.FD{LHS: toSet(t.inter(leaf)), RHS: rhs})
+			out = append(out, fdset.FD{LHS: fdset.FromWords(t.inter(leaf)), RHS: rhs})
 		}
 	}
 	return out

@@ -46,33 +46,57 @@ func TestNCoverAddMinimizes(t *testing.T) {
 	}
 }
 
-func TestNCoverAddAllSortsByLength(t *testing.T) {
-	n := NewNCover(6, nil)
-	batch := []fdset.FD{
-		fdset.NewFD([]int{1}, 0),
-		fdset.NewFD([]int{1, 2, 3}, 0),
-		fdset.NewFD([]int{1, 2}, 0),
+// TestAgreeSetRank holds the rank to its definition: the attributes in
+// ascending frequency over the LHSs of the non-FDs the agree sets
+// witness, ties in attribute order, computed here by expanding every
+// agree set X into X ↛ a for each a ∉ X.
+func TestAgreeSetRank(t *testing.T) {
+	expanded := func(ncols int, agrees []fdset.AttrSet) []int {
+		freq := make([]int, ncols)
+		for _, x := range agrees {
+			for a := 0; a < ncols; a++ {
+				if x.Has(a) {
+					continue
+				}
+				for _, b := range x.Attrs() {
+					freq[b]++
+				}
+			}
+		}
+		rank := make([]int, ncols)
+		for a := range rank {
+			for b := range freq {
+				if freq[b] < freq[a] || freq[b] == freq[a] && b < a {
+					rank[a]++
+				}
+			}
+		}
+		return rank
 	}
-	added := n.AddAll(batch)
-	// Longest first: {1,2,3} added, then {1,2} and {1} rejected.
-	if added != 1 || n.Size() != 1 {
-		t.Errorf("added = %d size = %d, want 1/1", added, n.Size())
+	// {0,1}, {1} and {1,2} over 4 columns witness 2, 3 and 2 non-FDs:
+	// attribute 0 counts 2, 1 counts 7, 2 counts 2 and 3 none, so 0 and 2
+	// tie and keep their order.
+	agrees := []fdset.AttrSet{fdset.NewAttrSet(0, 1), fdset.NewAttrSet(1), fdset.NewAttrSet(1, 2)}
+	if got, want := AgreeSetRank(4, agrees), []int{1, 3, 2, 0}; !reflect.DeepEqual(got, want) {
+		t.Errorf("rank = %v, want %v", got, want)
 	}
-}
-
-func TestAttrFrequencyRank(t *testing.T) {
-	nonFDs := []fdset.FD{
-		fdset.NewFD([]int{0, 1}, 3),
-		fdset.NewFD([]int{1}, 3),
-		fdset.NewFD([]int{1, 2}, 0),
-	}
-	rank := AttrFrequencyRank(4, nonFDs)
-	// freq: attr0=1, attr1=3, attr2=1, attr3=0 → order 3,0,2,1 (stable).
-	if rank[3] != 0 || rank[1] != 3 {
-		t.Errorf("rank = %v", rank)
-	}
-	if got := AttrFrequencyRank(3, nil); !reflect.DeepEqual(got, []int{0, 1, 2}) {
+	if got := AgreeSetRank(3, nil); !reflect.DeepEqual(got, []int{0, 1, 2}) {
 		t.Errorf("empty rank = %v", got)
+	}
+	r := rand.New(rand.NewSource(1))
+	for trial := 0; trial < 200; trial++ {
+		ncols := 1 + r.Intn(9)
+		agrees := make([]fdset.AttrSet, r.Intn(6))
+		for i := range agrees {
+			for a := 0; a < ncols; a++ {
+				if r.Intn(2) == 0 {
+					agrees[i].Add(a)
+				}
+			}
+		}
+		if got, want := AgreeSetRank(ncols, agrees), expanded(ncols, agrees); !reflect.DeepEqual(got, want) {
+			t.Fatalf("AgreeSetRank(%d, %v) = %v, want %v", ncols, agrees, got, want)
+		}
 	}
 }
 

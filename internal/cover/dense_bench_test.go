@@ -77,8 +77,7 @@ func newCoverStream(rel *dataset.Relation) *coverStream {
 			s.seed = append(s.seed, a)
 		}
 	}
-	opt := core.DefaultOptions()
-	sampler := core.NewSampler(enc, opt.NumQueues, 3)
+	sampler := core.NewSampler(enc, core.DefaultOptions())
 	for d := 0; d < streamDrains; d++ {
 		s.drains = append(s.drains, sampler.Drain())
 		if !sampler.Reseed() {

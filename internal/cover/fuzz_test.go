@@ -313,7 +313,7 @@ func checkStructure(t *testing.T, tree *Tree) {
 		}
 		linked[n] = true
 		nd := tree.nodes[n]
-		inter, union = toSet(tree.inter(n)), toSet(tree.union(n))
+		inter, union = fdset.FromWords(tree.inter(n)), fdset.FromWords(tree.union(n))
 		if !tree.fits(union) {
 			t.Fatalf("node %d: union %v wider than %d words", n, union, tree.mw)
 		}
@@ -340,7 +340,7 @@ func checkStructure(t *testing.T, tree *Tree) {
 	if tree.root != 0 {
 		walk(tree.root)
 	}
-	if members := tree.members.len(); len(leaves) != tree.Size() || members != tree.Size() {
+	if members := tree.members.Len(); len(leaves) != tree.Size() || members != tree.Size() {
 		t.Fatalf("%d leaves, %d members, Size() = %d", len(leaves), members, tree.Size())
 	}
 	for _, s := range leaves {

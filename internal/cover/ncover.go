@@ -154,23 +154,6 @@ func (n *NCover) Readmit(rhs int, lhs fdset.AttrSet) bool {
 	return !t.ContainsSuperset(lhs) && t.Add(lhs)
 }
 
-// AddAll inserts a batch of non-FDs sorted in decreasing LHS length (the
-// order Algorithm 2 prescribes to minimize tree modifications) and returns
-// the number that changed the cover.
-func (n *NCover) AddAll(nonFDs []fdset.FD) int {
-	sorted := append([]fdset.FD(nil), nonFDs...)
-	sort.Slice(sorted, func(i, j int) bool {
-		return sorted[i].LHS.Count() > sorted[j].LHS.Count()
-	})
-	added := 0
-	for _, f := range sorted {
-		if n.Add(f) {
-			added++
-		}
-	}
-	return added
-}
-
 // Covers reports whether the non-FD is implied by the cover, i.e. whether
 // some stored non-FD specializes it.
 func (n *NCover) Covers(nonFD fdset.FD) bool {
@@ -193,26 +176,13 @@ func (n *NCover) FDs() []fdset.FD {
 	return out
 }
 
-// AttrFrequencyRank computes, from a sample of non-FDs, the split-priority
+// AgreeSetRank computes, from a sample of agree sets, the split-priority
 // permutation the paper prescribes: attributes are ranked by ascending
-// frequency of appearance in non-FD LHSs, so rare attributes discriminate
-// close to the root.
-func AttrFrequencyRank(ncols int, nonFDs []fdset.FD) []int {
-	freq := make([]int, ncols)
-	for _, f := range nonFDs {
-		f.LHS.ForEach(func(a int) bool {
-			if a < ncols {
-				freq[a]++
-			}
-			return true
-		})
-	}
-	return rankByFrequency(freq)
-}
-
-// AgreeSetRank is AttrFrequencyRank over the non-FDs a sample of agree
-// sets witnesses, without expanding them: agree set X witnesses
-// ncols − |X| non-FDs, each with LHS X.
+// frequency of appearance in the LHSs of the non-FDs the sample
+// witnesses, ties in attribute order, so rare attributes discriminate
+// close to the root. Agree set X witnesses the ncols − |X| non-FDs
+// X ↛ a, a ∉ X, so each attribute of X counts that many times and no
+// non-FD is expanded.
 func AgreeSetRank(ncols int, agrees []fdset.AttrSet) []int {
 	freq := make([]int, ncols)
 	for _, x := range agrees {
@@ -224,13 +194,6 @@ func AgreeSetRank(ncols int, agrees []fdset.AttrSet) []int {
 			return true
 		})
 	}
-	return rankByFrequency(freq)
-}
-
-// rankByFrequency ranks attributes by ascending freq, ties in attribute
-// order.
-func rankByFrequency(freq []int) []int {
-	ncols := len(freq)
 	idx := make([]int, ncols)
 	for i := range idx {
 		idx[i] = i

@@ -164,7 +164,7 @@ func (t *Tree) blockerBases(general []uint64) bool {
 // (S ∪ {attr} is never ∅, whose flag it may skip); copying each base
 // into a probe first cost the dense inversion benchmark about 10%.
 func (t *Tree) blockedByBases(attr int) bool {
-	m := &t.members
+	m := t.members
 	if t.mw == 1 {
 		bit := uint64(1) << attr
 	bases:

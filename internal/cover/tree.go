@@ -51,7 +51,7 @@ type Tree struct {
 	// members mirrors the stored sets for O(1) exact-membership checks.
 	// The inversion fast path (enumerating potential blockers of a
 	// candidate) depends on this.
-	members members
+	members *Masks
 	// free chains (through left) the nodes that removals unlinked; Add
 	// takes from it before growing the arena, so a tree that shrinks and
 	// regrows — every inversion does — reuses its nodes.
@@ -96,7 +96,7 @@ func NewTree(ncols int, rank []int) *Tree {
 	return &Tree{
 		mw: mw, rank: rank,
 		nodes: make([]node, 1), aggs: make([]uint64, 2*mw),
-		members: newMembers(mw),
+		members: NewMasks(mw, false, false),
 		cand:    make([]uint64, mw), probe: make([]uint64, mw),
 	}
 }
@@ -118,15 +118,6 @@ func subset(a, b []uint64) bool {
 		}
 	}
 	return true
-}
-
-// toSet converts a set of mw words to an fdset.AttrSet.
-func toSet(w []uint64) fdset.AttrSet {
-	var s fdset.AttrSet
-	for i, x := range w {
-		s.SetWord(i, x)
-	}
-	return s
 }
 
 // words copies the first mw words of s into buf and returns them: s
@@ -162,7 +153,7 @@ func (t *Tree) mustFit(s fdset.AttrSet) {
 // appendSets appends the sets of ws, mw words apiece, to out.
 func (t *Tree) appendSets(out []fdset.AttrSet, ws []uint64) []fdset.AttrSet {
 	for i := 0; i < len(ws); i += t.mw {
-		out = append(out, toSet(ws[i:i+t.mw]))
+		out = append(out, fdset.FromWords(ws[i:i+t.mw]))
 	}
 	return out
 }
@@ -428,7 +419,7 @@ func (t *Tree) ContainsSubset(s fdset.AttrSet) bool {
 func (t *Tree) FindSubset(s fdset.AttrSet) (fdset.AttrSet, bool) {
 	var buf [fdset.NumWords]uint64
 	if n := t.findSubset(t.root, t.words(&buf, s)); n != 0 {
-		return toSet(t.inter(n)), true
+		return fdset.FromWords(t.inter(n)), true
 	}
 	return fdset.AttrSet{}, false
 }
@@ -632,7 +623,7 @@ func (t *Tree) forEach(n int32, fn func(fdset.AttrSet) bool) bool {
 	}
 	nd := t.nodes[n]
 	if nd.attr < 0 {
-		return fn(toSet(t.inter(n)))
+		return fn(fdset.FromWords(t.inter(n)))
 	}
 	return t.forEach(nd.left, fn) && t.forEach(nd.right, fn)
 }

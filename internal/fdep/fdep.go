@@ -68,23 +68,18 @@ func DiscoverEncodedContext(ctx context.Context, enc *preprocess.Encoded) (*fdse
 	stats.AgreeSets = len(agrees)
 
 	// Negative cover: maximal non-FDs per RHS, split rank by attribute
-	// frequency as in EulerFD's Algorithm 2.
-	var nonFDs []fdset.FD
-	for _, agree := range agrees {
-		for a := 0; a < ncols; a++ {
-			if !agree.Has(a) {
-				nonFDs = append(nonFDs, fdset.FD{LHS: agree, RHS: a})
-			}
-		}
-	}
-	rank := cover.AttrFrequencyRank(ncols, nonFDs)
+	// frequency as in EulerFD's Algorithm 2. Agree set X witnesses X ↛ a
+	// for every a ∉ X; admitting the largest sets first supersedes
+	// nothing, and every stored set is marked pending for the inversion.
+	rank := cover.AgreeSetRank(ncols, agrees)
 	ncover := cover.NewNCover(ncols, rank)
-	ncover.AddAll(nonFDs)
+	fdset.SortSetsDesc(agrees)
+	ncover.Admit(agrees, nil)
 	stats.NcoverSize = ncover.Size()
 
 	// Inversion into the positive cover.
 	pcover := cover.NewPCover(ncols, rank)
-	pcover.InvertAll(ncover.FDs())
+	pcover.InvertPending(ncover, nil)
 	out := pcover.FDs()
 	stats.PcoverSize = out.Len()
 	stats.Total = time.Since(start)

@@ -42,6 +42,15 @@ func FromWord(w uint64) AttrSet {
 	return s
 }
 
+// FromWords builds a set from up to NumWords words, word k holding
+// attributes [64k, 64k+64): the mw-word masks the agree kernels write and
+// the cover trees store.
+func FromWords(w []uint64) AttrSet {
+	var s AttrSet
+	copy(s.w[:], w)
+	return s
+}
+
 // Word0 returns the first 64-bit word of the set: the whole set whenever
 // every attribute index is below 64 (the single-word fast path).
 func (s AttrSet) Word0() uint64 { return s.w[0] }

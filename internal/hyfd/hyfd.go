@@ -124,24 +124,16 @@ func DiscoverEncodedContext(ctx context.Context, enc *preprocess.Encoded, opt Op
 	// cannot witness pairs that disagree everywhere).
 	for a := 0; a < m; a++ {
 		if enc.NumLabels[a] > 1 {
-			f := fdset.FD{LHS: fdset.EmptySet(), RHS: a}
-			if ncover.Add(f) {
-				pcover.Invert(f)
-			}
+			ncover.Seed(a)
 		}
 	}
+	pcover.InvertPending(ncover, nil)
 
+	// ingest admits agree set X as X ↛ a for every a ∉ X and inverts
+	// what the negative cover stored.
 	ingest := func(agrees []fdset.AttrSet) {
-		for _, agree := range agrees {
-			for a := 0; a < m; a++ {
-				if !agree.Has(a) {
-					f := fdset.FD{LHS: agree, RHS: a}
-					if ncover.Add(f) {
-						pcover.Invert(f)
-					}
-				}
-			}
-		}
+		ncover.Admit(agrees, nil)
+		pcover.InvertPending(ncover, nil)
 	}
 
 	samplePhase := func() {

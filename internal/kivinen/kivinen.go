@@ -118,27 +118,20 @@ func DiscoverEncodedContext(ctx context.Context, enc *preprocess.Encoded, opt Op
 	}
 	stats.AgreeSets = len(agrees)
 
-	var nonFDs []fdset.FD
-	for _, agree := range agrees {
-		for a := 0; a < m; a++ {
-			if !agree.Has(a) {
-				nonFDs = append(nonFDs, fdset.FD{LHS: agree, RHS: a})
-			}
-		}
-	}
-	rank := cover.AttrFrequencyRank(m, nonFDs)
+	rank := cover.AgreeSetRank(m, agrees)
 	ncover := cover.NewNCover(m, rank)
 	// ∅ resolution from column cardinalities, like the other samplers.
 	for a := 0; a < m; a++ {
 		if enc.NumLabels[a] > 1 {
-			ncover.Add(fdset.FD{LHS: fdset.EmptySet(), RHS: a})
+			ncover.Seed(a)
 		}
 	}
-	ncover.AddAll(nonFDs)
+	fdset.SortSetsDesc(agrees)
+	ncover.Admit(agrees, nil)
 	stats.NcoverSize = ncover.Size()
 
 	pcover := cover.NewPCover(m, rank)
-	pcover.InvertAll(ncover.FDs())
+	pcover.InvertPending(ncover, nil)
 	out := pcover.FDs()
 	stats.PcoverSize = out.Len()
 	stats.Total = time.Since(start)

@@ -19,15 +19,6 @@ func kernelEncodings(t *testing.T) []*Encoded {
 	}
 }
 
-// maskSet reads one pair's mask words back as an AttrSet.
-func maskSet(m []uint64) fdset.AttrSet {
-	var s fdset.AttrSet
-	for k, w := range m {
-		s.SetWord(k, w)
-	}
-	return s
-}
-
 func TestAgreeSetsIntoMatchesAgreeSet(t *testing.T) {
 	for _, enc := range kernelEncodings(t) {
 		others := make([]int32, enc.NumRows)
@@ -71,7 +62,7 @@ func checkWindowKernel(t *testing.T, encs []*Encoded) {
 				enc.AgreeWindowWords(cl.Rows, window, 0, n, masks)
 				for p := 0; p < n; p++ {
 					want := enc.AgreeSet(int(cl.Rows[p]), int(cl.Rows[p+window-1]))
-					if got := maskSet(masks[p*mw : p*mw+mw]); got != want {
+					if got := fdset.FromWords(masks[p*mw : p*mw+mw]); got != want {
 						t.Fatalf("%s: window %d pos %d = %v, want %v", enc.Name, window, p, got, want)
 					}
 				}
