@@ -10,6 +10,9 @@ import (
 
 	"eulerfd/internal/aidfd"
 	"eulerfd/internal/datasets"
+	"eulerfd/internal/depminer"
+	"eulerfd/internal/fastfds"
+	"eulerfd/internal/fdep"
 	"eulerfd/internal/fdset"
 	"eulerfd/internal/hyfd"
 	"eulerfd/internal/kivinen"
@@ -39,13 +42,14 @@ func coverDigest(s *fdset.Set) string {
 
 // TestBaselineCoversGolden pins what the agree-set baselines output under
 // their default options. AID-FD and Kivinen–Mannila are approximate, so no
-// oracle judges them, and HyFD's work counters are not judged by one
-// either: a change to how they admit evidence into the covers must leave
-// each cover and every Stats counter byte-identical. A deliberate change
-// to what one samples or admits re-records its lines and says why.
+// oracle judges them, and no oracle judges the work counters of HyFD,
+// Fdep, Dep-Miner or FastFDs either: a change to how they collect
+// evidence or admit it into the covers must leave each cover and every
+// Stats counter byte-identical. A deliberate change to what one samples
+// or admits re-records its lines and says why.
 func TestBaselineCoversGolden(t *testing.T) {
 	if testing.Short() {
-		t.Skip("discovers four registry relations with three algorithms")
+		t.Skip("discovers six registry relations with six algorithms")
 	}
 	cells := []struct {
 		name                 string
@@ -99,6 +103,62 @@ func TestBaselineCoversGolden(t *testing.T) {
 			check(t, "hyfd "+c.name, fmt.Sprintf("%s pairs=%d agree=%d rounds=%d validations=%d invalidated=%d switchbacks=%d pcover=%d",
 				coverDigest(fds), st.PairsCompared, st.AgreeSets, st.SamplingRounds, st.Validations, st.Invalidated,
 				st.SwitchBacks, st.PcoverSize), c.hyfd)
+		}
+	}
+
+	// The exact all-pairs baselines: FuzzRegistryExact holds their covers
+	// to the oracle, these lines pin their work counters too. Dep-Miner
+	// and FastFDs skip letter (an empty line), where each takes seconds.
+	exact := []struct{ name, fdep, depminer, fastfds string }{
+		{"chess",
+			"9d756b2be1e8cd52 pairs=7998000 agree=126 ncover=17 pcover=2",
+			"9d756b2be1e8cd52 pairs=7998000 agree=126 maxsets=17 levels=6 pcover=2",
+			"9d756b2be1e8cd52 pairs=7998000 agree=126 diffsets=17 nodes=19 pcover=2"},
+		{"bridges",
+			"745f5a95d81e8734 pairs=5778 agree=624 ncover=422 pcover=629",
+			"745f5a95d81e8734 pairs=5778 agree=624 maxsets=422 levels=10 pcover=629",
+			"745f5a95d81e8734 pairs=5778 agree=624 diffsets=422 nodes=1614 pcover=629"},
+		{"abalone",
+			"9f9d0202b9c581a1 pairs=1999000 agree=142 ncover=263 pcover=303",
+			"9f9d0202b9c581a1 pairs=1999000 agree=142 maxsets=263 levels=5 pcover=303",
+			"9f9d0202b9c581a1 pairs=1999000 agree=142 diffsets=263 nodes=612 pcover=303"},
+		{"adult",
+			"638945dda2304c86 pairs=7998000 agree=7076 ncover=701 pcover=767",
+			"638945dda2304c86 pairs=7998000 agree=7076 maxsets=701 levels=13 pcover=767",
+			"638945dda2304c86 pairs=7998000 agree=7076 diffsets=701 nodes=2768 pcover=767"},
+		{"letter",
+			"1e33a5951a79dc6f pairs=4498500 agree=9797 ncover=25332 pcover=87636",
+			"", ""},
+	}
+	for _, c := range exact {
+		d, err := datasets.ByName(c.name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		enc := preprocess.Encode(d.Build())
+		{
+			fds, st, err := fdep.DiscoverEncodedContext(ctx, enc)
+			if err != nil {
+				t.Fatal(err)
+			}
+			check(t, "fdep "+c.name, fmt.Sprintf("%s pairs=%d agree=%d ncover=%d pcover=%d", coverDigest(fds),
+				st.PairsCompared, st.AgreeSets, st.NcoverSize, st.PcoverSize), c.fdep)
+		}
+		if c.depminer != "" {
+			fds, st, err := depminer.DiscoverEncodedContext(ctx, enc)
+			if err != nil {
+				t.Fatal(err)
+			}
+			check(t, "depminer "+c.name, fmt.Sprintf("%s pairs=%d agree=%d maxsets=%d levels=%d pcover=%d", coverDigest(fds),
+				st.PairsCompared, st.AgreeSets, st.MaxSets, st.Levels, st.PcoverSize), c.depminer)
+		}
+		if c.fastfds != "" {
+			fds, st, err := fastfds.DiscoverEncodedContext(ctx, enc)
+			if err != nil {
+				t.Fatal(err)
+			}
+			check(t, "fastfds "+c.name, fmt.Sprintf("%s pairs=%d agree=%d diffsets=%d nodes=%d pcover=%d", coverDigest(fds),
+				st.PairsCompared, st.AgreeSets, st.DiffSets, st.SearchNodes, st.PcoverSize), c.fastfds)
 		}
 	}
 }
