@@ -232,7 +232,7 @@ func (s *Scorer) Discover(ctx context.Context, m Measure, eps float64) ([]fdset.
 					out = append(out, fdset.ScoredFD{FD: fdset.FD{LHS: x, RHS: rhs}, Score: score})
 					continue
 				}
-				for b := maxAttr(x) + 1; b < ncols; b++ {
+				for b := x.Last() + 1; b < ncols; b++ {
 					if b == rhs {
 						continue
 					}
@@ -248,13 +248,6 @@ func (s *Scorer) Discover(ctx context.Context, m Measure, eps float64) ([]fdset.
 	}
 	fdset.SortScoredFDs(out)
 	return out, nil
-}
-
-// maxAttr returns the largest attribute in x, or -1 when x is empty.
-func maxAttr(x fdset.AttrSet) int {
-	last := -1
-	x.ForEach(func(a int) bool { last = a; return true })
-	return last
 }
 
 // Rank scores candidate dependencies under m and returns the k best

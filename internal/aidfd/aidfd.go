@@ -59,35 +59,30 @@ func DiscoverEncodedContext(ctx context.Context, enc *preprocess.Encoded, opt Op
 	}
 
 	clusters := enc.AllClusters()
-	seen := make(map[fdset.AttrSet]struct{})
+	maxWindow := 2
+	for _, c := range clusters {
+		maxWindow = max(maxWindow, len(c.Rows))
+	}
+	mw := preprocess.MaskWords(ncols)
+	seen := cover.NewMasks(mw, false, false)
+	masks := make([]uint64, (maxWindow-1)*mw)
 
 	// Round 1 (window 2) collects the evidence that fixes the split rank.
 	var batch []fdset.AttrSet
 	round := func(window int) int {
 		pairs := 0
 		for _, c := range clusters {
-			if window > len(c.Rows) {
+			n := len(c.Rows) - window + 1 // one pair per window start
+			if n <= 0 {
 				continue
 			}
-			for i := 0; i+window-1 < len(c.Rows); i++ {
-				a := enc.AgreeSet(int(c.Rows[i]), int(c.Rows[i+window-1]))
-				pairs++
-				if _, dup := seen[a]; !dup {
-					seen[a] = struct{}{}
-					batch = append(batch, a)
-				}
-			}
+			enc.AgreeWindowWords(c.Rows, window, 0, n, masks)
+			batch = seen.AppendNew(batch, masks[:n*mw])
+			pairs += n
 		}
 		stats.PairsCompared += pairs
 		stats.Rounds++
 		return pairs
-	}
-
-	maxWindow := 2
-	for _, c := range clusters {
-		if len(c.Rows) > maxWindow {
-			maxWindow = len(c.Rows)
-		}
 	}
 
 	round(2)
@@ -123,7 +118,7 @@ func DiscoverEncodedContext(ctx context.Context, enc *preprocess.Encoded, opt Op
 		}
 	}
 
-	stats.AgreeSets = len(seen)
+	stats.AgreeSets = seen.Len()
 	stats.NcoverSize = ncover.Size()
 
 	// Single terminal inversion: AID-FD never returns to sampling.

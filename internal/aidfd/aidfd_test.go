@@ -122,6 +122,17 @@ func TestAIDFDMaxRounds(t *testing.T) {
 	}
 }
 
+// TestAIDFDNoClusterOneRound pins the window bound: AID-FD's starts at
+// 2, so a relation without a cluster still runs its first round, over no
+// pair.
+func TestAIDFDNoClusterOneRound(t *testing.T) {
+	rel := dataset.MustNew("alldiff", []string{"A", "B"}, [][]string{{"1", "2"}, {"3", "4"}})
+	_, st, err := discover(rel, DefaultOptions())
+	if err != nil || st.Rounds != 1 || st.PairsCompared != 0 || st.AgreeSets != 0 {
+		t.Errorf("rounds=%d pairs=%d agree=%d err=%v, want 1 0 0 <nil>", st.Rounds, st.PairsCompared, st.AgreeSets, err)
+	}
+}
+
 func TestAIDFDDegenerates(t *testing.T) {
 	for _, rel := range []*dataset.Relation{
 		dataset.MustNew("none", nil, nil),

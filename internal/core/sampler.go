@@ -328,9 +328,9 @@ func (s *Sampler) samplePass(c *clusterState, found *[]fdset.AttrSet) {
 		if s.wit != nil {
 			s.wit.AddRuns(masks, 1, false)
 		}
-		for i := s.seen.NextNew(masks, 0); i < len(masks); i = s.seen.NextNew(masks, i+mw) {
-			x := fdset.FromWords(masks[i : i+mw])
-			*found = append(*found, x)
+		n := len(*found)
+		*found = s.seen.AppendNew(*found, masks)
+		for _, x := range (*found)[n:] {
 			// A pair disagreeing on k attributes witnesses k non-FDs.
 			newNonFDs += len(s.enc.Attrs) - x.Count()
 		}

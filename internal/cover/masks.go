@@ -1,15 +1,20 @@
 package cover
 
 import (
+	"context"
 	"math/bits"
 	"slices"
+
+	"eulerfd/internal/fdset"
+	"eulerfd/internal/preprocess"
 )
 
 // Masks is the one hash table of attribute sets held as mw words apiece,
 // word k holding attributes [64k, 64k+64): the agree masks the
 // preprocess kernels write and the sets a cover tree stores. Each tree's
-// exact-membership table is one, and so are core's sampler dedup set,
-// witness tallies and a mutation batch's witness delta.
+// exact-membership table is one, and so are the agree-set dedup set of
+// every pair-comparing discoverer (AppendNew), core's witness tallies and
+// a mutation batch's witness delta.
 //
 // It is an open-addressed hash set with linear probing over a
 // power-of-two slot count. An all-zero slot is empty, so ∅ — the one set
@@ -289,7 +294,50 @@ func (m *Masks) EachOrdered(fn func(s []uint64, v int64)) {
 	}
 }
 
-// NextNew stores the run heads of masks, a buffer of whole keys, from
+// AppendNew stores every key of masks, a buffer of whole keys, and
+// appends to sets, as an attribute set, each one the table did not hold,
+// in the order of masks. It is the agree-set dedup of every discoverer
+// that compares tuple pairs: the agree kernels write a batch of pair
+// masks, and only the new ones leave as evidence.
+//
+//fdlint:hotpath
+func (m *Masks) AppendNew(sets []fdset.AttrSet, masks []uint64) []fdset.AttrSet {
+	for i := m.nextNew(masks, 0); i < len(masks); i = m.nextNew(masks, i+m.mw) {
+		sets = append(sets, fdset.FromWords(masks[i:i+m.mw]))
+	}
+	return sets
+}
+
+// AllAgreeSets compares every pair of enc's rows, row i against every
+// later row in one row-against-many kernel sweep, and returns the
+// distinct agree sets in the order the sweep first meets them, ∅
+// included, with the number of pairs compared. It checks ctx once per
+// row. It is the evidence of the exact all-pairs discoverers (Fdep,
+// Dep-Miner, FastFDs): agree sets are a lossless, deduplicated encoding
+// of every non-FD a pair witnesses.
+func AllAgreeSets(ctx context.Context, enc *preprocess.Encoded) ([]fdset.AttrSet, int, error) {
+	mw := preprocess.MaskWords(len(enc.Attrs))
+	seen := NewMasks(mw, false, false)
+	rows := make([]int32, enc.NumRows)
+	for j := range rows {
+		rows[j] = int32(j)
+	}
+	masks := make([]uint64, enc.NumRows*mw)
+	var agrees []fdset.AttrSet
+	pairs := 0
+	for i := range rows {
+		if err := ctx.Err(); err != nil {
+			return nil, pairs, err
+		}
+		later := rows[i+1:]
+		enc.AgreeRowWords(i, later, masks)
+		agrees = seen.AppendNew(agrees, masks[:len(later)*mw])
+		pairs += len(later)
+	}
+	return agrees, pairs, nil
+}
+
+// nextNew stores the run heads of masks, a buffer of whole keys, from
 // offset i on — a run head being a key that differs from the one before
 // it — and returns the offset of the first one the table did not hold,
 // or len(masks). Calling it again from the returned offset plus mw
@@ -298,7 +346,7 @@ func (m *Masks) EachOrdered(fn func(s []uint64, v int64)) {
 // low-cardinality data, cost one compare per key and no probe.
 //
 //fdlint:hotpath
-func (m *Masks) NextNew(masks []uint64, i int) int {
+func (m *Masks) nextNew(masks []uint64, i int) int {
 	if m.mw == 1 { // one word: the sampler's per-pair loop, kept to plain compares
 		for ; i < len(masks); i++ {
 			w := masks[i]

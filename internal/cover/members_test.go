@@ -108,7 +108,7 @@ func checkMembers(t *testing.T, m *Masks, ref *memberRef) {
 // memberOp applies one operation to m and to its reference, failing on
 // any disagreement: 0 insert, 1 remove, 2 has, and on a counted table 3
 // Add, 4 Get, 5 Put (of 0 when v is even, which removes the key), 6
-// AddRuns over run and 7 NextNew over run. run is a buffer of whole
+// AddRuns over run and 7 nextNew over run. run is a buffer of whole
 // keys, s one key.
 func memberOp(t *testing.T, m *Masks, ref *memberRef, op int, s, run []uint64, v int64) {
 	t.Helper()
@@ -171,7 +171,7 @@ func memberOp(t *testing.T, m *Masks, ref *memberRef, op int, s, run []uint64, v
 		}
 	case 7:
 		var got, want []int
-		for i := m.NextNew(run, 0); i < len(run); i = m.NextNew(run, i+m.mw) {
+		for i := m.nextNew(run, 0); i < len(run); i = m.nextNew(run, i+m.mw) {
 			got = append(got, i)
 		}
 		for i := 0; i < len(run); i += m.mw {
@@ -182,7 +182,7 @@ func memberOp(t *testing.T, m *Masks, ref *memberRef, op int, s, run []uint64, v
 			}
 		}
 		if !slices.Equal(got, want) {
-			t.Fatalf("NextNew over %x stops at %v, want %v", run, got, want)
+			t.Fatalf("nextNew over %x stops at %v, want %v", run, got, want)
 		}
 	}
 }

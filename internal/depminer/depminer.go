@@ -15,6 +15,7 @@ import (
 	"context"
 	"time"
 
+	"eulerfd/internal/cover"
 	"eulerfd/internal/fdset"
 	"eulerfd/internal/preprocess"
 )
@@ -44,7 +45,8 @@ func DiscoverEncodedContext(ctx context.Context, enc *preprocess.Encoded) (*fdse
 		return out, stats, nil
 	}
 
-	agrees, err := agreeSets(ctx, enc, &stats)
+	agrees, pairs, err := cover.AllAgreeSets(ctx, enc)
+	stats.PairsCompared = pairs
 	if err != nil {
 		return nil, stats, err
 	}
@@ -76,30 +78,9 @@ func DiscoverEncodedContext(ctx context.Context, enc *preprocess.Encoded) (*fdse
 	return out, stats, nil
 }
 
-// agreeSets collects the distinct agree sets of all row pairs. The empty
-// agree set is included when two rows disagree everywhere. The quadratic
-// pair scan checks ctx once per outer row.
-func agreeSets(ctx context.Context, enc *preprocess.Encoded, stats *Stats) ([]fdset.AttrSet, error) {
-	seen := make(map[fdset.AttrSet]struct{})
-	var out []fdset.AttrSet
-	for i := 0; i < enc.NumRows; i++ {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		for j := i + 1; j < enc.NumRows; j++ {
-			stats.PairsCompared++
-			a := enc.AgreeSet(i, j)
-			if _, dup := seen[a]; !dup {
-				seen[a] = struct{}{}
-				out = append(out, a)
-			}
-		}
-	}
-	return out, nil
-}
-
 // maximalAgreeSetsWithout returns the ⊆-maximal agree sets that do not
-// contain attribute rhs (max(dep(r), A) in the paper's notation).
+// contain attribute rhs (max(dep(r), A) in the paper's notation). The
+// agree sets are distinct, so the maximal ones are.
 func maximalAgreeSetsWithout(agrees []fdset.AttrSet, rhs int) []fdset.AttrSet {
 	var cand []fdset.AttrSet
 	for _, a := range agrees {
@@ -118,18 +99,6 @@ func maximalAgreeSetsWithout(agrees []fdset.AttrSet, rhs int) []fdset.AttrSet {
 		}
 		if maximal {
 			out = append(out, a)
-		}
-	}
-	return dedup(out)
-}
-
-func dedup(sets []fdset.AttrSet) []fdset.AttrSet {
-	seen := make(map[fdset.AttrSet]struct{}, len(sets))
-	out := sets[:0]
-	for _, s := range sets {
-		if _, dup := seen[s]; !dup {
-			seen[s] = struct{}{}
-			out = append(out, s)
 		}
 	}
 	return out
@@ -176,11 +145,7 @@ func transversalsLevelwise(m, rhs int, edges []fdset.AttrSet, emit func(fdset.At
 		for _, x := range level {
 			// Extend with attributes greater than the current maximum to
 			// generate each candidate exactly once.
-			start := 0
-			if last := lastAttr(x); last >= 0 {
-				start = indexAfter(attrs, last)
-			}
-			for _, a := range attrs[start:] {
+			for _, a := range attrs[indexAfter(attrs, x.Last()):] {
 				c := x.With(a)
 				if _, dup := seen[c]; dup {
 					continue
@@ -208,15 +173,6 @@ func transversalsLevelwise(m, rhs int, edges []fdset.AttrSet, emit func(fdset.At
 		level = next
 	}
 	return levels
-}
-
-func lastAttr(s fdset.AttrSet) int {
-	last := -1
-	s.ForEach(func(a int) bool {
-		last = a
-		return true
-	})
-	return last
 }
 
 // indexAfter returns the index of the first element of sorted attrs that

@@ -16,6 +16,7 @@ import (
 	"sort"
 	"time"
 
+	"eulerfd/internal/cover"
 	"eulerfd/internal/fdset"
 	"eulerfd/internal/preprocess"
 )
@@ -46,20 +47,10 @@ func DiscoverEncodedContext(ctx context.Context, enc *preprocess.Encoded) (*fdse
 	}
 
 	// Distinct agree sets once; per-RHS difference sets derive from them.
-	seen := make(map[fdset.AttrSet]struct{})
-	var agrees []fdset.AttrSet
-	for i := 0; i < enc.NumRows; i++ {
-		if err := ctx.Err(); err != nil {
-			return nil, stats, err
-		}
-		for j := i + 1; j < enc.NumRows; j++ {
-			stats.PairsCompared++
-			a := enc.AgreeSet(i, j)
-			if _, dup := seen[a]; !dup {
-				seen[a] = struct{}{}
-				agrees = append(agrees, a)
-			}
-		}
+	agrees, pairs, err := cover.AllAgreeSets(ctx, enc)
+	stats.PairsCompared = pairs
+	if err != nil {
+		return nil, stats, err
 	}
 	stats.AgreeSets = len(agrees)
 
@@ -86,7 +77,7 @@ func DiscoverEncodedContext(ctx context.Context, enc *preprocess.Encoded) (*fdse
 // differenceSets returns the minimal difference sets for one RHS: the
 // complements (within R \ {rhs}) of agree sets lacking rhs, reduced to
 // ⊆-minimal elements — covering a minimal difference set covers every
-// superset of it.
+// superset of it. The agree sets are distinct, so their complements are.
 func differenceSets(agrees []fdset.AttrSet, m, rhs int) []fdset.AttrSet {
 	full := fdset.FullSet(m).Without(rhs)
 	var all []fdset.AttrSet
@@ -108,16 +99,7 @@ func differenceSets(agrees []fdset.AttrSet, m, rhs int) []fdset.AttrSet {
 			out = append(out, d)
 		}
 	}
-	// Dedup (several agree sets can share a complement).
-	seen := make(map[fdset.AttrSet]struct{}, len(out))
-	uniq := out[:0]
-	for _, d := range out {
-		if _, dup := seen[d]; !dup {
-			seen[d] = struct{}{}
-			uniq = append(uniq, d)
-		}
-	}
-	return uniq
+	return out
 }
 
 type search struct {

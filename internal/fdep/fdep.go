@@ -39,31 +39,11 @@ func DiscoverEncodedContext(ctx context.Context, enc *preprocess.Encoded) (*fdse
 		return fdset.NewSet(), stats, nil
 	}
 
-	// Pairwise comparison: collect every distinct agree set. The disagree
-	// set of a pair is the complement of its agree set, so agree sets are
-	// a lossless, deduplicated encoding of all witnessed non-FDs.
-	seen := make(map[fdset.AttrSet]struct{})
-	var agrees []fdset.AttrSet
-	// rest[j-i-1] = j lets the batched base-vs-others kernel compare row i
-	// against all following rows in one cache-friendly sweep.
-	rest := make([]int32, enc.NumRows)
-	for j := range rest {
-		rest[j] = int32(j)
-	}
-	buf := make([]fdset.AttrSet, enc.NumRows)
-	for i := 0; i < enc.NumRows; i++ {
-		if err := ctx.Err(); err != nil {
-			return nil, stats, err
-		}
-		others := rest[i+1:]
-		enc.AgreeSetsInto(i, others, buf)
-		stats.PairsCompared += len(others)
-		for _, a := range buf[:len(others)] {
-			if _, dup := seen[a]; !dup {
-				seen[a] = struct{}{}
-				agrees = append(agrees, a)
-			}
-		}
+	// Pairwise comparison: collect every distinct agree set.
+	agrees, pairs, err := cover.AllAgreeSets(ctx, enc)
+	stats.PairsCompared = pairs
+	if err != nil {
+		return nil, stats, err
 	}
 	stats.AgreeSets = len(agrees)
 

@@ -200,6 +200,17 @@ func (s AttrSet) First() int {
 	return -1
 }
 
+// Last returns the largest attribute in the set, or -1 if empty: the
+// counterpart of First, read from the highest non-zero word.
+func (s AttrSet) Last() int {
+	for i := attrWords - 1; i >= 0; i-- {
+		if w := s.w[i]; w != 0 {
+			return i*64 + 63 - bits.LeadingZeros64(w)
+		}
+	}
+	return -1
+}
+
 // NextAfter returns the smallest attribute strictly greater than a,
 // or -1 if there is none. Pass a = -1 to obtain the first attribute.
 func (s AttrSet) NextAfter(a int) int {
@@ -250,9 +261,9 @@ const NumWords = attrWords
 // range, as that is a programming error.
 func (s AttrSet) Word(i int) uint64 { return s.w[i] }
 
-// SetWord overwrites the i-th 64-bit word of the set. It exists for batch
-// kernels (preprocess.AgreeSetsInto and friends) that assemble agree sets
-// word-by-word from a columnar scan without per-bit Add calls.
+// SetWord overwrites the i-th 64-bit word of the set. It exists for code
+// that assembles agree sets word by word without per-bit Add calls, such
+// as the reference form of the preprocess agree kernels.
 func (s *AttrSet) SetWord(i int, w uint64) { s.w[i] = w }
 
 // Hash returns a 64-bit mix of the set contents, suitable for sharding.

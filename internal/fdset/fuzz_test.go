@@ -114,6 +114,15 @@ func FuzzAttrSetOps(f *testing.F) {
 			t.Fatalf("First/NextAfter stopped after %d of %d members", i, len(attrs))
 		}
 
+		// Last is the walk's final member, -1 for ∅.
+		last := -1
+		if len(attrs) > 0 {
+			last = attrs[len(attrs)-1]
+		}
+		if a.Last() != last || w.Last() != max(last, attr) {
+			t.Fatalf("Last = %d, and %d with %d added; want %d and %d", a.Last(), w.Last(), attr, last, max(last, attr))
+		}
+
 		// Word/SetWord round-trip and Hash determinism.
 		var rebuilt AttrSet
 		for w := 0; w < NumWords; w++ {

@@ -104,7 +104,7 @@ func DiscoverEncodedContext(ctx context.Context, enc *preprocess.Encoded) (*fdse
 		var next []fdset.AttrSet
 		seen := map[fdset.AttrSet]struct{}{}
 		for _, x := range level {
-			start := lastAttr(x) + 1
+			start := x.Last() + 1
 			for a := start; a < m; a++ {
 				cand := x.With(a)
 				if _, dup := seen[cand]; dup {
@@ -145,13 +145,4 @@ func DiscoverEncodedContext(ctx context.Context, enc *preprocess.Encoded) (*fdse
 	stats.PcoverSize = out.Len()
 	stats.Total = time.Since(start)
 	return out, stats, nil
-}
-
-func lastAttr(s fdset.AttrSet) int {
-	last := -1
-	s.ForEach(func(a int) bool {
-		last = a
-		return true
-	})
-	return last
 }

@@ -67,7 +67,8 @@ type sampler struct {
 	enc      *preprocess.Encoded
 	clusters []preprocess.Cluster
 	window   int
-	seen     map[fdset.AttrSet]struct{}
+	seen     *cover.Masks
+	masks    []uint64 // one window sweep of the largest cluster
 	maxLen   int
 }
 
@@ -76,18 +77,15 @@ type sampler struct {
 func (s *sampler) round() ([]fdset.AttrSet, int) {
 	var found []fdset.AttrSet
 	pairs := 0
+	mw := preprocess.MaskWords(len(s.enc.Attrs))
 	for _, c := range s.clusters {
-		if s.window > len(c.Rows) {
+		n := len(c.Rows) - s.window + 1 // one pair per window start
+		if n <= 0 {
 			continue
 		}
-		for i := 0; i+s.window-1 < len(c.Rows); i++ {
-			a := s.enc.AgreeSet(int(c.Rows[i]), int(c.Rows[i+s.window-1]))
-			pairs++
-			if _, dup := s.seen[a]; !dup {
-				s.seen[a] = struct{}{}
-				found = append(found, a)
-			}
-		}
+		s.enc.AgreeWindowWords(c.Rows, s.window, 0, n, s.masks)
+		found = s.seen.AppendNew(found, s.masks[:n*mw])
+		pairs += n
 	}
 	s.window++
 	return found, pairs
@@ -111,12 +109,12 @@ func DiscoverEncodedContext(ctx context.Context, enc *preprocess.Encoded, opt Op
 		return nil, stats, err
 	}
 
-	smp := &sampler{enc: enc, clusters: enc.AllClusters(), window: 2, seen: map[fdset.AttrSet]struct{}{}}
+	mw := preprocess.MaskWords(m)
+	smp := &sampler{enc: enc, clusters: enc.AllClusters(), window: 2, seen: cover.NewMasks(mw, false, false)}
 	for _, c := range smp.clusters {
-		if len(c.Rows) > smp.maxLen {
-			smp.maxLen = len(c.Rows)
-		}
+		smp.maxLen = max(smp.maxLen, len(c.Rows))
 	}
+	smp.masks = make([]uint64, max(smp.maxLen-1, 0)*mw)
 
 	ncover := cover.NewNCover(m, nil)
 	pcover := cover.NewPCover(m, nil)
@@ -195,7 +193,7 @@ func DiscoverEncodedContext(ctx context.Context, enc *preprocess.Encoded, opt Op
 		}
 	}
 
-	stats.AgreeSets = len(smp.seen)
+	stats.AgreeSets = smp.seen.Len()
 	out := pcover.FDs()
 	stats.PcoverSize = out.Len()
 	stats.Total = time.Since(start)

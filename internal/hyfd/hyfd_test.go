@@ -112,6 +112,18 @@ func TestHyFDDegenerates(t *testing.T) {
 	}
 }
 
+// TestHyFDNoClusterNoRound pins the window bound: HyFD samples windows
+// up to its largest cluster, so a relation without one runs no sampling
+// round, and the violating pairs validation finds never count as
+// sampled agree sets.
+func TestHyFDNoClusterNoRound(t *testing.T) {
+	rel := dataset.MustNew("alldiff", []string{"A", "B"}, [][]string{{"1", "2"}, {"3", "4"}})
+	_, st, err := discover(rel, DefaultOptions())
+	if err != nil || st.SamplingRounds != 0 || st.PairsCompared != 0 || st.AgreeSets != 0 {
+		t.Errorf("rounds=%d pairs=%d agree=%d err=%v, want 0 0 0 <nil>", st.SamplingRounds, st.PairsCompared, st.AgreeSets, err)
+	}
+}
+
 func TestOptionsWithDefaults(t *testing.T) {
 	o := Options{}.withDefaults()
 	if o.EfficiencyThreshold != 0.01 || o.InvalidSwitchRatio != 0.2 {

@@ -16,16 +16,18 @@ import (
 // the attribute universe.
 func Closure(fds *fdset.Set, x fdset.AttrSet, ncols int) fdset.AttrSet {
 	closure := x
-	// Fixpoint iteration; each round scans the FD set once. The FD sets
-	// produced by discovery are minimal, so rounds are few.
+	// Fixpoint iteration; each round scans the FD set once, sorted once
+	// per call. The FD sets produced by discovery are minimal, so rounds
+	// are few.
+	all := fds.Slice()
 	for {
 		changed := false
-		fds.ForEach(func(f fdset.FD) {
+		for _, f := range all {
 			if f.RHS < ncols && !closure.Has(f.RHS) && f.LHS.IsSubsetOf(closure) {
 				closure = closure.With(f.RHS)
 				changed = true
 			}
-		})
+		}
 		if !changed {
 			return closure
 		}
@@ -98,11 +100,7 @@ func CandidateKeysBounded(fds *fdset.Set, ncols, maxNodes int) (keys []fdset.Att
 				keys = append(keys, x)
 				continue
 			}
-			start := 0
-			if last := lastAttr(x); last >= 0 {
-				start = last + 1
-			}
-			for a := start; a < ncols; a++ {
+			for a := x.Last() + 1; a < ncols; a++ {
 				c := x.With(a)
 				if _, dup := seen[c]; !dup {
 					seen[c] = struct{}{}
@@ -146,13 +144,4 @@ func Decompose(fds *fdset.Set, violation fdset.FD, ncols int) (left, right fdset
 	left = closure
 	right = violation.LHS.Union(fdset.FullSet(ncols).Diff(closure))
 	return left, right
-}
-
-func lastAttr(s fdset.AttrSet) int {
-	last := -1
-	s.ForEach(func(a int) bool {
-		last = a
-		return true
-	})
-	return last
 }

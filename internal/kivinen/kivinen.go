@@ -96,7 +96,9 @@ func DiscoverEncodedContext(ctx context.Context, enc *preprocess.Encoded, opt Op
 	stats.SampleSize = s
 
 	r := rand.New(rand.NewSource(opt.Seed))
-	seen := make(map[fdset.AttrSet]struct{})
+	seen := cover.NewMasks(preprocess.MaskWords(m), false, false)
+	mask := make([]uint64, preprocess.MaskWords(m))
+	var other [1]int32
 	var agrees []fdset.AttrSet
 	for k := 0; k < s; k++ {
 		if k%4096 == 0 {
@@ -110,11 +112,9 @@ func DiscoverEncodedContext(ctx context.Context, enc *preprocess.Encoded, opt Op
 			continue
 		}
 		stats.PairsCompared++
-		a := enc.AgreeSet(i, j)
-		if _, dup := seen[a]; !dup {
-			seen[a] = struct{}{}
-			agrees = append(agrees, a)
-		}
+		other[0] = int32(j)
+		enc.AgreeRowWords(i, other[:], mask)
+		agrees = seen.AppendNew(agrees, mask)
 	}
 	stats.AgreeSets = len(agrees)
 

@@ -3,7 +3,6 @@ package preprocess
 import (
 	"testing"
 
-	"eulerfd/internal/fdset"
 	"eulerfd/internal/gen"
 	"eulerfd/internal/testutil"
 )
@@ -81,15 +80,17 @@ func TestAgreeSlotsWordsAllocFree(t *testing.T) {
 	}
 }
 
-func TestAgreeSetsIntoAllocFree(t *testing.T) {
+// TestAgreeRowWordsAllocFree pins the row-against-many kernel at one mask
+// word.
+func TestAgreeRowWordsAllocFree(t *testing.T) {
 	enc := benchEncoding()
 	others := make([]int32, enc.NumRows)
 	for j := range others {
 		others[j] = int32(j)
 	}
-	out := make([]fdset.AttrSet, enc.NumRows)
-	assertZeroAllocs(t, "AgreeSetsInto", func() {
-		enc.AgreeSetsInto(0, others, out)
+	masks := make([]uint64, enc.NumRows*MaskWords(len(enc.Attrs)))
+	assertZeroAllocs(t, "AgreeRowWords", func() {
+		enc.AgreeRowWords(0, others, masks)
 	})
 }
 

@@ -271,29 +271,12 @@ func (e *Encoder) AliveSlots(buf []int32) []int32 {
 // every slot in slots it writes the agree set of (row, slot) as
 // mw = MaskWords mask words into masks[k·mw:]. row is one staged or
 // deleted row, packed at the spine's width (PackRow or Row), compared
-// against the alive slots, batched so bounds checks amortize and the row
-// stays in registers. masks must have length ≥ len(slots)·mw. It performs
-// no allocation.
+// against the alive slots. masks must have length ≥ len(slots)·mw. It
+// performs no allocation.
 //
 //fdlint:hotpath
 func (e *Encoder) AgreeSlotsWords(row []uint64, slots []int32, masks []uint64) {
-	// Locals for the layout's fields, as in Encoded.AgreeWindowWords.
-	all, stride, tail, last := e.rows.words, e.rows.stride, e.rows.tail, e.rows.lastMask
-	lo, gather, top, down := e.rows.f.lo, e.rows.f.gather, e.rows.f.top, e.rows.f.down
-	blk := int(e.rows.f.width) // packed words per full mask word
-	row = row[:stride]
-	o := 0
-	for _, s := range slots {
-		b := all[int(s)*stride : int(s)*stride+stride]
-		a := row
-		for len(a) > blk { // a full mask word: 64 lanes, no tail
-			masks[o] = agreeLanes(a[:blk], b, lo, gather, top, down)
-			a, b = a[blk:], b[blk:]
-			o++
-		}
-		masks[o] = agreeLanes(a, b, lo, gather, top, down) >> tail & last
-		o++
-	}
+	e.rows.agreeRow(row, slots, masks)
 }
 
 // AgreeRowsWords writes the agree set of two rows, both packed at the

@@ -19,18 +19,21 @@ func kernelEncodings(t *testing.T) []*Encoded {
 	}
 }
 
-func TestAgreeSetsIntoMatchesAgreeSet(t *testing.T) {
+// TestAgreeRowWordsMatchesAgreeSet checks the row-against-many kernel
+// at one, two and six mask words per pair.
+func TestAgreeRowWordsMatchesAgreeSet(t *testing.T) {
 	for _, enc := range kernelEncodings(t) {
+		mw := MaskWords(len(enc.Attrs))
 		others := make([]int32, enc.NumRows)
 		for j := range others {
 			others[j] = int32(j)
 		}
-		out := make([]fdset.AttrSet, enc.NumRows)
+		masks := make([]uint64, enc.NumRows*mw)
 		for i := 0; i < enc.NumRows; i += 37 {
-			enc.AgreeSetsInto(i, others, out)
+			enc.AgreeRowWords(i, others, masks)
 			for j := 0; j < enc.NumRows; j++ {
-				if want := enc.AgreeSet(i, j); out[j] != want {
-					t.Fatalf("%s: AgreeSetsInto(%d)[%d] = %v, want %v", enc.Name, i, j, out[j], want)
+				if got, want := fdset.FromWords(masks[j*mw:j*mw+mw]), enc.AgreeSet(i, j); got != want {
+					t.Fatalf("%s: AgreeRowWords(%d)[%d] = %v, want %v", enc.Name, i, j, got, want)
 				}
 			}
 		}

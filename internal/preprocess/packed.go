@@ -207,7 +207,7 @@ func (p *packedRows) lane(c int) Lane {
 
 // agreeMasks writes the agree set of two packed rows as maskWords mask
 // words into out, padding lanes masked off. It is the reference
-// form of the batched kernels (AgreeWindowWords, AgreeSlotsWords), which
+// form of the batched kernels (AgreeWindowWords, agreeRow), which
 // run the same loop with the layout's fields held in locals.
 //
 //fdlint:hotpath
@@ -220,6 +220,35 @@ func (p *packedRows) agreeMasks(out, a, b []uint64) {
 		o++
 	}
 	out[o] = agreeLanes(a, b, f.lo, f.gather, f.top, f.down) >> p.tail & p.lastMask
+}
+
+// agreeRow is the row-against-many kernel: for every row o in others it
+// writes the agree set of (row, o) as maskWords mask words into
+// masks[k·maskWords:], so row stays in registers and bounds checks
+// amortize over the batch. row is packed at p's width. masks must have
+// length ≥ len(others)·maskWords. It performs no allocation.
+//
+//fdlint:hotpath
+func (p *packedRows) agreeRow(row []uint64, others []int32, masks []uint64) {
+	// The layout's fields are copied to locals: the compiler cannot tell
+	// that stores to masks leave them unchanged, and would reload them
+	// for every pair.
+	all, stride, tail, last := p.words, p.stride, p.tail, p.lastMask
+	lo, gather, top, down := p.f.lo, p.f.gather, p.f.top, p.f.down
+	blk := int(p.f.width) // packed words per full mask word
+	row = row[:stride]
+	o := 0
+	for _, r := range others {
+		b := all[int(r)*stride : int(r)*stride+stride]
+		a := row
+		for len(a) > blk { // a full mask word: 64 lanes, no tail
+			masks[o] = agreeLanes(a[:blk], b, lo, gather, top, down)
+			a, b = a[blk:], b[blk:]
+			o++
+		}
+		masks[o] = agreeLanes(a, b, lo, gather, top, down) >> tail & last
+		o++
+	}
 }
 
 // agreeSet returns the agree set of two packed rows.

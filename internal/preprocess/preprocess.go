@@ -6,7 +6,7 @@
 // All discovery algorithms in this repository — EulerFD, AID-FD, TANE,
 // Fdep, HyFD — operate on the Encoded form, never on raw values.
 //
-// The batched kernels in this file (AgreeSetsInto, AgreeWindowWords,
+// The batched kernels in this file (AgreeRowWords, AgreeWindowWords,
 // ProductWith, RefineWith) are the hot paths of the whole system; see
 // DESIGN.md "Hot paths & memory discipline" for the scratch-buffer
 // ownership rules that keep their steady state allocation-free.
@@ -154,20 +154,15 @@ func (e *Encoded) AgreeSet(i, j int) fdset.AttrSet {
 	return e.rows.agreeSet(e.rows.row(i), e.rows.row(j))
 }
 
-// AgreeSetsInto computes the agree set of (base, o) for every row o in
-// others, writing result k into out[k] (len(out) must be ≥ len(others)).
-// It is the batched form of AgreeSet: the base row is loaded once and
-// bounds checks amortize over the batch. Used by full pairwise induction
-// (Fdep) and anywhere one row is compared against many. It performs no
-// allocation.
+// AgreeRowWords is the batched form of AgreeSet: for every row o in
+// others it writes the agree set of (base, o) as mw = MaskWords(len(Attrs))
+// mask words into masks[k·mw:]. It serves every discoverer that compares
+// one row against many (cover.AllAgreeSets) or draws single pairs.
+// masks must have length ≥ len(others)·mw. It performs no allocation.
 //
 //fdlint:hotpath
-func (e *Encoded) AgreeSetsInto(base int, others []int32, out []fdset.AttrSet) {
-	p := &e.rows
-	rb := p.row(base)
-	for k, o := range others {
-		out[k] = p.agreeSet(rb, p.row(int(o)))
-	}
+func (e *Encoded) AgreeRowWords(base int, others []int32, masks []uint64) {
+	e.rows.agreeRow(e.rows.row(base), others, masks)
 }
 
 // AgreeWindowWords is the sliding-window kernel of the sampler: for

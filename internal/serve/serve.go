@@ -417,9 +417,9 @@ func (s *Server) finishJob(sess *session, jb *job, stats core.Stats, err error) 
 	sess.mu.Unlock()
 }
 
-// jobStatus is the done-event code of a job that failed with err: 499
-// when cancelled, 504 past its deadline, 500 for a broken engine
-// invariant, and 400 for what the input caused.
+// jobStatus is the status of a job or compute-bound query that failed
+// with err: 499 when cancelled, 504 past its deadline, 500 for a broken
+// engine invariant, and 400 for what the input caused.
 func jobStatus(err error) int {
 	switch {
 	case errors.Is(err, context.Canceled):
@@ -430,6 +430,32 @@ func jobStatus(err error) int {
 		return http.StatusInternalServerError
 	default:
 		return http.StatusBadRequest
+	}
+}
+
+// acquireSlot admits a compute-bound query as a job: it answers 503
+// while the server drains, joins what Drain waits for, and takes a job
+// slot, answering 499 when the client leaves first. On success the
+// caller runs the query and then calls release.
+func (s *Server) acquireSlot(w http.ResponseWriter, r *http.Request) (release func(), ok bool) {
+	s.mu.Lock()
+	if s.draining {
+		s.mu.Unlock()
+		writeError(w, http.StatusServiceUnavailable, "server is draining")
+		return nil, false
+	}
+	s.wg.Add(1)
+	s.mu.Unlock()
+	select {
+	case s.slots <- struct{}{}:
+		return func() {
+			<-s.slots
+			s.wg.Done()
+		}, true
+	case <-r.Context().Done():
+		writeError(w, StatusClientClosedRequest, r.Context().Err().Error())
+		s.wg.Done()
+		return nil, false
 	}
 }
 
@@ -577,22 +603,11 @@ func (s *Server) handleEnsembleFDs(w http.ResponseWriter, r *http.Request, sess 
 		writeError(w, http.StatusConflict, "no completed result yet")
 		return
 	}
-	s.mu.Lock()
-	if s.draining {
-		s.mu.Unlock()
-		writeError(w, http.StatusServiceUnavailable, "server is draining")
+	release, ok := s.acquireSlot(w, r)
+	if !ok {
 		return
 	}
-	s.wg.Add(1)
-	s.mu.Unlock()
-	defer s.wg.Done()
-	select {
-	case s.slots <- struct{}{}:
-	case <-r.Context().Done():
-		writeError(w, StatusClientClosedRequest, r.Context().Err().Error())
-		return
-	}
-	defer func() { <-s.slots }()
+	defer release()
 
 	opt := s.cfg.Euler
 	opt.Ensemble = n
@@ -601,16 +616,8 @@ func (s *Server) handleEnsembleFDs(w http.ResponseWriter, r *http.Request, sess 
 		sess.publish(event{name: "ensemble", data: ensembleProgressDoc{Completed: completed, Total: total}})
 	}
 	res, err := ensemble.Discover(r.Context(), enc, ensemble.Config{Euler: opt, CrossCheck: true}, obs)
-	switch {
-	case err == nil:
-	case errors.Is(err, context.Canceled):
-		writeError(w, StatusClientClosedRequest, err.Error())
-		return
-	case errors.Is(err, context.DeadlineExceeded):
-		writeError(w, http.StatusGatewayTimeout, err.Error())
-		return
-	default:
-		writeError(w, http.StatusBadRequest, err.Error())
+	if err != nil {
+		writeError(w, jobStatus(err), err.Error())
 		return
 	}
 	byConf := append([]ensemble.ScoredFD(nil), res.FDs...)
@@ -698,16 +705,8 @@ func (s *Server) handleAFDs(w http.ResponseWriter, r *http.Request) {
 		doc.Epsilon = eps
 		scored, err = view.scorer.Discover(r.Context(), measure, eps)
 	}
-	switch {
-	case err == nil:
-	case errors.Is(err, context.Canceled):
-		writeError(w, StatusClientClosedRequest, err.Error())
-		return
-	case errors.Is(err, context.DeadlineExceeded):
-		writeError(w, http.StatusGatewayTimeout, err.Error())
-		return
-	default:
-		writeError(w, http.StatusBadRequest, err.Error())
+	if err != nil {
+		writeError(w, jobStatus(err), err.Error())
 		return
 	}
 	if scored == nil {
@@ -763,34 +762,15 @@ func (s *Server) handleQuality(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	s.mu.Lock()
-	if s.draining {
-		s.mu.Unlock()
-		writeError(w, http.StatusServiceUnavailable, "server is draining")
+	release, ok := s.acquireSlot(w, r)
+	if !ok {
 		return
 	}
-	s.wg.Add(1)
-	s.mu.Unlock()
-	defer s.wg.Done()
-	select {
-	case s.slots <- struct{}{}:
-	case <-r.Context().Done():
-		writeError(w, StatusClientClosedRequest, r.Context().Err().Error())
-		return
-	}
-	defer func() { <-s.slots }()
+	defer release()
 
 	rep, err := quality.Analyze(r.Context(), view.enc, view.cover, view.scorer, opt)
-	switch {
-	case err == nil:
-	case errors.Is(err, context.Canceled):
-		writeError(w, StatusClientClosedRequest, err.Error())
-		return
-	case errors.Is(err, context.DeadlineExceeded):
-		writeError(w, http.StatusGatewayTimeout, err.Error())
-		return
-	default:
-		writeError(w, http.StatusBadRequest, err.Error())
+	if err != nil {
+		writeError(w, jobStatus(err), err.Error())
 		return
 	}
 	rep.Version = view.version

@@ -152,7 +152,7 @@ func DiscoverEncodedContext(ctx context.Context, enc *preprocess.Encoded) (*fdse
 		if ell < m {
 			byPrefix := make(map[fdset.AttrSet][]int)
 			for x := range level {
-				last := lastAttr(x)
+				last := x.Last()
 				byPrefix[x.Without(last)] = append(byPrefix[x.Without(last)], last)
 			}
 			for prefix, lasts := range byPrefix {
@@ -188,13 +188,4 @@ func DiscoverEncodedContext(ctx context.Context, enc *preprocess.Encoded) (*fdse
 	stats.PcoverSize = out.Len()
 	stats.Total = time.Since(start)
 	return out, stats, nil
-}
-
-func lastAttr(s fdset.AttrSet) int {
-	last := -1
-	s.ForEach(func(a int) bool {
-		last = a
-		return true
-	})
-	return last
 }
