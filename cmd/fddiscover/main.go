@@ -184,13 +184,13 @@ func run(args []string, stdout, stderr io.Writer) int {
 			fmt.Fprintf(stderr, "fddiscover: unknown attribute %q\n", *target)
 			return 2
 		}
-		filtered := fdset.NewSet()
+		var kept []fdset.FD
 		fds.ForEach(func(fd fdset.FD) {
 			if fd.RHS == rhs {
-				filtered.Add(fd)
+				kept = append(kept, fd)
 			}
 		})
-		fds = filtered
+		fds = fdset.NewSet(kept...)
 	}
 
 	if *asJSON {

@@ -243,11 +243,7 @@ var registry = []entry{
 			if err != nil {
 				return nil, "", err
 			}
-			fds := fdset.NewSet()
-			for _, sf := range scored {
-				fds.Add(sf.FD)
-			}
-			return fds, fmt.Sprintf("measure=%s eps=%g candidates=%d results=%d",
+			return scoredSet(scored), fmt.Sprintf("measure=%s eps=%g candidates=%d results=%d",
 				st.Measure, st.Epsilon, st.Candidates, st.Results), nil
 		},
 	},
@@ -264,11 +260,7 @@ var registry = []entry{
 			if err != nil {
 				return nil, "", err
 			}
-			fds := fdset.NewSet()
-			for _, sf := range scored {
-				fds.Add(sf.FD)
-			}
-			return fds, fmt.Sprintf("measure=%s k=%d scored=%d results=%d",
+			return scoredSet(scored), fmt.Sprintf("measure=%s k=%d scored=%d results=%d",
 				st.Measure, st.K, st.Candidates, st.Results), nil
 		},
 	},
@@ -286,14 +278,19 @@ var registry = []entry{
 			if err != nil {
 				return nil, "", err
 			}
-			fds := fdset.NewSet()
-			for _, sf := range scored {
-				fds.Add(sf.FD)
-			}
-			return fds, fmt.Sprintf("measure=%s k=%d scored=%d results=%d",
+			return scoredSet(scored), fmt.Sprintf("measure=%s k=%d scored=%d results=%d",
 				st.Measure, st.K, st.Candidates, st.Results), nil
 		},
 	},
+}
+
+// scoredSet returns the set of the scored FDs, scores dropped.
+func scoredSet(scored []fdset.ScoredFD) *fdset.Set {
+	fds := make([]fdset.FD, len(scored))
+	for i, sf := range scored {
+		fds[i] = sf.FD
+	}
+	return fdset.NewSet(fds...)
 }
 
 // List returns every registered algorithm in presentation order.

@@ -1,6 +1,7 @@
 package cover
 
 import (
+	"slices"
 	"sort"
 
 	"eulerfd/internal/fdset"
@@ -117,6 +118,33 @@ func (t *Tree) admitAll(flat []uint64, rhs int) int {
 		}
 	}
 	return added
+}
+
+// NCoverOf returns the negative cover of every pair of a relation, given
+// its distinct agree sets (AllAgreeSets): the tree of each RHS a holds
+// the ⊆-maximal sets of agrees that lack a, each marked pending. It
+// admits a copy of agrees sorted largest first, which supersedes
+// nothing, so agrees keeps its order.
+func NCoverOf(ncols int, rank []int, agrees []fdset.AttrSet) *NCover {
+	n := NewNCover(ncols, rank)
+	sorted := slices.Clone(agrees)
+	fdset.SortSetsDesc(sorted)
+	n.Admit(sorted, nil)
+	return n
+}
+
+// Maximal returns the sets of agrees that the tree of rhs stores, in
+// their order in agrees. On the cover NCoverOf built from agrees, these
+// are the ⊆-maximal agree sets that lack rhs.
+func (n *NCover) Maximal(rhs int, agrees []fdset.AttrSet) []fdset.AttrSet {
+	t := n.trees[rhs]
+	var out []fdset.AttrSet
+	for _, a := range agrees {
+		if t.Contains(a) {
+			out = append(out, a)
+		}
+	}
+	return out
 }
 
 // Seed admits ∅ ↛ rhs and marks it pending, reporting whether the cover

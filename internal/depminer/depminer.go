@@ -39,10 +39,9 @@ func DiscoverEncodedContext(ctx context.Context, enc *preprocess.Encoded) (*fdse
 	start := time.Now()
 	m := len(enc.Attrs)
 	stats := Stats{Rows: enc.NumRows, Cols: m}
-	out := fdset.NewSet()
 	if m == 0 {
 		stats.Total = time.Since(start)
-		return out, stats, nil
+		return fdset.NewSet(), stats, nil
 	}
 
 	agrees, pairs, err := cover.AllAgreeSets(ctx, enc)
@@ -52,11 +51,16 @@ func DiscoverEncodedContext(ctx context.Context, enc *preprocess.Encoded) (*fdse
 	}
 	stats.AgreeSets = len(agrees)
 
+	// The negative cover of all pairs holds, per RHS A, exactly the
+	// maximal agree sets not containing A (max(dep(r), A) in the
+	// paper's notation).
+	ncover := cover.NCoverOf(m, cover.AgreeSetRank(m, agrees), agrees)
+	var fds []fdset.FD
 	for rhs := 0; rhs < m; rhs++ {
 		if err := ctx.Err(); err != nil {
 			return nil, stats, err
 		}
-		maxSets := maximalAgreeSetsWithout(agrees, rhs)
+		maxSets := ncover.Maximal(rhs, agrees)
 		stats.MaxSets += len(maxSets)
 		// Each maximal agree set ag contributes the constraint that a
 		// valid LHS must intersect its complement (within R \ {rhs}).
@@ -66,42 +70,17 @@ func DiscoverEncodedContext(ctx context.Context, enc *preprocess.Encoded) (*fdse
 			complements[i] = full.Diff(ag)
 		}
 		levels := transversalsLevelwise(m, rhs, complements, func(lhs fdset.AttrSet) {
-			out.Add(fdset.FD{LHS: lhs, RHS: rhs})
+			fds = append(fds, fdset.FD{LHS: lhs, RHS: rhs})
 		})
 		if levels > stats.Levels {
 			stats.Levels = levels
 		}
 	}
 
+	out := fdset.NewSet(fds...)
 	stats.PcoverSize = out.Len()
 	stats.Total = time.Since(start)
 	return out, stats, nil
-}
-
-// maximalAgreeSetsWithout returns the ⊆-maximal agree sets that do not
-// contain attribute rhs (max(dep(r), A) in the paper's notation). The
-// agree sets are distinct, so the maximal ones are.
-func maximalAgreeSetsWithout(agrees []fdset.AttrSet, rhs int) []fdset.AttrSet {
-	var cand []fdset.AttrSet
-	for _, a := range agrees {
-		if !a.Has(rhs) {
-			cand = append(cand, a)
-		}
-	}
-	var out []fdset.AttrSet
-	for i, a := range cand {
-		maximal := true
-		for j, b := range cand {
-			if i != j && a.IsSubsetOf(b) && a != b {
-				maximal = false
-				break
-			}
-		}
-		if maximal {
-			out = append(out, a)
-		}
-	}
-	return out
 }
 
 // transversalsLevelwise enumerates the minimal transversals of the

@@ -3,8 +3,10 @@ package depminer
 import (
 	"context"
 	"math/rand"
+	"slices"
 	"testing"
 
+	"eulerfd/internal/cover"
 	"eulerfd/internal/dataset"
 	"eulerfd/internal/fdset"
 	"eulerfd/internal/naive"
@@ -128,9 +130,9 @@ func TestMaximalAgreeSetsWithout(t *testing.T) {
 		fdset.NewAttrSet(0, 1, 2), // contains rhs=2, filtered out
 		fdset.NewAttrSet(3),
 	}
-	got := maximalAgreeSetsWithout(agrees, 2)
-	if len(got) != 2 {
-		t.Fatalf("maximal sets = %v", got)
+	got := cover.NCoverOf(4, nil, agrees).Maximal(2, agrees)
+	if want := []fdset.AttrSet{agrees[0], agrees[3]}; !slices.Equal(got, want) {
+		t.Fatalf("maximal sets = %v, want %v", got, want)
 	}
 }
 

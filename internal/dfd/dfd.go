@@ -54,7 +54,7 @@ func DiscoverEncodedContext(ctx context.Context, enc *preprocess.Encoded) (*fdse
 	start := time.Now()
 	m := len(enc.Attrs)
 	stats := Stats{Rows: enc.NumRows, Cols: m}
-	out := fdset.NewSet()
+	var fds []fdset.FD
 	// The partition cache is shared across RHS walks: LHS candidates
 	// repeat between attributes.
 	parts := preprocess.NewPartitionCache(enc, 4096)
@@ -73,10 +73,11 @@ func DiscoverEncodedContext(ctx context.Context, enc *preprocess.Encoded) (*fdse
 		}
 		s.run()
 		s.minDeps.ForEach(func(lhs fdset.AttrSet) bool {
-			out.Add(fdset.FD{LHS: lhs, RHS: rhs})
+			fds = append(fds, fdset.FD{LHS: lhs, RHS: rhs})
 			return true
 		})
 	}
+	out := fdset.NewSet(fds...)
 	stats.PcoverSize = out.Len()
 	stats.Total = time.Since(start)
 	return out, stats, nil

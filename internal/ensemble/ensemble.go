@@ -102,13 +102,13 @@ type Result struct {
 // (the canonical tie-break), and minimization removes specializations
 // whose generalization also carried the vote.
 func (r *Result) Majority() *fdset.Set {
-	s := fdset.NewSet()
+	var won []fdset.FD
 	for _, f := range r.FDs {
 		if 2*f.Votes > r.Members {
-			s.Add(f.FD)
+			won = append(won, f.FD)
 		}
 	}
-	return s.Minimize()
+	return fdset.NewSet(won...).Minimize()
 }
 
 // Observer receives ensemble progress after each member run completes:

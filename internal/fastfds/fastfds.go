@@ -40,10 +40,9 @@ func DiscoverEncodedContext(ctx context.Context, enc *preprocess.Encoded) (*fdse
 	start := time.Now()
 	m := len(enc.Attrs)
 	stats := Stats{Rows: enc.NumRows, Cols: m}
-	out := fdset.NewSet()
 	if m == 0 {
 		stats.Total = time.Since(start)
-		return out, stats, nil
+		return fdset.NewSet(), stats, nil
 	}
 
 	// Distinct agree sets once; per-RHS difference sets derive from them.
@@ -54,50 +53,42 @@ func DiscoverEncodedContext(ctx context.Context, enc *preprocess.Encoded) (*fdse
 	}
 	stats.AgreeSets = len(agrees)
 
+	// The negative cover of all pairs holds, per RHS, the maximal agree
+	// sets lacking it, whose complements are the minimal difference sets.
+	ncover := cover.NCoverOf(m, cover.AgreeSetRank(m, agrees), agrees)
+	var fds []fdset.FD
 	for rhs := 0; rhs < m; rhs++ {
 		if err := ctx.Err(); err != nil {
 			return nil, stats, err
 		}
-		diffs := differenceSets(agrees, m, rhs)
+		diffs := differenceSets(ncover.Maximal(rhs, agrees), m, rhs)
 		stats.DiffSets += len(diffs)
 		if len(diffs) == 0 {
 			// No violating pair: ∅ → rhs.
-			out.Add(fdset.FD{LHS: fdset.EmptySet(), RHS: rhs})
+			fds = append(fds, fdset.FD{LHS: fdset.EmptySet(), RHS: rhs})
 			continue
 		}
-		s := &search{diffs: diffs, rhs: rhs, out: out, stats: &stats}
+		s := &search{diffs: diffs, rhs: rhs, out: fds, stats: &stats}
 		s.dfs(fdset.EmptySet(), diffs)
+		fds = s.out
 	}
 
+	out := fdset.NewSet(fds...)
 	stats.PcoverSize = out.Len()
 	stats.Total = time.Since(start)
 	return out, stats, nil
 }
 
 // differenceSets returns the minimal difference sets for one RHS: the
-// complements (within R \ {rhs}) of agree sets lacking rhs, reduced to
-// ⊆-minimal elements — covering a minimal difference set covers every
-// superset of it. The agree sets are distinct, so their complements are.
-func differenceSets(agrees []fdset.AttrSet, m, rhs int) []fdset.AttrSet {
+// complements (within R \ {rhs}) of the maximal agree sets lacking rhs,
+// in their order. Complementing reverses inclusion, so these are the
+// ⊆-minimal complements of all agree sets lacking rhs — covering a
+// minimal difference set covers every superset of it.
+func differenceSets(maxSets []fdset.AttrSet, m, rhs int) []fdset.AttrSet {
 	full := fdset.FullSet(m).Without(rhs)
-	var all []fdset.AttrSet
-	for _, a := range agrees {
-		if !a.Has(rhs) {
-			all = append(all, full.Diff(a))
-		}
-	}
-	var out []fdset.AttrSet
-	for i, d := range all {
-		minimal := true
-		for j, e := range all {
-			if i != j && e.IsSubsetOf(d) && e != d {
-				minimal = false
-				break
-			}
-		}
-		if minimal {
-			out = append(out, d)
-		}
+	out := make([]fdset.AttrSet, len(maxSets))
+	for i, a := range maxSets {
+		out[i] = full.Diff(a)
 	}
 	return out
 }
@@ -105,7 +96,7 @@ func differenceSets(agrees []fdset.AttrSet, m, rhs int) []fdset.AttrSet {
 type search struct {
 	diffs []fdset.AttrSet
 	rhs   int
-	out   *fdset.Set
+	out   []fdset.FD
 	stats *Stats
 }
 
@@ -118,7 +109,7 @@ func (s *search) dfs(x fdset.AttrSet, remaining []fdset.AttrSet) {
 		// x covers everything; it is minimal iff removing any single
 		// attribute uncovers some difference set.
 		if s.isMinimalCover(x) {
-			s.out.Add(fdset.FD{LHS: x, RHS: s.rhs})
+			s.out = append(s.out, fdset.FD{LHS: x, RHS: s.rhs})
 		}
 		return
 	}

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"eulerfd/internal/cover"
 	"eulerfd/internal/dataset"
 	"eulerfd/internal/fdset"
 	"eulerfd/internal/naive"
@@ -118,7 +119,7 @@ func TestDifferenceSetsMinimality(t *testing.T) {
 	// rhs=3, m=4: complement({0,1}) = {2}, complement({0}) = {1,2}; the
 	// minimal difference set {2} subsumes {1,2}.
 	agrees := []fdset.AttrSet{fdset.NewAttrSet(0, 1), fdset.NewAttrSet(0)}
-	got := differenceSets(agrees, 4, 3)
+	got := differenceSets(cover.NCoverOf(4, nil, agrees).Maximal(3, agrees), 4, 3)
 	if len(got) != 1 || got[0] != fdset.NewAttrSet(2) {
 		t.Errorf("difference sets = %v", got)
 	}

@@ -49,12 +49,10 @@ func DiscoverEncodedContext(ctx context.Context, enc *preprocess.Encoded) (*fdse
 
 	// Negative cover: maximal non-FDs per RHS, split rank by attribute
 	// frequency as in EulerFD's Algorithm 2. Agree set X witnesses X ↛ a
-	// for every a ∉ X; admitting the largest sets first supersedes
-	// nothing, and every stored set is marked pending for the inversion.
+	// for every a ∉ X, and every stored set is marked pending for the
+	// inversion.
 	rank := cover.AgreeSetRank(ncols, agrees)
-	ncover := cover.NewNCover(ncols, rank)
-	fdset.SortSetsDesc(agrees)
-	ncover.Admit(agrees, nil)
+	ncover := cover.NCoverOf(ncols, rank, agrees)
 	stats.NcoverSize = ncover.Size()
 
 	// Inversion into the positive cover.

@@ -40,21 +40,21 @@ func (f *FD) UnmarshalJSON(data []byte) error {
 	return nil
 }
 
-// MarshalJSON encodes the set as an array of FDs in Slice order (sorted,
-// deterministic), in one buffer sized to the output. An empty set
-// encodes as []; note encoding/json renders a nil *Set struct field as
-// null without consulting this method.
+// MarshalJSON encodes the set as an array of FDs in canonical order, in
+// one buffer sized to the output, walking the runs in place: no sorted
+// copy. An empty set encodes as []; note encoding/json renders a nil
+// *Set struct field as null without consulting this method.
 func (s *Set) MarshalJSON() ([]byte, error) {
-	return compactJSON.appendFDs(nil, s.Slice()), nil
+	return compactJSON.appendSet(nil, s), nil
 }
 
-// AppendIndentJSON appends fds to dst as json.MarshalIndent(fds, prefix,
-// indent) renders them, an empty or nil slice as []. The output grows dst
-// once, to its exact size.
-func AppendIndentJSON(dst []byte, fds []FD, prefix, indent string) []byte {
+// AppendIndentJSON appends s to dst as json.MarshalIndent(s.Slice(),
+// prefix, indent) renders it, an empty or nil set as []. The output
+// grows dst once, to its exact size.
+func AppendIndentJSON(dst []byte, s *Set, prefix, indent string) []byte {
 	nl := "\n" + prefix
 	l := jsonLayout{colon: ": ", array: nl, fd: nl + indent, key: nl + indent + indent, attr: nl + indent + indent + indent}
-	return l.appendFDs(dst, fds)
+	return l.appendSet(dst, s)
 }
 
 // jsonLayout holds the separators of one rendering of FD JSON. Each of
@@ -69,40 +69,54 @@ type jsonLayout struct {
 // compactJSON is the layout json.Marshal writes.
 var compactJSON = jsonLayout{colon: ":"}
 
-// appendFDs appends fds as a JSON array, growing dst once to fit.
-func (l *jsonLayout) appendFDs(dst []byte, fds []FD) []byte {
-	n := len("[]")
-	if len(fds) > 0 {
-		n += len(l.array) + (len(fds) - 1) // closing line break, commas
+// appendSet appends s as a JSON array, growing dst once to fit. It
+// walks the runs twice, to size the output and to write it, and renders
+// each run's RHS once.
+func (l *jsonLayout) appendSet(dst []byte, s *Set) []byte {
+	if s.Len() == 0 {
+		return append(dst, "[]"...)
 	}
-	for _, f := range fds {
-		n += len(l.fd) + l.fdLen(f)
+	n := len("[]") + len(l.array) + (s.n - 1) // closing line break, commas
+	for _, r := range s.runs {
+		empty := len(l.fd) + l.fdLen(FD{RHS: r.rhs})
+		for k := 0; k < len(r.masks); k += s.mw {
+			n += empty + l.lhsLen(r.masks[k:k+s.mw])
+		}
 	}
 	dst = slices.Grow(dst, n)
 	dst = append(dst, '[')
-	for i, f := range fds {
-		if i > 0 {
-			dst = append(dst, ',')
+	for i, r := range s.runs {
+		var buf [20]byte
+		rhs := strconv.AppendInt(buf[:0], int64(r.rhs), 10)
+		for k := 0; k < len(r.masks); k += s.mw {
+			if i > 0 || k > 0 {
+				dst = append(dst, ',')
+			}
+			dst = append(dst, l.fd...)
+			dst = l.appendMask(dst, r.masks[k:k+s.mw], rhs)
 		}
-		dst = append(dst, l.fd...)
-		dst = l.appendFD(dst, f)
 	}
-	if len(fds) > 0 {
-		dst = append(dst, l.array...)
-	}
+	dst = append(dst, l.array...)
 	return append(dst, ']')
 }
 
-// appendFD appends one FD object. It walks the LHS words directly:
-// strconv.AppendInt per attribute, no reflection, no compaction pass.
+// appendFD appends one FD object.
 func (l *jsonLayout) appendFD(dst []byte, f FD) []byte {
+	var buf [20]byte
+	return l.appendMask(dst, f.LHS.w[:], strconv.AppendInt(buf[:0], int64(f.RHS), 10))
+}
+
+// appendMask appends the FD object of the LHS mask lhs and the RHS
+// rendered as rhs. It walks the mask's words directly:
+// strconv.AppendInt per attribute, no reflection, no compaction pass.
+func (l *jsonLayout) appendMask(dst []byte, lhs []uint64, rhs []byte) []byte {
 	dst = append(dst, '{')
 	dst = append(dst, l.key...)
 	dst = append(dst, `"lhs"`...)
 	dst = append(dst, l.colon...)
 	dst = append(dst, '[')
 	first := true
-	for i, w := range f.LHS.w {
+	for i, w := range lhs {
 		for ; w != 0; w &= w - 1 {
 			if !first {
 				dst = append(dst, ',')
@@ -119,32 +133,37 @@ func (l *jsonLayout) appendFD(dst []byte, f FD) []byte {
 	dst = append(dst, l.key...)
 	dst = append(dst, `"rhs"`...)
 	dst = append(dst, l.colon...)
-	dst = strconv.AppendInt(dst, int64(f.RHS), 10)
+	dst = append(dst, rhs...)
 	dst = append(dst, l.fd...)
 	return append(dst, '}')
 }
 
 // fdLen returns the exact length appendFD writes for f.
 func (l *jsonLayout) fdLen(f FD) int {
-	k := f.LHS.Count()
-	n := len(`{"lhs"[],"rhs"}`) + 2*len(l.colon) + 2*len(l.key) + len(l.fd) + intLen(f.RHS)
-	if k > 0 {
-		n += f.LHS.digits() + (k - 1) + k*len(l.attr) + len(l.key)
-	}
-	return n
+	return len(`{"lhs"[],"rhs"}`) + 2*len(l.colon) + 2*len(l.key) + len(l.fd) + intLen(f.RHS) + l.lhsLen(f.LHS.w[:])
 }
 
-// digits returns the number of decimal digits of all attributes of s
-// together: one per attribute, one more per attribute ≥ 10 and one more
-// per attribute ≥ 100 (MaxAttrs < 1000). Attribute 100 is bit 36 of
-// word 1.
-func (s AttrSet) digits() int {
-	n := s.Count() + bits.OnesCount64(s.w[0]>>10) + bits.OnesCount64(s.w[1]>>36)
-	for _, w := range s.w[1:] {
-		n += bits.OnesCount64(w)
+// lhsLen returns what the attributes of the LHS mask lhs add to the
+// length of an FD object.
+func (l *jsonLayout) lhsLen(lhs []uint64) int {
+	k := count(lhs)
+	if k == 0 {
+		return 0
 	}
-	for _, w := range s.w[2:] {
-		n += bits.OnesCount64(w)
+	return digits(lhs) + (k - 1) + k*len(l.attr) + len(l.key)
+}
+
+// digits returns the number of decimal digits of all attributes of the
+// mask w together: one per attribute, one more per attribute ≥ 10 and
+// one more per attribute ≥ 100 (MaxAttrs < 1000). Attribute 10 is bit
+// 10 of word 0 and attribute 100 bit 36 of word 1.
+func digits(w []uint64) int {
+	n := bits.OnesCount64(w[0] >> 10)
+	if len(w) > 1 {
+		n += bits.OnesCount64(w[1] >> 36)
+	}
+	for i, x := range w {
+		n += min(i+1, 3) * bits.OnesCount64(x)
 	}
 	return n
 }

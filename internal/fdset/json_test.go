@@ -183,7 +183,7 @@ func TestAppendIndentJSONMatchesReference(t *testing.T) {
 	indented := jsonLayout{colon: ": ", array: "\n  ", fd: "\n    ", key: "\n      ", attr: "\n        "}
 	for name, fds := range jsonCases() {
 		_, want := refSetJSON(t, fds)
-		if got := AppendIndentJSON(nil, NewSet(fds...).Slice(), "  ", "  "); !bytes.Equal(got, want) {
+		if got := AppendIndentJSON(nil, NewSet(fds...), "  ", "  "); !bytes.Equal(got, want) {
 			t.Errorf("%s: AppendIndentJSON\n got %s\nwant %s", name, got, want)
 		}
 		for _, f := range append(fds, NewFD(nil, -12), NewFD([]int{9, 10, 99, 100, 383}, 1000)) {

@@ -33,10 +33,9 @@ func DiscoverEncodedContext(ctx context.Context, enc *preprocess.Encoded) (*fdse
 	start := time.Now()
 	m := len(enc.Attrs)
 	stats := Stats{Rows: enc.NumRows, Cols: m}
-	out := fdset.NewSet()
 	if m == 0 {
 		stats.Total = time.Since(start)
-		return out, stats, nil
+		return fdset.NewSet(), stats, nil
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, stats, err
@@ -50,6 +49,7 @@ func DiscoverEncodedContext(ctx context.Context, enc *preprocess.Encoded) (*fdse
 	}
 
 	cards := map[fdset.AttrSet]int{fdset.EmptySet(): card(fdset.EmptySet())}
+	var fds []fdset.FD
 
 	// emit X → a if it holds and is minimal; subsets of a free set are
 	// free, so the co-atom cardinality test decides minimality exactly.
@@ -71,7 +71,7 @@ func DiscoverEncodedContext(ctx context.Context, enc *preprocess.Encoded) (*fdse
 				return true
 			})
 			if minimal {
-				out.Add(fdset.FD{LHS: x, RHS: a})
+				fds = append(fds, fdset.FD{LHS: x, RHS: a})
 			}
 		}
 	}
@@ -142,6 +142,7 @@ func DiscoverEncodedContext(ctx context.Context, enc *preprocess.Encoded) (*fdse
 		level = next
 	}
 
+	out := fdset.NewSet(fds...)
 	stats.PcoverSize = out.Len()
 	stats.Total = time.Since(start)
 	return out, stats, nil

@@ -73,12 +73,12 @@ func DiscoverEncodedContext(ctx context.Context, enc *preprocess.Encoded, opt Op
 	if m == 0 || enc.NumRows < 2 {
 		// Nothing to sample: with no violating pairs possible, the
 		// positive cover is ∅ → A for every (existing) attribute.
-		out := fdset.NewSet()
-		for a := 0; a < m; a++ {
-			out.Add(fdset.FD{LHS: fdset.EmptySet(), RHS: a})
+		fds := make([]fdset.FD, m)
+		for a := range fds {
+			fds[a] = fdset.FD{RHS: a}
 		}
 		stats.Total = time.Since(start)
-		return out, stats, nil
+		return fdset.NewSet(fds...), stats, nil
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, stats, err

@@ -28,7 +28,7 @@ func DiscoverEncoded(enc *preprocess.Encoded) *fdset.Set {
 	if m > MaxCols {
 		panic("naive: relation too wide for brute force")
 	}
-	out := fdset.NewSet()
+	var fds []fdset.FD
 	for rhs := 0; rhs < m; rhs++ {
 		// Walk LHS masks in ascending popcount so minimality can be
 		// checked against already-accepted FDs.
@@ -51,12 +51,12 @@ func DiscoverEncoded(enc *preprocess.Encoded) *fdset.Set {
 				}
 				if Holds(enc, lhs, rhs) {
 					valid = append(valid, lhs)
-					out.Add(fdset.FD{LHS: lhs, RHS: rhs})
+					fds = append(fds, fdset.FD{LHS: lhs, RHS: rhs})
 				}
 			}
 		}
 	}
-	return out
+	return fdset.NewSet(fds...)
 }
 
 // Holds validates X → a by comparing every row pair.

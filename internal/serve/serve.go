@@ -559,7 +559,7 @@ func (s *Server) handleFDs(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusConflict, "no completed result yet")
 		return
 	}
-	body, err := fdsBody(attrs, version, fds.Slice())
+	body, err := fdsBody(attrs, version, fds)
 	if err != nil {
 		writeError(w, http.StatusInternalServerError, err.Error())
 		return

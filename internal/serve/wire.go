@@ -86,9 +86,9 @@ type progressDoc struct {
 // describes), count, and fds, each {"lhs":[indices],"rhs":index}, in
 // canonical order. The bytes are those writeJSON would write, indented
 // with a trailing newline. The FDs are written in that form directly
-// (fdset.AppendIndentJSON); only the attribute names go through
-// encoding/json, for its string escaping.
-func fdsBody(attrs []string, version int64, fds []fdset.FD) ([]byte, error) {
+// from the set (fdset.AppendIndentJSON), with no copy or sort; only the
+// attribute names go through encoding/json, for its string escaping.
+func fdsBody(attrs []string, version int64, fds *fdset.Set) ([]byte, error) {
 	names, err := json.MarshalIndent(attrs, "  ", "  ")
 	if err != nil {
 		return nil, err
@@ -97,7 +97,7 @@ func fdsBody(attrs []string, version int64, fds []fdset.FD) ([]byte, error) {
 	dst = append(dst, ",\n  \"version\": "...)
 	dst = strconv.AppendInt(dst, version, 10)
 	dst = append(dst, ",\n  \"count\": "...)
-	dst = strconv.AppendInt(dst, int64(len(fds)), 10)
+	dst = strconv.AppendInt(dst, int64(fds.Len()), 10)
 	dst = append(dst, ",\n  \"fds\": "...)
 	dst = fdset.AppendIndentJSON(dst, fds, "  ", "  ")
 	return append(dst, "\n}\n"...), nil

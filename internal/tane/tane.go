@@ -43,10 +43,9 @@ func DiscoverEncodedContext(ctx context.Context, enc *preprocess.Encoded) (*fdse
 	start := time.Now()
 	m := len(enc.Attrs)
 	stats := Stats{Rows: enc.NumRows, Cols: m}
-	out := fdset.NewSet()
 	if m == 0 {
 		stats.Total = time.Since(start)
-		return out, stats, nil
+		return fdset.NewSet(), stats, nil
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, stats, err
@@ -60,6 +59,7 @@ func DiscoverEncodedContext(ctx context.Context, enc *preprocess.Encoded) (*fdse
 
 	// Level 0: the empty set, C⁺(∅) = R.
 	emptyPart := enc.PartitionOf(fdset.EmptySet())
+	var fds []fdset.FD
 	prev := map[fdset.AttrSet]*node{
 		fdset.EmptySet(): {part: emptyPart, errVal: emptyPart.Error(), cplus: full},
 	}
@@ -104,7 +104,7 @@ func DiscoverEncodedContext(ctx context.Context, enc *preprocess.Encoded) (*fdse
 					continue
 				}
 				if parent.errVal == nd.errVal { // X\{A} → A holds
-					out.Add(fdset.FD{LHS: x.Without(a), RHS: a})
+					fds = append(fds, fdset.FD{LHS: x.Without(a), RHS: a})
 					nd.cplus = nd.cplus.Without(a).Diff(full.Diff(x))
 				}
 			}
@@ -136,7 +136,7 @@ func DiscoverEncodedContext(ctx context.Context, enc *preprocess.Encoded) (*fdse
 					return true
 				})
 				if minimal {
-					out.Add(fdset.FD{LHS: x, RHS: a})
+					fds = append(fds, fdset.FD{LHS: x, RHS: a})
 				}
 			}
 			nd.deleted = true
@@ -185,6 +185,7 @@ func DiscoverEncodedContext(ctx context.Context, enc *preprocess.Encoded) (*fdse
 		level = next
 	}
 
+	out := fdset.NewSet(fds...)
 	stats.PcoverSize = out.Len()
 	stats.Total = time.Since(start)
 	return out, stats, nil
