@@ -54,7 +54,8 @@ type (
 	FD = fdset.FD
 	// AttrSet is a set of attribute indices.
 	AttrSet = fdset.AttrSet
-	// Set is a set of FDs.
+	// Set is a set of FDs, always in canonical order. Its ForEach walks
+	// the set in place: the callback must not add to or remove from it.
 	Set = fdset.Set
 	// Relation is an in-memory relational instance.
 	Relation = dataset.Relation
