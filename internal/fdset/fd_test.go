@@ -80,6 +80,23 @@ func TestSetNilSafety(t *testing.T) {
 	s.ForEach(func(FD) { t.Error("nil ForEach must not call fn") })
 }
 
+// A callback that adds to the set breaks ForEach's contract, but one that
+// widens it (an LHS past attribute 63) must not push the walk past the
+// end of a one-word run: the walk keeps the width it started at, and
+// widening replaces the runs rather than writing into them.
+func TestSetForEachWideningAdd(t *testing.T) {
+	s := NewSet(NewFD([]int{0}, 1), NewFD([]int{1}, 1), NewFD([]int{2}, 3))
+	want := s.Slice()
+	var got []FD
+	s.ForEach(func(f FD) {
+		got = append(got, f)
+		s.Add(NewFD([]int{100 + len(got)}, f.RHS))
+	})
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("ForEach walked %v, want the FDs it started with, %v", got, want)
+	}
+}
+
 func TestSetSliceDeterministic(t *testing.T) {
 	s := NewSet(
 		NewFD([]int{2, 3}, 1),
