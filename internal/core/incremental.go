@@ -451,6 +451,10 @@ func (inc *Incremental) witnessSubsets(list []fdset.AttrSet) []fdset.AttrSet {
 }
 
 // FDs returns the current approximate set of minimal non-trivial FDs.
+// The set is a fresh copy the caller may keep or change. Reading it out
+// merges what the batches since the last call changed into the runs that
+// call left (cover.PCover.FDs), so FDs updates the Incremental and, like
+// Apply, must not run concurrently with itself or with a batch.
 func (inc *Incremental) FDs() *fdset.Set {
 	return inc.pcover.FDs()
 }

@@ -181,3 +181,123 @@ func TestCountedMasksSteadyStateAllocFree(t *testing.T) {
 		})
 	}
 }
+
+// readOutAllocs is what PCover.FDs allocates on an unchanged cover: the
+// returned set, its run headers and its one mask array.
+const readOutAllocs = 3
+
+// loadTrees fills every tree of p with perTree distinct sets drawn from
+// randomAgreeSets, without the tree's RHS.
+func loadTrees(p *PCover, perTree int, seed int64) {
+	for rhs, tree := range p.trees {
+		tree.Remove(fdset.EmptySet())
+		for i := int64(0); tree.Size() < perTree; i++ {
+			for _, s := range randomAgreeSets(p.ncols, perTree, seed+i) {
+				if tree.Size() < perTree {
+					tree.Add(s.Without(rhs))
+				}
+			}
+		}
+	}
+}
+
+// TestPCoverFDsAllocsConstant pins what a warm read-out allocates: on an
+// unchanged cover the returned set alone, and after a fixed churn (two
+// stored sets of each of four trees swapped for two new ones, and back
+// on the next run) at most one array more per changed run, the same
+// count on a cover of 40 sets per tree as on one of 2,000.
+func TestPCoverFDsAllocsConstant(t *testing.T) {
+	if testutil.RaceEnabled {
+		t.Skip("alloc assertions are meaningless under -race")
+	}
+	const ncols, churned = 16, 4
+	var counts []float64
+	for _, perTree := range []int{40, 2000} {
+		p := NewPCover(ncols, nil)
+		loadTrees(p, perTree, 1)
+		var out, in []fdset.FD
+		for rhs := 0; rhs < churned; rhs++ {
+			tree := p.trees[rhs]
+			sets := tree.Sets()
+			out = append(out, fdset.FD{LHS: sets[0], RHS: rhs}, fdset.FD{LHS: sets[1], RHS: rhs})
+			for _, s := range randomAgreeSets(ncols, 64, 99) {
+				if f := (fdset.FD{LHS: s.Without(rhs), RHS: rhs}); !tree.Contains(f.LHS) && !slices.Contains(in, f) && len(in) < 2*(rhs+1) {
+					in = append(in, f)
+				}
+			}
+		}
+		forward := true
+		churn := func() {
+			del, add := out, in
+			if !forward {
+				del, add = in, out
+			}
+			forward = !forward
+			for _, f := range del {
+				p.trees[f.RHS].Remove(f.LHS)
+			}
+			for _, f := range add {
+				p.trees[f.RHS].Add(f.LHS)
+			}
+		}
+		p.FDs()
+		if got := testing.AllocsPerRun(20, func() { p.FDs() }); got != readOutAllocs {
+			t.Errorf("%d sets per tree: unchanged read-out allocates %.1f times, want %d", perTree, got, readOutAllocs)
+		}
+		for i := 0; i < 4; i++ { // grow the runs and logs to the churn's high-water mark
+			churn()
+			p.FDs()
+		}
+		got := testing.AllocsPerRun(20, func() {
+			churn()
+			p.FDs()
+		})
+		if got > readOutAllocs+churned {
+			t.Errorf("%d sets per tree: read-out after the churn allocates %.1f times, want at most %d", perTree, got, readOutAllocs+churned)
+		}
+		counts = append(counts, got)
+	}
+	if counts[0] != counts[1] {
+		t.Errorf("read-out after the churn allocates %.1f times at 40 sets per tree and %.1f at 2,000", counts[0], counts[1])
+	}
+}
+
+// TestPCoverFDsLogBound drives one tree through ten times as many inserts
+// as it holds sets, with no read-out between: its log must never list
+// more sets than the tree holds nor keep more than twice that capacity,
+// and must be dropped, and the next read-out, which reads that tree in
+// full, must still equal NewSet over the trees' sets. It runs at one and
+// at two words.
+func TestPCoverFDsLogBound(t *testing.T) {
+	for _, ncols := range []int{12, 72} {
+		p := NewPCover(ncols, nil)
+		loadTrees(p, 50, 7)
+		p.FDs()
+		tree := p.trees[3]
+		fresh := randomAgreeSets(ncols, 20*tree.Size(), 11)
+		for i := 0; i < 10*50; i++ {
+			tree.Remove(tree.Sets()[i%tree.Size()])
+			for !tree.Add(fresh[0].Without(3)) {
+				fresh = fresh[1:]
+			}
+			if words := tree.mw * tree.Size(); len(tree.log) > words || cap(tree.log) > 2*words {
+				t.Fatalf("%d columns, insert %d: log of %d words (capacity %d) in a tree of %d sets", ncols, i, len(tree.log), cap(tree.log), tree.Size())
+			}
+		}
+		if tree.logging {
+			t.Fatalf("%d columns: the log outgrew the tree but is still kept", ncols)
+		}
+		var fds []fdset.FD
+		for rhs, tr := range p.trees {
+			for _, lhs := range tr.Sets() {
+				fds = append(fds, fdset.FD{LHS: lhs, RHS: rhs})
+			}
+		}
+		if got, want := p.FDs(), fdset.NewSet(fds...); !got.Equal(want) {
+			t.Fatalf("%d columns: read-out after the log was dropped differs from NewSet over the trees' sets", ncols)
+		}
+		if !tree.logging || len(tree.log) != 0 {
+			t.Fatalf("%d columns: the read-out did not restart the log", ncols)
+		}
+	}
+}

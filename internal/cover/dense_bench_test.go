@@ -37,21 +37,31 @@ var (
 	wide      *coverStream
 )
 
-// loadDenseStream replays an FD-dense relation: a letter-shaped 2000×17
-// table (sixteen 16-valued image statistics and a 26-valued class, no
-// planted FDs, tens of thousands of minimal FDs).
+// letterRelation is an FD-dense relation: a letter-shaped 2000×17 table
+// (sixteen 16-valued image statistics and a 26-valued class, no planted
+// FDs, tens of thousands of minimal FDs).
+func letterRelation() *dataset.Relation {
+	cols := make([]gen.ColSpec, 0, 17)
+	for i := 0; i < 16; i++ {
+		cols = append(cols, gen.ColSpec{Name: "stat" + string(rune('a'+i)), Kind: gen.NumericBucketed, Domain: 16})
+	}
+	cols = append(cols, gen.ColSpec{Name: "lettr", Kind: gen.Categorical, Domain: 26})
+	return gen.Generate(gen.Profile{Name: "letter", Rows: 2000, Cols: cols, Seed: 1})
+}
+
+// loadDenseStream replays letterRelation.
 func loadDenseStream(b *testing.B) *coverStream {
 	b.Helper()
-	denseOnce.Do(func() {
-		cols := make([]gen.ColSpec, 0, 17)
-		for i := 0; i < 16; i++ {
-			cols = append(cols, gen.ColSpec{Name: "stat" + string(rune('a'+i)), Kind: gen.NumericBucketed, Domain: 16})
-		}
-		cols = append(cols, gen.ColSpec{Name: "lettr", Kind: gen.Categorical, Domain: 26})
-		dense = newCoverStream(gen.Generate(gen.Profile{Name: "letter", Rows: 2000, Cols: cols, Seed: 1}))
-	})
+	denseOnce.Do(func() { dense = newCoverStream(letterRelation()) })
 	return dense
 }
+
+// denseCover is EulerFD's cover of letterRelation: 40,582 minimal FDs,
+// the result a reader of an FD-dense relation gets.
+var denseCover = sync.OnceValue(func() *fdset.Set {
+	fds, _ := core.DiscoverEncoded(preprocess.Encode(letterRelation()), core.DefaultOptions())
+	return fds
+})
 
 // loadWideStream replays a relation wider than one mask word, so the
 // multi-word tree path has benchmarks of its own: DMS-shaped 400×72, two

@@ -1,6 +1,7 @@
 package cover
 
 import (
+	"bytes"
 	"math/bits"
 	"math/rand"
 	"reflect"
@@ -375,7 +376,13 @@ func checkStructure(t *testing.T, tree *Tree) {
 // descending cardinality (the order NCover.Readmit needs to keep the
 // antichain), re-seeding ∅ into some emptied trees. After every RHS that
 // lost a non-FD is patched, each tree must hold exactly what Rebuild
-// derives from the final negative cover, and pass checkStructure.
+// derives from the final negative cover, and pass checkStructure. Each
+// round then re-derives one RHS's tree with Rebuild and removes and
+// re-adds one stored set of another twice, which leaves the cover as it
+// was. The read-out (FDs) runs before the admissions, after their
+// inversion, after the patches and once after the last round, and must
+// equal NewSet over the trees' sets, byte for byte, and after the
+// patches Rebuild's read-out too.
 func FuzzPCoverRetire(f *testing.F) {
 	for seed := byte(1); seed <= 4; seed++ {
 		f.Add([]byte{3 + seed, seed, seed, 0, 0, 0, 0, 0, 0, 0})
@@ -431,6 +438,24 @@ func fuzzRetire(t *testing.T, w fuzzWidth, data []byte) {
 
 	nc := NewNCover(ncols, nil)
 	pc := NewPCover(ncols, nil)
+	// readOut holds pc's read-out to a fresh NewSet over its trees' sets
+	// and returns it.
+	readOut := func(stage string, round int) *fdset.Set {
+		got := pc.FDs()
+		var fds []fdset.FD
+		for rhs := 0; rhs < ncols; rhs++ {
+			for _, lhs := range pc.Tree(rhs).Sets() {
+				fds = append(fds, fdset.FD{LHS: lhs, RHS: rhs})
+			}
+		}
+		want := fdset.NewSet(fds...)
+		gotJSON, _ := got.MarshalJSON()
+		wantJSON, _ := want.MarshalJSON()
+		if !got.Equal(want) || !bytes.Equal(gotJSON, wantJSON) {
+			t.Fatalf("width %v, round %d, %s: FDs() = %s\nNewSet of the trees' sets = %s", w, round, stage, gotJSON, wantJSON)
+		}
+		return got
+	}
 	for b := 0; b < n; b++ {
 		rhs := w.attr(b)
 		if r.Intn(4) == 0 {
@@ -445,6 +470,7 @@ func fuzzRetire(t *testing.T, w fuzzWidth, data []byte) {
 	}
 
 	for round := 0; round < rounds; round++ {
+		readOut("before the admissions", round)
 		var admissions []fdset.AttrSet
 		for k := r.Intn(3 * n); k > 0; k-- {
 			admissions = append(admissions, draw(r.Intn(n)))
@@ -454,6 +480,7 @@ func fuzzRetire(t *testing.T, w fuzzWidth, data []byte) {
 		// retirements, and a removal can take a pending set with it.
 		nc.Admit(admissions, nil)
 		pc.InvertPending(nc, nil)
+		readOut("after InvertPending", round)
 
 		removed := make([][]fdset.AttrSet, n)
 		for b := 0; b < n; b++ {
@@ -494,5 +521,24 @@ func fuzzRetire(t *testing.T, w fuzzWidth, data []byte) {
 			}
 			checkStructure(t, pc.Tree(rhs))
 		}
+		if got, want := readOut("after Retire", round), ref.FDs(); !got.Equal(want) {
+			t.Fatalf("width %v, round %d: FDs() = %v\nRebuild's FDs() = %v", w, round, got.Slice(), want.Slice())
+		}
+
+		// Changes that leave the cover as it is: a Rebuild resets its
+		// tree, so the read-out must drop and re-merge every set, and a
+		// set removed and re-added twice is in the last run once and in
+		// the log twice.
+		rhs := w.attr(r.Intn(n))
+		pc.Rebuild(rhs, nc.Tree(rhs).Sets())
+		rhs = w.attr(r.Intn(n))
+		if sets := pc.Tree(rhs).Sets(); len(sets) > 0 {
+			s := sets[r.Intn(len(sets))]
+			for k := 0; k < 2; k++ {
+				pc.Tree(rhs).Remove(s)
+				pc.Tree(rhs).Add(s)
+			}
+		}
 	}
+	readOut("after the last round", rounds)
 }

@@ -6,6 +6,7 @@ import (
 
 	"eulerfd/internal/fdset"
 	"eulerfd/internal/pool"
+	"eulerfd/internal/preprocess"
 )
 
 // PCover is the positive cover: for every RHS attribute, the tree of
@@ -15,6 +16,14 @@ import (
 type PCover struct {
 	trees []*Tree
 	ncols int
+	// runs holds each RHS's candidate LHSs as of the last FDs call, mw
+	// words apiece in CompareMasks order: the read-out that FDs brings
+	// up to date from each tree's log.
+	runs [][]uint64
+	// leaves and order are FDs' scratch: the sets of a tree read out in
+	// full, and the offsets of the sets to merge into a run, sorted.
+	leaves []uint64
+	order  []int32
 }
 
 // NewPCover builds a positive cover over ncols attributes initialized with
@@ -292,19 +301,20 @@ func (p *PCover) Retire(rhs int, retired, nonFDs []fdset.AttrSet) {
 		region = region.Union(r)
 	}
 	outside := fdset.FullSet(p.ncols).Diff(region).Without(rhs)
-	proj := make([]fdset.AttrSet, len(nonFDs))
-	for i, n := range nonFDs {
-		proj[i] = n.Intersect(region)
-	}
-	// Largest projections first: a smaller one inverted later finds most
-	// of its subsets already gone.
-	fdset.SortSetsDesc(proj)
-	proj = slices.Compact(proj)
-
 	t := p.trees[rhs]
+	var buf [fdset.NumWords]uint64
+	// Many non-FDs share a projection: sort only the distinct ones,
+	// largest first, since a smaller one inverted later finds most of
+	// its subsets already gone.
+	proj := make([]fdset.AttrSet, 0, len(nonFDs))
+	seen := NewMasks(t.mw, false, false)
+	for _, n := range nonFDs {
+		proj = seen.AppendNew(proj, t.words(&buf, n.Intersect(region)))
+	}
+	fdset.SortSetsDesc(proj)
+
 	patch := NewTree(p.ncols, t.rank)
 	patch.Add(fdset.EmptySet())
-	var buf [fdset.NumWords]uint64
 	for _, x := range proj {
 		patch.invert(patch.words(&buf, x.Union(outside)), rhs, p.ncols)
 	}
@@ -333,15 +343,89 @@ func (p *PCover) Rebuild(rhs int, nonFDs []fdset.AttrSet) {
 
 // FDs returns the candidate set as minimal, non-trivial FDs. Candidates
 // whose LHS covers every other attribute are kept: a key is a valid LHS.
+//
+// The cover keeps each RHS's run of the last call and brings it up to
+// date from what the tree logged since (refresh), so a read-out after a
+// small change costs about what changed, not a sort of the whole cover.
+// The returned set is a copy that shares no storage with the cover, and
+// the caller may keep or change it. Because FDs updates the cover's
+// read-out state, it must not run concurrently with itself or with any
+// change to the cover.
 func (p *PCover) FDs() *fdset.Set {
-	fds := make([]fdset.FD, 0, p.Size())
-	for rhs, t := range p.trees {
-		t.ForEach(func(lhs fdset.AttrSet) bool {
-			fds = append(fds, fdset.FD{LHS: lhs, RHS: rhs})
-			return true
-		})
+	if p.runs == nil {
+		p.runs = make([][]uint64, len(p.trees))
 	}
-	return fdset.NewSet(fds...)
+	for rhs, t := range p.trees {
+		p.runs[rhs] = p.refresh(t, p.runs[rhs])
+	}
+	return fdset.FromCanonicalRuns(preprocess.MaskWords(p.ncols), p.runs)
+}
+
+// refresh returns run, the sets of tree t at its last read-out in
+// CompareMasks order, brought up to date, and restarts t's log. The sets
+// the tree no longer holds leave the run; the logged sets it still holds
+// are sorted and merged in. A tree with nothing logged that still holds
+// as many sets as its run has not changed, since every insert is logged.
+// A tree that is not logging (never read out, or its log outgrew it) is
+// read in full by the same merge: from an empty run, with every stored
+// set as logged.
+func (p *PCover) refresh(t *Tree, run []uint64) []uint64 {
+	mw, added, full := t.mw, t.log, !t.logging
+	switch {
+	case full:
+		p.leaves = t.appendLeaves(p.leaves[:0], t.root)
+		run, added = run[:0], p.leaves
+	case len(added) == 0 && len(run) == mw*t.size:
+		return run
+	}
+	kept := run[:0]
+	for k := 0; k < len(run); k += mw {
+		if x := run[k : k+mw]; t.members.has(x) {
+			kept = append(kept, x...)
+		}
+	}
+	p.order = p.order[:0]
+	for k := 0; k < len(added); k += mw {
+		if full || t.members.has(added[k:k+mw]) {
+			p.order = append(p.order, int32(k))
+		}
+	}
+	slices.SortFunc(p.order, func(a, b int32) int {
+		return fdset.CompareMasks(added[a:int(a)+mw], added[b:int(b)+mw])
+	})
+	t.log, t.logging = t.log[:0], true
+	return mergeRun(kept, added, p.order, mw)
+}
+
+// mergeRun merges into kept, masks of mw words in CompareMasks order
+// without repeats, the masks of added at the offsets in order, sorted
+// the same way, and drops repeats. It merges from the back, into kept's
+// own array grown to hold both, so it needs no other buffer: the masks
+// still to place always fit between kept's unread head and the merged
+// tail.
+func mergeRun(kept, added []uint64, order []int32, mw int) []uint64 {
+	i, end := len(kept), len(kept)+mw*len(order)
+	run := slices.Grow(kept, end-i)[:end]
+	w := end // run[w:end] is merged
+	for j := len(order) - 1; j >= 0; j-- {
+		y := added[order[j] : int(order[j])+mw]
+		c := -1
+		for i > 0 {
+			if c = fdset.CompareMasks(run[i-mw:i], y); c <= 0 {
+				break
+			}
+			w, i = w-mw, i-mw
+			copy(run[w:w+mw], run[i:i+mw])
+		}
+		if c == 0 {
+			i -= mw // y takes the place of its kept copy
+		}
+		if w == end || !slices.Equal(run[w:w+mw], y) {
+			w -= mw
+			copy(run[w:w+mw], y)
+		}
+	}
+	return run[:i+copy(run[i:], run[w:end])]
 }
 
 // Tree exposes the per-RHS candidate tree.

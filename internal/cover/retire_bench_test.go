@@ -33,9 +33,29 @@ const (
 )
 
 var (
-	retireOnce sync.Once
-	retireData *retireCase
+	retireOnce  sync.Once
+	retireData  *retireCase
+	weatherOnce sync.Once
+	weather     *coverStream
 )
+
+// loadWeatherStream replays serve-mutate's relation, weather 8000×18.
+func loadWeatherStream(b *testing.B) *coverStream {
+	b.Helper()
+	weatherOnce.Do(func() { weather = newCoverStream(gen.Weather("weather", 8000, 1)) })
+	return weather
+}
+
+// invertStream builds the stream's covers in natural split order, as
+// core.Incremental does: each batch admitted, then inverted.
+func invertStream(s *coverStream) (*cover.NCover, *cover.PCover) {
+	nc, pc := cover.NewNCover(s.ncols, nil), cover.NewPCover(s.ncols, nil)
+	for k := 0; k < s.batches(); k++ {
+		s.admit(nc, k)
+		pc.InvertPending(nc, nil)
+	}
+	return nc, pc
+}
 
 // loadRetireCase builds the covers in natural split order, as
 // core.Incremental does, and retires one stored non-FD of each of the
@@ -45,18 +65,14 @@ var (
 // first.
 func loadRetireCase(b *testing.B) *retireCase {
 	b.Helper()
+	s := loadWeatherStream(b)
 	retireOnce.Do(func() {
-		s := newCoverStream(gen.Weather("weather", 8000, 1))
+		nc, pc := invertStream(s)
 		c := &retireCase{
 			ncols:   s.ncols,
 			retired: make([][]fdset.AttrSet, s.ncols),
 			after:   make([][]fdset.AttrSet, s.ncols),
-			pc:      cover.NewPCover(s.ncols, nil),
-		}
-		nc := cover.NewNCover(s.ncols, nil)
-		for k := 0; k < s.batches(); k++ {
-			s.admit(nc, k)
-			c.pc.InvertPending(nc, nil)
+			pc:      pc,
 		}
 		alive := slices.Concat(s.drains...)
 		fdset.SortSetsDesc(alive)

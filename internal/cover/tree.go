@@ -68,6 +68,14 @@ type Tree struct {
 	removed, subsets, cand, probe []uint64
 	// taken is takePending's result buffer.
 	taken []int32
+	// log lists, mw words apiece, every set insert has stored since the
+	// tree's run was last read out (PCover.FDs), while logging is set;
+	// a set removed since may still be listed. An insert appends only
+	// while the log lists fewer sets than the tree holds; the one that
+	// finds it full drops it and clears logging, and the next read-out
+	// sorts the whole tree.
+	log     []uint64
+	logging bool
 }
 
 // node is a trie node. A leaf (attr < 0) holds exactly one stored set in
@@ -278,11 +286,19 @@ func (t *Tree) Add(s fdset.AttrSet) bool {
 func (t *Tree) add(s []uint64) bool { return t.insert(s) != 0 }
 
 // insert is add returning the new leaf, or 0 when s was already stored.
+// It is the only way a set enters a tree, so it keeps the read-out log.
 func (t *Tree) insert(s []uint64) int32 {
 	if !t.members.insert(s) {
 		return 0
 	}
 	t.size++
+	if t.logging {
+		if len(t.log) < t.mw*t.size {
+			t.log = append(t.log, s...)
+		} else {
+			t.log, t.logging = t.log[:0], false
+		}
+	}
 	if t.root == 0 {
 		t.root = t.newLeaf(s)
 		return t.root
@@ -599,6 +615,17 @@ func (t *Tree) forEach(n int32, fn func(fdset.AttrSet) bool) bool {
 		return fn(fdset.FromWords(t.inter(n)))
 	}
 	return t.forEach(nd.left, fn) && t.forEach(nd.right, fn)
+}
+
+// appendLeaves appends the sets stored below n, mw words apiece, to out.
+func (t *Tree) appendLeaves(out []uint64, n int32) []uint64 {
+	if n == 0 {
+		return out
+	}
+	if nd := t.nodes[n]; nd.attr >= 0 {
+		return t.appendLeaves(t.appendLeaves(out, nd.left), nd.right)
+	}
+	return append(out, t.inter(n)...)
 }
 
 // Sets returns all stored sets in tree order.

@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"eulerfd/internal/core"
-	"eulerfd/internal/cover"
 	"eulerfd/internal/fdset"
 	"eulerfd/internal/gen"
 	"eulerfd/internal/preprocess"
@@ -46,25 +45,21 @@ func BenchmarkSetMarshalJSON(b *testing.B) {
 	}
 }
 
-// BenchmarkNewSet times building the dense cover's set from a positive
-// cover holding it, as discovery and every fdserve commit do
-// (PCover.FDs): the trees' sets collected as FDs, then NewSet's sort,
-// dedupe and packing into runs.
+// BenchmarkNewSet times building the dense cover's set from its FDs in
+// a fixed shuffled order: NewSet's copy, sort, dedupe and packing into
+// runs, the path of every builder that starts from an FD slice.
 func BenchmarkNewSet(b *testing.B) {
 	want := denseCover()
-	p := cover.NewPCover(17, nil)
-	for rhs := 0; rhs < 17; rhs++ {
-		p.Tree(rhs).Remove(fdset.EmptySet())
-	}
-	want.ForEach(func(f fdset.FD) { p.Tree(f.RHS).Add(f.LHS) })
+	fds := want.Slice()
+	rand.New(rand.NewSource(1)).Shuffle(len(fds), func(i, j int) { fds[i], fds[j] = fds[j], fds[i] })
 	b.ReportAllocs()
 	b.ResetTimer()
 	var got *fdset.Set
 	for i := 0; i < b.N; i++ {
-		got = p.FDs()
+		got = fdset.NewSet(fds...)
 	}
 	if !got.Equal(want) {
-		b.Fatal("PCover.FDs differs from the cover it was loaded with")
+		b.Fatal("NewSet differs from the cover its FDs came from")
 	}
 }
 

@@ -284,10 +284,10 @@ func refSet(m map[FD]struct{}) []FD {
 }
 
 // FuzzSetOps drives a Set through interleaved NewSet, Add, Remove,
-// Contains, Clone, Equal, Minimize and UnmarshalJSON steps against a
-// map[FD]struct{} oracle. After every step the set must hold the
-// oracle's FDs, slice and walk them in SortFDs order, and render the
-// bytes encoding/json renders for them, compact and indented.
+// Contains, Clone, Equal, Minimize, UnmarshalJSON and FromCanonicalRuns
+// steps against a map[FD]struct{} oracle. After every step the set must
+// hold the oracle's FDs, slice and walk them in SortFDs order, and
+// render the bytes encoding/json renders for them, compact and indented.
 func FuzzSetOps(f *testing.F) {
 	f.Add([]byte{})
 	// Narrow adds, a wide LHS (attribute 381, byte 255) that widens the
@@ -314,12 +314,19 @@ func FuzzSetOps(f *testing.F) {
 		0, 0, 1, 1, 0, 0, 2, 1, 2, 0, 0, 2, 0, 1, 7, 0, 0, 6, 200, 1, 150,
 		0, 0, 1, 2, 7, 0, 0,
 	})
+	// FromCanonicalRuns at one word and at six, from FDs with repeats and
+	// wide LHSs, then an add, a remove and a minimize on the result.
+	f.Add([]byte{
+		9, 0, 0, 5, 1, 2, 3, 0, 1, 1, 3, 1, 2, 0, 3, 1, 0, 2, 0,
+		9, 1, 0, 4, 150, 2, 200, 129, 150, 1, 255, 150, 2, 129, 200, 0, 2, 1, 0,
+		0, 150, 1, 2, 2, 150, 1, 255, 7, 0, 0,
+	})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		in := setOpsInput(data)
 		s := &Set{}
 		oracle := map[FD]struct{}{}
 		for step := 0; len(in) > 0 && step < 128; step++ {
-			op := in.next() % 9
+			op := in.next() % 10
 			fd := in.fd()
 			_, had := oracle[fd]
 			switch op {
@@ -381,6 +388,42 @@ func FuzzSetOps(f *testing.F) {
 				oracle = map[FD]struct{}{}
 				for _, g := range fds {
 					oracle[g] = struct{}{}
+				}
+			case 9:
+				// Canonical runs, one per RHS up to the largest, the
+				// RHSs without an FD left empty, at the widest LHS's
+				// width or, for an odd RHS in fd, at all six words. The
+				// set must not share the runs' storage.
+				fds := in.fds()
+				oracle = map[FD]struct{}{}
+				for _, g := range fds {
+					oracle[g] = struct{}{}
+				}
+				mw := 1
+				if fd.RHS%2 == 1 {
+					mw = NumWords
+				}
+				for _, g := range fds {
+					mw = max(mw, g.LHS.width())
+				}
+				var runs [][]uint64
+				for _, g := range refSet(oracle) {
+					for len(runs) <= g.RHS {
+						runs = append(runs, nil)
+					}
+					runs[g.RHS] = append(runs[g.RHS], g.LHS.w[:mw]...)
+				}
+				s = FromCanonicalRuns(mw, runs)
+				for _, r := range runs {
+					clear(r)
+				}
+				want := NewSet(fds...)
+				if !s.Equal(want) || !want.Equal(s) {
+					t.Fatalf("step %d: FromCanonicalRuns not Equal to NewSet of %v", step, fds)
+				}
+				got, _ := s.MarshalJSON()
+				if w, _ := want.MarshalJSON(); !bytes.Equal(got, w) {
+					t.Fatalf("step %d: FromCanonicalRuns renders %s, NewSet %s", step, got, w)
 				}
 			}
 			checkSetOps(t, step, s, oracle)

@@ -2,6 +2,7 @@ package fdset
 
 import (
 	"cmp"
+	"fmt"
 	"math/bits"
 	"slices"
 	"strings"
@@ -35,9 +36,13 @@ type run struct {
 
 // width returns the number of words a mask of s needs: up to its highest
 // non-empty word, and at least one.
-func (s AttrSet) width() int {
-	k := attrWords
-	for k > 1 && s.w[k-1] == 0 {
+func (s AttrSet) width() int { return maskWidth(s.w[:]) }
+
+// maskWidth returns the number of words the mask x needs: up to its
+// highest non-empty word, and at least one.
+func maskWidth(x []uint64) int {
+	k := len(x)
+	for k > 1 && x[k-1] == 0 {
 		k--
 	}
 	return k
@@ -58,6 +63,46 @@ func NewSet(fds ...FD) *Set {
 		rhs, from := sorted[i].RHS, len(flat)
 		for ; i < len(sorted) && sorted[i].RHS == rhs; i++ {
 			flat = append(flat, sorted[i].LHS.w[:s.mw]...)
+		}
+		s.runs = append(s.runs, run{rhs: rhs, masks: flat[from:len(flat):len(flat)]})
+	}
+	return s
+}
+
+// FromCanonicalRuns returns the set of the FDs lhs → rhs for every rhs
+// and every mask lhs in runs[rhs], mw words apiece. Each run must list
+// its masks in CompareMasks order without repeats; they are neither
+// sorted nor checked, which is what sets this constructor apart from
+// NewSet. Empty runs are skipped. The set copies the runs into one array
+// at the width its widest LHS needs, as NewSet packs, so it shares no
+// storage with runs.
+func FromCanonicalRuns(mw int, runs [][]uint64) *Set {
+	if mw < 1 || mw > NumWords {
+		panic(fmt.Sprintf("fdset: mask width %d out of range [1,%d]", mw, NumWords))
+	}
+	s, live := &Set{}, 0
+	for _, masks := range runs {
+		if len(masks) > 0 {
+			live++
+		}
+		s.n += len(masks) / mw
+		for k := 0; k < len(masks) && s.mw < mw; k += mw {
+			s.mw = max(s.mw, maskWidth(masks[k:k+mw]))
+		}
+	}
+	flat := make([]uint64, 0, s.n*s.mw)
+	s.runs = make([]run, 0, live)
+	for rhs, masks := range runs {
+		if len(masks) == 0 {
+			continue
+		}
+		from := len(flat)
+		if s.mw == mw {
+			flat = append(flat, masks...)
+		} else {
+			for k := 0; k < len(masks); k += mw {
+				flat = append(flat, masks[k:k+s.mw]...)
+			}
 		}
 		s.runs = append(s.runs, run{rhs: rhs, masks: flat[from:len(flat):len(flat)]})
 	}
