@@ -2,6 +2,7 @@ package cover
 
 import (
 	"fmt"
+	"runtime"
 	"slices"
 	"testing"
 
@@ -210,6 +211,9 @@ func TestPCoverFDsAllocsConstant(t *testing.T) {
 	if testutil.RaceEnabled {
 		t.Skip("alloc assertions are meaningless under -race")
 	}
+	// A process's first collection starts the runtime's mark workers,
+	// which allocate; let it happen before counting.
+	runtime.GC()
 	const ncols, churned = 16, 4
 	var counts []float64
 	for _, perTree := range []int{40, 2000} {

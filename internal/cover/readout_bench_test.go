@@ -101,6 +101,7 @@ func BenchmarkPCoverFDsCommit(b *testing.B) {
 		b.StartTimer()
 		got = pc.FDs()
 	}
+	b.StopTimer()
 	if !got.Equal(treeSets(pc)) {
 		b.Fatal("PCover.FDs differs from NewSet over the trees' sets")
 	}
