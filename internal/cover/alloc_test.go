@@ -291,13 +291,7 @@ func TestPCoverFDsLogBound(t *testing.T) {
 		if tree.logging {
 			t.Fatalf("%d columns: the log outgrew the tree but is still kept", ncols)
 		}
-		var fds []fdset.FD
-		for rhs, tr := range p.trees {
-			for _, lhs := range tr.Sets() {
-				fds = append(fds, fdset.FD{LHS: lhs, RHS: rhs})
-			}
-		}
-		if got, want := p.FDs(), fdset.NewSet(fds...); !got.Equal(want) {
+		if got, want := p.FDs(), treeSets(p); !got.Equal(want) {
 			t.Fatalf("%d columns: read-out after the log was dropped differs from NewSet over the trees' sets", ncols)
 		}
 		if !tree.logging || len(tree.log) != 0 {

@@ -441,14 +441,7 @@ func fuzzRetire(t *testing.T, w fuzzWidth, data []byte) {
 	// readOut holds pc's read-out to a fresh NewSet over its trees' sets
 	// and returns it.
 	readOut := func(stage string, round int) *fdset.Set {
-		got := pc.FDs()
-		var fds []fdset.FD
-		for rhs := 0; rhs < ncols; rhs++ {
-			for _, lhs := range pc.Tree(rhs).Sets() {
-				fds = append(fds, fdset.FD{LHS: lhs, RHS: rhs})
-			}
-		}
-		want := fdset.NewSet(fds...)
+		got, want := pc.FDs(), treeSets(pc)
 		gotJSON, _ := got.MarshalJSON()
 		wantJSON, _ := want.MarshalJSON()
 		if !got.Equal(want) || !bytes.Equal(gotJSON, wantJSON) {
@@ -541,4 +534,16 @@ func fuzzRetire(t *testing.T, w fuzzWidth, data []byte) {
 		}
 	}
 	readOut("after the last round", rounds)
+}
+
+// treeSets returns NewSet over every set p's trees hold: the read-out
+// PCover.FDs must equal.
+func treeSets(p *PCover) *fdset.Set {
+	var fds []fdset.FD
+	for rhs, tree := range p.trees {
+		for _, lhs := range tree.Sets() {
+			fds = append(fds, fdset.FD{LHS: lhs, RHS: rhs})
+		}
+	}
+	return fdset.NewSet(fds...)
 }

@@ -373,7 +373,8 @@ func (p *PCover) refresh(t *Tree, run []uint64) []uint64 {
 	mw, added, full := t.mw, t.log, !t.logging
 	switch {
 	case full:
-		p.leaves = t.appendLeaves(p.leaves[:0], t.root)
+		p.leaves = p.leaves[:0]
+		t.members.Each(func(s []uint64) { p.leaves = append(p.leaves, s...) })
 		run, added = run[:0], p.leaves
 	case len(added) == 0 && len(run) == mw*t.size:
 		return run

@@ -617,17 +617,6 @@ func (t *Tree) forEach(n int32, fn func(fdset.AttrSet) bool) bool {
 	return t.forEach(nd.left, fn) && t.forEach(nd.right, fn)
 }
 
-// appendLeaves appends the sets stored below n, mw words apiece, to out.
-func (t *Tree) appendLeaves(out []uint64, n int32) []uint64 {
-	if n == 0 {
-		return out
-	}
-	if nd := t.nodes[n]; nd.attr >= 0 {
-		return t.appendLeaves(t.appendLeaves(out, nd.left), nd.right)
-	}
-	return append(out, t.inter(n)...)
-}
-
 // Sets returns all stored sets in tree order.
 func (t *Tree) Sets() []fdset.AttrSet {
 	out := make([]fdset.AttrSet, 0, t.size)
