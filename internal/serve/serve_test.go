@@ -369,6 +369,36 @@ func TestSSEStreamsPerCycleProgress(t *testing.T) {
 	}
 }
 
+// TestSubscribeSeesEveryDone pins the snapshot an events stream starts
+// from: a job that ends right after the subscription was in flight at
+// it, so its done event arrives on the channel, and a subscription
+// after the end finds the done event in the replay. Reading the state
+// after subscribing, in a critical section of its own, would see that
+// first job as ended with its done event in neither, and the stream
+// would end without it.
+func TestSubscribeSeesEveryDone(t *testing.T) {
+	sess := &session{state: stateRunning}
+	replay, ch, inFlight := sess.subscribe()
+	sess.mu.Lock()
+	sess.state = stateReady
+	sess.publishLocked(event{name: "done", data: doneDoc{Job: "j1"}})
+	sess.mu.Unlock()
+	if !inFlight || len(replay) != 0 {
+		t.Fatalf("subscribed mid-job: in flight %v, replay %v", inFlight, replay)
+	}
+	select {
+	case ev := <-ch:
+		if ev.name != "done" {
+			t.Fatalf("subscribed mid-job: got %q, want the done event", ev.name)
+		}
+	default:
+		t.Fatal("subscribed mid-job: the done event did not arrive on the channel")
+	}
+	if replay, _, inFlight = sess.subscribe(); inFlight || len(replay) != 1 || replay[0].name != "done" {
+		t.Fatalf("subscribed after the job: in flight %v, replay %v", inFlight, replay)
+	}
+}
+
 func TestCancelMidRunFreesSlotAndRejectsAppend(t *testing.T) {
 	// One job slot and a long per-cycle delay: the first job reliably
 	// straddles the cancel, and the second session proves the slot came

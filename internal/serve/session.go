@@ -125,16 +125,21 @@ func (s *session) publishLocked(ev event) {
 	}
 }
 
-// subscribe returns a copy of the history so far and a channel carrying
-// every event published afterwards.
-func (s *session) subscribe() ([]event, chan event) {
+// subscribe returns a copy of the history so far, a channel carrying
+// every event published afterwards, and whether a job was in flight. It
+// reads all three in one critical section: finishJob publishes a job's
+// done event in the one that ends the job, so the done event of a job
+// not in flight is in the copy, and that of a job in flight arrives on
+// the channel. Reading the state in a later critical section would miss
+// a done event published in between.
+func (s *session) subscribe() (replay []event, ch chan event, inFlight bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	ch := make(chan event, 256)
+	ch = make(chan event, 256)
 	s.subs = append(s.subs, ch)
-	replay := make([]event, len(s.history))
+	replay = make([]event, len(s.history))
 	copy(replay, s.history)
-	return replay, ch
+	return replay, ch, s.state == stateQueued || s.state == stateRunning
 }
 
 // unsubscribe removes a subscriber channel.

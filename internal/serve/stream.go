@@ -36,13 +36,8 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Cache-Control", "no-cache")
 	w.WriteHeader(http.StatusOK)
 
-	replay, ch := sess.subscribe()
+	replay, ch, inFlight := sess.subscribe()
 	defer sess.unsubscribe(ch)
-	// Read the lifecycle position after subscribing: a done published
-	// later than this read necessarily arrives on ch.
-	sess.mu.Lock()
-	inFlight := sess.state == stateQueued || sess.state == stateRunning
-	sess.mu.Unlock()
 
 	write := func(ev event) bool {
 		blob, err := json.Marshal(ev.data)
